@@ -1,12 +1,12 @@
 """Timer-paced ADC model and the DMA-style ping-pong double buffer.
 
 ADC codes are plain ints (0 .. 2^bits - 1).  The buffer holds two half
-buffers: the writer fills one while the consumer owns the other; a filled
-half raises a ready event carrying a monotonically increasing sequence
-number.  If a new half completes while the previous ready half is still
-unconsumed, the stale half is dropped and overwritten (overrun policy:
-overwrite-oldest and flag), which shows up as a gap in consumed sequence
-numbers.
+buffers: the writer fills one, a block at a time as a DMA channel does,
+while the consumer owns the other; a filled half raises a ready event
+carrying a monotonically increasing sequence number.  If a new half
+completes while the previous ready half is still unconsumed, the stale
+half is dropped and overwritten (overrun policy: overwrite-oldest and
+flag), which shows up as a gap in consumed sequence numbers.
 
 One producer context and one consumer context may operate concurrently;
 all buffer state is guarded by an internal lock.
@@ -92,12 +92,13 @@ class ReadyHalf:
 
 
 class PingPongBuffer:
-    """Two alternating half buffers between a sample writer and a consumer.
+    """Two alternating half buffers between a block writer and a consumer.
 
-    push_sample() writes into the active half and returns a ReadyEvent when
-    that half completes; take_ready_half() hands the filled half to the
-    consumer as an owned copy.  The overrun flag latches once a half is
-    dropped and is cleared explicitly via clear_overrun().
+    push_block() copies a block of codes into the active half, switching
+    halves as each fills, and returns one ReadyEvent per completed half,
+    like a DMA transfer-complete interrupt; take_ready_half() hands the
+    filled half to the consumer as an owned copy.  The overrun flag
+    latches once a half is dropped.
     """
 
     def __init__(self, half_capacity: int):
@@ -109,33 +110,34 @@ class PingPongBuffer:
         self.active_half = 0
         self.ready_events: deque[ReadyEvent] = deque()
         self.overrun_flag = False
-        self.total_written = 0
-        self.total_consumed = 0
-        # bumped when the writer re-enters a half; lets tests assert a
-        # consumed copy was never raced by the writer
-        self.generations = [0, 0]
         self._next_seq = 0
         self._lock = threading.Lock()
 
-    def push_sample(self, code: int) -> ReadyEvent | None:
+    def push_block(self, codes) -> list[ReadyEvent]:
+        """Write codes in order; return the events of the halves they completed."""
+        codes = np.asarray(codes, dtype=np.int64)
+        events: list[ReadyEvent] = []
         with self._lock:
-            half = self._halves[self.active_half]
-            half[self.write_index] = code
-            self.write_index += 1
-            self.total_written += 1
-            if self.write_index < self.half_capacity:
-                return None
-            event = ReadyEvent(half=self.active_half, seq=self._next_seq)
-            self._next_seq += 1
-            if self.ready_events:
-                # consumer stalled: drop the stale ready half, keep newest
-                self.ready_events.clear()
-                self.overrun_flag = True
-            self.ready_events.append(event)
-            self.active_half ^= 1
-            self.write_index = 0
-            self.generations[self.active_half] += 1
-            return event
+            start = 0
+            while start < len(codes):
+                half = self._halves[self.active_half]
+                n = min(self.half_capacity - self.write_index, len(codes) - start)
+                half[self.write_index:self.write_index + n] = codes[start:start + n]
+                self.write_index += n
+                start += n
+                if self.write_index < self.half_capacity:
+                    break
+                event = ReadyEvent(half=self.active_half, seq=self._next_seq)
+                self._next_seq += 1
+                if self.ready_events:
+                    # consumer stalled: drop the stale ready half, keep newest
+                    self.ready_events.clear()
+                    self.overrun_flag = True
+                self.ready_events.append(event)
+                events.append(event)
+                self.active_half ^= 1
+                self.write_index = 0
+        return events
 
     def take_ready_half(self) -> ReadyHalf | None:
         """Pop the pending ready half, or None when nothing is ready."""
@@ -144,9 +146,4 @@ class PingPongBuffer:
                 return None
             event = self.ready_events.popleft()
             codes = self._halves[event.half].copy()
-            self.total_consumed += len(codes)
             return ReadyHalf(seq=event.seq, half=event.half, codes=codes, overrun=self.overrun_flag)
-
-    def clear_overrun(self) -> None:
-        with self._lock:
-            self.overrun_flag = False

@@ -150,8 +150,8 @@ def _cmd_stream(args) -> int:
     lines: list[str] = []
 
     def producer() -> None:
-        for code in codes:
-            if buf.push_sample(int(code)) is not None:
+        for start in range(0, len(codes), args.half_capacity):
+            if buf.push_block(codes[start:start + args.half_capacity]):
                 items.release()
                 space.acquire()  # hand-off: block until the consumer took the half
         done.set()

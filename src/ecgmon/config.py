@@ -155,42 +155,42 @@ class PipelineConfig:
         def pick(section: str, key: str, default):
             return raw.get(section, {}).get(key, default)
 
-        noise = NoiseConfig(
-            mains_amplitude=pick("noise", "mains_amplitude", 0.0),
-            mains_freq=pick("noise", "mains_freq", 50.0),
-            wander_amplitude=pick("noise", "wander_amplitude", 0.0),
-            wander_freq=pick("noise", "wander_freq", 0.2),
-            emg_sigma=pick("noise", "emg_sigma", 0.0),
-            dc_offset=pick("noise", "dc_offset", 0.0),
-            common_mode_amplitude=pick("noise", "common_mode_amplitude", 0.0),
-            common_mode_freq=pick("noise", "common_mode_freq", 50.0),
-            rng_seed=pick("noise", "seed", 0),
-        )
-        base_fe = bench_spec()
-        frontend = FrontEndSpec(
-            instrument_gain=pick("frontend", "instrument_gain", base_fe.instrument_gain),
-            voltage_gain=pick("frontend", "voltage_gain", base_fe.voltage_gain),
-            f_ch=pick("frontend", "f_ch", base_fe.f_ch),
-            f_cl=pick("frontend", "f_cl", base_fe.f_cl),
-            f_0=pick("frontend", "f_0", base_fe.f_0),
-            notch_q=pick("frontend", "notch_q", base_fe.notch_q),
-            cmrr_db=pick("frontend", "cmrr_db", base_fe.cmrr_db),
-            lift_bias=pick("frontend", "lift_bias", base_fe.lift_bias),
-            supply=(pick("frontend", "supply_min", base_fe.supply[0]),
-                    pick("frontend", "supply_max", base_fe.supply[1])),
-        )
-        trigger = TriggerConfig(
-            trigger_level=pick("trigger", "trigger_level", None),
-            band_epsilon=pick("trigger", "band_epsilon", None),
-            run_length=pick("trigger", "run_length", 3),
-            refractory=pick("trigger", "refractory", 0.25),
-        )
-        alerts = AlertPolicy(
-            low_bpm=pick("alerts", "low_bpm", 50.0),
-            high_bpm=pick("alerts", "high_bpm", 120.0),
-        )
         try:
-            return replace(
+            noise = NoiseConfig(
+                mains_amplitude=pick("noise", "mains_amplitude", 0.0),
+                mains_freq=pick("noise", "mains_freq", 50.0),
+                wander_amplitude=pick("noise", "wander_amplitude", 0.0),
+                wander_freq=pick("noise", "wander_freq", 0.2),
+                emg_sigma=pick("noise", "emg_sigma", 0.0),
+                dc_offset=pick("noise", "dc_offset", 0.0),
+                common_mode_amplitude=pick("noise", "common_mode_amplitude", 0.0),
+                common_mode_freq=pick("noise", "common_mode_freq", 50.0),
+                rng_seed=pick("noise", "seed", 0),
+            )
+            base_fe = bench_spec()
+            frontend = FrontEndSpec(
+                instrument_gain=pick("frontend", "instrument_gain", base_fe.instrument_gain),
+                voltage_gain=pick("frontend", "voltage_gain", base_fe.voltage_gain),
+                f_ch=pick("frontend", "f_ch", base_fe.f_ch),
+                f_cl=pick("frontend", "f_cl", base_fe.f_cl),
+                f_0=pick("frontend", "f_0", base_fe.f_0),
+                notch_q=pick("frontend", "notch_q", base_fe.notch_q),
+                cmrr_db=pick("frontend", "cmrr_db", base_fe.cmrr_db),
+                lift_bias=pick("frontend", "lift_bias", base_fe.lift_bias),
+                supply=(pick("frontend", "supply_min", base_fe.supply[0]),
+                        pick("frontend", "supply_max", base_fe.supply[1])),
+            )
+            trigger = TriggerConfig(
+                trigger_level=pick("trigger", "trigger_level", None),
+                band_epsilon=pick("trigger", "band_epsilon", None),
+                run_length=pick("trigger", "run_length", 3),
+                refractory=pick("trigger", "refractory", 0.25),
+            )
+            alerts = AlertPolicy(
+                low_bpm=pick("alerts", "low_bpm", 50.0),
+                high_bpm=pick("alerts", "high_bpm", 120.0),
+            )
+            cfg = replace(
                 cfg,
                 source=pick("signal", "source", cfg.source),
                 sample_rate=pick("signal", "sample_rate", cfg.sample_rate),
@@ -215,8 +215,10 @@ class PipelineConfig:
                 max_ecg=pick("telemetry", "max_ecg", cfg.max_ecg),
                 timestamp=pick("telemetry", "timestamp", cfg.timestamp),
             )
+            cfg.adc  # AdcConfig checks sample_rate, bits and vref
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
+        return cfg
 
 
 def _parse_sections(text: str, name: str) -> dict[str, dict[str, object]]:

@@ -143,19 +143,6 @@ class FrontEndSpec:
     def chain_gain(self) -> float:
         return self.instrument_gain * self.voltage_gain
 
-    @classmethod
-    def from_components(cls, c: ComponentValues, **overrides) -> "FrontEndSpec":
-        """Derive the behavioral spec from board component values."""
-        params = dict(
-            instrument_gain=instrument_gain(c),
-            voltage_gain=voltage_gain(c),
-            f_ch=highpass_cutoff(c.c2, c.r_hp),
-            f_cl=lowpass_cutoff(c.c3, c.r15),
-            f_0=notch_center(c.r31, c.c5, c.r27, c.c7),
-        )
-        params.update(overrides)
-        return cls(**params)
-
 
 def bench_components() -> ComponentValues:
     """Component set reproducing the design-formula values.
@@ -288,11 +275,11 @@ def discretize(stage_kind: str, spec: FrontEndSpec, sample_rate: float) -> Discr
     return DiscretizedFilter(b0=b0, b1=b1, b2=0.0, a1=(w0 - k) / a0, a2=0.0, sample_rate=sample_rate)
 
 
-def _build_chain(spec: FrontEndSpec, sample_rate: float, stage_order=DEFAULT_STAGE_ORDER,
+def _build_chain(spec: FrontEndSpec, sample_rate: float,
                  with_notch: bool = True) -> list[DiscretizedFilter]:
     return [
         discretize(kind, spec, sample_rate)
-        for kind in stage_order
+        for kind in DEFAULT_STAGE_ORDER
         if with_notch or kind != "notch"
     ]
 
@@ -316,7 +303,6 @@ class FrontEndResult:
 def apply_frontend(
     sig: SourceSignal,
     spec: FrontEndSpec,
-    stage_order: tuple[str, ...] = DEFAULT_STAGE_ORDER,
     with_notch: bool = True,
 ) -> FrontEndResult:
     """Run a source signal through the conditioning chain.
@@ -328,7 +314,7 @@ def apply_frontend(
     rate = sig.differential.sample_rate
     leak = 10 ** (-spec.cmrr_db / 20)
     x = (sig.differential.values + leak * sig.common_mode.values) * 1e-3  # mV -> V
-    for filt in _build_chain(spec, rate, stage_order, with_notch):
+    for filt in _build_chain(spec, rate, with_notch):
         x = filt.process(x)
     y = spec.chain_gain * x + spec.lift_bias
     lo, hi = spec.supply

@@ -85,11 +85,10 @@ def run_pipeline(
     consumed: list[np.ndarray] = []
 
     def acquire() -> None:
-        for code in codes:
-            if buf.push_sample(int(code)) is not None:
-                half = buf.take_ready_half()
-                if half is not None:
-                    consumed.append(half.codes)
+        # one DMA-sized block per half; each completed half is taken at once
+        for start in range(0, len(codes), cfg.half_capacity):
+            if buf.push_block(codes[start:start + cfg.half_capacity]):
+                consumed.append(buf.take_ready_half().codes)
 
     _stage("acquisition", acquire)
     if not consumed:

@@ -59,9 +59,6 @@ class Framebuffer:
         self._touch(self.pixels)
         self.pixels[:] = False
 
-    def clear_dirty(self) -> None:
-        self.dirty = None
-
 
 @dataclass(frozen=True)
 class PlotTrace:

@@ -8,6 +8,7 @@ explicitly seeded generator so generated streams reproduce bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,12 @@ __all__ = [
     "generate_sine",
     "add_noise",
 ]
+
+
+def _require_finite_positive(**named: float) -> None:
+    for name, value in named.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +122,7 @@ class SampleFrame:
     unit: str = "mV"
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
+        _require_finite_positive(sample_rate=self.sample_rate)
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1:
             raise ValueError("values must be one-dimensional")
@@ -150,8 +156,9 @@ class SampleFrame:
     def from_csv(cls, path, unit: str = "mV", default_rate: float = 500.0) -> "SampleFrame":
         """Read a time,value CSV written by to_csv.
 
-        The sample rate is recovered from the time column; frames with
-        fewer than two rows fall back to default_rate.
+        The sample rate is recovered from the time column, which must be
+        strictly increasing; frames with fewer than two rows fall back to
+        default_rate.
         """
         times: list[float] = []
         values: list[float] = []
@@ -164,10 +171,14 @@ class SampleFrame:
                 if len(parts) != 2:
                     raise ValueError(f"{path}: line {lineno}: expected 'time,value', got {line!r}")
                 try:
-                    times.append(float(parts[0]))
-                    values.append(float(parts[1]))
+                    t, v = float(parts[0]), float(parts[1])
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+                if times and not t > times[-1]:
+                    raise ValueError(f"{path}: line {lineno}: time column must be strictly "
+                                     f"increasing, got {t:.9g} after {times[-1]:.9g}")
+                times.append(t)
+                values.append(v)
         if len(times) >= 2:
             rate = (len(times) - 1) / (times[-1] - times[0])
             rate = float(f"{rate:.9g}")
@@ -204,12 +215,7 @@ def generate_ecg(
     Gaussian at its center fraction.  Bumps are wrapped across beat
     boundaries so the waveform is exactly periodic.
     """
-    if bpm <= 0:
-        raise ValueError(f"bpm must be > 0, got {bpm}")
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
-    if sample_rate <= 0:
-        raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
+    _require_finite_positive(bpm=bpm, duration=duration, sample_rate=sample_rate)
     fundamental = bpm / 60.0
     if sample_rate < 4 * fundamental:
         raise ValueError(
@@ -228,10 +234,7 @@ def generate_ecg(
 
 def generate_sine(freq: float, amplitude: float, sample_rate: float, duration: float) -> SampleFrame:
     """Pure sine frame: values[n] = amplitude * sin(2*pi*freq*n/sample_rate)."""
-    if sample_rate <= 0:
-        raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
+    _require_finite_positive(sample_rate=sample_rate, duration=duration)
     if freq >= sample_rate / 2:
         raise ValueError(f"freq {freq} Hz aliases at sample_rate {sample_rate} Hz")
     n = int(round(duration * sample_rate))

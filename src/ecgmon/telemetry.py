@@ -51,18 +51,13 @@ class PayloadTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class TelemetryRecord:
-    """One uplink record.
-
-    ecg holds plain numbers (ADC codes or millivolts, per ecg_unit); the
-    unit tag is local metadata and is not part of the wire format.
-    """
+    """One uplink record; ecg holds plain numbers (ADC codes or millivolts)."""
 
     device_id: str
     timestamp: int
     bpm: float
     ecg: list
     location: str
-    ecg_unit: str = "code"
 
     def __post_init__(self):
         if self.bpm <= 0:
@@ -237,6 +232,9 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
         pass
 
 
+_POLL_INTERVAL_S = 0.05  # serve_forever's shutdown poll: close() waits up to this long
+
+
 class LoopbackListener:
     """In-process HTTP listener that records every POSTed payload.
 
@@ -248,7 +246,8 @@ class LoopbackListener:
         self._server = ThreadingHTTPServer(("127.0.0.1", port), _LoopbackHandler)
         self._server.received = []  # type: ignore[attr-defined]
         self._server.received_lock = threading.Lock()  # type: ignore[attr-defined]
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        args=(_POLL_INTERVAL_S,), daemon=True)
         self._thread.start()
 
     @property

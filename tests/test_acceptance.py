@@ -152,20 +152,18 @@ def test_criterion_07_ping_pong_no_loss():
         data = [rng.randrange(4096) for _ in range(length)]
         buf = PingPongBuffer(capacity)
         out: list[int] = []
-        for code in data:
-            if buf.push_sample(code) is not None:
+        for start in range(0, length, capacity):
+            if buf.push_block(data[start:start + capacity]):
                 out.extend(buf.take_ready_half().codes.tolist())
         assert not buf.overrun_flag, f"case {case}"
         assert out == data[: (length // capacity) * capacity], f"case {case}"
 
     # scripted stall: two fills unconsumed -> overrun, exactly one seq gap
     buf = PingPongBuffer(8)
-    for i in range(16):
-        buf.push_sample(i)
+    buf.push_block(range(16))
     assert buf.overrun_flag
     seqs = [buf.take_ready_half().seq]
-    for i in range(8):
-        buf.push_sample(i)
+    buf.push_block(range(8))
     seqs.append(buf.take_ready_half().seq)
     gaps = [b - a - 1 for a, b in zip([-1] + seqs, seqs + [seqs[-1] + 1]) if b - a > 1]
     assert seqs == [1, 2]

@@ -70,16 +70,16 @@ class TestDequantize:
 class TestPingPongBuffer:
     def test_fill_pattern_capacity_4(self):
         buf = PingPongBuffer(4)
-        events = [buf.push_sample(i) for i in range(4)]
-        assert events[:3] == [None, None, None]
-        assert events[3].half == 0 and events[3].seq == 0
-        events = [buf.push_sample(i) for i in range(4, 8)]
-        assert events[3].half == 1 and events[3].seq == 1
+        assert buf.push_block([0, 1, 2]) == []
+        (event,) = buf.push_block([3])
+        assert event.half == 0 and event.seq == 0
+        assert buf.push_block([4, 5, 6]) == []
+        (event,) = buf.push_block([7])
+        assert event.half == 1 and event.seq == 1
 
     def test_take_returns_codes_in_push_order(self):
         buf = PingPongBuffer(4)
-        for i in range(4):
-            buf.push_sample(10 + i)
+        buf.push_block([10, 11, 12, 13])
         half = buf.take_ready_half()
         assert half is not None
         assert half.codes.tolist() == [10, 11, 12, 13]
@@ -90,8 +90,7 @@ class TestPingPongBuffer:
 
     def test_stall_sets_overrun_and_keeps_newest(self):
         buf = PingPongBuffer(4)
-        for i in range(8):  # two fills, nothing consumed
-            buf.push_sample(i)
+        buf.push_block(range(8))  # two fills, nothing consumed
         assert buf.overrun_flag
         half = buf.take_ready_half()
         assert half.seq == 1  # newest; seq 0 was dropped
@@ -103,8 +102,8 @@ class TestPingPongBuffer:
         data = rng.integers(0, 4096, 100_000)
         buf = PingPongBuffer(512)
         out = []
-        for code in data:
-            if buf.push_sample(int(code)) is not None:
+        for start in range(0, len(data), 512):
+            if buf.push_block(data[start:start + 512]):
                 out.append(buf.take_ready_half().codes)
         joined = np.concatenate(out)
         assert not buf.overrun_flag
@@ -114,25 +113,24 @@ class TestPingPongBuffer:
     def test_sequence_gap_iff_overrun(self):
         buf = PingPongBuffer(4)
         seqs = []
-        for i in range(8):
-            buf.push_sample(i)
+        buf.push_block(range(8))
         seqs.append(buf.take_ready_half().seq)
-        for i in range(4):
-            buf.push_sample(i)
+        buf.push_block(range(4))
         seqs.append(buf.take_ready_half().seq)
         assert seqs == [1, 2]  # 0 was dropped: exactly one gap
         assert buf.overrun_flag
 
     def test_writer_never_mutates_checked_out_half(self):
         buf = PingPongBuffer(4)
-        for i in range(4):
-            buf.push_sample(i)
-        gen_before = buf.generations[0]
+        buf.push_block(range(4))
         half = buf.take_ready_half()
         # push another full half; the writer switches into half 1, not half 0
-        for i in range(3):
-            buf.push_sample(i)
-        assert buf.generations[0] == gen_before
+        (event,) = buf.push_block([9, 9, 9, 9])
+        assert event.half == 1
+        assert half.codes.tolist() == [0, 1, 2, 3]
+        # the next half overwrites half 0 in the buffer, not the owned copy
+        (event,) = buf.push_block([8, 8, 8, 8])
+        assert event.half == 0
         assert half.codes.tolist() == [0, 1, 2, 3]
 
     def test_invalid_capacity(self):
@@ -151,11 +149,42 @@ class TestPingPongBuffer:
         data = [rng.randrange(4096) for _ in range(length)]
         buf = PingPongBuffer(capacity)
         out = []
-        for code in data:
-            if buf.push_sample(code) is not None:
+        for start in range(0, length, capacity):
+            if buf.push_block(data[start:start + capacity]):
                 out.extend(buf.take_ready_half().codes.tolist())
         assert not buf.overrun_flag
         assert out == data[: (length // capacity) * capacity]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        capacity=st.integers(min_value=1, max_value=16),
+        data=st.lists(st.integers(min_value=0, max_value=4095), max_size=120),
+        stops=st.lists(st.tuples(st.integers(min_value=0, max_value=120), st.booleans()),
+                       max_size=30),
+    )
+    def test_block_splits_match_one_code_blocks(self, capacity, data, stops):
+        """Any split into blocks, with the consumer taking or stalling at each
+        block boundary, behaves exactly as pushing one code at a time."""
+        takes = {min(pos, len(data)): take for pos, take in stops}
+        bounds = sorted(set(takes) | {len(data)})
+
+        def drive(split):
+            buf = PingPongBuffer(capacity)
+            events, taken = [], []
+            start = 0
+            for stop in bounds:
+                for lo, hi in split(start, stop):
+                    events += buf.push_block(data[lo:hi])
+                if takes.get(stop):
+                    half = buf.take_ready_half()
+                    if half is not None:
+                        taken.append((half.seq, half.half, half.overrun, half.codes.tolist()))
+                start = stop
+            return events, taken, buf.overrun_flag, buf.write_index
+
+        blocks = drive(lambda lo, hi: [(lo, hi)])
+        one_code = drive(lambda lo, hi: [(i, i + 1) for i in range(lo, hi)])
+        assert blocks == one_code
 
     def test_concurrent_producer_consumer(self):
         """One writer thread and one reader thread share the buffer safely."""
@@ -167,8 +196,8 @@ class TestPingPongBuffer:
         done = threading.Event()
 
         def producer():
-            for code in data:
-                if buf.push_sample(code) is not None:
+            for start in range(0, len(data), 256):
+                if buf.push_block(data[start:start + 256]):
                     items.release()
                     space.acquire()
             done.set()
@@ -190,5 +219,6 @@ class TestPingPongBuffer:
             t.start()
         for t in threads:
             t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
         assert not buf.overrun_flag
         assert out == data[: (len(data) // 256) * 256]

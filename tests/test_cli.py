@@ -1,11 +1,17 @@
 """Config parsing, pipeline, and CLI subcommand tests."""
 
+import argparse
+import contextlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecgmon.cli import main
+from ecgmon.cli import build_parser, main
 from ecgmon.config import ConfigError, PipelineConfig
 from ecgmon.pipeline import PipelineError, make_sink, run_pipeline
 from ecgmon.signals import NoiseConfig
@@ -122,6 +128,13 @@ class TestCliSubcommands:
         code = main(["run", "--config", str(bad), "--bpm", "120"])
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+        # values each parse but break a stage config: usage errors naming the file
+        for text in ("[alerts]\nlow_bpm = 200\n",
+                     "[noise]\nemg_sigma = -1\n",
+                     "[signal]\nsample_rate = 0\n"):
+            bad.write_text(text)
+            assert main(["run", "--config", str(bad)]) == 1, text
+            assert str(bad) in capsys.readouterr().err
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["simulate", "--source", "nope", "--out", "x.csv"]) == 1
@@ -236,3 +249,113 @@ class TestCliSubcommands:
         cfg = dataclasses.replace(PipelineConfig(), source="sine", duration=4.0)
         result = run_pipeline(cfg, bpm=120.0)
         assert result.reading.bpm == 120.0
+
+
+# Option values for the fuzz test: hostile and ordinary, all bounded so that
+# no drawn run allocates more than a few seconds of samples.
+_FLOATS = ["-1", "0", "nan", "inf", "abc", "0.05", "1"]
+_INTS = ["-1", "0", "1", "7", "12", "128", "2.5", "abc"]
+_BPMS = ["-1", "0", "nan", "inf", "30", "72", "150", "300"]
+_DURATIONS = ["-1", "0", "nan", "inf", "0.5", "3"]
+_RATES = ["-1", "0", "nan", "inf", "100", "500"]
+_COMMANDS = ("run", "simulate", "metrics", "notch", "detect", "stream", "plot", "send")
+_CSV_TEXTS = {
+    "sine.csv": None,  # written by `simulate`
+    "duplicate_times.csv": "time,value\n0,1\n0,2\n0,3\n",
+    "repeated_time.csv": "time,value\n0,1\n0.002,2\n0.002,3\n0.004,4\n",
+    "decreasing_times.csv": "time,value\n0.004,1\n0.002,2\n",
+    "header_only.csv": "time,value\n",
+    "one_row.csv": "time,value\n0,1\n",
+    "garbage.csv": "time,value\n1;2;3\n",
+    "nan_time.csv": "time,value\nnan,1\n",
+}
+_CONFIG_TEXTS = {
+    "ok.cfg": "[signal]\nsource = sine\nduration = 3\n",
+    "low_bpm.cfg": "[alerts]\nlow_bpm = 200\n",
+    "emg.cfg": "[noise]\nemg_sigma = -1\n",
+    "rate.cfg": "[signal]\nsample_rate = 0\n",
+    "capacity.cfg": "[adc]\nhalf_capacity = 0\n",
+    "junk.cfg": "not a config\n",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--source", "sine", "--freq", "2", "--amplitude", "1",
+                     "--duration", "3", "--out", str(root / "sine.csv")]) == 0
+    for name, text in {**_CSV_TEXTS, **_CONFIG_TEXTS}.items():
+        if text is not None:
+            (root / name).write_text(text)
+    return root
+
+
+def _fuzz_options(root):
+    """Per subcommand: flag -> strategy of its value (None for a switch)."""
+    inputs = st.sampled_from([str(root / n) for n in _CSV_TEXTS]
+                             + [str(root / "missing.csv"), str(root)])
+    outputs = st.sampled_from([str(root / "out.tmp"), str(root), str(root / "no" / "out.tmp")])
+    configs = st.sampled_from([str(root / n) for n in _CONFIG_TEXTS] + [str(root / "missing.cfg")])
+    sinks = st.sampled_from(["stdout", f"file:{root / 'sink.jsonl'}", "http:1", "http:abc",
+                             "pigeon"])
+    floats, ints = st.sampled_from(_FLOATS), st.sampled_from(_INTS)
+    bpms, durations = st.sampled_from(_BPMS), st.sampled_from(_DURATIONS)
+    rates = st.sampled_from(_RATES)
+    return {
+        "run": {"--config": configs, "--bpm": bpms, "--duration": durations,
+                "--source": st.sampled_from(["ecg", "sine", "nope"]), "--sink": sinks,
+                "--publish": None},
+        "simulate": {"--out": outputs, "--config": configs,
+                     "--source": st.sampled_from(["ecg", "sine"]), "--bpm": bpms,
+                     "--freq": floats, "--amplitude": floats, "--rate": rates,
+                     "--duration": durations, "--mains-amplitude": floats,
+                     "--wander-amplitude": floats, "--emg-sigma": floats,
+                     "--common-mode-amplitude": floats, "--seed": ints},
+        "metrics": {"--config": configs, "--rate": rates, "--noise-sigma": floats,
+                    "--seed": ints, "--response-csv": outputs},
+        "notch": {"--in": inputs, "--out": outputs, "--center": floats,
+                  "--half-band": floats},
+        "detect": {"--in": inputs, "--trigger-level": floats, "--band-epsilon": floats,
+                   "--run-length": ints, "--refractory": floats},
+        "stream": {"--in": inputs, "--half-capacity": ints, "--bits": ints, "--vref": floats},
+        "plot": {"--in": inputs, "--out": outputs, "--width": ints, "--height": ints,
+                 "--v-min": floats, "--v-max": floats, "--ascii": None},
+        "send": {"--in": inputs, "--bpm": bpms, "--unit": st.sampled_from(["mV", "V"]),
+                 "--device-id": st.sampled_from(["", "ecg\u00e9"]),
+                 "--location": st.sampled_from(["", "ward \"7\""]),
+                 "--timestamp": ints, "--sink": sinks, "--low-bpm": bpms, "--high-bpm": bpms,
+                 "--max-ecg": ints},
+    }
+
+
+def test_fuzz_options_cover_every_subcommand(tmp_path):
+    (subparsers,) = (a.choices for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    options = _fuzz_options(tmp_path)
+    assert set(options) == set(subparsers) == set(_COMMANDS)
+    for command, parser in subparsers.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert set(options[command]) == flags - {"-h", "--help"}, command
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(fuzz_dir, command, data):
+    """Any drawn arguments and input files exit 0, 1 or 2; nothing escapes main."""
+    options = _fuzz_options(fuzz_dir)[command]
+    flags = data.draw(st.lists(st.sampled_from(sorted(options)), unique=True), label="flags")
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(data.draw(options[flag], label=flag))
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)  # `plot` writes ecg.svg to the working directory by default
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), argv

@@ -55,6 +55,13 @@ class TestSampleFrame:
         with pytest.raises(ValueError, match="line 3"):
             SampleFrame.from_csv(path)
 
+    @pytest.mark.parametrize("second_time", ["0.002", "0.001", "nan"])
+    def test_csv_time_not_increasing_names_line(self, tmp_path, second_time):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,value\n0.0,1.0\n0.002,1.0\n{second_time},1.0\n")
+        with pytest.raises(ValueError, match="line 4"):
+            SampleFrame.from_csv(path)
+
 
 class TestTemplateValidation:
     def test_default_is_valid(self):
