@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import _require_finite_positive
+
 __all__ = [
     "AdcConfig",
     "ReadyEvent",
@@ -41,10 +43,7 @@ class AdcConfig:
     def __post_init__(self):
         if not 1 <= self.resolution_bits <= 16:
             raise ValueError(f"resolution_bits must be within 1..16, got {self.resolution_bits}")
-        if self.vref <= 0:
-            raise ValueError(f"vref must be > 0, got {self.vref}")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
+        _require_finite_positive(vref=self.vref, sample_rate=self.sample_rate)
 
     @property
     def max_code(self) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 from . import dsp, telemetry
 from .acquisition import AdcConfig, PingPongBuffer, quantize
 from .config import ConfigError, PipelineConfig
-from .frontend import measure_metrics, bench_spec
+from .frontend import measure_metrics
 from .pipeline import PipelineError, make_sink, run_pipeline
 from .render import export_ascii, export_svg, Framebuffer, draw_trace, map_to_trace
 from .signals import NoiseConfig, SampleFrame, add_noise, generate_ecg, generate_sine
@@ -35,8 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args) -> PipelineConfig:
-    cfg = PipelineConfig.load(args.config) if args.config else PipelineConfig()
-    return cfg
+    return PipelineConfig.load(args.config) if args.config else PipelineConfig()
 
 
 def _json_line(doc: dict) -> str:
@@ -90,7 +89,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_metrics(args) -> int:
     cfg = _load_config(args)
-    spec = cfg.frontend if args.config else bench_spec()
+    spec = cfg.frontend
     noise = NoiseConfig(emg_sigma=args.noise_sigma, rng_seed=args.seed) if args.noise_sigma > 0 else None
     report = measure_metrics(spec, sample_rate=args.rate, noise=noise)
     doc = {k: (round(v, 6) if isinstance(v, float) else v) for k, v in report.as_dict().items()}
@@ -199,7 +198,7 @@ def _cmd_plot(args) -> int:
 
 def _cmd_send(args) -> int:
     frame = SampleFrame.from_csv(args.infile, unit=args.unit)
-    adc = AdcConfig(sample_rate=frame.sample_rate if len(frame) > 1 else 500.0)
+    adc = AdcConfig(sample_rate=frame.sample_rate) if len(frame) > 1 else AdcConfig()
     if args.unit == "mV":
         # lift a bipolar source frame to mid-rail before encoding
         volts = frame.values * 1e-3 + adc.vref / 2
@@ -210,15 +209,12 @@ def _cmd_send(args) -> int:
         device_id=args.device_id,
         timestamp=args.timestamp,
         bpm=args.bpm,
-        ecg=[int(c) for c in codes[: args.max_ecg]],
+        ecg=codes[: args.max_ecg].tolist(),
         location=args.location,
     )
     policy = telemetry.AlertPolicy(low_bpm=args.low_bpm, high_bpm=args.high_bpm)
     alert = telemetry.evaluate_alert(args.bpm, policy, args.location, args.timestamp)
-    sink = make_sink(args.sink)
-    receipts = [telemetry.publish(sink, telemetry.encode_record(record, args.max_ecg))]
-    if alert is not None:
-        receipts.append(telemetry.publish(sink, telemetry.encode_alert(alert)))
+    receipts = telemetry.publish_record(make_sink(args.sink), record, alert, args.max_ecg)
     summary = {
         "published": sum(1 for r in receipts if r.ok),
         "failed": sum(1 for r in receipts if not r.ok),
@@ -247,11 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a source frame to CSV")
     add_config(p)
     p.add_argument("--source", choices=("ecg", "sine"), default="ecg")
-    p.add_argument("--bpm", type=float, default=72.0)
+    p.add_argument("--bpm", type=float, default=PipelineConfig.bpm)
     p.add_argument("--freq", type=float, default=2.0, help="sine frequency (Hz)")
-    p.add_argument("--amplitude", type=float, default=0.5, help="sine amplitude (mV)")
-    p.add_argument("--rate", type=float, default=500.0)
-    p.add_argument("--duration", type=float, default=10.0)
+    p.add_argument("--amplitude", type=float, default=PipelineConfig.sine_amplitude,
+                   help="sine amplitude (mV)")
+    p.add_argument("--rate", type=float, default=PipelineConfig.sample_rate)
+    p.add_argument("--duration", type=float, default=PipelineConfig.duration)
     p.add_argument("--mains-amplitude", type=float, default=0.0)
     p.add_argument("--wander-amplitude", type=float, default=0.0)
     p.add_argument("--emg-sigma", type=float, default=0.0)
@@ -262,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="measure the front-end metrics as JSON")
     add_config(p)
-    p.add_argument("--rate", type=float, default=500.0)
+    p.add_argument("--rate", type=float, default=PipelineConfig.sample_rate)
     p.add_argument("--noise-sigma", type=float, default=0.0,
                    help="EMG sigma (mV) for the noise-floor row")
     p.add_argument("--seed", type=int, default=0)
@@ -272,30 +269,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("notch", help="FFT 50 Hz removal on a CSV frame")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--center", type=float, default=50.0)
-    p.add_argument("--half-band", type=float, default=2.0)
+    p.add_argument("--center", type=float, default=PipelineConfig.notch_center)
+    p.add_argument("--half-band", type=float, default=PipelineConfig.notch_half_band)
     p.set_defaults(fn=_cmd_notch)
 
     p = sub.add_parser("detect", help="edge-trigger detection on a CSV frame")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--trigger-level", type=float, default=None)
     p.add_argument("--band-epsilon", type=float, default=None)
-    p.add_argument("--run-length", type=int, default=3)
-    p.add_argument("--refractory", type=float, default=0.25)
+    p.add_argument("--run-length", type=int, default=dsp.TriggerConfig.run_length)
+    p.add_argument("--refractory", type=float, default=dsp.TriggerConfig.refractory)
     p.set_defaults(fn=_cmd_detect)
 
     p = sub.add_parser("stream", help="quantize a CSV frame through the ping-pong buffer")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--half-capacity", type=int, default=512)
-    p.add_argument("--bits", type=int, default=12)
-    p.add_argument("--vref", type=float, default=3.3)
+    p.add_argument("--half-capacity", type=int, default=PipelineConfig.half_capacity)
+    p.add_argument("--bits", type=int, default=AdcConfig.resolution_bits)
+    p.add_argument("--vref", type=float, default=AdcConfig.vref)
     p.set_defaults(fn=_cmd_stream)
 
     p = sub.add_parser("plot", help="render a CSV frame to SVG or ASCII")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default="ecg.svg")
-    p.add_argument("--width", type=int, default=128)
-    p.add_argument("--height", type=int, default=64)
+    p.add_argument("--width", type=int, default=Framebuffer.width)
+    p.add_argument("--height", type=int, default=Framebuffer.height)
     p.add_argument("--v-min", type=float, default=None)
     p.add_argument("--v-max", type=float, default=None)
     p.add_argument("--ascii", action="store_true", help="print to stdout instead of SVG")
@@ -306,13 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", choices=("mV", "V"), default="mV",
                    help="unit of the CSV values (mV frames are lifted to mid-rail)")
     p.add_argument("--bpm", type=float, required=True)
-    p.add_argument("--device-id", default="ecgmon-0")
-    p.add_argument("--location", default="location-unset")
-    p.add_argument("--timestamp", type=int, default=0)
-    p.add_argument("--sink", default="stdout", help="stdout | file:<path> | http:<port>")
-    p.add_argument("--low-bpm", type=float, default=50.0)
-    p.add_argument("--high-bpm", type=float, default=120.0)
-    p.add_argument("--max-ecg", type=int, default=telemetry.MAX_ECG_SAMPLES)
+    p.add_argument("--device-id", default=PipelineConfig.device_id)
+    p.add_argument("--location", default=PipelineConfig.location)
+    p.add_argument("--timestamp", type=int, default=PipelineConfig.timestamp)
+    p.add_argument("--sink", default=PipelineConfig.sink, help="stdout | file:<path> | http:<port>")
+    p.add_argument("--low-bpm", type=float, default=telemetry.AlertPolicy.low_bpm)
+    p.add_argument("--high-bpm", type=float, default=telemetry.AlertPolicy.high_bpm)
+    p.add_argument("--max-ecg", type=int, default=PipelineConfig.max_ecg)
     p.set_defaults(fn=_cmd_send)
 
     return parser

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from .signals import NoiseConfig, SampleFrame, SourceSignal, add_noise, generate_sine
+from .signals import (NoiseConfig, SampleFrame, SourceSignal, _require_finite_positive, add_noise,
+                      generate_sine)
 
 __all__ = [
     "ComponentValues",
@@ -38,12 +39,6 @@ __all__ = [
 
 DEFAULT_INPUT_IMPEDANCE = 13.2e6  # ohms, declared constant, never simulated
 DEFAULT_STAGE_ORDER = ("notch", "lowpass", "highpass")
-
-
-def _require_positive(**named: float) -> None:
-    for name, value in named.items():
-        if value <= 0:
-            raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -87,19 +82,19 @@ def voltage_gain(c: ComponentValues) -> float:
 
 def highpass_cutoff(c2: float, r_hp: float) -> float:
     """High-pass corner 1/(2*pi*R*C)."""
-    _require_positive(c2=c2, r_hp=r_hp)
+    _require_finite_positive(c2=c2, r_hp=r_hp)
     return 1.0 / (2 * math.pi * r_hp * c2)
 
 
 def lowpass_cutoff(c3: float, r15: float) -> float:
     """Low-pass corner 1/(2*pi*R*C)."""
-    _require_positive(c3=c3, r15=r15)
+    _require_finite_positive(c3=c3, r15=r15)
     return 1.0 / (2 * math.pi * r15 * c3)
 
 
 def notch_center(r31: float, c5: float, r27: float, c7: float) -> float:
     """Band-reject center: geometric mean of the two RC leg frequencies."""
-    _require_positive(r31=r31, c5=c5, r27=r27, c7=c7)
+    _require_finite_positive(r31=r31, c5=c5, r27=r27, c7=c7)
     f_leg1 = 1.0 / (2 * math.pi * r31 * c5)
     f_leg2 = 1.0 / (2 * math.pi * r27 * c7)
     return math.sqrt(f_leg1 * f_leg2)
@@ -110,7 +105,10 @@ class FrontEndSpec:
     """Behavioral parameters of the conditioning chain.
 
     supply is the output clip range in volts; lift_bias recenters the
-    bipolar signal inside it.
+    bipolar signal inside it.  The defaults are the bench board: chain
+    gain 1650 and CMRR 93.16 dB are taken directly; the corner frequencies
+    and notch Q are tuned so the measured -3 dB band comes out near
+    0.18..70.2 Hz with 50 Hz attenuation below -12.6 dB.
     """
 
     instrument_gain: float = 22.0
@@ -118,13 +116,13 @@ class FrontEndSpec:
     f_ch: float = 0.18
     f_cl: float = 69.5
     f_0: float = 49.79
-    notch_q: float = 5.0
+    notch_q: float = 30.0
     cmrr_db: float = 93.16
     lift_bias: float = 1.65
     supply: tuple[float, float] = (0.0, 3.3)
 
     def __post_init__(self):
-        _require_positive(
+        _require_finite_positive(
             instrument_gain=self.instrument_gain,
             voltage_gain=self.voltage_gain,
             f_ch=self.f_ch,
@@ -134,10 +132,12 @@ class FrontEndSpec:
         )
         if not self.f_ch < self.f_0 < self.f_cl:
             raise ValueError(f"need f_ch < f_0 < f_cl, got {self.f_ch}, {self.f_0}, {self.f_cl}")
-        if not 0 <= self.lift_bias <= 3.3:
-            raise ValueError(f"lift_bias must be within [0, 3.3] V, got {self.lift_bias}")
-        if self.supply[0] >= self.supply[1]:
+        low, high = self.supply
+        if not low < high:
             raise ValueError(f"supply range must be increasing, got {self.supply}")
+        if not low <= self.lift_bias <= high:
+            raise ValueError(f"lift_bias must be within the supply [{low}, {high}] V, "
+                             f"got {self.lift_bias}")
 
     @property
     def chain_gain(self) -> float:
@@ -162,23 +162,8 @@ def bench_components() -> ComponentValues:
 
 
 def bench_spec() -> FrontEndSpec:
-    """Spec tuned so measured metrics land on the bench-measured figures.
-
-    Chain gain 1650 and CMRR 93.16 dB are taken directly; the corner
-    frequencies and notch Q are tuned so the measured -3 dB band comes out
-    near 0.18..70.2 Hz with 50 Hz attenuation below -12.6 dB.
-    """
-    return FrontEndSpec(
-        instrument_gain=22.0,
-        voltage_gain=75.0,
-        f_ch=0.18,
-        f_cl=69.5,
-        f_0=49.79,
-        notch_q=30.0,
-        cmrr_db=93.16,
-        lift_bias=1.65,
-        supply=(0.0, 3.3),
-    )
+    """Spec whose measured metrics land on the bench-measured figures."""
+    return FrontEndSpec()
 
 
 @dataclass
@@ -239,7 +224,7 @@ def discretize(stage_kind: str, spec: FrontEndSpec, sample_rate: float) -> Discr
     high-/low-pass hit exactly -3 dB at their corners and the notch zero
     lands exactly on f_0 at any sample rate.
     """
-    _require_positive(sample_rate=sample_rate)
+    _require_finite_positive(sample_rate=sample_rate)
     if stage_kind == "highpass":
         f = spec.f_ch
     elif stage_kind == "lowpass":

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import acquisition, dsp, telemetry
+from . import dsp, telemetry
 from .acquisition import PingPongBuffer, dequantize, quantize
 from .config import PipelineConfig
 from .frontend import apply_frontend
@@ -79,8 +79,7 @@ def run_pipeline(
 
     conditioned = _stage("analog_frontend", apply_frontend, sig, cfg.frontend)
 
-    adc = cfg.adc
-    codes = _stage("acquisition", quantize, conditioned.frame.values, adc)
+    codes = _stage("acquisition", quantize, conditioned.frame.values, cfg.adc)
     buf = PingPongBuffer(cfg.half_capacity)
     consumed: list[np.ndarray] = []
 
@@ -97,7 +96,7 @@ def run_pipeline(
             "increase duration or shrink half_capacity"))
     digital_codes = np.concatenate(consumed)
     digital = SampleFrame(sample_rate=cfg.sample_rate,
-                          values=dequantize(digital_codes, adc), unit="V")
+                          values=dequantize(digital_codes, cfg.adc), unit="V")
 
     filtered = _stage("dsp", dsp.fft_notch, digital, cfg.notch_center, cfg.notch_half_band)
     filtered = _stage("dsp", dsp.smooth_emg, filtered, cfg.smooth_window)
@@ -108,7 +107,7 @@ def run_pipeline(
         device_id=cfg.device_id,
         timestamp=cfg.timestamp,
         bpm=reading.bpm,
-        ecg=[int(c) for c in digital_codes[: cfg.max_ecg]],
+        ecg=digital_codes[: cfg.max_ecg].tolist(),
         location=cfg.location,
     )
     alert = _stage("telemetry", telemetry.evaluate_alert,
@@ -117,10 +116,7 @@ def run_pipeline(
     receipts = []
     if publish_records:
         sink = _stage("telemetry", make_sink, cfg.sink)
-        payload = _stage("telemetry", telemetry.encode_record, record, cfg.max_ecg)
-        receipts.append(telemetry.publish(sink, payload))
-        if alert is not None:
-            receipts.append(telemetry.publish(sink, telemetry.encode_alert(alert)))
+        receipts = _stage("telemetry", telemetry.publish_record, sink, record, alert, cfg.max_ecg)
 
     return PipelineResult(
         reading=reading,

@@ -235,6 +235,8 @@ def generate_ecg(
 def generate_sine(freq: float, amplitude: float, sample_rate: float, duration: float) -> SampleFrame:
     """Pure sine frame: values[n] = amplitude * sin(2*pi*freq*n/sample_rate)."""
     _require_finite_positive(sample_rate=sample_rate, duration=duration)
+    if not (math.isfinite(freq) and math.isfinite(amplitude)):
+        raise ValueError(f"freq and amplitude must be finite, got {freq}, {amplitude}")
     if freq >= sample_rate / 2:
         raise ValueError(f"freq {freq} Hz aliases at sample_rate {sample_rate} Hz")
     n = int(round(duration * sample_rate))

@@ -11,15 +11,14 @@ from __future__ import annotations
 import json
 import sys
 import threading
-import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
 from .signals import SampleFrame
-from .render import export_svg
+from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH, export_svg
 
 __all__ = [
     "PayloadTooLargeError",
@@ -36,6 +35,7 @@ __all__ = [
     "decode_record",
     "encode_alert",
     "publish",
+    "publish_record",
     "retrieve_and_plot",
     "PlotResult",
 ]
@@ -218,6 +218,15 @@ def publish(sink, payload: bytes, retries: int = 2) -> DeliveryReceipt:
     return DeliveryReceipt(ok=False, attempts=attempts, sink=sink.describe(), error=last_error)
 
 
+def publish_record(sink, record: TelemetryRecord, alert: AlertEvent | None,
+                   max_ecg: int = MAX_ECG_SAMPLES) -> list[DeliveryReceipt]:
+    """Publish the record, then the alert if there is one; one receipt each."""
+    receipts = [publish(sink, encode_record(record, max_ecg))]
+    if alert is not None:
+        receipts.append(publish(sink, encode_alert(alert)))
+    return receipts
+
+
 class _LoopbackHandler(BaseHTTPRequestHandler):
     def do_POST(self):  # noqa: N802 - http.server API
         length = int(self.headers.get("Content-Length", 0))
@@ -282,8 +291,8 @@ def retrieve_and_plot(
     source,
     out,
     sample_rate: float = 500.0,
-    width: int = 128,
-    height: int = 64,
+    width: int = DEFAULT_WIDTH,
+    height: int = DEFAULT_HEIGHT,
 ) -> PlotResult:
     """Decode a JSON-lines record file and render the joined ECG as SVG.
 

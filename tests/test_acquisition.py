@@ -65,6 +65,11 @@ class TestDequantize:
             AdcConfig(resolution_bits=17)
         with pytest.raises(ValueError):
             AdcConfig(vref=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="vref"):
+                AdcConfig(vref=bad)
+            with pytest.raises(ValueError, match="sample_rate"):
+                AdcConfig(sample_rate=bad)
 
 
 class TestPingPongBuffer:

@@ -6,16 +6,22 @@ import io
 import json
 import os
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecgmon.acquisition import AdcConfig
 from ecgmon.cli import build_parser, main
-from ecgmon.config import ConfigError, PipelineConfig
+from ecgmon.config import _SCHEMA, ConfigError, PipelineConfig
+from ecgmon.dsp import TriggerConfig
+from ecgmon.frontend import FrontEndSpec
 from ecgmon.pipeline import PipelineError, make_sink, run_pipeline
 from ecgmon.signals import NoiseConfig
-from ecgmon.telemetry import LoopbackListener, decode_record
+from ecgmon.telemetry import AlertPolicy, LoopbackListener, decode_record
 
 import dataclasses
 
@@ -50,6 +56,44 @@ class TestConfig:
         assert cfg.trigger.trigger_level is None
         assert cfg.trigger.refractory == 0.2
 
+    def test_readme_block_is_the_defaults(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        assert PipelineConfig.loads(block, name="README.md") == PipelineConfig()
+
+    def test_every_key_lands_in_its_field(self):
+        cfg = PipelineConfig.loads(_ALL_KEYS)
+        expected = PipelineConfig(
+            source="sine", sample_rate=400.0, duration=6.0, bpm=90.0, sine_amplitude=0.4,
+            noise=NoiseConfig(mains_amplitude=0.2, mains_freq=60.0, wander_amplitude=0.05,
+                              wander_freq=0.3, emg_sigma=0.01, dc_offset=0.02,
+                              common_mode_amplitude=0.1, common_mode_freq=55.0, rng_seed=7),
+            frontend=FrontEndSpec(instrument_gain=20.0, voltage_gain=70.0, f_ch=0.2, f_cl=68.0,
+                                  f_0=49.5, notch_q=25.0, cmrr_db=90.0, lift_bias=1.6,
+                                  supply=(0.1, 3.2)),
+            adc_bits=11, adc_vref=3.0, half_capacity=256,
+            notch_center=49.0, notch_half_band=3.0, smooth_window=7,
+            trigger=TriggerConfig(trigger_level=1.7, band_epsilon=0.03, run_length=4,
+                                  refractory=0.3),
+            alerts=AlertPolicy(low_bpm=55.0, high_bpm=100.0),
+            fb_width=96, fb_height=48,
+            device_id="dev-9", location="ward-3", sink="file:records.jsonl", max_ecg=1000,
+            timestamp=42,
+        )
+        assert cfg == expected
+        assert cfg.adc == AdcConfig(resolution_bits=11, vref=3.0, sample_rate=400.0)
+        # every value differs from its default, so no key can land unnoticed
+        default = PipelineConfig()
+        for name in ("noise", "frontend", "trigger", "alerts"):
+            sub, base = getattr(cfg, name), getattr(default, name)
+            for f in dataclasses.fields(sub):
+                assert getattr(sub, f.name) != getattr(base, f.name), f"{name}.{f.name}"
+        for f in dataclasses.fields(cfg):
+            if f.name != "template":
+                assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        lines = [line.split("=")[0].strip() for line in _ALL_KEYS.splitlines() if "=" in line]
+        assert len(lines) == len(set(lines)) == sum(len(keys) for _, keys in _SCHEMA.values())
+
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             PipelineConfig.loads("[signal]\nbogus = 1\n")
@@ -65,6 +109,71 @@ class TestConfig:
     def test_key_outside_section_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
             PipelineConfig.loads("bpm = 70\n")
+
+
+# every config key, each set to a value other than its default
+_ALL_KEYS = """
+[signal]
+source = sine
+sample_rate = 400
+duration = 6
+bpm = 90
+sine_amplitude = 0.4
+
+[noise]
+mains_amplitude = 0.2
+mains_freq = 60
+wander_amplitude = 0.05
+wander_freq = 0.3
+emg_sigma = 0.01
+dc_offset = 0.02
+common_mode_amplitude = 0.1
+common_mode_freq = 55
+seed = 7
+
+[frontend]
+instrument_gain = 20
+voltage_gain = 70
+f_ch = 0.2
+f_cl = 68
+f_0 = 49.5
+notch_q = 25
+cmrr_db = 90
+lift_bias = 1.6
+supply_min = 0.1
+supply_max = 3.2
+
+[adc]
+resolution_bits = 11
+vref = 3.0
+half_capacity = 256
+
+[dsp]
+notch_center = 49
+notch_half_band = 3
+smooth_window = 7
+
+[trigger]
+trigger_level = 1.7
+band_epsilon = 0.03
+run_length = 4
+refractory = 0.3
+
+[alerts]
+low_bpm = 55
+high_bpm = 100
+
+[render]
+width = 96
+height = 48
+
+[telemetry]
+device_id = dev-9
+location = ward-3
+sink = file:records.jsonl
+max_ecg = 1000
+timestamp = 42
+"""
 
 
 class TestRunPipeline:
@@ -131,7 +240,8 @@ class TestCliSubcommands:
         # values each parse but break a stage config: usage errors naming the file
         for text in ("[alerts]\nlow_bpm = 200\n",
                      "[noise]\nemg_sigma = -1\n",
-                     "[signal]\nsample_rate = 0\n"):
+                     "[signal]\nsample_rate = 0\n",
+                     "[adc]\nhalf_capacity = 0\n"):
             bad.write_text(text)
             assert main(["run", "--config", str(bad)]) == 1, text
             assert str(bad) in capsys.readouterr().err
@@ -191,6 +301,15 @@ class TestCliSubcommands:
         assert all(set(d) == {"seq", "half", "overrun", "codes"} for d in docs)
         assert all(len(d["codes"]) == 128 for d in docs)
         assert not any(d["overrun"] for d in docs)
+
+    @pytest.mark.parametrize("vref", ["nan", "inf"])
+    def test_stream_nonfinite_vref_exits_runtime(self, tmp_path, capsys, vref):
+        fixture = tmp_path / "sine.csv"
+        assert main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)]) == 0
+        assert main(["stream", "--in", str(fixture), "--vref", vref]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "vref" in captured.err
 
     def test_plot_empty_input_valid_svg(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecgmon.cli import main
 from ecgmon.frontend import (
     ComponentValues,
     FrontEndSpec,
@@ -276,8 +277,22 @@ class TestMeasureMetrics:
         # small multiple of sigma (peak of a Gaussian over the run)
         assert report.equiv_input_noise < 5 * 0.005e-3
 
-    def test_invalid_spec_rejected(self):
+    def test_invalid_spec_rejected(self, tmp_path, capsys):
         with pytest.raises(ValueError):
             FrontEndSpec(f_ch=80.0, f_cl=70.0)
         with pytest.raises(ValueError):
             FrontEndSpec(lift_bias=5.0)
+        with pytest.raises(ValueError, match="notch_q"):
+            FrontEndSpec(notch_q=float("nan"))
+        # the bias is bounded by the spec's own supply, not a fixed 3.3 V rail
+        assert FrontEndSpec(supply=(0.0, 5.0), lift_bias=4.0).lift_bias == 4.0
+        cfg = tmp_path / "low_rail.cfg"
+        cfg.write_text("[frontend]\nsupply_max = 1.5\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(cfg) in captured.err and "lift_bias" in captured.err
+
+    def test_defaults_are_the_bench_spec(self):
+        assert FrontEndSpec() == bench_spec()
+        assert FrontEndSpec().notch_q == 30.0

@@ -170,6 +170,12 @@ class TestGenerateSine:
         with pytest.raises(ValueError, match="alias"):
             generate_sine(250.0, 1.0, 500.0, 1.0)
 
+    @pytest.mark.parametrize("freq, amplitude", [(float("nan"), 1.0), (-math.inf, 1.0),
+                                                 (2.0, math.inf), (2.0, float("nan"))])
+    def test_nonfinite_freq_or_amplitude_rejected(self, freq, amplitude):
+        with pytest.raises(ValueError, match="finite"):
+            generate_sine(freq, amplitude, 500.0, 1.0)
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(freq=st.integers(min_value=1, max_value=50))
     def test_rms_property_integer_cycles(self, freq):

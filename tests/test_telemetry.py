@@ -19,6 +19,7 @@ from ecgmon.telemetry import (
     encode_record,
     evaluate_alert,
     publish,
+    publish_record,
     retrieve_and_plot,
 )
 
@@ -148,6 +149,16 @@ class TestSinks:
             for p in payloads:
                 assert publish(sink, p).ok
             assert listener.received == payloads
+
+    def test_publish_record_then_alert(self, tmp_path):
+        sink = FileSink(tmp_path / "out.jsonl")
+        rec = make_record(bpm=130.0)
+        alert = evaluate_alert(130.0, AlertPolicy(), rec.location, rec.timestamp)
+        receipts = publish_record(sink, rec, alert)
+        assert [r.ok for r in receipts] == [True, True]
+        assert (tmp_path / "out.jsonl").read_bytes() == (
+            encode_record(rec) + b"\n" + encode_alert(alert) + b"\n")
+        assert len(publish_record(sink, make_record(), None)) == 1  # no alert, one receipt
 
     def test_unwritable_path_fails_with_attempts(self, tmp_path):
         # missing parent directory: open() fails before any byte is written
