@@ -65,23 +65,27 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _noise_from_args(args) -> NoiseConfig:
-    return NoiseConfig(
-        mains_amplitude=args.mains_amplitude,
-        wander_amplitude=args.wander_amplitude,
-        emg_sigma=args.emg_sigma,
-        common_mode_amplitude=args.common_mode_amplitude,
-        rng_seed=args.seed,
-    )
+def _given(flag, setting):
+    """A flag given on the command line wins over the config's setting."""
+    return setting if flag is None else flag
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    if args.source == "sine":
-        frame = generate_sine(args.freq, args.amplitude, args.rate, args.duration)
+    rate = _given(args.rate, cfg.sample_rate)
+    duration = _given(args.duration, cfg.duration)
+    if _given(args.source, cfg.source) == "sine":
+        frame = generate_sine(args.freq, _given(args.amplitude, cfg.sine_amplitude), rate, duration)
     else:
-        frame = generate_ecg(cfg.template, args.bpm, args.rate, args.duration)
-    noise = _noise_from_args(args)
+        frame = generate_ecg(cfg.template, _given(args.bpm, cfg.bpm), rate, duration)
+    flags = {
+        "mains_amplitude": args.mains_amplitude,
+        "wander_amplitude": args.wander_amplitude,
+        "emg_sigma": args.emg_sigma,
+        "common_mode_amplitude": args.common_mode_amplitude,
+        "rng_seed": args.seed,
+    }
+    noise = replace(cfg.noise, **{k: v for k, v in flags.items() if v is not None})
     frame = add_noise(frame, noise).differential
     frame.to_csv(args.out)
     return 0
@@ -214,7 +218,8 @@ def _cmd_send(args) -> int:
     )
     policy = telemetry.AlertPolicy(low_bpm=args.low_bpm, high_bpm=args.high_bpm)
     alert = telemetry.evaluate_alert(args.bpm, policy, args.location, args.timestamp)
-    receipts = telemetry.publish_record(make_sink(args.sink), record, alert, args.max_ecg)
+    with make_sink(args.sink) as sink:
+        receipts = telemetry.publish_record(sink, record, alert, args.max_ecg)
     summary = {
         "published": sum(1 for r in receipts if r.ok),
         "failed": sum(1 for r in receipts if not r.ok),
@@ -240,20 +245,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--publish", action="store_true", help="publish telemetry to the sink")
     p.set_defaults(fn=_cmd_run)
 
+    # flags left out take the config's [signal] and [noise] values
     p = sub.add_parser("simulate", help="generate a source frame to CSV")
     add_config(p)
-    p.add_argument("--source", choices=("ecg", "sine"), default="ecg")
-    p.add_argument("--bpm", type=float, default=PipelineConfig.bpm)
+    p.add_argument("--source", choices=("ecg", "sine"), default=None)
+    p.add_argument("--bpm", type=float, default=None)
     p.add_argument("--freq", type=float, default=2.0, help="sine frequency (Hz)")
-    p.add_argument("--amplitude", type=float, default=PipelineConfig.sine_amplitude,
-                   help="sine amplitude (mV)")
-    p.add_argument("--rate", type=float, default=PipelineConfig.sample_rate)
-    p.add_argument("--duration", type=float, default=PipelineConfig.duration)
-    p.add_argument("--mains-amplitude", type=float, default=0.0)
-    p.add_argument("--wander-amplitude", type=float, default=0.0)
-    p.add_argument("--emg-sigma", type=float, default=0.0)
-    p.add_argument("--common-mode-amplitude", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--amplitude", type=float, default=None, help="sine amplitude (mV)")
+    p.add_argument("--rate", type=float, default=None)
+    p.add_argument("--duration", type=float, default=None)
+    p.add_argument("--mains-amplitude", type=float, default=None)
+    p.add_argument("--wander-amplitude", type=float, default=None)
+    p.add_argument("--emg-sigma", type=float, default=None)
+    p.add_argument("--common-mode-amplitude", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_simulate)
 

@@ -12,7 +12,7 @@ import typing
 from dataclasses import dataclass, field, replace
 
 from .acquisition import AdcConfig
-from .dsp import TriggerConfig
+from .dsp import TriggerConfig, _require_notch, _require_odd_window
 from .frontend import FrontEndSpec
 from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH
 from .signals import EcgTemplateParams, NoiseConfig
@@ -62,6 +62,14 @@ class PipelineConfig:
             raise ValueError(f"source must be 'ecg' or 'sine', got {self.source!r}")
         if self.half_capacity < 1:
             raise ValueError(f"half_capacity must be >= 1, got {self.half_capacity}")
+        # the bounds the dsp, render and telemetry stages apply, checked up
+        # front so a config file's value is reported against the file
+        _require_notch(self.notch_center, self.notch_half_band, self.sample_rate)
+        _require_odd_window(self.smooth_window)
+        if self.fb_width < 1 or self.fb_height < 1:
+            raise ValueError(f"display must have positive size, got {self.fb_width}x{self.fb_height}")
+        if self.max_ecg < 0:
+            raise ValueError(f"max_ecg must be >= 0, got {self.max_ecg}")
         # not a field: AdcConfig checks sample_rate, bits and vref
         object.__setattr__(self, "adc", AdcConfig(resolution_bits=self.adc_bits,
                                                   vref=self.adc_vref, sample_rate=self.sample_rate))
@@ -75,6 +83,9 @@ class PipelineConfig:
     def loads(cls, text: str, name: str = "<config>") -> "PipelineConfig":
         raw = _parse_sections(text, name)
         cfg = cls()
+        # PipelineConfig's own fields change in one replace, since its checks
+        # relate keys of different sections (notch_center and sample_rate)
+        fields: dict[str, object] = {}
         try:
             for section, values in raw.items():
                 owner, keys = _SCHEMA[section]
@@ -87,8 +98,11 @@ class PipelineConfig:
                         items[index] = value
                         value = tuple(items)
                     changes[attr] = value
-                target = replace(target, **changes)
-                cfg = target if owner is None else replace(cfg, **{owner: target})
+                if owner is None:
+                    fields.update(changes)
+                else:
+                    fields[owner] = replace(target, **changes)
+            cfg = replace(cfg, **fields)
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
         return cfg

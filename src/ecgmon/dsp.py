@@ -41,12 +41,7 @@ def fft_notch(frame: SampleFrame, center: float = 50.0, half_band: float = 2.0) 
     """
     if len(frame) < 2:
         raise ValueError("frame must hold at least 2 samples")
-    if center >= frame.sample_rate / 2:
-        raise ValueError(
-            f"notch center {center} Hz is at or above Nyquist ({frame.sample_rate / 2} Hz)"
-        )
-    if half_band < 0:
-        raise ValueError(f"half_band must be >= 0, got {half_band}")
+    _require_notch(center, half_band, frame.sample_rate)
     spectrum = np.fft.rfft(frame.values)
     freqs = np.fft.rfftfreq(len(frame), d=1.0 / frame.sample_rate)
     spectrum[np.abs(freqs - center) <= half_band] = 0.0
@@ -54,16 +49,27 @@ def fft_notch(frame: SampleFrame, center: float = 50.0, half_band: float = 2.0) 
     return frame.with_values(cleaned)
 
 
+def _require_notch(center: float, half_band: float, sample_rate: float) -> None:
+    if center >= sample_rate / 2:
+        raise ValueError(f"notch center {center} Hz is at or above Nyquist ({sample_rate / 2} Hz)")
+    if half_band < 0:
+        raise ValueError(f"half_band must be >= 0, got {half_band}")
+
+
 def smooth_emg(frame: SampleFrame, window: int) -> SampleFrame:
     """Centered moving average with an odd window; edges truncate the window."""
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be a positive odd sample count, got {window}")
+    _require_odd_window(window)
     if window == 1:
         return frame
     kernel = np.ones(window)
     sums = np.convolve(frame.values, kernel, mode="same")
     counts = np.convolve(np.ones(len(frame)), kernel, mode="same")
     return frame.with_values(sums / counts)
+
+
+def _require_odd_window(window: int) -> None:
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be a positive odd sample count, got {window}")
 
 
 @dataclass(frozen=True)

@@ -115,8 +115,9 @@ def run_pipeline(
 
     receipts = []
     if publish_records:
-        sink = _stage("telemetry", make_sink, cfg.sink)
-        receipts = _stage("telemetry", telemetry.publish_record, sink, record, alert, cfg.max_ecg)
+        with _stage("telemetry", make_sink, cfg.sink) as sink:
+            receipts = _stage("telemetry", telemetry.publish_record,
+                              sink, record, alert, cfg.max_ecg)
 
     return PipelineResult(
         reading=reading,

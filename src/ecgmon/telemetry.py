@@ -8,10 +8,14 @@ sink stands in for the uplink and records what it receives.
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
+import math
+import numbers
+import socket
 import sys
 import threading
-import urllib.request
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -60,12 +64,36 @@ class TelemetryRecord:
     location: str
 
     def __post_init__(self):
+        _require_finite("bpm", self.bpm)
         if self.bpm <= 0:
             raise ValueError(f"bpm must be > 0, got {self.bpm}")
+        _require_finite("timestamp", self.timestamp)
         if int(self.timestamp) != self.timestamp:
             raise ValueError(f"timestamp must be an integer, got {self.timestamp}")
         object.__setattr__(self, "timestamp", int(self.timestamp))
-        object.__setattr__(self, "ecg", [_plain_number(v) for v in self.ecg])
+        object.__setattr__(self, "ecg", _plain_numbers(self.ecg))
+
+
+def _require_finite(name: str, v) -> None:
+    # bool is an int subclass but not a reading; ints are finite however large
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+            or not (isinstance(v, numbers.Integral) or math.isfinite(v))):
+        raise ValueError(f"{name} must be a finite number, got {v!r}")
+
+
+_PLAIN_TYPES = frozenset((int, float))
+
+
+def _plain_numbers(ecg) -> list:
+    """ecg as a new list of int/float; the per-sample pass runs only when
+    some element's exact type is another one (bool, numpy scalar, ...)."""
+    try:
+        values = list(ecg)
+    except TypeError:
+        raise ValueError(f"ecg must be a sequence of numbers, got {type(ecg).__name__}") from None
+    if _PLAIN_TYPES.issuperset(map(type, values)):
+        return values
+    return [_plain_number(v) for v in values]
 
 
 def _plain_number(v):
@@ -124,8 +152,12 @@ def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes
 
 
 def decode_record(data: bytes) -> TelemetryRecord:
-    """Parse canonical record bytes back into a TelemetryRecord."""
-    doc = json.loads(data.decode("utf-8"))
+    """Parse canonical record bytes back into a TelemetryRecord; malformed
+    bytes raise ValueError."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("record nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("record must be a JSON object")
     missing = [k for k in RECORD_KEYS if k not in doc]
@@ -159,7 +191,21 @@ class DeliveryReceipt:
     error: str | None = None
 
 
-class FileSink:
+class _Sink:
+    """Context-manager protocol shared by the sinks; close() releases what
+    the sink holds open."""
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class FileSink(_Sink):
     """Appends one payload per line to a file."""
 
     def __init__(self, path):
@@ -173,7 +219,7 @@ class FileSink:
             fh.write(payload + b"\n")
 
 
-class StdoutSink:
+class StdoutSink(_Sink):
     def describe(self) -> str:
         return "stdout"
 
@@ -181,27 +227,38 @@ class StdoutSink:
         sys.stdout.write(payload.decode("utf-8") + "\n")
 
 
-class HttpSink:
-    """POSTs payloads to a local listener."""
+class HttpSink(_Sink):
+    """POSTs payloads to a local listener over one persistent HTTP/1.1
+    connection, opened on the first send.
+
+    Any failure drops the connection, so the next send (publish's retry)
+    reconnects; http.client drops it too when a response announces that
+    the listener closes it.  close() releases it.
+    """
 
     def __init__(self, port: int, host: str = "127.0.0.1", timeout: float = 2.0):
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
 
     def describe(self) -> str:
         return f"http:{self.port}"
 
     def send(self, payload: bytes) -> None:
-        req = urllib.request.Request(
-            f"http://{self.host}:{self.port}/",
-            data=payload,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-            if not 200 <= resp.status < 300:
-                raise OSError(f"listener answered {resp.status}")
+        try:
+            self._conn.request("POST", "/", body=payload,
+                               headers={"Content-Type": "application/json"})
+            with self._conn.getresponse() as resp:
+                resp.read()
+        except BaseException:
+            self._conn.close()  # a half-done exchange leaves the stream unusable
+            raise
+        if not 200 <= resp.status < 300:
+            raise OSError(f"listener answered {resp.status}")
+
+    def close(self) -> None:
+        self._conn.close()
 
 
 def publish(sink, payload: bytes, retries: int = 2) -> DeliveryReceipt:
@@ -228,10 +285,15 @@ def publish_record(sink, record: TelemetryRecord, alert: AlertEvent | None,
 
 
 class _LoopbackHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive: one connection serves many POSTs
+
     def do_POST(self):  # noqa: N802 - http.server API
         length = int(self.headers.get("Content-Length", 0))
         body = self.rfile.read(length)
-        with self.server.received_lock:  # type: ignore[attr-defined]
+        if len(body) != length:  # connection shut down mid-body: record nothing
+            self.close_connection = True
+            return
+        with self.server.lock:  # type: ignore[attr-defined]
             self.server.received.append(body)  # type: ignore[attr-defined]
         self.send_response(200)
         self.send_header("Content-Length", "0")
@@ -244,6 +306,35 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
 _POLL_INTERVAL_S = 0.05  # serve_forever's shutdown poll: close() waits up to this long
 
 
+class _LoopbackServer(ThreadingHTTPServer):
+    """Tracks its open connections so close() can end the handler threads
+    that wait on an idle keep-alive connection."""
+
+    daemon_threads = False  # server_close() joins every handler thread
+
+    def __init__(self, port: int):
+        super().__init__(("127.0.0.1", port), _LoopbackHandler)
+        self.received: list[bytes] = []
+        self.connections: set[socket.socket] = set()
+        self.lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self.lock:
+            self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self.lock:
+            self.connections.discard(request)
+        super().shutdown_request(request)
+
+    def shutdown_connections(self) -> None:
+        with self.lock:
+            for conn in self.connections:
+                with contextlib.suppress(OSError):  # the peer may be gone already
+                    conn.shutdown(socket.SHUT_RDWR)
+
+
 class LoopbackListener:
     """In-process HTTP listener that records every POSTed payload.
 
@@ -252,9 +343,7 @@ class LoopbackListener:
     """
 
     def __init__(self, port: int = 0):
-        self._server = ThreadingHTTPServer(("127.0.0.1", port), _LoopbackHandler)
-        self._server.received = []  # type: ignore[attr-defined]
-        self._server.received_lock = threading.Lock()  # type: ignore[attr-defined]
+        self._server = _LoopbackServer(port)
         self._thread = threading.Thread(target=self._server.serve_forever,
                                         args=(_POLL_INTERVAL_S,), daemon=True)
         self._thread.start()
@@ -265,12 +354,13 @@ class LoopbackListener:
 
     @property
     def received(self) -> list[bytes]:
-        with self._server.received_lock:  # type: ignore[attr-defined]
-            return list(self._server.received)  # type: ignore[attr-defined]
+        with self._server.lock:
+            return list(self._server.received)
 
     def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        self._server.shutdown()  # no connection is accepted after this returns
+        self._server.shutdown_connections()  # handlers see EOF and return
+        self._server.server_close()  # joins the handler threads
         self._thread.join(timeout=5)
 
     def __enter__(self) -> "LoopbackListener":
@@ -299,7 +389,7 @@ def retrieve_and_plot(
     Records are plotted in timestamp order; malformed lines are skipped
     and counted as warnings.
     """
-    records: list[TelemetryRecord] = []
+    records: list[tuple[int, np.ndarray]] = []  # (timestamp, ecg) per good line
     warnings = 0
     with open(source, "rb") as fh:
         for line in fh:
@@ -307,14 +397,18 @@ def retrieve_and_plot(
             if not line:
                 continue
             try:
-                records.append(decode_record(line))
-            except (ValueError, UnicodeDecodeError):
+                rec = decode_record(line)
+                # OverflowError: an int sample beyond the float range
+                ecg = np.asarray(rec.ecg, dtype=np.float64)
+            except (ValueError, OverflowError):
                 warnings += 1
-    records.sort(key=lambda r: r.timestamp)
-    samples: list[float] = []
-    for rec in records:
-        samples.extend(rec.ecg)
-    frame = SampleFrame(sample_rate=sample_rate, values=np.asarray(samples, dtype=np.float64),
-                        unit="code")
+                continue
+            if not np.isfinite(ecg).all():  # NaN/Infinity samples cannot be drawn
+                warnings += 1
+                continue
+            records.append((rec.timestamp, ecg))
+    records.sort(key=lambda r: r[0])
+    samples = np.concatenate([np.empty(0), *(ecg for _, ecg in records)])
+    frame = SampleFrame(sample_rate=sample_rate, values=samples, unit="code")
     export_svg(frame, out, width=width, height=height)
     return PlotResult(records_plotted=len(records), warnings=warnings, path=str(out))

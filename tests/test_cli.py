@@ -106,6 +106,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 3"):
             PipelineConfig.loads("[signal]\nbpm = 70\nduration = fast\n")
 
+    def test_sections_are_checked_together(self):
+        # notch_center is bounded by sample_rate, set in an earlier section
+        cfg = PipelineConfig.loads("[signal]\nsample_rate = 80\n[dsp]\nnotch_center = 20\n")
+        assert (cfg.sample_rate, cfg.notch_center) == (80.0, 20.0)
+
     def test_key_outside_section_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
             PipelineConfig.loads("bpm = 70\n")
@@ -241,10 +246,17 @@ class TestCliSubcommands:
         for text in ("[alerts]\nlow_bpm = 200\n",
                      "[noise]\nemg_sigma = -1\n",
                      "[signal]\nsample_rate = 0\n",
-                     "[adc]\nhalf_capacity = 0\n"):
+                     "[adc]\nhalf_capacity = 0\n",
+                     "[dsp]\nsmooth_window = 4\n",
+                     "[dsp]\nnotch_center = 300\n",
+                     "[dsp]\nnotch_half_band = -1\n",
+                     "[telemetry]\nmax_ecg = -1\n",
+                     "[render]\nwidth = 0\n"):
             bad.write_text(text)
-            assert main(["run", "--config", str(bad)]) == 1, text
-            assert str(bad) in capsys.readouterr().err
+            assert main(["run", "--config", str(bad), "--publish"]) == 1, text
+            captured = capsys.readouterr()
+            assert str(bad) in captured.err
+            assert captured.out == ""
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["simulate", "--source", "nope", "--out", "x.csv"]) == 1
@@ -355,6 +367,23 @@ class TestCliSubcommands:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_simulate_takes_config_values(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("[signal]\nbpm = 120\nduration = 2\nsample_rate = 250\n"
+                       "[noise]\nemg_sigma = 0.05\nseed = 3\n")
+        paths = {name: tmp_path / f"{name}.csv" for name in ("config", "flags", "plain", "mixed")}
+        assert main(["simulate", "--config", str(cfg), "--out", str(paths["config"])]) == 0
+        assert main(["simulate", "--bpm", "120", "--duration", "2", "--rate", "250",
+                     "--emg-sigma", "0.05", "--seed", "3", "--out", str(paths["flags"])]) == 0
+        assert main(["simulate", "--out", str(paths["plain"])]) == 0
+        # explicit flags win over the file
+        assert main(["simulate", "--config", str(cfg), "--bpm", "72", "--duration", "10",
+                     "--rate", "500", "--emg-sigma", "0", "--seed", "0",
+                     "--out", str(paths["mixed"])]) == 0
+        assert paths["config"].read_bytes() == paths["flags"].read_bytes()
+        assert paths["mixed"].read_bytes() == paths["plain"].read_bytes()
+        assert len(paths["config"].read_text().splitlines()) == 1 + 500
+
     def test_metrics_response_csv(self, tmp_path, capsys):
         path = tmp_path / "resp.csv"
         assert main(["metrics", "--response-csv", str(path)]) == 0
@@ -394,6 +423,8 @@ _CONFIG_TEXTS = {
     "emg.cfg": "[noise]\nemg_sigma = -1\n",
     "rate.cfg": "[signal]\nsample_rate = 0\n",
     "capacity.cfg": "[adc]\nhalf_capacity = 0\n",
+    "window.cfg": "[dsp]\nsmooth_window = 4\n",
+    "max_ecg.cfg": "[telemetry]\nmax_ecg = -1\n",
     "junk.cfg": "not a config\n",
 }
 

@@ -1,12 +1,18 @@
 """Telemetry tests: canonical encoding, alerts, sinks, retrieve-and-plot."""
 
 import json
+import math
+import re
+import threading
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecgmon import telemetry
 from ecgmon.telemetry import (
     AlertPolicy,
     FileSink,
@@ -14,6 +20,7 @@ from ecgmon.telemetry import (
     LoopbackListener,
     PayloadTooLargeError,
     TelemetryRecord,
+    _plain_number,
     decode_record,
     encode_alert,
     encode_record,
@@ -132,6 +139,36 @@ class TestEncoding:
             make_record(bpm=0.0)
         with pytest.raises(ValueError):
             make_record(ecg=["not-a-number"])
+        # bool is not a number; bpm and timestamp must be finite
+        for bad in (dict(ecg=5), dict(ecg=None), dict(ecg=[1, True]),
+                    dict(bpm="72"), dict(bpm=float("nan")), dict(bpm=float("inf")),
+                    dict(bpm=True), dict(timestamp=float("inf")), dict(timestamp=True),
+                    dict(timestamp="1"), dict(timestamp=None)):
+            with pytest.raises(ValueError):
+                make_record(**bad)
+        rec = make_record(bpm=np.float64(61.5), timestamp=7.0, ecg=(np.int64(3), 2.5))
+        assert (rec.timestamp, rec.ecg) == (7, [3, 2.5])
+        assert [type(v) for v in rec.ecg] == [int, float]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ecg=st.lists(st.one_of(
+        st.integers(min_value=-2**70, max_value=2**70), st.floats(), st.just(float("nan")),
+        st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64),
+        st.floats(width=64).map(np.float64), st.booleans(), st.text(max_size=3),
+        st.none()), max_size=20))
+    def test_record_check_matches_per_sample_check(self, ecg):
+        """The one-pass check keeps what the per-sample check gives: values,
+        exact types and errors."""
+        try:
+            expected = [_plain_number(v) for v in ecg]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                make_record(ecg=ecg)
+            return
+        got = make_record(ecg=ecg).ecg
+        assert [type(v) for v in got] == [type(v) for v in expected]
+        assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, expected))
+        assert len(got) == len(expected)
 
 
 class TestSinks:
@@ -142,13 +179,50 @@ class TestSinks:
         assert receipt.ok and receipt.attempts == 1
         assert (tmp_path / "out.jsonl").read_bytes() == payload + b"\n"
 
-    def test_loopback_receives_in_order(self):
-        with LoopbackListener() as listener:
-            sink = HttpSink(listener.port)
-            payloads = [encode_record(make_record(timestamp=i + 1)) for i in range(5)]
+    @staticmethod
+    def count_connections(monkeypatch) -> list:
+        """Record one entry per TCP connection the loopback listener accepts."""
+        accepted = []
+        setup = telemetry._LoopbackHandler.setup
+
+        def counting_setup(handler):
+            accepted.append(handler.client_address)
+            setup(handler)
+
+        monkeypatch.setattr(telemetry._LoopbackHandler, "setup", counting_setup)
+        return accepted
+
+    def test_loopback_receives_in_order(self, monkeypatch):
+        accepted = self.count_connections(monkeypatch)
+        payloads = [encode_record(make_record(timestamp=i + 1)) for i in range(50)]
+        with LoopbackListener() as listener, HttpSink(listener.port) as sink:
             for p in payloads:
-                assert publish(sink, p).ok
+                assert publish(sink, p, retries=0).ok
             assert listener.received == payloads
+            assert len(accepted) == 1  # one kept-alive connection carried all 50
+            sink.close()
+            assert publish(sink, payloads[0], retries=0).ok  # reconnects after close()
+            assert len(accepted) == 2
+
+    def test_listener_that_closes_each_connection(self, monkeypatch):
+        # an HTTP/1.0 reply announces the close: the sink reconnects per POST
+        accepted = self.count_connections(monkeypatch)
+        monkeypatch.setattr(telemetry._LoopbackHandler, "protocol_version", "HTTP/1.0")
+        payloads = [encode_record(make_record(timestamp=i + 1)) for i in range(3)]
+        with LoopbackListener() as listener, HttpSink(listener.port) as sink:
+            assert all(publish(sink, p, retries=0).ok for p in payloads)
+            assert listener.received == payloads
+        assert len(accepted) == 3
+
+    def test_close_with_open_client_connection_is_prompt(self):
+        listener = LoopbackListener()
+        with HttpSink(listener.port) as sink, HttpSink(listener.port) as other:
+            # two idle kept-alive connections, each held by a handler thread
+            assert publish(sink, b"{}").ok and publish(other, b"{}").ok
+            closer = threading.Thread(target=listener.close)
+            closer.start()
+            closer.join(timeout=0.5)
+            assert not closer.is_alive()
 
     def test_publish_record_then_alert(self, tmp_path):
         sink = FileSink(tmp_path / "out.jsonl")
@@ -172,9 +246,21 @@ class TestSinks:
     def test_dead_http_sink_fails(self):
         with LoopbackListener() as listener:
             port = listener.port
-        receipt = publish(HttpSink(port), b"{}", retries=1)
+        with HttpSink(port) as sink:
+            receipt = publish(sink, b"{}", retries=1)
         assert not receipt.ok
         assert receipt.attempts == 2
+
+    def test_sink_fails_once_its_listener_closed(self):
+        with LoopbackListener() as listener, HttpSink(listener.port) as sink:
+            assert publish(sink, b"{}").ok
+            listener.close()  # with the sink's connection open
+            t0 = time.perf_counter()
+            receipt = publish(sink, b"{}", retries=2)
+            assert time.perf_counter() - t0 < 1.0  # refused at once, no timeout waited
+        assert not receipt.ok
+        assert receipt.attempts == 3
+        assert receipt.error
 
 
 class TestRetrieveAndPlot:
@@ -214,12 +300,26 @@ class TestRetrieveAndPlot:
 
     def test_corrupt_line_skipped_with_warning(self, tmp_path):
         source = tmp_path / "records.jsonl"
-        lines = [
-            encode_record(make_record(timestamp=1)),
+        good = encode_record(make_record(timestamp=1))
+        malformed = [
             b"{corrupt json",
-            encode_record(make_record(timestamp=2)),
+            b"\xff\xfe",
+            b"[1]",
+            good.replace(b"[2048,2051,2047,2049]", b"5"),
+            good.replace(b"[2048,2051,2047,2049]", b"null"),
+            good.replace(b"[2048,2051,2047,2049]", b'"2048"'),
+            good.replace(b"[2048,2051,2047,2049]", b"[1," + b"9" * 400 + b"]"),
+            good.replace(b"[2048,2051,2047,2049]", b"[1,NaN]"),
+            good.replace(b"[2048,2051,2047,2049]", b"[Infinity]"),
+            good.replace(b"[2048,2051,2047,2049]", b"[" * 100_000 + b"]" * 100_000),
+            good.replace(b'"bpm":72.0', b'"bpm":"72"'),
+            good.replace(b'"bpm":72.0', b'"bpm":NaN'),
+            good.replace(b'"bpm":72.0', b'"bpm":true'),
+            good.replace(b'"timestamp":1', b'"timestamp":1.5e400'),
+            good.replace(b'"timestamp":1', b'"timestamp":null'),
         ]
+        lines = [good, *malformed, encode_record(make_record(timestamp=2))]
         source.write_bytes(b"\n".join(lines) + b"\n")
         result = retrieve_and_plot(source, tmp_path / "plot.svg")
         assert result.records_plotted == 2
-        assert result.warnings == 1
+        assert result.warnings == len(malformed)
