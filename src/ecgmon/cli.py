@@ -94,12 +94,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_metrics(args) -> int:
     cfg = _load_config(args)
     spec = cfg.frontend
-    noise = NoiseConfig(emg_sigma=args.noise_sigma, rng_seed=args.seed) if args.noise_sigma > 0 else None
-    report = measure_metrics(spec, sample_rate=args.rate, noise=noise)
+    rate = _given(args.rate, cfg.sample_rate)
+    sigma = _given(args.noise_sigma, cfg.noise.emg_sigma)
+    seed = _given(args.seed, cfg.noise.rng_seed)
+    noise = NoiseConfig(emg_sigma=sigma, rng_seed=seed) if sigma > 0 else None
+    report = measure_metrics(spec, sample_rate=rate, noise=noise)
     doc = {k: (round(v, 6) if isinstance(v, float) else v) for k, v in report.as_dict().items()}
     print(_json_line(doc))
     if args.response_csv:
-        _write_response_csv(spec, args.rate, args.response_csv)
+        _write_response_csv(spec, rate, args.response_csv)
     return 0
 
 
@@ -262,12 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_simulate)
 
+    # flags left out take the config's [signal] sample_rate and [noise] emg_sigma/seed
     p = sub.add_parser("metrics", help="measure the front-end metrics as JSON")
     add_config(p)
-    p.add_argument("--rate", type=float, default=PipelineConfig.sample_rate)
-    p.add_argument("--noise-sigma", type=float, default=0.0,
+    p.add_argument("--rate", type=float, default=None)
+    p.add_argument("--noise-sigma", type=float, default=None,
                    help="EMG sigma (mV) for the noise-floor row")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--response-csv", default=None, help="also dump freq_hz,mag_db")
     p.set_defaults(fn=_cmd_metrics)
 

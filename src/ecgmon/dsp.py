@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .signals import SampleFrame
 
@@ -124,8 +123,13 @@ def _detect_edges(frame: SampleFrame, cfg: TriggerConfig, rising: bool) -> list[
         run_length=cfg.run_length,
         refractory=cfg.refractory,
     ))
-    steps_ok = np.all(sliding_window_view(np.diff(values) >= 0, run - 1), axis=1)
-    first = values[: n - run + 1]
+    # steps_ok[i]: the run - 1 steps from sample i on are all non-decreasing
+    rises = np.diff(values) >= 0
+    starts = n - run + 1
+    steps_ok = rises[:starts].copy()
+    for shift in range(1, run - 1):
+        steps_ok &= rises[shift:shift + starts]
+    first = values[:starts]
     last = values[run - 1:]
     # the run must enter from at or below the band, leave at or above it,
     # and show a net rise (flat runs are not edges)

@@ -10,6 +10,7 @@ bilinear discretization with prewarping runs the stages on sampled data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -198,23 +199,30 @@ class DiscretizedFilter:
     def is_stable(self) -> bool:
         return bool(np.all(np.abs(self.poles) < 1.0))
 
+    @property
+    def coefficients(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+        """(b, a) of the difference equation, a[0] = 1."""
+        return (self.b0, self.b1, self.b2), (1.0, self.a1, self.a2)
+
     def reset(self) -> None:
         self._state[:] = 0.0
 
     def process(self, x: np.ndarray) -> np.ndarray:
         """Filter a block, carrying state across calls."""
-        y, self._state = lfilter(
-            [self.b0, self.b1, self.b2], [1.0, self.a1, self.a2], np.asarray(x, dtype=np.float64),
-            zi=self._state,
-        )
+        b, a = self.coefficients
+        y, self._state = lfilter(b, a, np.asarray(x, dtype=np.float64), zi=self._state)
         return y
 
     def response_at(self, freq) -> np.ndarray:
         """Complex response on the unit circle at the given frequency (Hz)."""
-        w = 2 * np.pi * np.asarray(freq, dtype=np.float64) / self.sample_rate
-        z1 = np.exp(-1j * w)
-        z2 = z1 * z1
-        return (self.b0 + self.b1 * z1 + self.b2 * z2) / (1.0 + self.a1 * z1 + self.a2 * z2)
+        return _response(*self.coefficients, self.sample_rate, freq)
+
+
+def _response(b, a, sample_rate: float, freq) -> np.ndarray:
+    w = 2 * np.pi * np.asarray(freq, dtype=np.float64) / sample_rate
+    z1 = np.exp(-1j * w)
+    z2 = z1 * z1
+    return (b[0] + b[1] * z1 + b[2] * z2) / (a[0] + a[1] * z1 + a[2] * z2)
 
 
 def discretize(stage_kind: str, spec: FrontEndSpec, sample_rate: float) -> DiscretizedFilter:
@@ -260,20 +268,22 @@ def discretize(stage_kind: str, spec: FrontEndSpec, sample_rate: float) -> Discr
     return DiscretizedFilter(b0=b0, b1=b1, b2=0.0, a1=(w0 - k) / a0, a2=0.0, sample_rate=sample_rate)
 
 
-def _build_chain(spec: FrontEndSpec, sample_rate: float,
-                 with_notch: bool = True) -> list[DiscretizedFilter]:
-    return [
-        discretize(kind, spec, sample_rate)
+@functools.lru_cache(maxsize=64)
+def _chain_coefficients(spec: FrontEndSpec, sample_rate: float, with_notch: bool) -> tuple:
+    """(b, a) of each cascade stage, designed and stability-checked once per
+    (spec, rate, notch) key.  Holds coefficients only, no filter state."""
+    return tuple(
+        discretize(kind, spec, sample_rate).coefficients
         for kind in DEFAULT_STAGE_ORDER
         if with_notch or kind != "notch"
-    ]
+    )
 
 
 def _chain_magnitude(spec: FrontEndSpec, sample_rate: float, freqs, with_notch: bool = True) -> np.ndarray:
     """Magnitude of the filter cascade (gain excluded) on the unit circle."""
     h = np.ones_like(np.asarray(freqs, dtype=np.float64), dtype=np.complex128)
-    for filt in _build_chain(spec, sample_rate, with_notch=with_notch):
-        h = h * filt.response_at(freqs)
+    for b, a in _chain_coefficients(spec, sample_rate, with_notch):
+        h = h * _response(b, a, sample_rate, freqs)
     return np.abs(h)
 
 
@@ -299,8 +309,8 @@ def apply_frontend(
     rate = sig.differential.sample_rate
     leak = 10 ** (-spec.cmrr_db / 20)
     x = (sig.differential.values + leak * sig.common_mode.values) * 1e-3  # mV -> V
-    for filt in _build_chain(spec, rate, with_notch):
-        x = filt.process(x)
+    for b, a in _chain_coefficients(spec, rate, with_notch):
+        x = lfilter(b, a, x, zi=np.zeros(2))[0]  # each run starts from rest
     y = spec.chain_gain * x + spec.lift_bias
     lo, hi = spec.supply
     saturated = bool(len(y)) and bool(np.any((y < lo) | (y > hi)))

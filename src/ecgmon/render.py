@@ -112,15 +112,13 @@ def map_to_trace(
     return PlotTrace(rows=(fb_height - 1) - rows_up, v_min=v_min, v_max=v_max, height=fb_height)
 
 
-def _polyline_mask(trace: PlotTrace, width: int, height: int) -> np.ndarray:
-    """Pixel set of the connected trace: column spans between adjacent rows."""
-    mask = np.zeros((height, width), dtype=bool)
+def _polyline_mask(trace: PlotTrace, height: int) -> np.ndarray:
+    """Pixel set of the connected trace, one mask column per trace column:
+    the rows from the previous column's row to this one's."""
     rows = trace.rows
-    for x in range(len(rows)):
-        prev = rows[x - 1] if x > 0 else rows[x]
-        lo, hi = (prev, rows[x]) if prev <= rows[x] else (rows[x], prev)
-        mask[lo:hi + 1, x] = True
-    return mask
+    prev = np.concatenate((rows[:1], rows[:-1]))
+    r = np.arange(height)[:, None]
+    return (np.minimum(prev, rows) <= r) & (r <= np.maximum(prev, rows))
 
 
 def draw_trace(fb: Framebuffer, old: PlotTrace | None, new: PlotTrace) -> Framebuffer:
@@ -130,10 +128,10 @@ def draw_trace(fb: Framebuffer, old: PlotTrace | None, new: PlotTrace) -> Frameb
     if old is not None:
         if len(old) != fb.width:
             raise ValueError(f"old trace length {len(old)} does not match framebuffer width {fb.width}")
-        erase = _polyline_mask(old, fb.width, fb.height)
+        erase = _polyline_mask(old, fb.height)
         fb.pixels &= ~erase
         fb._touch(erase)
-    mask = _polyline_mask(new, fb.width, fb.height)
+    mask = _polyline_mask(new, fb.height)
     fb.pixels |= mask
     fb._touch(mask)
     return fb

@@ -203,6 +203,13 @@ class SourceSignal:
             raise ValueError("differential and common_mode must have equal length")
 
 
+# A wrap at least this many widths from every phase adds amplitude times
+# exp(-800) or less, and exp underflows to 0.0 below about -745: the term is
+# +-0.0, and out, which starts at +0.0 and so never holds -0.0, is
+# bit-identical without it.
+_ZERO_WRAP_WIDTHS = 40.0
+
+
 def generate_ecg(
     params: EcgTemplateParams,
     bpm: float,
@@ -226,8 +233,11 @@ def generate_ecg(
     phase = (t * fundamental) % 1.0
     out = np.zeros(n)
     for wave in params.waves():
-        # wrap adjacent periods so tails near the beat boundary are kept
-        for k in (-1.0, 0.0, 1.0):
+        # wrap adjacent periods so tails near the beat boundary are kept;
+        # gap is the wrap's nearest distance to any phase in [0, 1)
+        for k, gap in ((-1.0, 1.0 - wave.center), (0.0, 0.0), (1.0, wave.center)):
+            if gap >= _ZERO_WRAP_WIDTHS * wave.width:
+                continue
             out += wave.amplitude * np.exp(-0.5 * ((phase - wave.center - k) / wave.width) ** 2)
     return SampleFrame(sample_rate=sample_rate, values=out, unit="mV")
 

@@ -137,6 +137,11 @@ def evaluate_alert(bpm: float, policy: AlertPolicy, location: str, timestamp: in
     return AlertEvent(bpm=bpm, message=message, location=location, timestamp=timestamp)
 
 
+def _json_bytes(doc: dict) -> bytes:
+    # NaN and Infinity are not JSON: a record holding one raises ValueError
+    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False, allow_nan=False).encode("utf-8")
+
+
 def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes:
     """Canonical JSON bytes: fixed key order, compact, UTF-8."""
     if len(rec.ecg) > max_ecg:
@@ -148,7 +153,7 @@ def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes
         "location": rec.location,
         "ecg": rec.ecg,
     }
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return _json_bytes(doc)
 
 
 def decode_record(data: bytes) -> TelemetryRecord:
@@ -180,7 +185,7 @@ def encode_alert(event: AlertEvent) -> bytes:
         "location": event.location,
         "timestamp": event.timestamp,
     }
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return _json_bytes(doc)
 
 
 @dataclass(frozen=True)

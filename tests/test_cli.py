@@ -392,6 +392,26 @@ class TestCliSubcommands:
         freqs = [float(row.split(",")[0]) for row in lines[1:]]
         assert freqs == sorted(freqs) and len(freqs) == 200
 
+    def test_metrics_takes_config_values(self, tmp_path, capsys):
+        cfg = tmp_path / "metrics.cfg"
+        cfg.write_text("[signal]\nsample_rate = 250\n[noise]\nemg_sigma = 0.05\nseed = 3\n")
+        runs = {
+            "config": ["--config", str(cfg)],
+            "flags": ["--rate", "250", "--noise-sigma", "0.05", "--seed", "3"],
+            "plain": [],
+            # explicit flags win over the file
+            "mixed": ["--config", str(cfg), "--rate", "500", "--noise-sigma", "0", "--seed", "0"],
+        }
+        out = {}
+        for name, argv in runs.items():
+            csv = tmp_path / f"{name}.csv"
+            assert main(["metrics", *argv, "--response-csv", str(csv)]) == 0
+            out[name] = (capsys.readouterr().out, csv.read_bytes())
+        assert out["config"] == out["flags"]
+        assert out["mixed"] == out["plain"]
+        assert out["config"][0] != out["plain"][0] and out["config"][1] != out["plain"][1]
+        assert json.loads(out["config"][0])["equiv_input_noise"] > 0
+
     def test_zero_noise_sine_reproduces_bpm(self):
         """Clean sine source reproduces the source rate at the defaults."""
         cfg = dataclasses.replace(PipelineConfig(), source="sine", duration=4.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,6 +172,56 @@ class TestDetectEdges:
             band_epsilon=float(0.02 * (frame.values.max() - frame.values.min())),
         ))
         assert [e.sample_index for e in auto] == [e.sample_index for e in explicit]
+
+
+def detect_edges_reference(frame: SampleFrame, cfg: TriggerConfig, rising: bool) -> list[int]:
+    """Edge indices by the sliding-window run check: each window of run - 1
+    steps is tested with np.all."""
+    values = frame.values if rising else -frame.values
+    n, run = len(values), cfg.run_length
+    lo, hi = float(np.min(values)), float(np.max(values))
+    level = cfg.trigger_level
+    if level is None:
+        level = (lo + hi) / 2.0
+    elif not rising:
+        level = -level
+    epsilon = cfg.band_epsilon if cfg.band_epsilon is not None else 0.02 * (hi - lo)
+    steps_ok = np.all(sliding_window_view(np.diff(values) >= 0, run - 1), axis=1)
+    first, last = values[: n - run + 1], values[run - 1:]
+    candidates = np.nonzero(
+        steps_ok & (first <= level + epsilon) & (last >= level - epsilon) & (last > first))[0]
+    refractory_samples = int(round(cfg.refractory * frame.sample_rate))
+    indices, next_allowed = [], 0
+    for i in candidates:
+        if i >= next_allowed:
+            indices.append(int(i) + run // 2)
+            next_allowed = int(i) + max(refractory_samples, 1)
+    return indices
+
+
+class TestDetectEdgesReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(steps=st.lists(st.integers(-3, 3), min_size=9, max_size=300),
+           run=st.integers(3, 9),
+           level=st.one_of(st.none(), st.integers(-20, 20).map(float)),
+           epsilon=st.one_of(st.none(), st.sampled_from([0.0, 0.5, 2.0])),
+           refractory=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+           rising=st.booleans())
+    def test_same_edges_as_window_check(self, steps, run, level, epsilon, refractory, rising):
+        """Small integer steps give long monotone runs, plateaus and reversals."""
+        frame = SampleFrame(100.0, np.cumsum(np.asarray(steps, dtype=np.float64)))
+        cfg = TriggerConfig(trigger_level=level, band_epsilon=epsilon, run_length=run,
+                            refractory=refractory)
+        detect = detect_rising_edges if rising else detect_falling_edges
+        got = [e.sample_index for e in detect(frame, cfg)]
+        assert got == detect_edges_reference(frame, cfg, rising)
+
+    @pytest.mark.parametrize("run", [3, 4, 9])
+    def test_frame_of_exactly_run_length(self, run):
+        frame = SampleFrame(100.0, np.arange(float(run)))
+        cfg = TriggerConfig(run_length=run)
+        got = [e.sample_index for e in detect_rising_edges(frame, cfg)]
+        assert got == detect_edges_reference(frame, cfg, True) == [run // 2]
 
 
 class TestHeartRate:

@@ -1,5 +1,6 @@
 """Front-end tests: component formulas, discretization, chain behavior, metrics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecgmon import frontend
 from ecgmon.cli import main
 from ecgmon.frontend import (
     ComponentValues,
     FrontEndSpec,
+    _chain_magnitude,
     apply_frontend,
     discretize,
     highpass_cutoff,
@@ -22,7 +25,7 @@ from ecgmon.frontend import (
     bench_spec,
     voltage_gain,
 )
-from ecgmon.signals import SampleFrame, SourceSignal, generate_sine
+from ecgmon.signals import NoiseConfig, SampleFrame, SourceSignal, generate_sine
 
 
 def components(**overrides) -> ComponentValues:
@@ -181,6 +184,87 @@ class TestDiscretize:
         filt = discretize("lowpass", spec, 500.0)
         two = np.concatenate([filt.process(x[:400]), filt.process(x[400:])])
         assert np.allclose(one, two, atol=1e-12)
+
+    def test_each_filter_owns_its_state(self):
+        """discretize returns a fresh filter each call, and apply_frontend,
+        which designs the chain once per spec, never sees that state."""
+        spec = bench_spec()
+        sig = sine_source(10.0, 0.5, 500.0, 2.0)
+        before = apply_frontend(sig, spec).frame.values
+        x = np.sin(2 * np.pi * 10 * np.arange(1000) / 500)
+        used, fresh = discretize("lowpass", spec, 500.0), discretize("lowpass", spec, 500.0)
+        assert used is not fresh and used._state is not fresh._state
+        used.process(x)
+        assert np.any(used._state != 0) and np.all(fresh._state == 0)
+        assert np.array_equal(fresh.process(x), discretize("lowpass", spec, 500.0).process(x))
+        assert apply_frontend(sig, spec).frame.values.tobytes() == before.tobytes()
+
+
+def _chain_reference(sig: SourceSignal, spec: FrontEndSpec, with_notch: bool = True) -> np.ndarray:
+    """apply_frontend's filter cascade run through freshly designed filters."""
+    leak = 10 ** (-spec.cmrr_db / 20)
+    x = (sig.differential.values + leak * sig.common_mode.values) * 1e-3
+    for kind in ("notch", "lowpass", "highpass"):
+        if with_notch or kind != "notch":
+            x = discretize(kind, spec, sig.differential.sample_rate).process(x)
+    return np.clip(spec.chain_gain * x + spec.lift_bias, *spec.supply)
+
+
+class TestDesignCache:
+    @pytest.fixture
+    def discretize_calls(self, monkeypatch):
+        calls = []
+
+        def counted(kind, spec, rate):
+            calls.append((kind, spec, rate))
+            return discretize(kind, spec, rate)
+
+        frontend._chain_coefficients.cache_clear()
+        monkeypatch.setattr(frontend, "discretize", counted)
+        return calls
+
+    def test_each_stage_designed_once(self, discretize_calls):
+        spec = FrontEndSpec(notch_q=23.0)
+        sig = sine_source(10.0, 0.5, 500.0, 1.0)
+        outputs = [apply_frontend(sig, spec).frame.values.tobytes() for _ in range(3)]
+        assert len(set(outputs)) == 1
+        assert [kind for kind, _, _ in discretize_calls] == ["notch", "lowpass", "highpass"]
+        noise = NoiseConfig(emg_sigma=0.01, rng_seed=1)
+        reports = [measure_metrics(spec, 500.0, noise=noise) for _ in range(2)]
+        assert reports[0] == reports[1]
+        assert len(discretize_calls) == 3
+        measure_metrics(spec, 500.0, with_notch=False)
+        measure_metrics(spec, 250.0)
+        assert len(discretize_calls) == 3 + 2 + 3
+
+    def test_replaced_spec_gets_its_own_design(self, discretize_calls):
+        spec = FrontEndSpec(notch_q=23.0)
+        sig = sine_source(50.0, 0.5, 500.0, 2.0)
+        first = apply_frontend(sig, spec).frame.values
+        narrow = dataclasses.replace(spec, notch_q=5.0)
+        second = apply_frontend(sig, narrow).frame.values
+        assert len(discretize_calls) == 6
+        assert not np.array_equal(first, second)
+        assert first.tobytes() == _chain_reference(sig, spec).tobytes()
+        assert second.tobytes() == _chain_reference(sig, narrow).tobytes()
+        assert apply_frontend(sig, spec).frame.values.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("with_notch", [True, False])
+    def test_same_bytes_as_fresh_filters(self, with_notch):
+        spec = bench_spec()
+        rng = np.random.default_rng(5)
+        noisy = SampleFrame(500.0, rng.normal(0.0, 0.3, 3000))
+        sig = SourceSignal(differential=noisy, common_mode=noisy.with_values(noisy.values[::-1]))
+        for _ in range(2):
+            got = apply_frontend(sig, spec, with_notch=with_notch).frame.values
+            assert got.tobytes() == _chain_reference(sig, spec, with_notch).tobytes()
+        freqs = np.logspace(-2, np.log10(240.0), 50)
+        h = np.ones(len(freqs), dtype=np.complex128)
+        for kind in ("notch", "lowpass", "highpass"):
+            if with_notch or kind != "notch":
+                h = h * discretize(kind, spec, 500.0).response_at(freqs)
+        magnitude = _chain_magnitude(spec, 500.0, freqs, with_notch)
+        assert magnitude.tobytes() == np.abs(h).tobytes()
 
 
 class TestApplyFrontend:

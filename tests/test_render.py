@@ -4,10 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecgmon.render import (
     Framebuffer,
     PlotTrace,
+    _polyline_mask,
     draw_trace,
     export_ascii,
     export_svg,
@@ -135,6 +138,31 @@ class TestDrawTrace:
         tr = PlotTrace(rows=np.array([2, 2, 2, 2, 2, 2, 2, 2]), v_min=0, v_max=1, height=8)
         draw_trace(fb, None, tr)
         assert fb.dirty == (2, 2, 0, 7)
+
+
+def polyline_mask_reference(trace: PlotTrace, width: int, height: int) -> np.ndarray:
+    """The polyline mask filled one column at a time."""
+    mask = np.zeros((height, width), dtype=bool)
+    rows = trace.rows
+    for x in range(len(rows)):
+        prev = rows[x - 1] if x > 0 else rows[x]
+        lo, hi = (prev, rows[x]) if prev <= rows[x] else (rows[x], prev)
+        mask[lo:hi + 1, x] = True
+    return mask
+
+
+class TestPolylineMaskReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), width=st.integers(1, 150), trace_height=st.integers(1, 70),
+           fb_height=st.integers(1, 70))
+    def test_same_pixels_as_column_loop(self, data, width, trace_height, fb_height):
+        """Also when the trace is taller than the buffer: rows below it clip."""
+        rows = data.draw(st.lists(st.integers(0, trace_height - 1),
+                                  min_size=width, max_size=width))
+        trace = PlotTrace(rows=np.array(rows), v_min=0, v_max=1, height=trace_height)
+        got = _polyline_mask(trace, fb_height)
+        assert got.dtype == bool
+        assert np.array_equal(got, polyline_mask_reference(trace, width, fb_height))
 
 
 class TestExport:

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ecgmon import signals
 from ecgmon.signals import (
     EcgTemplateParams,
     NoiseConfig,
@@ -142,6 +143,70 @@ class TestGenerateEcg:
         peaks = count_r_peaks(frame.values, 0.5 * params.r.amplitude)
         expected = round(bpm / 60.0 * duration)
         assert abs(peaks - expected) <= 1
+
+
+def generate_ecg_reference(params, bpm, sample_rate, duration) -> np.ndarray:
+    """generate_ecg's values as the plain 15-pass loop: every wave, every wrap."""
+    n = int(round(duration * sample_rate))
+    phase = (np.arange(n) / sample_rate * (bpm / 60.0)) % 1.0
+    out = np.zeros(n)
+    for wave in params.waves():
+        for k in (-1.0, 0.0, 1.0):
+            out += wave.amplitude * np.exp(-0.5 * ((phase - wave.center - k) / wave.width) ** 2)
+    return out
+
+
+_centers = st.lists(st.one_of(st.floats(0.0, 0.02), st.floats(0.98, 1.0), st.floats(0.0, 1.0),
+                              st.floats(-0.1, 1.1)),
+                    min_size=5, max_size=5, unique=True).map(sorted)
+_amplitudes = st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5)
+_widths = st.lists(st.floats(0.005, 0.2), min_size=5, max_size=5)
+
+
+class _CountingExp:
+    """numpy, with its exp calls counted."""
+
+    calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x):
+        self.calls += 1
+        return np.exp(x)
+
+
+# P's k = +1 wrap (and in the second, T's k = -1 wrap) lies 38.3 widths from the
+# beat boundary, where every other term is exactly 0.0: it adds about 1e-318,
+# so dropping it shows
+_BOUNDARY = dict(amplitudes=[0.1, -0.1, 1.0, -0.1, 0.2], widths=[0.005] * 5,
+                 r_amplitude=1.0, bpm=60.0, rate=2000.0, duration=1.0)
+
+
+class TestGenerateEcgReference:
+    @example(centers=[0.1915, 0.3, 0.4, 0.5, 0.6], **_BOUNDARY)
+    @example(centers=[0.4, 0.5, 0.6, 0.7, 0.8085], **_BOUNDARY)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(centers=_centers, amplitudes=_amplitudes, widths=_widths,
+           r_amplitude=st.floats(0.01, 3.0), bpm=st.floats(20.0, 300.0),
+           rate=st.floats(100.0, 2000.0), duration=st.floats(0.05, 2.0))
+    def test_same_bytes_as_every_wrap(self, centers, amplitudes, widths, r_amplitude,
+                                      bpm, rate, duration):
+        """Skipping the wraps that underflow to 0.0 leaves every bit as it was."""
+        amplitudes[2] = r_amplitude
+        params = EcgTemplateParams(*(Wave(a, c, w)
+                                     for a, c, w in zip(amplitudes, centers, widths)))
+        got = generate_ecg(params, bpm, rate, duration).values
+        assert got.tobytes() == generate_ecg_reference(params, bpm, rate, duration).tobytes()
+
+    def test_default_template_skips_five_passes(self, monkeypatch):
+        """Both wraps of R and S and Q's k = -1 wrap lie 40 or more widths away."""
+        counting = _CountingExp()
+        monkeypatch.setattr(signals, "np", counting)
+        values = generate_ecg(EcgTemplateParams.default(), 72, 500, 2.0).values
+        assert counting.calls == 10
+        reference = generate_ecg_reference(EcgTemplateParams.default(), 72, 500, 2.0)
+        assert values.tobytes() == reference.tobytes()
 
 
 class TestGenerateSine:

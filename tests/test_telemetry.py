@@ -118,6 +118,14 @@ class TestEncoding:
             encode_record(rec)
         assert encode_record(rec, max_ecg=6000)  # configurable bound
 
+    @pytest.mark.parametrize("sample", [float("nan"), float("inf"), -float("inf")])
+    def test_non_json_numbers_rejected(self, sample):
+        """NaN and Infinity are not JSON: encoding raises instead of writing them."""
+        with pytest.raises(ValueError):
+            encode_record(make_record(ecg=[1, sample, 2.5]))
+        with pytest.raises(ValueError):
+            encode_alert(telemetry.AlertEvent(bpm=sample, message="m", location="w", timestamp=0))
+
     def test_round_trip_example(self):
         rec = make_record(bpm=61.5, ecg=[1, 2.5, 3])
         assert decode_record(encode_record(rec)) == rec
