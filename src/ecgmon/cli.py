@@ -216,7 +216,7 @@ def _cmd_send(args) -> int:
         device_id=args.device_id,
         timestamp=args.timestamp,
         bpm=args.bpm,
-        ecg=codes[: args.max_ecg].tolist(),
+        ecg=codes[: args.max_ecg],
         location=args.location,
     )
     policy = telemetry.AlertPolicy(low_bpm=args.low_bpm, high_bpm=args.high_bpm)

@@ -56,8 +56,14 @@ def _require_notch(center: float, half_band: float, sample_rate: float) -> None:
 
 
 def smooth_emg(frame: SampleFrame, window: int) -> SampleFrame:
-    """Centered moving average with an odd window; edges truncate the window."""
+    """Centered moving average with an odd window; edges truncate the window.
+
+    The window may not be longer than the frame: convolve would then
+    return window samples, not len(frame).
+    """
     _require_odd_window(window)
+    if window > len(frame):
+        raise ValueError(f"smoothing window {window} is longer than the {len(frame)}-sample frame")
     if window == 1:
         return frame
     kernel = np.ones(window)

@@ -374,16 +374,23 @@ def _probe_gain(spec: FrontEndSpec, sample_rate: float, freq: float,
 
 
 def _bisect_crossing(mag_fn, target: float, lo: float, hi: float, iterations: int = 80) -> float:
-    """Frequency where mag_fn crosses target, given a bracketing interval."""
+    """Frequency where mag_fn crosses target, given a bracketing interval.
+
+    Stops early once an iteration leaves the bracket unchanged: every later
+    one would evaluate the same midpoint again, so the result is the same.
+    """
     f_lo, f_hi = lo, hi
     s_lo = mag_fn(f_lo) - target
     for _ in range(iterations):
+        bracket = (f_lo, f_hi)
         mid = math.sqrt(f_lo * f_hi)  # geometric midpoint suits log-spaced responses
         s_mid = mag_fn(mid) - target
         if (s_mid > 0) == (s_lo > 0):
             f_lo, s_lo = mid, s_mid
         else:
             f_hi = mid
+        if (f_lo, f_hi) == bracket:
+            break
     return math.sqrt(f_lo * f_hi)
 
 

@@ -107,7 +107,7 @@ def run_pipeline(
         device_id=cfg.device_id,
         timestamp=cfg.timestamp,
         bpm=reading.bpm,
-        ecg=digital_codes[: cfg.max_ecg].tolist(),
+        ecg=digital_codes[: cfg.max_ecg],
         location=cfg.location,
     )
     alert = _stage("telemetry", telemetry.evaluate_alert,

@@ -230,7 +230,8 @@ def generate_ecg(
         )
     n = int(round(duration * sample_rate))
     t = np.arange(n) / sample_rate
-    phase = (t * fundamental) % 1.0
+    cycles = t * fundamental  # >= 0, so cycles - floor(cycles) is the exact remainder
+    phase = cycles - np.floor(cycles)
     out = np.zeros(n)
     for wave in params.waves():
         # wrap adjacent periods so tails near the beat boundary are kept;

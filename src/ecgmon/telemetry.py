@@ -55,7 +55,12 @@ class PayloadTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class TelemetryRecord:
-    """One uplink record; ecg holds plain numbers (ADC codes or millivolts)."""
+    """One uplink record; ecg holds plain numbers (ADC codes or millivolts).
+
+    ecg may be given as any sequence of numbers or as a 1-D integer or
+    float numpy array (such as a slice of ADC codes); either way it is
+    stored as a list of int/float.
+    """
 
     device_id: str
     timestamp: int
@@ -87,6 +92,8 @@ _PLAIN_TYPES = frozenset((int, float))
 def _plain_numbers(ecg) -> list:
     """ecg as a new list of int/float; the per-sample pass runs only when
     some element's exact type is another one (bool, numpy scalar, ...)."""
+    if isinstance(ecg, np.ndarray) and ecg.ndim == 1 and ecg.dtype.kind in "iuf":
+        return ecg.tolist()  # exact int/float, one C-level pass
     try:
         values = list(ecg)
     except TypeError:
@@ -137,23 +144,55 @@ def evaluate_alert(bpm: float, policy: AlertPolicy, location: str, timestamp: in
     return AlertEvent(bpm=bpm, message=message, location=location, timestamp=timestamp)
 
 
-def _json_bytes(doc: dict) -> bytes:
+def _json_bytes(doc: dict | list) -> bytes:
     # NaN and Infinity are not JSON: a record holding one raises ValueError
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=False, allow_nan=False).encode("utf-8")
+
+
+def _code_text_table(max_code: int) -> np.ndarray:
+    """Row c holds code c's decimal digits and a comma as bytes, NUL-padded
+    to 8, viewed as one uint64 so a fancy index gathers whole rows."""
+    text = np.zeros((max_code + 1, 8), dtype=np.uint8)
+    for width in range(1, len(str(max_code)) + 1):  # the codes of each width are one run
+        lo, hi = 10 ** (width - 1) if width > 1 else 0, min(10 ** width, max_code + 1)
+        places = 10 ** np.arange(width - 1, -1, -1, dtype=np.int32)
+        text[lo:hi, :width] = ord("0") + np.arange(lo, hi, dtype=np.int32)[:, None] // places % 10
+        text[lo:hi, width] = ord(",")
+    return text.view(np.uint64).ravel()
+
+
+# every code of an ADC with up to 16 bits (AdcConfig's limit)
+_MAX_TABLE_CODE = 65535
+_CODE_TEXT = _code_text_table(_MAX_TABLE_CODE)
+
+
+def _ecg_bytes(ecg: list) -> bytes:
+    """JSON array bytes of ecg, as json.dumps writes them.
+
+    Non-empty lists of ints in 0.._MAX_TABLE_CODE are gathered from the
+    code-text table; everything else (floats, negatives, larger ints, the
+    empty list) goes through json.
+    """
+    codes = np.array(ecg)
+    if (codes.dtype.kind in "iu" and codes.size
+            and codes.min() >= 0 and codes.max() <= _MAX_TABLE_CODE):
+        # every row ends in a comma: drop the padding, then the last comma
+        return b"[" + _CODE_TEXT[codes].tobytes().translate(None, b"\0")[:-1] + b"]"
+    return _json_bytes(ecg)
 
 
 def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes:
     """Canonical JSON bytes: fixed key order, compact, UTF-8."""
     if len(rec.ecg) > max_ecg:
         raise PayloadTooLargeError(f"ecg holds {len(rec.ecg)} samples, limit is {max_ecg}")
-    doc = {
+    head = _json_bytes({
         "device_id": rec.device_id,
         "timestamp": rec.timestamp,
         "bpm": rec.bpm,
         "location": rec.location,
-        "ecg": rec.ecg,
-    }
-    return _json_bytes(doc)
+    })
+    # ecg is the last key: splice it in before the closing brace
+    return head[:-1] + b',"ecg":' + _ecg_bytes(rec.ecg) + b"}"
 
 
 def decode_record(data: bytes) -> TelemetryRecord:

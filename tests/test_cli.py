@@ -258,6 +258,17 @@ class TestCliSubcommands:
             assert str(bad) in captured.err
             assert captured.out == ""
 
+    def test_smoothing_window_longer_than_record_exits_runtime(self, tmp_path, capsys):
+        """A 4 s record consumes 1536 samples: a 4001-sample window is refused,
+        not smoothed into 4001 samples and a made-up reading."""
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text("[signal]\nduration = 4\n[dsp]\nsmooth_window = 4001\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ecgmon: dsp: smoothing window 4001 is longer than "
+                                       "the 1536-sample frame")
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["simulate", "--source", "nope", "--out", "x.csv"]) == 1
 

@@ -95,6 +95,17 @@ class TestSmoothEmg:
     def test_length_preserved(self):
         frame = generate_sine(5.0, 1.0, 500.0, 0.123)
         assert len(smooth_emg(frame, 7)) == len(frame)
+        for n in range(1, 40):
+            frame = SampleFrame(500.0, np.arange(n, dtype=float))
+            for window in range(1, n + 1, 2):
+                assert len(smooth_emg(frame, window)) == n, (n, window)
+
+    @pytest.mark.parametrize("n, window", [(3, 7), (0, 1), (4, 5), (1536, 4001)])
+    def test_window_longer_than_frame_rejected(self, n, window):
+        """convolve would return window samples, inventing the ones past the frame."""
+        frame = SampleFrame(500.0, np.zeros(n))
+        with pytest.raises(ValueError, match=f"window {window} .*{n}-sample frame"):
+            smooth_emg(frame, window)
 
 
 class TestDetectEdges:

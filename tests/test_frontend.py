@@ -380,3 +380,51 @@ class TestMeasureMetrics:
     def test_defaults_are_the_bench_spec(self):
         assert FrontEndSpec() == bench_spec()
         assert FrontEndSpec().notch_q == 30.0
+
+
+def _bisect_reference(mag_fn, target, lo, hi, iterations=80):
+    """_bisect_crossing as the plain loop: all 80 iterations, no early stop."""
+    f_lo, f_hi = lo, hi
+    s_lo = mag_fn(f_lo) - target
+    for _ in range(iterations):
+        mid = math.sqrt(f_lo * f_hi)
+        s_mid = mag_fn(mid) - target
+        if (s_mid > 0) == (s_lo > 0):
+            f_lo, s_lo = mid, s_mid
+        else:
+            f_hi = mid
+    return math.sqrt(f_lo * f_hi)
+
+
+def _sweep_variants(count: int, seed: int = 5) -> list[FrontEndSpec]:
+    """bench_spec() and seeded variants in the benchmark sweep's ranges."""
+    rng = np.random.default_rng(seed)
+    bench = bench_spec()
+    return [bench] + [dataclasses.replace(bench, notch_q=float(rng.uniform(10.0, 50.0)),
+                                          f_cl=float(rng.uniform(60.0, 120.0)),
+                                          f_ch=float(rng.uniform(0.05, 0.5)))
+                      for _ in range(count)]
+
+
+class TestBandEdgeBisection:
+    @pytest.mark.parametrize("rate", [250.0, 500.0, 1000.0, 2000.0])
+    def test_early_stop_gives_the_80_iteration_edges(self, rate, monkeypatch):
+        specs = _sweep_variants(6)
+        got = [frontend._band_edges(spec, rate) for spec in specs]
+        monkeypatch.setattr(frontend, "_bisect_crossing", _bisect_reference)
+        assert got == [frontend._band_edges(spec, rate) for spec in specs]
+
+    def test_stops_once_the_bracket_is_fixed(self, monkeypatch):
+        """For the bench spec at 500 Hz both brackets stop moving well before 80."""
+        calls = []
+        bisect = frontend._bisect_crossing
+
+        def counting(mag_fn, *args, **kwargs):
+            def counted(f):
+                calls.append(f)
+                return mag_fn(f)
+            return bisect(counted, *args, **kwargs)
+
+        monkeypatch.setattr(frontend, "_bisect_crossing", counting)
+        frontend._band_edges(bench_spec(), 500.0)
+        assert len(calls) < 2 * 60  # the full loop makes 2 * 81 calls

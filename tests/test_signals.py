@@ -209,6 +209,15 @@ class TestGenerateEcgReference:
         assert values.tobytes() == reference.tobytes()
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rate=st.floats(100.0, 4000.0), bpm=st.floats(20.0, 300.0), n=st.integers(1, 100_000))
+def test_phase_floor_form_matches_remainder(rate, bpm, n):
+    """generate_ecg's phase, cycles - floor(cycles), has the bits of cycles % 1.0."""
+    cycles = np.arange(n) / rate * (bpm / 60.0)
+    by_floor = cycles - np.floor(cycles)
+    assert np.array_equal(by_floor.view(np.uint64), (cycles % 1.0).view(np.uint64))
+
+
 class TestGenerateSine:
     def test_two_hz_identity(self):
         frame = generate_sine(2.0, 1.0, 500.0, 1.0)

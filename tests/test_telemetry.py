@@ -1,5 +1,6 @@
 """Telemetry tests: canonical encoding, alerts, sinks, retrieve-and-plot."""
 
+import dataclasses
 import json
 import math
 import re
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgmon import telemetry
+from ecgmon.config import PipelineConfig
+from ecgmon.pipeline import run_pipeline
 from ecgmon.telemetry import (
     AlertPolicy,
     FileSink,
@@ -177,6 +180,105 @@ class TestEncoding:
         assert [type(v) for v in got] == [type(v) for v in expected]
         assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, expected))
         assert len(got) == len(expected)
+
+
+def encode_record_reference(rec: TelemetryRecord, max_ecg: int = telemetry.MAX_ECG_SAMPLES) -> bytes:
+    """encode_record as one json.dumps of the whole record, samples included."""
+    if len(rec.ecg) > max_ecg:
+        raise PayloadTooLargeError(f"ecg holds {len(rec.ecg)} samples, limit is {max_ecg}")
+    doc = {"device_id": rec.device_id, "timestamp": rec.timestamp, "bpm": rec.bpm,
+           "location": rec.location, "ecg": rec.ecg}
+    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False,
+                      allow_nan=False).encode("utf-8")
+
+
+# samples on both sides of every choice encode_record makes: codes 0..65535,
+# ints just outside them, negatives, int64 and uint64 extremes, ints beyond
+# int64, floats (non-finite ones too)
+_samples = st.one_of(
+    st.integers(min_value=0, max_value=65535),
+    st.sampled_from([-1, 0, 65535, 65536, -2**63, 2**63 - 1, 2**63, 2**64 - 1, 2**64]),
+    st.integers(min_value=-2**31, max_value=-1),
+    st.integers(min_value=-2**80, max_value=2**80),
+    st.floats(),
+)
+_ecg_lists = st.one_of(st.lists(st.integers(min_value=0, max_value=65535), max_size=80),
+                       st.lists(_samples, max_size=30))
+
+
+class TestCodeTextEncoding:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(device_id=st.text(max_size=12), location=st.text(max_size=12),
+           bpm=st.one_of(st.integers(min_value=1, max_value=300),
+                         st.floats(min_value=1.0, max_value=300.0)),
+           timestamp=st.integers(min_value=0, max_value=2**70), ecg=_ecg_lists)
+    def test_same_bytes_as_one_json_dumps(self, device_id, location, bpm, timestamp, ecg):
+        rec = TelemetryRecord(device_id, timestamp, bpm, ecg, location)
+        try:
+            expected = encode_record_reference(rec)
+        except ValueError:  # NaN or Infinity
+            with pytest.raises(ValueError):
+                encode_record(rec)
+            return
+        assert encode_record(rec) == expected
+
+    @pytest.mark.parametrize("bits", [1, 4, 12, 16])
+    def test_full_records_of_codes(self, bits):
+        rng = np.random.default_rng(bits)
+        for size in (1, 2, 9, 511, 4999, 5000):
+            codes = rng.integers(0, 2**bits, size)
+            codes[rng.integers(0, size)] = 2**bits - 1
+            rec = make_record(ecg=codes)
+            assert encode_record(rec) == encode_record_reference(rec)
+
+    def test_pipeline_record_samples_never_reach_json(self, monkeypatch):
+        """A 5000-code record goes through json only for its four header keys."""
+        record = run_pipeline(dataclasses.replace(PipelineConfig(), duration=10.24)).record
+        assert len(record.ecg) == 5000
+        expected = encode_record_reference(record)
+        dumped = []
+        dumps = json.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            dumped.append(obj)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(telemetry.json, "dumps", counting_dumps)
+        assert encode_record(record) == expected
+        assert len(dumped) == 1
+        assert list(dumped[0]) == ["device_id", "timestamp", "bpm", "location"]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64,
+                                       np.float16, np.float32, np.float64])
+    def test_record_from_array_equals_record_from_list(self, dtype):
+        kind = np.iinfo if np.issubdtype(dtype, np.integer) else np.finfo
+        arr = np.array([kind(dtype).min, kind(dtype).max, 0, 1, 100], dtype=dtype)
+        if kind is np.finfo:
+            arr = np.append(arr, np.array([-0.0, 0.1, kind(dtype).tiny], dtype=dtype))
+        for ecg in (arr, arr[::-1], arr[::2], arr.astype(arr.dtype.newbyteorder())):
+            from_array = make_record(ecg=ecg)
+            from_list = make_record(ecg=ecg.tolist())
+            per_sample = [_plain_number(v) for v in ecg]
+            assert type(from_array.ecg) is list
+            assert from_array == from_list
+            assert from_array.ecg == per_sample
+            assert [type(v) for v in from_array.ecg] == [type(v) for v in per_sample]
+        ecg = arr.copy()
+        rec = make_record(ecg=ecg)
+        ecg[0] = 1
+        assert rec.ecg[0] == arr[0]  # the record holds its own copy
+
+    @pytest.mark.parametrize("ecg, message", [
+        (np.array([1, 0], dtype=bool), r"ecg samples must be numbers, got bool_?"),  # numpy < 2: bool_
+        (np.array([1 + 2j]), r"ecg samples must be numbers, got complex128"),
+        (np.array([1, "x"], dtype=object), r"ecg samples must be numbers, got str"),
+        (np.array(5), r"ecg must be a sequence of numbers, got ndarray"),
+        (np.zeros((2, 3), dtype=np.int64), r"ecg samples must be numbers, got ndarray"),
+    ])
+    def test_other_arrays_take_the_per_sample_check(self, ecg, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_record(ecg=ecg)
 
 
 class TestSinks:
