@@ -38,7 +38,6 @@ from .dsp import (
     HeartRateReading,
     InsufficientDataError,
     TriggerConfig,
-    detect_falling_edges,
     detect_rising_edges,
     fft_notch,
     heart_rate_from_edges,

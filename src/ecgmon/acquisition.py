@@ -8,6 +8,10 @@ completes while the previous ready half is still unconsumed, the stale
 half is dropped and overwritten (overrun policy: overwrite-oldest and
 flag), which shows up as a gap in consumed sequence numbers.
 
+PingPongBuffer.acquire() is the half driver that run_pipeline and
+`ecgmon stream` both use: it writes one half-sized block at a time and
+hands each completed half to the caller as soon as it fills.
+
 One producer context and one consumer context may operate concurrently;
 all buffer state is guarded by an internal lock.
 """
@@ -15,7 +19,7 @@ all buffer state is guarded by an internal lock.
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +100,9 @@ class PingPongBuffer:
     push_block() copies a block of codes into the active half, switching
     halves as each fills, and returns one ReadyEvent per completed half,
     like a DMA transfer-complete interrupt; take_ready_half() hands the
-    filled half to the consumer as an owned copy.  The overrun flag
-    latches once a half is dropped.
+    filled half to the consumer as an owned copy; acquire() drives both in
+    turn over a whole code stream.  The overrun flag latches once a half is
+    dropped.
     """
 
     def __init__(self, half_capacity: int):
@@ -107,7 +112,7 @@ class PingPongBuffer:
         self._halves = [np.zeros(self.half_capacity, dtype=np.int64) for _ in range(2)]
         self.write_index = 0
         self.active_half = 0
-        self.ready_events: deque[ReadyEvent] = deque()
+        self._ready: ReadyEvent | None = None
         self.overrun_flag = False
         self._next_seq = 0
         self._lock = threading.Lock()
@@ -128,11 +133,10 @@ class PingPongBuffer:
                     break
                 event = ReadyEvent(half=self.active_half, seq=self._next_seq)
                 self._next_seq += 1
-                if self.ready_events:
+                if self._ready is not None:
                     # consumer stalled: drop the stale ready half, keep newest
-                    self.ready_events.clear()
                     self.overrun_flag = True
-                self.ready_events.append(event)
+                self._ready = event
                 events.append(event)
                 self.active_half ^= 1
                 self.write_index = 0
@@ -141,8 +145,16 @@ class PingPongBuffer:
     def take_ready_half(self) -> ReadyHalf | None:
         """Pop the pending ready half, or None when nothing is ready."""
         with self._lock:
-            if not self.ready_events:
+            event, self._ready = self._ready, None
+            if event is None:
                 return None
-            event = self.ready_events.popleft()
             codes = self._halves[event.half].copy()
             return ReadyHalf(seq=event.seq, half=event.half, codes=codes, overrun=self.overrun_flag)
+
+    def acquire(self, codes) -> Iterator[ReadyHalf]:
+        """Write codes one half_capacity block at a time, as the DMA does,
+        and yield each completed half as it is taken.  A trailing partial
+        half stays in the buffer."""
+        for start in range(0, len(codes), self.half_capacity):
+            if self.push_block(codes[start:start + self.half_capacity]):
+                yield self.take_ready_half()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from . import dsp, telemetry
 from .acquisition import AdcConfig, PingPongBuffer, quantize
 from .config import ConfigError, PipelineConfig
-from .frontend import measure_metrics
+from .frontend import chain_magnitude, measure_metrics
 from .pipeline import PipelineError, make_sink, run_pipeline
 from .render import export_ascii, export_svg, Framebuffer, draw_trace, map_to_trace
 from .signals import NoiseConfig, SampleFrame, add_noise, generate_ecg, generate_sine
@@ -97,8 +96,8 @@ def _cmd_metrics(args) -> int:
     rate = _given(args.rate, cfg.sample_rate)
     sigma = _given(args.noise_sigma, cfg.noise.emg_sigma)
     seed = _given(args.seed, cfg.noise.rng_seed)
-    noise = NoiseConfig(emg_sigma=sigma, rng_seed=seed) if sigma > 0 else None
-    report = measure_metrics(spec, sample_rate=rate, noise=noise)
+    noise = NoiseConfig(emg_sigma=sigma, rng_seed=seed)  # refuses a negative or non-finite sigma
+    report = measure_metrics(spec, sample_rate=rate, noise=noise if sigma > 0 else None)
     doc = {k: (round(v, 6) if isinstance(v, float) else v) for k, v in report.as_dict().items()}
     print(_json_line(doc))
     if args.response_csv:
@@ -107,10 +106,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _write_response_csv(spec, rate: float, path) -> None:
-    from .frontend import _chain_magnitude
-
     freqs = np.logspace(np.log10(0.01), np.log10(0.49 * rate), 200)
-    mags = _chain_magnitude(spec, rate, freqs) * spec.chain_gain
+    mags = chain_magnitude(spec, rate, freqs) * spec.chain_gain
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("freq_hz,mag_db\n")
         for f, m in zip(freqs, mags):
@@ -149,43 +146,13 @@ def _cmd_stream(args) -> int:
     frame = SampleFrame.from_csv(args.infile)
     adc = AdcConfig(resolution_bits=args.bits, vref=args.vref, sample_rate=frame.sample_rate)
     codes = quantize(frame.values, adc)
-    buf = PingPongBuffer(args.half_capacity)
-    items = threading.Semaphore(0)
-    space = threading.Semaphore(0)
-    done = threading.Event()
-    lines: list[str] = []
-
-    def producer() -> None:
-        for start in range(0, len(codes), args.half_capacity):
-            if buf.push_block(codes[start:start + args.half_capacity]):
-                items.release()
-                space.acquire()  # hand-off: block until the consumer took the half
-        done.set()
-        items.release()
-
-    def consumer() -> None:
-        while True:
-            items.acquire()
-            half = buf.take_ready_half()
-            if half is None:
-                if done.is_set():
-                    return
-                continue
-            lines.append(_json_line({
-                "seq": half.seq,
-                "half": half.half,
-                "overrun": half.overrun,
-                "codes": half.codes.tolist(),
-            }))
-            space.release()
-
-    threads = [threading.Thread(target=producer), threading.Thread(target=consumer)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for line in lines:
-        print(line)
+    for half in PingPongBuffer(args.half_capacity).acquire(codes):
+        print(_json_line({
+            "seq": half.seq,
+            "half": half.half,
+            "overrun": half.overrun,
+            "codes": half.codes.tolist(),
+        }))
     return 0
 
 

@@ -8,6 +8,7 @@ only overrides them, and each key's parser follows from its field's type.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -15,7 +16,7 @@ from .acquisition import AdcConfig
 from .dsp import TriggerConfig, _require_notch, _require_odd_window
 from .frontend import FrontEndSpec
 from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH
-from .signals import EcgTemplateParams, NoiseConfig
+from .signals import EcgTemplateParams, NoiseConfig, _require_finite_positive
 from .telemetry import MAX_ECG_SAMPLES, AlertPolicy
 
 __all__ = ["ConfigError", "PipelineConfig"]
@@ -60,6 +61,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.source not in ("ecg", "sine"):
             raise ValueError(f"source must be 'ecg' or 'sine', got {self.source!r}")
+        _require_finite_positive(duration=self.duration, bpm=self.bpm)
+        if not math.isfinite(self.sine_amplitude):
+            raise ValueError(f"sine_amplitude must be finite, got {self.sine_amplitude}")
         if self.half_capacity < 1:
             raise ValueError(f"half_capacity must be >= 1, got {self.half_capacity}")
         # the bounds the dsp, render and telemetry stages apply, checked up

@@ -9,6 +9,7 @@ with the run's middle sample taken as the edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ __all__ = [
     "fft_notch",
     "smooth_emg",
     "detect_rising_edges",
-    "detect_falling_edges",
     "heart_rate_from_edges",
 ]
 
@@ -49,10 +49,13 @@ def fft_notch(frame: SampleFrame, center: float = 50.0, half_band: float = 2.0) 
 
 
 def _require_notch(center: float, half_band: float, sample_rate: float) -> None:
+    # a NaN center or band would match no bin and pass the frame through
+    if not math.isfinite(center):
+        raise ValueError(f"notch center must be finite, got {center}")
     if center >= sample_rate / 2:
         raise ValueError(f"notch center {center} Hz is at or above Nyquist ({sample_rate / 2} Hz)")
-    if half_band < 0:
-        raise ValueError(f"half_band must be >= 0, got {half_band}")
+    if not 0 <= half_band < math.inf:
+        raise ValueError(f"half_band must be finite and >= 0, got {half_band}")
 
 
 def smooth_emg(frame: SampleFrame, window: int) -> SampleFrame:
@@ -93,12 +96,14 @@ class TriggerConfig:
     refractory: float = 0.25
 
     def __post_init__(self):
-        if self.band_epsilon is not None and self.band_epsilon < 0:
-            raise ValueError(f"band_epsilon must be >= 0, got {self.band_epsilon}")
+        if self.trigger_level is not None and not math.isfinite(self.trigger_level):
+            raise ValueError(f"trigger_level must be finite, got {self.trigger_level}")
+        if self.band_epsilon is not None and not 0 <= self.band_epsilon < math.inf:
+            raise ValueError(f"band_epsilon must be finite and >= 0, got {self.band_epsilon}")
         if self.run_length < 3:
             raise ValueError(f"run_length must be >= 3, got {self.run_length}")
-        if self.refractory < 0:
-            raise ValueError(f"refractory must be >= 0, got {self.refractory}")
+        if not 0 <= self.refractory < math.inf:
+            raise ValueError(f"refractory must be finite and >= 0, got {self.refractory}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,7 @@ class EdgeEvent:
 
     sample_index: int
     time: float
-    kind: str  # "rising" | "falling"
+    kind: str  # "rising"; heart_rate_from_edges skips any other kind
 
 
 def _resolve_trigger(values: np.ndarray, cfg: TriggerConfig) -> tuple[float, float]:
@@ -117,18 +122,21 @@ def _resolve_trigger(values: np.ndarray, cfg: TriggerConfig) -> tuple[float, flo
     return level, epsilon
 
 
-def _detect_edges(frame: SampleFrame, cfg: TriggerConfig, rising: bool) -> list[EdgeEvent]:
-    values = frame.values if rising else -frame.values
+def detect_rising_edges(frame: SampleFrame, cfg: TriggerConfig | None = None) -> list[EdgeEvent]:
+    """Scan left to right for rising trigger points.
+
+    A match is run_length consecutive non-decreasing samples whose span
+    touches or straddles the band around the trigger level; the middle
+    sample of the run is reported and scanning skips ahead by the
+    refractory interval.
+    """
+    cfg = cfg or TriggerConfig()
+    values = frame.values
     n = len(values)
     run = cfg.run_length
     if n < run:
         raise ValueError(f"frame of {n} samples is shorter than run_length {run}")
-    level, epsilon = _resolve_trigger(values, cfg if rising else TriggerConfig(
-        trigger_level=None if cfg.trigger_level is None else -cfg.trigger_level,
-        band_epsilon=cfg.band_epsilon,
-        run_length=cfg.run_length,
-        refractory=cfg.refractory,
-    ))
+    level, epsilon = _resolve_trigger(values, cfg)
     # steps_ok[i]: the run - 1 steps from sample i on are all non-decreasing
     rises = np.diff(values) >= 0
     starts = n - run + 1
@@ -143,7 +151,6 @@ def _detect_edges(frame: SampleFrame, cfg: TriggerConfig, rising: bool) -> list[
         steps_ok & (first <= level + epsilon) & (last >= level - epsilon) & (last > first)
     )[0]
     refractory_samples = int(round(cfg.refractory * frame.sample_rate))
-    kind = "rising" if rising else "falling"
     events: list[EdgeEvent] = []
     next_allowed = 0
     for i in candidates:
@@ -153,26 +160,10 @@ def _detect_edges(frame: SampleFrame, cfg: TriggerConfig, rising: bool) -> list[
         events.append(EdgeEvent(
             sample_index=mid,
             time=frame.start_time + mid / frame.sample_rate,
-            kind=kind,
+            kind="rising",
         ))
         next_allowed = int(i) + max(refractory_samples, 1)
     return events
-
-
-def detect_rising_edges(frame: SampleFrame, cfg: TriggerConfig | None = None) -> list[EdgeEvent]:
-    """Scan left to right for rising trigger points.
-
-    A match is run_length consecutive non-decreasing samples whose span
-    touches or straddles the band around the trigger level; the middle
-    sample of the run is reported and scanning skips ahead by the
-    refractory interval.
-    """
-    return _detect_edges(frame, cfg or TriggerConfig(), rising=True)
-
-
-def detect_falling_edges(frame: SampleFrame, cfg: TriggerConfig | None = None) -> list[EdgeEvent]:
-    """Mirror of detect_rising_edges for non-increasing runs."""
-    return _detect_edges(frame, cfg or TriggerConfig(), rising=False)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.signal import lfilter
@@ -34,6 +34,7 @@ __all__ = [
     "discretize",
     "apply_frontend",
     "measure_metrics",
+    "chain_magnitude",
     "bench_components",
     "bench_spec",
 ]
@@ -64,15 +65,11 @@ class ComponentValues:
     r_b: float
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"component {name} must be > 0")
+        _require_finite_positive(**{name: getattr(self, name) for name in self.__dataclass_fields__})
 
 
 def instrument_gain(c: ComponentValues) -> float:
     """Two-stage instrumentation amplifier gain: (1 + (R3+R4)/(R1+R2)) * R7/R5."""
-    if c.r1 + c.r2 == 0 or c.r5 == 0:
-        raise ValueError("instrument amplifier denominators must be nonzero")
     return (1.0 + (c.r3 + c.r4) / (c.r1 + c.r2)) * (c.r7 / c.r5)
 
 
@@ -131,11 +128,13 @@ class FrontEndSpec:
             f_0=self.f_0,
             notch_q=self.notch_q,
         )
+        if not math.isfinite(self.cmrr_db):
+            raise ValueError(f"cmrr_db must be finite, got {self.cmrr_db}")
         if not self.f_ch < self.f_0 < self.f_cl:
             raise ValueError(f"need f_ch < f_0 < f_cl, got {self.f_ch}, {self.f_0}, {self.f_cl}")
         low, high = self.supply
-        if not low < high:
-            raise ValueError(f"supply range must be increasing, got {self.supply}")
+        if not -math.inf < low < high < math.inf:
+            raise ValueError(f"supply range must be finite and increasing, got {self.supply}")
         if not low <= self.lift_bias <= high:
             raise ValueError(f"lift_bias must be within the supply [{low}, {high}] V, "
                              f"got {self.lift_bias}")
@@ -203,9 +202,6 @@ class DiscretizedFilter:
     def coefficients(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         """(b, a) of the difference equation, a[0] = 1."""
         return (self.b0, self.b1, self.b2), (1.0, self.a1, self.a2)
-
-    def reset(self) -> None:
-        self._state[:] = 0.0
 
     def process(self, x: np.ndarray) -> np.ndarray:
         """Filter a block, carrying state across calls."""
@@ -279,7 +275,7 @@ def _chain_coefficients(spec: FrontEndSpec, sample_rate: float, with_notch: bool
     )
 
 
-def _chain_magnitude(spec: FrontEndSpec, sample_rate: float, freqs, with_notch: bool = True) -> np.ndarray:
+def chain_magnitude(spec: FrontEndSpec, sample_rate: float, freqs, with_notch: bool = True) -> np.ndarray:
     """Magnitude of the filter cascade (gain excluded) on the unit circle."""
     h = np.ones_like(np.asarray(freqs, dtype=np.float64), dtype=np.complex128)
     for b, a in _chain_coefficients(spec, sample_rate, with_notch):
@@ -334,17 +330,7 @@ class MetricsReport:
     equiv_input_noise: float
 
     def as_dict(self) -> dict:
-        return {
-            "differential_gain": self.differential_gain,
-            "common_mode_gain": self.common_mode_gain,
-            "cmrr_db": self.cmrr_db,
-            "bandwidth_low": self.bandwidth_low,
-            "bandwidth_high": self.bandwidth_high,
-            "bw": self.bw,
-            "mains_attenuation_db": self.mains_attenuation_db,
-            "input_impedance": self.input_impedance,
-            "equiv_input_noise": self.equiv_input_noise,
-        }
+        return asdict(self)
 
 
 _PROBE_AMPLITUDE_MV = 0.5  # half the rail swing at gain 1650, no clipping
@@ -401,14 +387,14 @@ def _band_edges(spec: FrontEndSpec, sample_rate: float, with_notch: bool = True)
     -3 dB target bracket the bisections, so the in-band 50 Hz notch dip
     does not terminate the band early.
     """
-    ref = float(_chain_magnitude(spec, sample_rate, 10.0, with_notch))
+    ref = float(chain_magnitude(spec, sample_rate, 10.0, with_notch))
     target = ref / math.sqrt(2.0)
     grid = np.logspace(math.log10(1e-3), math.log10(0.499 * sample_rate), 800)
-    mags = _chain_magnitude(spec, sample_rate, grid, with_notch)
+    mags = chain_magnitude(spec, sample_rate, grid, with_notch)
     above = np.nonzero(mags >= target)[0]
     if len(above) == 0:
         raise ValueError("response never reaches the -3 dB target")
-    mag_fn = lambda f: float(_chain_magnitude(spec, sample_rate, f, with_notch))
+    mag_fn = lambda f: float(chain_magnitude(spec, sample_rate, f, with_notch))
     i_first, i_last = int(above[0]), int(above[-1])
     if i_first == 0:
         f_low = float(grid[0])

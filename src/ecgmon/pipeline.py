@@ -81,15 +81,7 @@ def run_pipeline(
 
     codes = _stage("acquisition", quantize, conditioned.frame.values, cfg.adc)
     buf = PingPongBuffer(cfg.half_capacity)
-    consumed: list[np.ndarray] = []
-
-    def acquire() -> None:
-        # one DMA-sized block per half; each completed half is taken at once
-        for start in range(0, len(codes), cfg.half_capacity):
-            if buf.push_block(codes[start:start + cfg.half_capacity]):
-                consumed.append(buf.take_ready_half().codes)
-
-    _stage("acquisition", acquire)
+    consumed = _stage("acquisition", lambda: [h.codes for h in buf.acquire(codes)])
     if not consumed:
         raise PipelineError("acquisition", ValueError(
             f"{len(codes)} samples never filled a {cfg.half_capacity}-sample half; "

@@ -103,9 +103,14 @@ class NoiseConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("mains_freq", "wander_freq", "dc_offset", "common_mode_freq"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("mains_amplitude", "wander_amplitude", "emg_sigma", "common_mode_amplitude"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

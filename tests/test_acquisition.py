@@ -191,6 +191,34 @@ class TestPingPongBuffer:
         one_code = drive(lambda lo, hi: [(i, i + 1) for i in range(lo, hi)])
         assert blocks == one_code
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        capacity=st.integers(min_value=1, max_value=600),
+        length=st.integers(min_value=0, max_value=3000),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        prefix=st.integers(min_value=0, max_value=1300),
+    )
+    def test_acquire_matches_push_take_loop(self, capacity, length, seed, prefix):
+        """acquire() yields exactly the halves of the explicit block loop and
+        leaves the buffer in the same state, trailing partial half included.
+        An untaken prefix starts it mid-half or with a stale ready half."""
+        rng = np.random.default_rng(seed)
+        head, data = rng.integers(0, 4096, prefix), rng.integers(0, 4096, length)
+
+        def fields(half):
+            return half.seq, half.half, half.overrun, half.codes.tolist()
+
+        buf, ref = PingPongBuffer(capacity), PingPongBuffer(capacity)
+        buf.push_block(head)
+        ref.push_block(head)
+        got = [fields(half) for half in buf.acquire(data)]
+        want = []
+        for start in range(0, length, capacity):
+            if ref.push_block(data[start:start + capacity]):
+                want.append(fields(ref.take_ready_half()))
+        assert got == want
+        assert (buf.write_index, buf.overrun_flag) == (ref.write_index, ref.overrun_flag)
+
     def test_concurrent_producer_consumer(self):
         """One writer thread and one reader thread share the buffer safely."""
         data = list(range(50_000))

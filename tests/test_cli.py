@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -251,7 +252,22 @@ class TestCliSubcommands:
                      "[dsp]\nnotch_center = 300\n",
                      "[dsp]\nnotch_half_band = -1\n",
                      "[telemetry]\nmax_ecg = -1\n",
-                     "[render]\nwidth = 0\n"):
+                     "[render]\nwidth = 0\n",
+                     "[trigger]\nrefractory = nan\n",
+                     "[trigger]\nrefractory = inf\n",
+                     "[trigger]\ntrigger_level = nan\n",
+                     "[trigger]\nband_epsilon = inf\n",
+                     "[noise]\nemg_sigma = nan\n",
+                     "[noise]\nmains_freq = inf\n",
+                     "[frontend]\ncmrr_db = nan\n",
+                     "[frontend]\nsupply_max = inf\n",
+                     "[signal]\nbpm = 0\n",
+                     "[signal]\nbpm = nan\n",
+                     "[signal]\nduration = nan\n",
+                     "[signal]\nsine_amplitude = nan\n",
+                     "[noise]\nseed = -1\n",
+                     "[dsp]\nnotch_center = nan\n",
+                     "[dsp]\nnotch_half_band = inf\n"):
             bad.write_text(text)
             assert main(["run", "--config", str(bad), "--publish"]) == 1, text
             captured = capsys.readouterr()
@@ -300,6 +316,20 @@ class TestCliSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["bpm"] is None and doc["edges"] == []
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--refractory", "inf"),
+        ("--refractory", "nan"),
+        ("--trigger-level", "nan"),
+        ("--band-epsilon", "inf"),
+    ])
+    def test_detect_nonfinite_trigger_exits_runtime(self, tmp_path, capsys, flag, value):
+        fixture = tmp_path / "sine.csv"
+        assert main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)]) == 0
+        assert main(["detect", "--in", str(fixture), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag[2:].replace("-", "_") in captured.err
+
     def test_notch_removes_mains(self, tmp_path, capsys):
         noisy = tmp_path / "noisy.csv"
         clean = tmp_path / "clean.csv"
@@ -333,6 +363,24 @@ class TestCliSubcommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "vref" in captured.err
+
+    # sha256 of stdout for a 10 s noisy ECG at each half capacity; 5000 % 7
+    # and 5000 % 128 leave a trailing partial half, which is not printed
+    @pytest.mark.parametrize("capacity, digest", [
+        (1, "ab368953e9268f4625deb366eabaad702da4cdf9e79a36827e442d66a4b833b7"),
+        (7, "625f914547a625c2e6d5470ce69130983ea5ec8d63c086df3baa1e7bd573ca6c"),
+        (128, "377a0dddf2e6b910c38665a5bb3ac93dc56e0cbdb19a652cd194abeccba32f89"),
+        (512, "0c379fad7b929861d18e15ce9126028c7dacc001331213dec1d14a00687e5db9"),
+        (5000, "628213b20588d64f4b61eb2992afe0db3a50ce790291cf35bba36e94291ee05d"),
+    ])
+    def test_stream_bytes(self, tmp_path, capsys, capacity, digest):
+        fixture = tmp_path / "noisy.csv"
+        assert main(["simulate", "--duration", "10", "--mains-amplitude", "0.3",
+                     "--wander-amplitude", "0.2", "--emg-sigma", "0.05", "--seed", "3",
+                     "--out", str(fixture)]) == 0
+        assert main(["stream", "--in", str(fixture), "--half-capacity", str(capacity)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_plot_empty_input_valid_svg(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -402,6 +450,14 @@ class TestCliSubcommands:
         assert lines[0] == "freq_hz,mag_db"
         freqs = [float(row.split(",")[0]) for row in lines[1:]]
         assert freqs == sorted(freqs) and len(freqs) == 200
+
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_metrics_bad_noise_sigma_exits_runtime(self, capsys, sigma):
+        """Not the no-noise row: --noise-sigma 0 alone selects that."""
+        assert main(["metrics", "--noise-sigma", sigma]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "emg_sigma" in captured.err
 
     def test_metrics_takes_config_values(self, tmp_path, capsys):
         cfg = tmp_path / "metrics.cfg"

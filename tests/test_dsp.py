@@ -10,7 +10,6 @@ from ecgmon.dsp import (
     EdgeEvent,
     InsufficientDataError,
     TriggerConfig,
-    detect_falling_edges,
     detect_rising_edges,
     fft_notch,
     heart_rate_from_edges,
@@ -67,6 +66,18 @@ class TestFftNotch:
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
             fft_notch(SampleFrame(500.0, np.zeros(1)))
+
+    @pytest.mark.parametrize("center, half_band, match", [
+        (float("nan"), 2.0, "center must be finite"),
+        (float("-inf"), 2.0, "center must be finite"),
+        (50.0, float("nan"), "half_band must be finite"),
+        (50.0, float("inf"), "half_band must be finite"),
+    ])
+    def test_nonfinite_notch_rejected(self, center, half_band, match):
+        """A NaN center or band matches no bin: refused, not passed through."""
+        frame = generate_sine(10.0, 1.0, 500.0, 1.0)
+        with pytest.raises(ValueError, match=match):
+            fft_notch(frame, center, half_band)
 
 
 class TestSmoothEmg:
@@ -130,18 +141,15 @@ class TestDetectEdges:
         spacing = edges[1].sample_index - edges[0].sample_index
         assert abs(spacing - 250) <= 3
 
-    def test_falling_edges_mirror(self):
-        frame = generate_sine(2.0, 1.0, 500.0, 1.0)
-        cfg = TriggerConfig(trigger_level=0.0, band_epsilon=0.01, refractory=0.2)
-        falling = detect_falling_edges(frame, cfg)
-        assert len(falling) == 2
-        assert all(e.kind == "falling" for e in falling)
-        mirrored = detect_rising_edges(frame.with_values(-frame.values), cfg)
-        assert [e.sample_index for e in falling] == [e.sample_index for e in mirrored]
-
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
             detect_rising_edges(SampleFrame(500.0, np.zeros(2)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["trigger_level", "band_epsilon", "refractory"])
+    def test_nonfinite_trigger_settings_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TriggerConfig(**{name: bad})
 
     def test_translation_equivariance(self):
         """Embedding the frame later in a plateau shifts interior edges by k."""
@@ -185,17 +193,13 @@ class TestDetectEdges:
         assert [e.sample_index for e in auto] == [e.sample_index for e in explicit]
 
 
-def detect_edges_reference(frame: SampleFrame, cfg: TriggerConfig, rising: bool) -> list[int]:
+def detect_edges_reference(frame: SampleFrame, cfg: TriggerConfig) -> list[int]:
     """Edge indices by the sliding-window run check: each window of run - 1
     steps is tested with np.all."""
-    values = frame.values if rising else -frame.values
+    values = frame.values
     n, run = len(values), cfg.run_length
     lo, hi = float(np.min(values)), float(np.max(values))
-    level = cfg.trigger_level
-    if level is None:
-        level = (lo + hi) / 2.0
-    elif not rising:
-        level = -level
+    level = cfg.trigger_level if cfg.trigger_level is not None else (lo + hi) / 2.0
     epsilon = cfg.band_epsilon if cfg.band_epsilon is not None else 0.02 * (hi - lo)
     steps_ok = np.all(sliding_window_view(np.diff(values) >= 0, run - 1), axis=1)
     first, last = values[: n - run + 1], values[run - 1:]
@@ -216,23 +220,21 @@ class TestDetectEdgesReference:
            run=st.integers(3, 9),
            level=st.one_of(st.none(), st.integers(-20, 20).map(float)),
            epsilon=st.one_of(st.none(), st.sampled_from([0.0, 0.5, 2.0])),
-           refractory=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
-           rising=st.booleans())
-    def test_same_edges_as_window_check(self, steps, run, level, epsilon, refractory, rising):
+           refractory=st.sampled_from([0.0, 0.01, 0.05, 0.2]))
+    def test_same_edges_as_window_check(self, steps, run, level, epsilon, refractory):
         """Small integer steps give long monotone runs, plateaus and reversals."""
         frame = SampleFrame(100.0, np.cumsum(np.asarray(steps, dtype=np.float64)))
         cfg = TriggerConfig(trigger_level=level, band_epsilon=epsilon, run_length=run,
                             refractory=refractory)
-        detect = detect_rising_edges if rising else detect_falling_edges
-        got = [e.sample_index for e in detect(frame, cfg)]
-        assert got == detect_edges_reference(frame, cfg, rising)
+        got = [e.sample_index for e in detect_rising_edges(frame, cfg)]
+        assert got == detect_edges_reference(frame, cfg)
 
     @pytest.mark.parametrize("run", [3, 4, 9])
     def test_frame_of_exactly_run_length(self, run):
         frame = SampleFrame(100.0, np.arange(float(run)))
         cfg = TriggerConfig(run_length=run)
         got = [e.sample_index for e in detect_rising_edges(frame, cfg)]
-        assert got == detect_edges_reference(frame, cfg, True) == [run // 2]
+        assert got == detect_edges_reference(frame, cfg) == [run // 2]
 
 
 class TestHeartRate:

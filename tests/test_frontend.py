@@ -13,7 +13,7 @@ from ecgmon.cli import main
 from ecgmon.frontend import (
     ComponentValues,
     FrontEndSpec,
-    _chain_magnitude,
+    chain_magnitude,
     apply_frontend,
     discretize,
     highpass_cutoff,
@@ -77,8 +77,9 @@ class TestGainFormulas:
         assert voltage_gain(components()) == pytest.approx(75.0, abs=1e-12)
 
     def test_nonpositive_component_rejected(self):
-        with pytest.raises(ValueError):
-            components(r5=0.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="r5 must be finite and > 0"):
+                components(r5=bad)
 
 
 class TestCutoffFormulas:
@@ -263,7 +264,7 @@ class TestDesignCache:
         for kind in ("notch", "lowpass", "highpass"):
             if with_notch or kind != "notch":
                 h = h * discretize(kind, spec, 500.0).response_at(freqs)
-        magnitude = _chain_magnitude(spec, 500.0, freqs, with_notch)
+        magnitude = chain_magnitude(spec, 500.0, freqs, with_notch)
         assert magnitude.tobytes() == np.abs(h).tobytes()
 
 
@@ -368,6 +369,12 @@ class TestMeasureMetrics:
             FrontEndSpec(lift_bias=5.0)
         with pytest.raises(ValueError, match="notch_q"):
             FrontEndSpec(notch_q=float("nan"))
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="cmrr_db"):
+                FrontEndSpec(cmrr_db=bad)
+        for bad in ((0.0, float("inf")), (float("-inf"), 3.3), (0.0, float("nan"))):
+            with pytest.raises(ValueError, match="supply range must be finite"):
+                FrontEndSpec(supply=bad)
         # the bias is bounded by the spec's own supply, not a fixed 3.3 V rail
         assert FrontEndSpec(supply=(0.0, 5.0), lift_bias=4.0).lift_bias == 4.0
         cfg = tmp_path / "low_rail.cfg"

@@ -294,3 +294,12 @@ class TestAddNoise:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             NoiseConfig(mains_amplitude=-1.0)
+
+    @pytest.mark.parametrize("name", [
+        "mains_amplitude", "mains_freq", "wander_amplitude", "wander_freq", "emg_sigma",
+        "dc_offset", "common_mode_amplitude", "common_mode_freq",
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_noise_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            NoiseConfig(**{name: bad})
