@@ -17,7 +17,6 @@ from .signals import (
 )
 from .frontend import (
     ComponentValues,
-    DiscretizedFilter,
     FrontEndResult,
     FrontEndSpec,
     MetricsReport,

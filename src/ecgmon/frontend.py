@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -23,7 +23,6 @@ from .signals import (NoiseConfig, SampleFrame, SourceSignal, _require_finite_po
 __all__ = [
     "ComponentValues",
     "FrontEndSpec",
-    "DiscretizedFilter",
     "FrontEndResult",
     "MetricsReport",
     "instrument_gain",
@@ -39,8 +38,8 @@ __all__ = [
     "bench_spec",
 ]
 
-DEFAULT_INPUT_IMPEDANCE = 13.2e6  # ohms, declared constant, never simulated
-DEFAULT_STAGE_ORDER = ("notch", "lowpass", "highpass")
+INPUT_IMPEDANCE = 13.2e6  # ohms, declared constant, never simulated
+STAGE_ORDER = ("notch", "lowpass", "highpass")
 
 
 @dataclass(frozen=True)
@@ -166,64 +165,19 @@ def bench_spec() -> FrontEndSpec:
     return FrontEndSpec()
 
 
-@dataclass
-class DiscretizedFilter:
-    """Biquad difference equation with two delay states.
-
-    y[n] = b0*x[n] + b1*x[n-1] + b2*x[n-2] - a1*y[n-1] - a2*y[n-2]
-
-    First-order stages use b2 = a2 = 0.  A single instance owns its state
-    and must not be shared across concurrent callers.
-    """
-
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-    sample_rate: float
-    _state: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self._state is None:
-            self._state = np.zeros(2)
-        if not self.is_stable:
-            raise ValueError("filter poles must lie strictly inside the unit circle")
-
-    @property
-    def poles(self) -> np.ndarray:
-        return np.roots([1.0, self.a1, self.a2])
-
-    @property
-    def is_stable(self) -> bool:
-        return bool(np.all(np.abs(self.poles) < 1.0))
-
-    @property
-    def coefficients(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-        """(b, a) of the difference equation, a[0] = 1."""
-        return (self.b0, self.b1, self.b2), (1.0, self.a1, self.a2)
-
-    def process(self, x: np.ndarray) -> np.ndarray:
-        """Filter a block, carrying state across calls."""
-        b, a = self.coefficients
-        y, self._state = lfilter(b, a, np.asarray(x, dtype=np.float64), zi=self._state)
-        return y
-
-    def response_at(self, freq) -> np.ndarray:
-        """Complex response on the unit circle at the given frequency (Hz)."""
-        return _response(*self.coefficients, self.sample_rate, freq)
-
-
 def _response(b, a, sample_rate: float, freq) -> np.ndarray:
+    """Complex response of one (b, a) stage on the unit circle at freq (Hz)."""
     w = 2 * np.pi * np.asarray(freq, dtype=np.float64) / sample_rate
     z1 = np.exp(-1j * w)
     z2 = z1 * z1
     return (b[0] + b[1] * z1 + b[2] * z2) / (a[0] + a[1] * z1 + a[2] * z2)
 
 
-def discretize(stage_kind: str, spec: FrontEndSpec, sample_rate: float) -> DiscretizedFilter:
+def discretize(stage_kind: str, spec: FrontEndSpec, sample_rate: float) -> tuple[tuple, tuple]:
     """Bilinear-transform discretization, prewarped at the stage corner.
 
+    Returns the stage's (b, a) difference-equation coefficients, three of
+    each with a[0] = 1; first-order stages have b[2] = a[2] = 0.
     Prewarping pins the stage's characteristic frequency: the discrete
     high-/low-pass hit exactly -3 dB at their corners and the notch zero
     lands exactly on f_0 at any sample rate.
@@ -244,41 +198,31 @@ def discretize(stage_kind: str, spec: FrontEndSpec, sample_rate: float) -> Discr
         w = 2 * math.pi * f / sample_rate
         alpha = math.sin(w) / (2 * spec.notch_q)
         a0 = 1 + alpha
-        return DiscretizedFilter(
-            b0=1 / a0,
-            b1=-2 * math.cos(w) / a0,
-            b2=1 / a0,
-            a1=-2 * math.cos(w) / a0,
-            a2=(1 - alpha) / a0,
-            sample_rate=sample_rate,
-        )
-
-    # first-order prototypes; K is the prewarped bilinear constant
-    w0 = 2 * math.pi * f
-    k = w0 / math.tan(w0 / (2 * sample_rate))
-    a0 = k + w0
-    if stage_kind == "lowpass":
-        b0, b1 = w0 / a0, w0 / a0
+        b = (1 / a0, -2 * math.cos(w) / a0, 1 / a0)
+        a = (1.0, -2 * math.cos(w) / a0, (1 - alpha) / a0)
     else:
-        b0, b1 = k / a0, -k / a0
-    return DiscretizedFilter(b0=b0, b1=b1, b2=0.0, a1=(w0 - k) / a0, a2=0.0, sample_rate=sample_rate)
+        # first-order prototypes; K is the prewarped bilinear constant
+        w0 = 2 * math.pi * f
+        k = w0 / math.tan(w0 / (2 * sample_rate))
+        a0 = k + w0
+        b = (w0 / a0, w0 / a0, 0.0) if stage_kind == "lowpass" else (k / a0, -k / a0, 0.0)
+        a = (1.0, (w0 - k) / a0, 0.0)
+    if not np.all(np.abs(np.roots(a)) < 1.0):
+        raise ValueError("filter poles must lie strictly inside the unit circle")
+    return b, a
 
 
 @functools.lru_cache(maxsize=64)
-def _chain_coefficients(spec: FrontEndSpec, sample_rate: float, with_notch: bool) -> tuple:
+def _chain_coefficients(spec: FrontEndSpec, sample_rate: float) -> tuple:
     """(b, a) of each cascade stage, designed and stability-checked once per
-    (spec, rate, notch) key.  Holds coefficients only, no filter state."""
-    return tuple(
-        discretize(kind, spec, sample_rate).coefficients
-        for kind in DEFAULT_STAGE_ORDER
-        if with_notch or kind != "notch"
-    )
+    (spec, rate) key."""
+    return tuple(discretize(kind, spec, sample_rate) for kind in STAGE_ORDER)
 
 
-def chain_magnitude(spec: FrontEndSpec, sample_rate: float, freqs, with_notch: bool = True) -> np.ndarray:
+def chain_magnitude(spec: FrontEndSpec, sample_rate: float, freqs) -> np.ndarray:
     """Magnitude of the filter cascade (gain excluded) on the unit circle."""
     h = np.ones_like(np.asarray(freqs, dtype=np.float64), dtype=np.complex128)
-    for b, a in _chain_coefficients(spec, sample_rate, with_notch):
+    for b, a in _chain_coefficients(spec, sample_rate):
         h = h * _response(b, a, sample_rate, freqs)
     return np.abs(h)
 
@@ -291,11 +235,7 @@ class FrontEndResult:
     saturated: bool
 
 
-def apply_frontend(
-    sig: SourceSignal,
-    spec: FrontEndSpec,
-    with_notch: bool = True,
-) -> FrontEndResult:
+def apply_frontend(sig: SourceSignal, spec: FrontEndSpec) -> FrontEndResult:
     """Run a source signal through the conditioning chain.
 
     The common-mode channel leaks in attenuated by the CMRR figure, the
@@ -305,7 +245,7 @@ def apply_frontend(
     rate = sig.differential.sample_rate
     leak = 10 ** (-spec.cmrr_db / 20)
     x = (sig.differential.values + leak * sig.common_mode.values) * 1e-3  # mV -> V
-    for b, a in _chain_coefficients(spec, rate, with_notch):
+    for b, a in _chain_coefficients(spec, rate):
         x = lfilter(b, a, x, zi=np.zeros(2))[0]  # each run starts from rest
     y = spec.chain_gain * x + spec.lift_bias
     lo, hi = spec.supply
@@ -336,8 +276,7 @@ class MetricsReport:
 _PROBE_AMPLITUDE_MV = 0.5  # half the rail swing at gain 1650, no clipping
 
 
-def _probe_gain(spec: FrontEndSpec, sample_rate: float, freq: float,
-                channel: str, with_notch: bool = True) -> float:
+def _probe_gain(spec: FrontEndSpec, sample_rate: float, freq: float, channel: str) -> float:
     """Measured amplitude gain at one frequency via a sine run.
 
     The first half of the run is discarded as settle time and the steady
@@ -350,7 +289,7 @@ def _probe_gain(spec: FrontEndSpec, sample_rate: float, freq: float,
         sig = SourceSignal(differential=sine, common_mode=zeros)
     else:
         sig = SourceSignal(differential=zeros, common_mode=sine)
-    out = apply_frontend(sig, spec, with_notch=with_notch).frame.values
+    out = apply_frontend(sig, spec).frame.values
     tail = out[len(out) // 2:]
     n_cycles = math.floor(len(tail) / sample_rate * freq)
     n_keep = int(round(n_cycles * sample_rate / freq))
@@ -380,21 +319,21 @@ def _bisect_crossing(mag_fn, target: float, lo: float, hi: float, iterations: in
     return math.sqrt(f_lo * f_hi)
 
 
-def _band_edges(spec: FrontEndSpec, sample_rate: float, with_notch: bool = True) -> tuple[float, float]:
+def _band_edges(spec: FrontEndSpec, sample_rate: float) -> tuple[float, float]:
     """Outermost -3 dB crossings of the cascade response.
 
     The band is swept on a log grid and the first/last points above the
     -3 dB target bracket the bisections, so the in-band 50 Hz notch dip
     does not terminate the band early.
     """
-    ref = float(chain_magnitude(spec, sample_rate, 10.0, with_notch))
+    ref = float(chain_magnitude(spec, sample_rate, 10.0))
     target = ref / math.sqrt(2.0)
     grid = np.logspace(math.log10(1e-3), math.log10(0.499 * sample_rate), 800)
-    mags = chain_magnitude(spec, sample_rate, grid, with_notch)
+    mags = chain_magnitude(spec, sample_rate, grid)
     above = np.nonzero(mags >= target)[0]
     if len(above) == 0:
         raise ValueError("response never reaches the -3 dB target")
-    mag_fn = lambda f: float(chain_magnitude(spec, sample_rate, f, with_notch))
+    mag_fn = lambda f: float(chain_magnitude(spec, sample_rate, f))
     i_first, i_last = int(above[0]), int(above[-1])
     if i_first == 0:
         f_low = float(grid[0])
@@ -411,8 +350,6 @@ def measure_metrics(
     spec: FrontEndSpec,
     sample_rate: float = 500.0,
     noise: NoiseConfig | None = None,
-    input_impedance: float = DEFAULT_INPUT_IMPEDANCE,
-    with_notch: bool = True,
 ) -> MetricsReport:
     """Measure the chain the way the bench table defines its rows.
 
@@ -424,19 +361,19 @@ def measure_metrics(
     zero-differential-input run (with the given noise config) referred to
     the input by the measured differential gain.
     """
-    a_d = _probe_gain(spec, sample_rate, 10.0, "differential", with_notch)
-    a_c = _probe_gain(spec, sample_rate, 10.0, "common", with_notch)
+    a_d = _probe_gain(spec, sample_rate, 10.0, "differential")
+    a_c = _probe_gain(spec, sample_rate, 10.0, "common")
     cmrr_db = 20 * math.log10(a_d / a_c)
-    a_50 = _probe_gain(spec, sample_rate, 50.0, "differential", with_notch)
-    a_20 = _probe_gain(spec, sample_rate, 20.0, "differential", with_notch)
+    a_50 = _probe_gain(spec, sample_rate, 50.0, "differential")
+    a_20 = _probe_gain(spec, sample_rate, 20.0, "differential")
     alpha_db = 20 * math.log10(a_50 / a_20)
-    f_low, f_high = _band_edges(spec, sample_rate, with_notch)
+    f_low, f_high = _band_edges(spec, sample_rate)
 
     if noise is None:
         u_omax = 0.0
     else:
         flat = SampleFrame(sample_rate=sample_rate, values=np.zeros(int(4 * sample_rate)), unit="mV")
-        out = apply_frontend(add_noise(flat, noise), spec, with_notch=with_notch).frame.values
+        out = apply_frontend(add_noise(flat, noise), spec).frame.values
         tail = out[len(out) // 2:]
         u_omax = float(np.max(np.abs(tail - spec.lift_bias)))
 
@@ -448,6 +385,6 @@ def measure_metrics(
         bandwidth_high=f_high,
         bw=f_high - f_low,
         mains_attenuation_db=alpha_db,
-        input_impedance=input_impedance,
+        input_impedance=INPUT_IMPEDANCE,
         equiv_input_noise=u_omax / a_d,
     )

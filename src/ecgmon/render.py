@@ -29,35 +29,16 @@ DEFAULT_HEIGHT = 64
 
 @dataclass
 class Framebuffer:
-    """Binary pixel grid with a dirty-region bounding box."""
+    """Binary pixel grid, height rows by width columns, all clear at first."""
 
     width: int = DEFAULT_WIDTH
     height: int = DEFAULT_HEIGHT
-    pixels: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    dirty: tuple[int, int, int, int] | None = None  # (row_min, row_max, col_min, col_max)
+    pixels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"framebuffer must have positive size, got {self.width}x{self.height}")
-        if self.pixels is None:
-            self.pixels = np.zeros((self.height, self.width), dtype=bool)
-        elif self.pixels.shape != (self.height, self.width):
-            raise ValueError("pixel grid shape must match width/height")
-
-    def _touch(self, mask: np.ndarray) -> None:
-        rows, cols = np.nonzero(mask)
-        if rows.size == 0:
-            return
-        box = (int(rows.min()), int(rows.max()), int(cols.min()), int(cols.max()))
-        if self.dirty is None:
-            self.dirty = box
-        else:
-            r0, r1, c0, c1 = self.dirty
-            self.dirty = (min(r0, box[0]), max(r1, box[1]), min(c0, box[2]), max(c1, box[3]))
-
-    def clear(self) -> None:
-        self._touch(self.pixels)
-        self.pixels[:] = False
+        self.pixels = np.zeros((self.height, self.width), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -128,12 +109,8 @@ def draw_trace(fb: Framebuffer, old: PlotTrace | None, new: PlotTrace) -> Frameb
     if old is not None:
         if len(old) != fb.width:
             raise ValueError(f"old trace length {len(old)} does not match framebuffer width {fb.width}")
-        erase = _polyline_mask(old, fb.height)
-        fb.pixels &= ~erase
-        fb._touch(erase)
-    mask = _polyline_mask(new, fb.height)
-    fb.pixels |= mask
-    fb._touch(mask)
+        fb.pixels &= ~_polyline_mask(old, fb.height)
+    fb.pixels |= _polyline_mask(new, fb.height)
     return fb
 
 

@@ -69,6 +69,10 @@ class TelemetryRecord:
     location: str
 
     def __post_init__(self):
+        for name in ("device_id", "location"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         _require_finite("bpm", self.bpm)
         if self.bpm <= 0:
             raise ValueError(f"bpm must be > 0, got {self.bpm}")
@@ -119,8 +123,8 @@ class AlertPolicy:
     high_bpm: float = 120.0
 
     def __post_init__(self):
-        if not 0 < self.low_bpm < self.high_bpm:
-            raise ValueError(f"need 0 < low_bpm < high_bpm, got {self.low_bpm}, {self.high_bpm}")
+        if not 0 < self.low_bpm < self.high_bpm < math.inf:
+            raise ValueError(f"need finite 0 < low_bpm < high_bpm, got {self.low_bpm}, {self.high_bpm}")
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,8 @@ class TestCliSubcommands:
                      "[signal]\nsine_amplitude = nan\n",
                      "[noise]\nseed = -1\n",
                      "[dsp]\nnotch_center = nan\n",
-                     "[dsp]\nnotch_half_band = inf\n"):
+                     "[dsp]\nnotch_half_band = inf\n",
+                     "[alerts]\nhigh_bpm = inf\n"):
             bad.write_text(text)
             assert main(["run", "--config", str(bad), "--publish"]) == 1, text
             captured = capsys.readouterr()
@@ -414,6 +415,16 @@ class TestCliSubcommands:
         assert rec.bpm == 130.0
         alert = json.loads(received[1])
         assert "above high threshold" in alert["message"]
+
+    def test_send_infinite_bound_exits_runtime(self, tmp_path, capsys):
+        """An infinite high bound would never alert: refused before anything is sent."""
+        fixture = tmp_path / "sine.csv"
+        main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)])
+        capsys.readouterr()
+        assert main(["send", "--in", str(fixture), "--bpm", "400", "--high-bpm", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "high_bpm" in captured.err
 
     def test_missing_input_exits_runtime(self, capsys):
         assert main(["detect", "--in", "/no/such/file.csv"]) == 2

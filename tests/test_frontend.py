@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import freqz, lfilter
 
 from ecgmon import frontend
 from ecgmon.cli import main
@@ -134,21 +135,22 @@ class TestCutoffFormulas:
 
 class TestDiscretize:
     def test_highpass_rejects_dc(self):
-        filt = discretize("highpass", bench_spec(), 500.0)
-        out = filt.process(np.ones(20000))
+        b, a = discretize("highpass", bench_spec(), 500.0)
+        out = lfilter(b, a, np.ones(20000))
         assert abs(out[-1]) < 1e-6
 
     def test_lowpass_minus_3db_at_corner(self):
         spec = bench_spec()
-        filt = discretize("lowpass", spec, 500.0)
-        mag_db = 20 * np.log10(abs(filt.response_at(spec.f_cl)))
+        b, a = discretize("lowpass", spec, 500.0)
+        mag_db = 20 * np.log10(abs(frontend._response(b, a, 500.0, spec.f_cl)))
         assert mag_db == pytest.approx(-20 * math.log10(math.sqrt(2)), abs=0.2)
 
     def test_notch_depth_and_passband(self):
         spec = FrontEndSpec(notch_q=5.0, f_0=50.0)
-        filt = discretize("notch", spec, 500.0)
-        assert 20 * np.log10(abs(filt.response_at(50.0))) <= -30.0
-        assert 20 * np.log10(abs(filt.response_at(20.0))) >= -1.0
+        b, a = discretize("notch", spec, 500.0)
+        _, h = freqz(b, a, worN=[50.0, 20.0], fs=500.0)
+        assert 20 * np.log10(abs(h[0])) <= -30.0
+        assert 20 * np.log10(abs(h[1])) >= -1.0
 
     def test_corner_at_nyquist_rejected(self):
         spec = FrontEndSpec(f_cl=260.0, f_0=50.0)
@@ -158,6 +160,14 @@ class TestDiscretize:
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError):
             discretize("bandstop", bench_spec(), 500.0)
+
+    def test_poles_on_the_unit_circle_rejected(self):
+        """Valid specs whose poles round onto |z| = 1: a notch so narrow that
+        a[2] is 1.0, and a high-pass corner so low that a[1] is -1.0."""
+        for kind, spec in (("notch", FrontEndSpec(notch_q=1e300)),
+                           ("highpass", FrontEndSpec(f_ch=1e-300))):
+            with pytest.raises(ValueError, match="unit circle"):
+                discretize(kind, spec, 500.0)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -175,39 +185,31 @@ class TestDiscretize:
             f_0=max(0.95 * freq, 0.19),
             notch_q=q,
         )
-        filt = discretize(kind, spec, rate)
-        assert np.all(np.abs(filt.poles) < 1.0)
-
-    def test_state_carries_across_blocks(self):
-        spec = bench_spec()
-        x = np.sin(2 * np.pi * 10 * np.arange(1000) / 500)
-        one = discretize("lowpass", spec, 500.0).process(x)
-        filt = discretize("lowpass", spec, 500.0)
-        two = np.concatenate([filt.process(x[:400]), filt.process(x[400:])])
-        assert np.allclose(one, two, atol=1e-12)
+        b, a = discretize(kind, spec, rate)
+        assert len(b) == len(a) == 3 and a[0] == 1.0
+        assert np.all(np.abs(np.roots(a)) < 1.0)
 
     def test_each_filter_owns_its_state(self):
-        """discretize returns a fresh filter each call, and apply_frontend,
-        which designs the chain once per spec, never sees that state."""
+        """A stage is an immutable (b, a) pair: each discretize call designs an
+        equal pair, and filtering with one never changes what apply_frontend,
+        which designs the chain once per spec, produces."""
         spec = bench_spec()
         sig = sine_source(10.0, 0.5, 500.0, 2.0)
         before = apply_frontend(sig, spec).frame.values
         x = np.sin(2 * np.pi * 10 * np.arange(1000) / 500)
         used, fresh = discretize("lowpass", spec, 500.0), discretize("lowpass", spec, 500.0)
-        assert used is not fresh and used._state is not fresh._state
-        used.process(x)
-        assert np.any(used._state != 0) and np.all(fresh._state == 0)
-        assert np.array_equal(fresh.process(x), discretize("lowpass", spec, 500.0).process(x))
+        assert used == fresh
+        assert all(type(part) is tuple for part in used)
+        assert np.array_equal(lfilter(*used, x), lfilter(*fresh, x))
         assert apply_frontend(sig, spec).frame.values.tobytes() == before.tobytes()
 
 
-def _chain_reference(sig: SourceSignal, spec: FrontEndSpec, with_notch: bool = True) -> np.ndarray:
-    """apply_frontend's filter cascade run through freshly designed filters."""
+def _chain_reference(sig: SourceSignal, spec: FrontEndSpec) -> np.ndarray:
+    """apply_frontend's filter cascade run through freshly designed stages."""
     leak = 10 ** (-spec.cmrr_db / 20)
     x = (sig.differential.values + leak * sig.common_mode.values) * 1e-3
     for kind in ("notch", "lowpass", "highpass"):
-        if with_notch or kind != "notch":
-            x = discretize(kind, spec, sig.differential.sample_rate).process(x)
+        x = lfilter(*discretize(kind, spec, sig.differential.sample_rate), x)
     return np.clip(spec.chain_gain * x + spec.lift_bias, *spec.supply)
 
 
@@ -234,9 +236,8 @@ class TestDesignCache:
         reports = [measure_metrics(spec, 500.0, noise=noise) for _ in range(2)]
         assert reports[0] == reports[1]
         assert len(discretize_calls) == 3
-        measure_metrics(spec, 500.0, with_notch=False)
         measure_metrics(spec, 250.0)
-        assert len(discretize_calls) == 3 + 2 + 3
+        assert len(discretize_calls) == 3 + 3
 
     def test_replaced_spec_gets_its_own_design(self, discretize_calls):
         spec = FrontEndSpec(notch_q=23.0)
@@ -250,22 +251,24 @@ class TestDesignCache:
         assert second.tobytes() == _chain_reference(sig, narrow).tobytes()
         assert apply_frontend(sig, spec).frame.values.tobytes() == first.tobytes()
 
-    @pytest.mark.parametrize("with_notch", [True, False])
-    def test_same_bytes_as_fresh_filters(self, with_notch):
+    def test_same_bytes_as_fresh_filters(self):
         spec = bench_spec()
         rng = np.random.default_rng(5)
         noisy = SampleFrame(500.0, rng.normal(0.0, 0.3, 3000))
         sig = SourceSignal(differential=noisy, common_mode=noisy.with_values(noisy.values[::-1]))
         for _ in range(2):
-            got = apply_frontend(sig, spec, with_notch=with_notch).frame.values
-            assert got.tobytes() == _chain_reference(sig, spec, with_notch).tobytes()
+            got = apply_frontend(sig, spec).frame.values
+            assert got.tobytes() == _chain_reference(sig, spec).tobytes()
         freqs = np.logspace(-2, np.log10(240.0), 50)
         h = np.ones(len(freqs), dtype=np.complex128)
+        h_freqz = np.ones(len(freqs), dtype=np.complex128)
         for kind in ("notch", "lowpass", "highpass"):
-            if with_notch or kind != "notch":
-                h = h * discretize(kind, spec, 500.0).response_at(freqs)
-        magnitude = chain_magnitude(spec, 500.0, freqs, with_notch)
+            b, a = discretize(kind, spec, 500.0)
+            h = h * frontend._response(b, a, 500.0, freqs)
+            h_freqz = h_freqz * freqz(b, a, worN=freqs, fs=500.0)[1]
+        magnitude = chain_magnitude(spec, 500.0, freqs)
         assert magnitude.tobytes() == np.abs(h).tobytes()
+        assert np.allclose(magnitude, np.abs(h_freqz), rtol=1e-9, atol=0.0)
 
 
 class TestApplyFrontend:
@@ -340,18 +343,14 @@ class TestMeasureMetrics:
         report = measure_metrics(spec, 500.0)
         assert report.cmrr_db == pytest.approx(0.0, abs=1e-6)
 
-    def test_no_notch_alpha_matches_analytic_rolloff(self):
-        """Without the notch, 50-vs-20 Hz attenuation is the HP*LP response ratio."""
-        spec = bench_spec()
-        report = measure_metrics(spec, 500.0, with_notch=False)
-
-        def analog_mag(f):
-            hp = (f / spec.f_ch) / math.sqrt(1 + (f / spec.f_ch) ** 2)
-            lp = 1 / math.sqrt(1 + (f / spec.f_cl) ** 2)
-            return hp * lp
-
-        expected = 20 * math.log10(analog_mag(50.0) / analog_mag(20.0))
-        assert report.mains_attenuation_db == pytest.approx(expected, abs=1.0)
+    def test_alpha_matches_chain_magnitude_ratio(self):
+        """The probed 50-vs-20 Hz attenuation is the realized cascade's ratio."""
+        for q in (5.0, 30.0):
+            spec = FrontEndSpec(notch_q=q)
+            report = measure_metrics(spec, 500.0)
+            expected = 20 * math.log10(chain_magnitude(spec, 500.0, 50.0)
+                                       / chain_magnitude(spec, 500.0, 20.0))
+            assert report.mains_attenuation_db == pytest.approx(expected, abs=0.01)
 
     def test_noise_row_refers_output_to_input(self):
         from ecgmon.signals import NoiseConfig

@@ -133,12 +133,6 @@ class TestDrawTrace:
         with pytest.raises(ValueError):
             draw_trace(fb, None, tr)
 
-    def test_dirty_region_tracks_writes(self):
-        fb = Framebuffer(width=8, height=8)
-        tr = PlotTrace(rows=np.array([2, 2, 2, 2, 2, 2, 2, 2]), v_min=0, v_max=1, height=8)
-        draw_trace(fb, None, tr)
-        assert fb.dirty == (2, 2, 0, 7)
-
 
 def polyline_mask_reference(trace: PlotTrace, width: int, height: int) -> np.ndarray:
     """The polyline mask filled one column at a time."""

@@ -96,6 +96,9 @@ class TestAlerts:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             AlertPolicy(low_bpm=120, high_bpm=50)
+        for low, high in ((50.0, math.inf), (50.0, math.nan), (math.nan, 120.0)):
+            with pytest.raises(ValueError, match="need finite"):
+                AlertPolicy(low_bpm=low, high_bpm=high)
 
 
 class TestEncoding:
@@ -157,6 +160,13 @@ class TestEncoding:
                     dict(timestamp="1"), dict(timestamp=None)):
             with pytest.raises(ValueError):
                 make_record(**bad)
+        # the wire format's device_id and location are strings
+        for name in ("device_id", "location"):
+            for bad in (5, None, ["ecg-001"], {"id": 1}):
+                with pytest.raises(ValueError, match=f"{name} must be a string"):
+                    make_record(**{name: bad})
+        with pytest.raises(ValueError, match="device_id must be a string"):
+            decode_record(b'{"device_id":5,"timestamp":0,"bpm":72,"location":null,"ecg":[1,2]}')
         rec = make_record(bpm=np.float64(61.5), timestamp=7.0, ecg=(np.int64(3), 2.5))
         assert (rec.timestamp, rec.ecg) == (7, [3, 2.5])
         assert [type(v) for v in rec.ecg] == [int, float]
@@ -427,6 +437,14 @@ class TestRetrieveAndPlot:
             good.replace(b'"bpm":72.0', b'"bpm":true'),
             good.replace(b'"timestamp":1', b'"timestamp":1.5e400'),
             good.replace(b'"timestamp":1', b'"timestamp":null'),
+            good.replace(b'"device_id":"ecg-001"', b'"device_id":5'),
+            good.replace(b'"device_id":"ecg-001"', b'"device_id":null'),
+            good.replace(b'"device_id":"ecg-001"', b'"device_id":["ecg-001"]'),
+            good.replace(b'"device_id":"ecg-001"', b'"device_id":{"id":"ecg-001"}'),
+            good.replace(b'"location":"ward-3/bed-12"', b'"location":3'),
+            good.replace(b'"location":"ward-3/bed-12"', b'"location":null'),
+            good.replace(b'"location":"ward-3/bed-12"', b'"location":["ward-3"]'),
+            good.replace(b'"location":"ward-3/bed-12"', b'"location":{"ward":3}'),
         ]
         lines = [good, *malformed, encode_record(make_record(timestamp=2))]
         source.write_bytes(b"\n".join(lines) + b"\n")
