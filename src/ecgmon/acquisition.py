@@ -42,12 +42,11 @@ class AdcConfig:
 
     resolution_bits: int = 12
     vref: float = 3.3
-    sample_rate: float = 500.0
 
     def __post_init__(self):
         if not 1 <= self.resolution_bits <= 16:
             raise ValueError(f"resolution_bits must be within 1..16, got {self.resolution_bits}")
-        _require_finite_positive(vref=self.vref, sample_rate=self.sample_rate)
+        _require_finite_positive(vref=self.vref)
 
     @property
     def max_code(self) -> int:
@@ -55,8 +54,13 @@ class AdcConfig:
 
 
 def quantize(v, cfg: AdcConfig):
-    """Voltage(s) to ADC code(s): round half away from zero, clamp to range."""
+    """Voltage(s) to ADC code(s): round half away from zero, clamp to range.
+
+    +-inf clamp like any out-of-range voltage; NaN has no code and is refused.
+    """
     arr = np.asarray(v, dtype=np.float64)
+    if np.isnan(arr).any():
+        raise ValueError("cannot quantize NaN")
     scaled = arr / cfg.vref * cfg.max_code
     rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
     codes = np.clip(rounded, 0, cfg.max_code).astype(np.int64)

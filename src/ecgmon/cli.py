@@ -50,6 +50,7 @@ def _cmd_run(args) -> int:
     result = run_pipeline(cfg, bpm=args.bpm, duration=args.duration,
                           publish_records=args.publish)
     reading = result.reading
+    failed = [r for r in result.receipts if not r.ok]
     doc = {
         "bpm": round(reading.bpm, 3),
         "period_s": round(reading.period, 6),
@@ -58,10 +59,12 @@ def _cmd_run(args) -> int:
         "saturated": result.saturated,
         "overrun": result.overrun,
         "alert": None if result.alert is None else result.alert.message,
-        "published": sum(1 for r in result.receipts if r.ok),
+        "published": len(result.receipts) - len(failed),
     }
     print(_json_line(doc))
-    return 0
+    for receipt in failed:
+        print(f"ecgmon: publish failed: {receipt.error}", file=sys.stderr)
+    return RUNTIME_EXIT if failed else 0
 
 
 def _given(flag, setting):
@@ -144,7 +147,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_stream(args) -> int:
     frame = SampleFrame.from_csv(args.infile)
-    adc = AdcConfig(resolution_bits=args.bits, vref=args.vref, sample_rate=frame.sample_rate)
+    adc = AdcConfig(resolution_bits=args.bits, vref=args.vref)
     codes = quantize(frame.values, adc)
     for half in PingPongBuffer(args.half_capacity).acquire(codes):
         print(_json_line({
@@ -171,8 +174,8 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_send(args) -> int:
-    frame = SampleFrame.from_csv(args.infile, unit=args.unit)
-    adc = AdcConfig(sample_rate=frame.sample_rate) if len(frame) > 1 else AdcConfig()
+    frame = SampleFrame.from_csv(args.infile)
+    adc = AdcConfig()
     if args.unit == "mV":
         # lift a bipolar source frame to mid-rail before encoding
         volts = frame.values * 1e-3 + adc.vref / 2

@@ -35,7 +35,7 @@ class PipelineConfig:
     """
 
     source: str = "ecg"
-    sample_rate: float = AdcConfig.sample_rate
+    sample_rate: float = 500.0
     duration: float = 10.0
     bpm: float = 72.0
     sine_amplitude: float = 0.5
@@ -61,7 +61,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.source not in ("ecg", "sine"):
             raise ValueError(f"source must be 'ecg' or 'sine', got {self.source!r}")
-        _require_finite_positive(duration=self.duration, bpm=self.bpm)
+        _require_finite_positive(sample_rate=self.sample_rate, duration=self.duration, bpm=self.bpm)
         if not math.isfinite(self.sine_amplitude):
             raise ValueError(f"sine_amplitude must be finite, got {self.sine_amplitude}")
         if self.half_capacity < 1:
@@ -74,9 +74,8 @@ class PipelineConfig:
             raise ValueError(f"display must have positive size, got {self.fb_width}x{self.fb_height}")
         if self.max_ecg < 0:
             raise ValueError(f"max_ecg must be >= 0, got {self.max_ecg}")
-        # not a field: AdcConfig checks sample_rate, bits and vref
-        object.__setattr__(self, "adc", AdcConfig(resolution_bits=self.adc_bits,
-                                                  vref=self.adc_vref, sample_rate=self.sample_rate))
+        # not a field: AdcConfig checks bits and vref
+        object.__setattr__(self, "adc", AdcConfig(resolution_bits=self.adc_bits, vref=self.adc_vref))
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
@@ -93,19 +92,11 @@ class PipelineConfig:
         try:
             for section, values in raw.items():
                 owner, keys = _SCHEMA[section]
-                target = cfg if owner is None else getattr(cfg, owner)
-                changes: dict[str, object] = {}
-                for key, value in values.items():
-                    attr, index = _target(keys[key])
-                    if index is not None:
-                        items = list(changes.get(attr, getattr(target, attr)))
-                        items[index] = value
-                        value = tuple(items)
-                    changes[attr] = value
+                changes = {keys[key]: value for key, value in values.items()}
                 if owner is None:
                     fields.update(changes)
                 else:
-                    fields[owner] = replace(target, **changes)
+                    fields[owner] = replace(getattr(cfg, owner), **changes)
             cfg = replace(cfg, **fields)
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
@@ -117,16 +108,14 @@ def _same(names: str) -> dict[str, str]:
 
 
 # file section -> (the PipelineConfig field holding the section's dataclass,
-# or None for PipelineConfig itself; file key -> the field it sets, or
-# (field, index) for one element of a tuple field)
-_SCHEMA: dict[str, tuple[str | None, dict[str, str | tuple[str, int]]]] = {
+# or None for PipelineConfig itself; file key -> the field it sets)
+_SCHEMA: dict[str, tuple[str | None, dict[str, str]]] = {
     "signal": (None, _same("source sample_rate duration bpm sine_amplitude")),
     "noise": ("noise", {**_same("mains_amplitude mains_freq wander_amplitude wander_freq "
                                 "emg_sigma dc_offset common_mode_amplitude common_mode_freq"),
                         "seed": "rng_seed"}),
-    "frontend": ("frontend", {**_same("instrument_gain voltage_gain f_ch f_cl f_0 notch_q "
-                                      "cmrr_db lift_bias"),
-                              "supply_min": ("supply", 0), "supply_max": ("supply", 1)}),
+    "frontend": ("frontend", _same("instrument_gain voltage_gain f_ch f_cl f_0 notch_q "
+                                   "cmrr_db lift_bias supply_min supply_max")),
     "adc": (None, {"resolution_bits": "adc_bits", "vref": "adc_vref",
                    "half_capacity": "half_capacity"}),
     "dsp": (None, _same("notch_center notch_half_band smooth_window")),
@@ -145,16 +134,10 @@ _PARSERS = {
 }
 
 
-def _target(spec: str | tuple[str, int]) -> tuple[str, int | None]:
-    return spec if isinstance(spec, tuple) else (spec, None)
-
-
 def _parser(section: str, key: str):
     owner, keys = _SCHEMA[section]
     cls = PipelineConfig if owner is None else typing.get_type_hints(PipelineConfig)[owner]
-    name, index = _target(keys[key])
-    kind = typing.get_type_hints(cls)[name]
-    return _PARSERS[kind if index is None else typing.get_args(kind)[index]]
+    return _PARSERS[typing.get_type_hints(cls)[keys[key]]]
 
 
 def _parse_sections(text: str, name: str) -> dict[str, dict[str, object]]:

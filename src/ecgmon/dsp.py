@@ -176,7 +176,6 @@ class HeartRateReading:
 
     bpm: float
     period: float
-    edge_pair: tuple[EdgeEvent, EdgeEvent]
     median_period: float | None = None
 
     def __post_init__(self):
@@ -204,6 +203,5 @@ def heart_rate_from_edges(edges, sample_rate: float) -> HeartRateReading:
     return HeartRateReading(
         bpm=60.0 / period,
         period=period,
-        edge_pair=(rising[-2], rising[-1]),
         median_period=median_period,
     )

@@ -101,11 +101,11 @@ def notch_center(r31: float, c5: float, r27: float, c7: float) -> float:
 class FrontEndSpec:
     """Behavioral parameters of the conditioning chain.
 
-    supply is the output clip range in volts; lift_bias recenters the
-    bipolar signal inside it.  The defaults are the bench board: chain
-    gain 1650 and CMRR 93.16 dB are taken directly; the corner frequencies
-    and notch Q are tuned so the measured -3 dB band comes out near
-    0.18..70.2 Hz with 50 Hz attenuation below -12.6 dB.
+    supply_min..supply_max is the output clip range in volts; lift_bias
+    recenters the bipolar signal inside it.  The defaults are the bench
+    board: chain gain 1650 and CMRR 93.16 dB are taken directly; the corner
+    frequencies and notch Q are tuned so the measured -3 dB band comes out
+    near 0.18..70.2 Hz with 50 Hz attenuation below -12.6 dB.
     """
 
     instrument_gain: float = 22.0
@@ -116,7 +116,8 @@ class FrontEndSpec:
     notch_q: float = 30.0
     cmrr_db: float = 93.16
     lift_bias: float = 1.65
-    supply: tuple[float, float] = (0.0, 3.3)
+    supply_min: float = 0.0
+    supply_max: float = 3.3
 
     def __post_init__(self):
         _require_finite_positive(
@@ -131,9 +132,9 @@ class FrontEndSpec:
             raise ValueError(f"cmrr_db must be finite, got {self.cmrr_db}")
         if not self.f_ch < self.f_0 < self.f_cl:
             raise ValueError(f"need f_ch < f_0 < f_cl, got {self.f_ch}, {self.f_0}, {self.f_cl}")
-        low, high = self.supply
+        low, high = self.supply_min, self.supply_max
         if not -math.inf < low < high < math.inf:
-            raise ValueError(f"supply range must be finite and increasing, got {self.supply}")
+            raise ValueError(f"supply range must be finite and increasing, got {(low, high)}")
         if not low <= self.lift_bias <= high:
             raise ValueError(f"lift_bias must be within the supply [{low}, {high}] V, "
                              f"got {self.lift_bias}")
@@ -248,10 +249,10 @@ def apply_frontend(sig: SourceSignal, spec: FrontEndSpec) -> FrontEndResult:
     for b, a in _chain_coefficients(spec, rate):
         x = lfilter(b, a, x, zi=np.zeros(2))[0]  # each run starts from rest
     y = spec.chain_gain * x + spec.lift_bias
-    lo, hi = spec.supply
+    lo, hi = spec.supply_min, spec.supply_max
     saturated = bool(len(y)) and bool(np.any((y < lo) | (y > hi)))
     y = np.clip(y, lo, hi)
-    frame = SampleFrame(sample_rate=rate, values=y, start_time=sig.differential.start_time, unit="V")
+    frame = SampleFrame(sample_rate=rate, values=y, start_time=sig.differential.start_time)
     return FrontEndResult(frame=frame, saturated=saturated)
 
 
@@ -372,7 +373,7 @@ def measure_metrics(
     if noise is None:
         u_omax = 0.0
     else:
-        flat = SampleFrame(sample_rate=sample_rate, values=np.zeros(int(4 * sample_rate)), unit="mV")
+        flat = SampleFrame(sample_rate=sample_rate, values=np.zeros(int(4 * sample_rate)))
         out = apply_frontend(add_noise(flat, noise), spec).frame.values
         tail = out[len(out) // 2:]
         u_omax = float(np.max(np.abs(tail - spec.lift_bias)))

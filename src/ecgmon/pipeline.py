@@ -87,8 +87,7 @@ def run_pipeline(
             f"{len(codes)} samples never filled a {cfg.half_capacity}-sample half; "
             "increase duration or shrink half_capacity"))
     digital_codes = np.concatenate(consumed)
-    digital = SampleFrame(sample_rate=cfg.sample_rate,
-                          values=dequantize(digital_codes, cfg.adc), unit="V")
+    digital = SampleFrame(sample_rate=cfg.sample_rate, values=dequantize(digital_codes, cfg.adc))
 
     filtered = _stage("dsp", dsp.fft_notch, digital, cfg.notch_center, cfg.notch_half_band)
     filtered = _stage("dsp", dsp.smooth_emg, filtered, cfg.smooth_window)

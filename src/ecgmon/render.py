@@ -43,11 +43,9 @@ class Framebuffer:
 
 @dataclass(frozen=True)
 class PlotTrace:
-    """One framebuffer row index per column, plus the value mapping used."""
+    """One framebuffer row index per column."""
 
     rows: np.ndarray
-    v_min: float
-    v_max: float
     height: int
 
     def __post_init__(self):
@@ -90,7 +88,7 @@ def map_to_trace(
     norm = (frame.values[picks] - v_min) / (v_max - v_min)
     norm = np.clip(norm, 0.0, 1.0)
     rows_up = np.floor(norm * (fb_height - 1) + 0.5).astype(np.int64)
-    return PlotTrace(rows=(fb_height - 1) - rows_up, v_min=v_min, v_max=v_max, height=fb_height)
+    return PlotTrace(rows=(fb_height - 1) - rows_up, height=fb_height)
 
 
 def _polyline_mask(trace: PlotTrace, height: int) -> np.ndarray:
@@ -124,31 +122,24 @@ _SVG_TEMPLATE = (
 
 
 def export_svg(
-    source: SampleFrame | PlotTrace,
+    frame: SampleFrame,
     path,
     width: int = DEFAULT_WIDTH,
     height: int = DEFAULT_HEIGHT,
     v_min: float | None = None,
     v_max: float | None = None,
 ) -> str:
-    """Write a single-polyline SVG of a frame or prepared trace.
+    """Write a single-polyline SVG of a frame.
 
     Polyline coordinates are exactly the map_to_trace rows; an empty frame
     yields a valid SVG with an empty polyline.  Output bytes are fully
     deterministic for identical inputs.
     """
-    if isinstance(source, PlotTrace):
-        trace = source
-        height = source.height
-        width = len(source)
-    elif len(source) == 0:
-        trace = None
-    else:
-        trace = map_to_trace(source, width, height, v_min, v_max)
-    if trace is None:
+    if len(frame) == 0:
         points = ""
     else:
-        points = " ".join(f"{x},{int(r)}" for x, r in enumerate(trace.rows))
+        rows = map_to_trace(frame, width, height, v_min, v_max).rows
+        points = " ".join(f"{x},{int(r)}" for x, r in enumerate(rows))
     svg = _SVG_TEMPLATE.format(w=width, h=height, points=points)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)

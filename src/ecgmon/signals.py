@@ -115,16 +115,11 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class SampleFrame:
-    """Fixed-rate series of sample values with unit metadata.
-
-    `values` is a 1-D float64 array; `unit` tags the physical scale
-    ("mV", "V" or "code").
-    """
+    """Fixed-rate series of sample values; `values` is a 1-D float64 array."""
 
     sample_rate: float
     values: np.ndarray
     start_time: float = 0.0
-    unit: str = "mV"
 
     def __post_init__(self):
         _require_finite_positive(sample_rate=self.sample_rate)
@@ -142,13 +137,9 @@ class SampleFrame:
     def times(self) -> np.ndarray:
         return self.start_time + np.arange(len(self.values)) / self.sample_rate
 
-    @property
-    def duration(self) -> float:
-        return len(self.values) / self.sample_rate
-
-    def with_values(self, values, unit: str | None = None) -> "SampleFrame":
-        """Copy of this frame with new values (and optionally a new unit)."""
-        return SampleFrame(self.sample_rate, values, self.start_time, unit or self.unit)
+    def with_values(self, values) -> "SampleFrame":
+        """Copy of this frame with new values."""
+        return SampleFrame(self.sample_rate, values, self.start_time)
 
     def to_csv(self, path) -> None:
         """Write one time,value row per sample, 9 significant digits."""
@@ -158,7 +149,7 @@ class SampleFrame:
                 fh.write(f"{t:.9g},{v:.9g}\n")
 
     @classmethod
-    def from_csv(cls, path, unit: str = "mV", default_rate: float = 500.0) -> "SampleFrame":
+    def from_csv(cls, path, default_rate: float = 500.0) -> "SampleFrame":
         """Read a time,value CSV written by to_csv.
 
         The sample rate is recovered from the time column, which must be
@@ -191,7 +182,7 @@ class SampleFrame:
         else:
             rate = default_rate
             start = times[0] if times else 0.0
-        return cls(sample_rate=rate, values=np.asarray(values), start_time=start, unit=unit)
+        return cls(sample_rate=rate, values=np.asarray(values), start_time=start)
 
 
 @dataclass(frozen=True)
@@ -245,7 +236,7 @@ def generate_ecg(
             if gap >= _ZERO_WRAP_WIDTHS * wave.width:
                 continue
             out += wave.amplitude * np.exp(-0.5 * ((phase - wave.center - k) / wave.width) ** 2)
-    return SampleFrame(sample_rate=sample_rate, values=out, unit="mV")
+    return SampleFrame(sample_rate=sample_rate, values=out)
 
 
 def generate_sine(freq: float, amplitude: float, sample_rate: float, duration: float) -> SampleFrame:
@@ -257,7 +248,7 @@ def generate_sine(freq: float, amplitude: float, sample_rate: float, duration: f
         raise ValueError(f"freq {freq} Hz aliases at sample_rate {sample_rate} Hz")
     n = int(round(duration * sample_rate))
     values = amplitude * np.sin(2 * np.pi * freq * np.arange(n) / sample_rate)
-    return SampleFrame(sample_rate=sample_rate, values=values, unit="mV")
+    return SampleFrame(sample_rate=sample_rate, values=values)
 
 
 def add_noise(src: SampleFrame, cfg: NoiseConfig) -> SourceSignal:

@@ -22,7 +22,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from .signals import SampleFrame
-from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH, export_svg
+from .render import export_svg
 
 __all__ = [
     "PayloadTooLargeError",
@@ -136,9 +136,12 @@ class AlertEvent:
 
 
 def evaluate_alert(bpm: float, policy: AlertPolicy, location: str, timestamp: int = 0) -> AlertEvent | None:
-    """Alert iff bpm < low or bpm > high; values on a threshold are normal."""
-    if bpm <= 0:
-        raise ValueError(f"bpm must be > 0, got {bpm}")
+    """Alert iff bpm < low or bpm > high; values on a threshold are normal.
+
+    A bpm that is not finite and > 0 is no reading and raises ValueError.
+    """
+    if not 0 < bpm < math.inf:  # also false for NaN
+        raise ValueError(f"bpm must be finite and > 0, got {bpm}")
     if bpm < policy.low_bpm:
         message = f"heart rate {bpm:g} bpm below low threshold {policy.low_bpm:g}"
     elif bpm > policy.high_bpm:
@@ -422,16 +425,14 @@ class LoopbackListener:
 class PlotResult:
     records_plotted: int
     warnings: int
-    path: str
 
 
-def retrieve_and_plot(
-    source,
-    out,
-    sample_rate: float = 500.0,
-    width: int = DEFAULT_WIDTH,
-    height: int = DEFAULT_HEIGHT,
-) -> PlotResult:
+# a SampleFrame needs a rate; map_to_trace picks samples by index, so the
+# SVG does not depend on it
+_PLOT_RATE = 500.0
+
+
+def retrieve_and_plot(source, out) -> PlotResult:
     """Decode a JSON-lines record file and render the joined ECG as SVG.
 
     Records are plotted in timestamp order; malformed lines are skipped
@@ -457,6 +458,5 @@ def retrieve_and_plot(
             records.append((rec.timestamp, ecg))
     records.sort(key=lambda r: r[0])
     samples = np.concatenate([np.empty(0), *(ecg for _, ecg in records)])
-    frame = SampleFrame(sample_rate=sample_rate, values=samples, unit="code")
-    export_svg(frame, out, width=width, height=height)
-    return PlotResult(records_plotted=len(records), warnings=warnings, path=str(out))
+    export_svg(SampleFrame(sample_rate=_PLOT_RATE, values=samples), out)
+    return PlotResult(records_plotted=len(records), warnings=warnings)

@@ -189,7 +189,7 @@ def test_criterion_09_erase_redraw_equivalence():
     for case in range(100):
         n_traces = int(rng.integers(2, 8))
         traces = [
-            PlotTrace(rows=rng.integers(0, 64, 128), v_min=0.0, v_max=1.0, height=64)
+            PlotTrace(rows=rng.integers(0, 64, 128), height=64)
             for _ in range(n_traces)
         ]
         incremental = Framebuffer()

@@ -71,7 +71,7 @@ class TestConfig:
                               common_mode_amplitude=0.1, common_mode_freq=55.0, rng_seed=7),
             frontend=FrontEndSpec(instrument_gain=20.0, voltage_gain=70.0, f_ch=0.2, f_cl=68.0,
                                   f_0=49.5, notch_q=25.0, cmrr_db=90.0, lift_bias=1.6,
-                                  supply=(0.1, 3.2)),
+                                  supply_min=0.1, supply_max=3.2),
             adc_bits=11, adc_vref=3.0, half_capacity=256,
             notch_center=49.0, notch_half_band=3.0, smooth_window=7,
             trigger=TriggerConfig(trigger_level=1.7, band_epsilon=0.03, run_length=4,
@@ -82,7 +82,7 @@ class TestConfig:
             timestamp=42,
         )
         assert cfg == expected
-        assert cfg.adc == AdcConfig(resolution_bits=11, vref=3.0, sample_rate=400.0)
+        assert cfg.adc == AdcConfig(resolution_bits=11, vref=3.0)
         # every value differs from its default, so no key can land unnoticed
         default = PipelineConfig()
         for name in ("noise", "frontend", "trigger", "alerts"):
@@ -236,6 +236,20 @@ class TestCliSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["bpm"] - 120.0) <= 0.5
         assert doc["alert"] is None
+
+    def test_failed_publish_exits_runtime(self, tmp_path, capsys):
+        """A publish that fails exits 2 and names the error; stdout is the
+        same line a run without --publish prints (nothing was published)."""
+        with LoopbackListener() as listener:
+            closed_port = listener.port
+        assert main(["run", "--duration", "4"]) == 0
+        expected = capsys.readouterr().out
+        assert expected.endswith('"published":0}\n')
+        for sink in (f"http:{closed_port}", f"file:{tmp_path / 'missing' / 'x.jsonl'}"):
+            assert main(["run", "--duration", "4", "--publish", "--sink", sink]) == 2, sink
+            captured = capsys.readouterr()
+            assert captured.out == expected, sink
+            assert captured.err.startswith("ecgmon: publish failed: "), sink
 
     def test_invalid_config_exits_usage_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -247,7 +247,6 @@ class TestHeartRate:
         assert reading.period == pytest.approx(0.5)
         assert reading.bpm == pytest.approx(120.0)
         assert reading.median_period is None
-        assert reading.edge_pair == (edges[0], edges[1])
 
     def test_one_edge_insufficient(self):
         edges = [EdgeEvent(sample_index=10, time=0.02, kind="rising")]

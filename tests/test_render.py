@@ -87,7 +87,7 @@ class TestDrawTrace:
         assert np.array_equal(incremental.pixels, fresh.pixels)
 
     def test_first_draw_sets_exactly_the_polyline(self):
-        trace = PlotTrace(rows=np.array([5, 3, 3, 8]), v_min=0, v_max=1, height=10)
+        trace = PlotTrace(rows=np.array([5, 3, 3, 8]), height=10)
         fb = Framebuffer(width=4, height=10)
         draw_trace(fb, None, trace)
         expected = np.zeros((10, 4), dtype=bool)
@@ -101,7 +101,7 @@ class TestDrawTrace:
         rng = np.random.default_rng(17)
         for _ in range(30):
             traces = [
-                PlotTrace(rows=rng.integers(0, 64, 128), v_min=0, v_max=1, height=64)
+                PlotTrace(rows=rng.integers(0, 64, 128), height=64)
                 for _ in range(rng.integers(2, 6))
             ]
             incremental = Framebuffer()
@@ -118,18 +118,18 @@ class TestDrawTrace:
         fb = Framebuffer(width=32, height=16)
         prev = None
         for _ in range(50):
-            tr = PlotTrace(rows=rng.integers(0, 16, 32), v_min=0, v_max=1, height=16)
+            tr = PlotTrace(rows=rng.integers(0, 16, 32), height=16)
             draw_trace(fb, prev, tr)
             prev = tr
         assert fb.pixels.shape == (16, 32)  # numpy would have raised on OOB writes
 
     def test_trace_rows_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            PlotTrace(rows=np.array([0, 64]), v_min=0, v_max=1, height=64)
+            PlotTrace(rows=np.array([0, 64]), height=64)
 
     def test_mismatched_width_rejected(self):
         fb = Framebuffer(width=8, height=8)
-        tr = PlotTrace(rows=np.zeros(4, dtype=int), v_min=0, v_max=1, height=8)
+        tr = PlotTrace(rows=np.zeros(4, dtype=int), height=8)
         with pytest.raises(ValueError):
             draw_trace(fb, None, tr)
 
@@ -153,7 +153,7 @@ class TestPolylineMaskReference:
         """Also when the trace is taller than the buffer: rows below it clip."""
         rows = data.draw(st.lists(st.integers(0, trace_height - 1),
                                   min_size=width, max_size=width))
-        trace = PlotTrace(rows=np.array(rows), v_min=0, v_max=1, height=trace_height)
+        trace = PlotTrace(rows=np.array(rows), height=trace_height)
         got = _polyline_mask(trace, fb_height)
         assert got.dtype == bool
         assert np.array_equal(got, polyline_mask_reference(trace, width, fb_height))
@@ -206,8 +206,3 @@ class TestExport:
         art = export_ascii(fb)
         assert art.split("\n") == ["....", "..#.", "...."]
 
-    def test_svg_from_prepared_trace(self, tmp_path):
-        trace = PlotTrace(rows=np.array([1, 2, 3]), v_min=0.0, v_max=1.0, height=8)
-        svg = export_svg(trace, tmp_path / "t.svg")
-        assert 'points="0,1 1,2 2,3"' in svg
-        assert 'width="3" height="8"' in svg

@@ -38,7 +38,6 @@ class TestSampleFrame:
 
     def test_times_and_duration(self):
         frame = SampleFrame(sample_rate=100.0, values=np.zeros(5), start_time=1.0)
-        assert frame.duration == 0.05
         assert np.allclose(frame.times, [1.0, 1.01, 1.02, 1.03, 1.04])
 
     def test_csv_round_trip(self, tmp_path):

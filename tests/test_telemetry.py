@@ -82,8 +82,10 @@ class TestAlerts:
         assert evaluate_alert(50.0, AlertPolicy(), "x") is None
 
     def test_nonpositive_bpm_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_alert(0.0, AlertPolicy(), "x")
+        # NaN compares false with both thresholds: it must not read as normal
+        for bpm in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="bpm must be finite and > 0"):
+                evaluate_alert(bpm, AlertPolicy(), "x")
 
     def test_exhaustive_integer_sweep(self):
         """Alerts fire exactly outside [low, high] for bpm 1..300."""
@@ -399,7 +401,7 @@ class TestRetrieveAndPlot:
         assert result.records_plotted == 1
         assert result.warnings == 0
         direct = tmp_path / "direct.svg"
-        export_svg(SampleFrame(500.0, np.asarray(ecg, dtype=float), unit="code"), direct)
+        export_svg(SampleFrame(500.0, np.asarray(ecg, dtype=float)), direct)
         assert out.read_bytes() == direct.read_bytes()
 
     def test_out_of_order_records_sorted_by_timestamp(self, tmp_path):
@@ -415,7 +417,7 @@ class TestRetrieveAndPlot:
         out = tmp_path / "plot.svg"
         retrieve_and_plot(source, out)
         joined = tmp_path / "joined.svg"
-        export_svg(SampleFrame(500.0, np.asarray([0.0] * 50 + [4095.0] * 50), unit="code"), joined)
+        export_svg(SampleFrame(500.0, np.asarray([0.0] * 50 + [4095.0] * 50)), joined)
         assert out.read_bytes() == joined.read_bytes()
 
     def test_corrupt_line_skipped_with_warning(self, tmp_path):
