@@ -15,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .signals import (NoiseConfig, SampleFrame, SourceSignal, _require_finite_positive, add_noise,
                       generate_sine)
@@ -243,6 +242,8 @@ def apply_frontend(sig: SourceSignal, spec: FrontEndSpec) -> FrontEndResult:
     filter cascade and gain are applied, the output is lifted to the DC
     bias and saturated to the supply range.  Output frame is in volts.
     """
+    from scipy.signal import lfilter  # here, not at the top: scipy.signal takes ~0.8 s to import
+
     rate = sig.differential.sample_rate
     leak = 10 ** (-spec.cmrr_db / 20)
     x = (sig.differential.values + leak * sig.common_mode.values) * 1e-3  # mV -> V

@@ -16,6 +16,7 @@ import numbers
 import socket
 import sys
 import threading
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -59,7 +60,8 @@ class TelemetryRecord:
 
     ecg may be given as any sequence of numbers or as a 1-D integer or
     float numpy array (such as a slice of ADC codes); either way it is
-    stored as a list of int/float.
+    stored as a list of int/float.  Strings, bytes, mappings and sets are
+    refused: their elements are no ordered samples.
     """
 
     device_id: str
@@ -98,10 +100,13 @@ def _plain_numbers(ecg) -> list:
     some element's exact type is another one (bool, numpy scalar, ...)."""
     if isinstance(ecg, np.ndarray) and ecg.ndim == 1 and ecg.dtype.kind in "iuf":
         return ecg.tolist()  # exact int/float, one C-level pass
+    refused = ValueError(f"ecg must be a sequence of numbers, got {type(ecg).__name__}")
+    if isinstance(ecg, (str, bytes, bytearray, Mapping, Set)):  # iterable, but no ordered samples
+        raise refused
     try:
         values = list(ecg)
     except TypeError:
-        raise ValueError(f"ecg must be a sequence of numbers, got {type(ecg).__name__}") from None
+        raise refused from None
     if _PLAIN_TYPES.issuperset(map(type, values)):
         return values
     return [_plain_number(v) for v in values]
@@ -202,9 +207,59 @@ def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes
     return head[:-1] + b',"ecg":' + _ecg_bytes(rec.ecg) + b"}"
 
 
-def decode_record(data: bytes) -> TelemetryRecord:
-    """Parse canonical record bytes back into a TelemetryRecord; malformed
-    bytes raise ValueError."""
+_ECG_KEY = b',"ecg":['
+_HEADER_KEYS = frozenset(RECORD_KEYS[:-1])
+_MAX_CODE_DIGITS = 5  # 0..99999: every 16-bit code, far from int64's limit
+
+
+def _ecg_codes(body: bytes) -> np.ndarray | None:
+    """The int64 codes of a JSON array's body such as b"2048,0,17", or None
+    unless it is canonical integers of 1-5 digits joined by single commas
+    (what _ecg_bytes writes for codes up to 99999)."""
+    chars = np.frombuffer(body, dtype=np.uint8)
+    digit = chars - np.uint8(ord("0")) <= 9  # bytes below "0" wrap past 9
+    # a separator at each comma and on both sides of the body: every field
+    # lies between two, and two in a row enclose an empty field
+    sep = np.ones(chars.size + 2, dtype=bool)
+    sep[1:-1] = chars == ord(",")
+    if not (digit | sep[1:-1]).all() or (sep[1:] & sep[:-1]).any():
+        return None
+    if ((chars[:-1] == ord("0")) & sep[:-3] & digit[1:]).any():  # JSON has no leading zeros
+        return None
+    if chars.size > _MAX_CODE_DIGITS:  # no digit may end a longer run of digits
+        longer = digit[_MAX_CODE_DIGITS:].copy()
+        for k in range(1, _MAX_CODE_DIGITS + 1):
+            longer &= digit[_MAX_CODE_DIGITS - k:-k]
+        if longer.any():
+            return None
+    return np.fromstring(body, dtype=np.int64, sep=",")  # checked above: parses to its end
+
+
+def _canonical_record(data: bytes) -> dict | None:
+    """The fields of a line encode_record writes for a record of codes, ecg
+    as an int64 array: only the four header keys go through json.  None for
+    any other line, even a valid one."""
+    if not (isinstance(data, bytes) and data.endswith(b"]}")):
+        return None
+    cut = data.rfind(_ECG_KEY)
+    if cut < 0:
+        return None
+    codes = _ecg_codes(data[cut + len(_ECG_KEY):-2])
+    if codes is None:
+        return None
+    try:
+        doc = json.loads((data[:cut] + b"}").decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+    # the head parsed, so it is an object (it ends in "}"); with exactly these
+    # keys, "ecg" not among them, the whole line is that object plus the codes
+    if doc.keys() != _HEADER_KEYS:
+        return None
+    doc["ecg"] = codes
+    return doc
+
+
+def _json_record(data: bytes) -> dict:
     try:
         doc = json.loads(data.decode("utf-8"))
     except RecursionError:
@@ -215,6 +270,19 @@ def decode_record(data: bytes) -> TelemetryRecord:
     extra = [k for k in doc if k not in RECORD_KEYS]
     if missing or extra:
         raise ValueError(f"bad record keys: missing {missing}, unexpected {extra}")
+    return doc
+
+
+def decode_record(data: bytes) -> TelemetryRecord:
+    """Parse canonical record bytes back into a TelemetryRecord; malformed
+    bytes, and an ecg value that is no JSON array, raise ValueError.
+
+    A line of codes as encode_record writes it parses its samples with
+    numpy; every other line goes through json whole, with the same result.
+    """
+    doc = _canonical_record(data)
+    if doc is None:
+        doc = _json_record(data)
     return TelemetryRecord(
         device_id=doc["device_id"],
         timestamp=doc["timestamp"],

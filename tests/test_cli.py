@@ -6,8 +6,9 @@ import hashlib
 import io
 import json
 import os
-
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -621,3 +622,19 @@ def test_cli_fuzz_exit_codes(fuzz_dir, command, data):
     finally:
         os.chdir(cwd)
     assert code in (0, 1, 2), argv
+
+
+def test_cli_start_leaves_scipy_unimported():
+    """scipy.signal takes most of a second to import and only the front-end
+    filters need it: a top-level import would put that second back on every
+    subcommand."""
+    code = ("import sys\n"
+            "import ecgmon.cli\n"
+            "assert ecgmon.cli.main(['--help']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

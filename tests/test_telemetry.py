@@ -173,6 +173,22 @@ class TestEncoding:
         assert (rec.timestamp, rec.ecg) == (7, [3, 2.5])
         assert [type(v) for v in rec.ecg] == [int, float]
 
+    @pytest.mark.parametrize("ecg", [b"\x01\x02", bytearray(b"\x01"), {3, 1, 2}, frozenset(),
+                                     {5: "a"}, {}, {}.keys(), "", "2048"],
+                             ids=lambda ecg: type(ecg).__name__)
+    def test_text_mapping_and_set_ecg_refused(self, ecg):
+        """Their elements are bytes, characters, keys or unordered: no samples."""
+        with pytest.raises(ValueError, match=f"^ecg must be a sequence of numbers, "
+                                             f"got {type(ecg).__name__}$"):
+            make_record(ecg=ecg)
+
+    @pytest.mark.parametrize("value, name", [(b'""', "str"), (b'"2048"', "str"), (b"{}", "dict"),
+                                             (b'{"1":2}', "dict")])
+    def test_decode_requires_an_ecg_array(self, value, name):
+        line = encode_record(make_record()).replace(b"[2048,2051,2047,2049]", value)
+        with pytest.raises(ValueError, match=f"^ecg must be a sequence of numbers, got {name}$"):
+            decode_record(line)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(ecg=st.lists(st.one_of(
         st.integers(min_value=-2**70, max_value=2**70), st.floats(), st.just(float("nan")),
@@ -291,6 +307,126 @@ class TestCodeTextEncoding:
     def test_other_arrays_take_the_per_sample_check(self, ecg, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make_record(ecg=ecg)
+
+
+def decode_record_reference(data: bytes) -> TelemetryRecord:
+    """decode_record as one json.loads of the whole line, samples included."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("record nests too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError("record must be a JSON object")
+    missing = [k for k in telemetry.RECORD_KEYS if k not in doc]
+    extra = [k for k in doc if k not in telemetry.RECORD_KEYS]
+    if missing or extra:
+        raise ValueError(f"bad record keys: missing {missing}, unexpected {extra}")
+    return TelemetryRecord(**{k: doc[k] for k in telemetry.RECORD_KEYS})
+
+
+def decode_outcome(decode, data: bytes):
+    """The record with the exact type of each value, or the error's type and text."""
+    try:
+        rec = decode(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return rec, type(rec.timestamp), type(rec.bpm), [type(v) for v in rec.ecg]
+
+
+# one field of a code list: canonical codes, and text the numpy parse must
+# leave to json (leading zeros, signs, fractions, exponents, more than five
+# digits, whitespace, other JSON values, empty fields)
+_code_fields = st.integers(min_value=0, max_value=99999).map(str)
+_odd_fields = st.sampled_from([
+    "", "00", "01", "007", "-1", "-0", "1.5", "2.0", "1e3", "123456", "012345",
+    "9" * 20, "9" * 400, " 7", "7 ", "\t7", "true", "null", "NaN", "[1]", "[]", '"1"', "{}",
+])
+# what may follow the code list: only "]}" ends a canonical line
+_line_ends = st.sampled_from(["]}", "]} ", "]}\n", "]}x", "]}}", "]", "]]}", "],\"x\":1}"])
+
+
+@st.composite
+def _record_lines(draw) -> bytes:
+    """encode_record's lines for records of codes, and lines one step off them."""
+    head = encode_record(draw(record_strategy.map(lambda rec: dataclasses.replace(rec, ecg=[]))))
+    head = head[:-len(b',"ecg":[]}')]
+    fields = draw(st.lists(_code_fields, min_size=1, max_size=40))
+    end = "]}"
+    variant = draw(st.sampled_from(["canonical", "field", "separator", "end", "head", "bytes"]))
+    if variant == "field":
+        fields.insert(draw(st.integers(0, len(fields))), draw(_odd_fields))
+    body = ",".join(fields)
+    if variant == "separator":
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + draw(st.sampled_from([",", " ", ", ", "\n"])) + body[at:]
+    elif variant == "end":
+        end = draw(_line_ends)
+    elif variant == "head":
+        head = head.replace(b'"bpm"', draw(st.sampled_from([
+            b'"ecg":[1],"bpm"', b'"ecg":"x","bpm"', b'"extra":1,"bpm"', b' "bpm" ', b'"bpm":1,"bpm"',
+            b'"ecg":[1,2],"bpm":3,"ecg":[4],"bpm"'])), 1)
+    line = head + b',"ecg":[' + body.encode() + end.encode()
+    if variant == "bytes":  # no UTF-8, or a NUL (json.loads given bytes guesses UTF-16 from one)
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from([b"\xff", b"\x00", b"\xc3"])) + line[at:]
+    return line
+
+
+class TestCodeTextDecoding:
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    @given(line=_record_lines())
+    def test_same_outcome_as_one_json_loads(self, line):
+        """Values, exact types and error messages: the numpy parse changes none."""
+        assert decode_outcome(decode_record, line) == decode_outcome(decode_record_reference, line)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rec=record_strategy, codes=st.lists(st.integers(min_value=0, max_value=99999),
+                                               min_size=1, max_size=60))
+    def test_canonical_code_lines_take_the_numpy_parse(self, rec, codes):
+        line = encode_record(dataclasses.replace(rec, ecg=codes))
+        assert telemetry._canonical_record(line) is not None
+        assert decode_outcome(decode_record, line) == decode_outcome(decode_record_reference, line)
+
+    @pytest.mark.parametrize("ecg", [
+        b"[2048, 2051]", b"[2048,2051.0]", b"[-1,2]", b"[123456]", b"[]", b"[01]", b"[1,,2]",
+        b"[1,2,]", b"[,1]", b"[1e3]", b"[true]",
+    ])
+    def test_other_code_lists_go_through_json(self, ecg):
+        line = encode_record(make_record()).replace(b"[2048,2051,2047,2049]", ecg)
+        assert telemetry._canonical_record(line) is None
+        assert decode_outcome(decode_record, line) == decode_outcome(decode_record_reference, line)
+
+    @pytest.mark.parametrize("line", [
+        encode_record(make_record()).replace(b'"bpm"', b'"ecg":[1],"bpm"'),
+        encode_record(make_record(location="w\xe9")).replace("é".encode(), b"\xe9"),
+        encode_record(make_record()) + b" ",
+        encode_record(make_record()) + b"\n",
+        encode_record(make_record()) + b"}",
+        encode_record(make_record()).replace(b'"ward-3/bed-12"', b"[" * 100_000 + b"]" * 100_000),
+    ], ids=["ecg-in-head", "not-utf8", "trailing-space", "trailing-newline", "trailing-brace",
+            "deep-head"])
+    def test_other_lines_go_through_json(self, line):
+        assert telemetry._canonical_record(line) is None
+        assert decode_outcome(decode_record, line) == decode_outcome(decode_record_reference, line)
+
+    def test_pipeline_record_samples_never_reach_json(self, monkeypatch):
+        """A 5000-code record's line goes through json only for its four header keys."""
+        record = run_pipeline(dataclasses.replace(PipelineConfig(), duration=10.24)).record
+        assert len(record.ecg) == 5000
+        line = encode_record(record)
+        expected = decode_outcome(decode_record_reference, line)
+        assert expected[0] == record
+        loaded = []
+        loads = json.loads
+
+        def counting_loads(s, *args, **kwargs):
+            loaded.append(s)
+            return loads(s, *args, **kwargs)
+
+        monkeypatch.setattr(telemetry.json, "loads", counting_loads)
+        assert decode_outcome(decode_record, line) == expected
+        assert len(loaded) == 1
+        assert list(loads(loaded[0])) == ["device_id", "timestamp", "bpm", "location"]
 
 
 class TestSinks:
@@ -453,3 +589,12 @@ class TestRetrieveAndPlot:
         result = retrieve_and_plot(source, tmp_path / "plot.svg")
         assert result.records_plotted == 2
         assert result.warnings == len(malformed)
+
+    def test_ecg_that_is_no_array_counts_as_warning(self, tmp_path):
+        source = tmp_path / "records.jsonl"
+        good = encode_record(make_record(timestamp=1))
+        not_arrays = [good.replace(b"[2048,2051,2047,2049]", value)
+                      for value in (b'""', b"{}", b'{"2048":1}')]
+        source.write_bytes(b"\n".join([good, *not_arrays]) + b"\n")
+        result = retrieve_and_plot(source, tmp_path / "plot.svg")
+        assert (result.records_plotted, result.warnings) == (1, len(not_arrays))
