@@ -18,6 +18,7 @@ all buffer state is guarded by an internal lock.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -70,8 +71,18 @@ def quantize(v, cfg: AdcConfig):
 
 
 def dequantize(c, cfg: AdcConfig):
-    """ADC code(s) back to voltage(s); out-of-range codes are rejected."""
+    """ADC code(s) back to voltage(s).
+
+    Codes are whole numbers within range; NaN, fractional and out-of-range
+    codes are refused.  Integer arrays need no check for the first two.
+    """
     arr = np.asarray(c)
+    if arr.dtype.kind == "f":
+        whole = arr == np.floor(arr)  # False on NaN too
+        if not whole.all():
+            bad = float(arr[~whole][0])
+            raise ValueError("cannot dequantize NaN" if math.isnan(bad)
+                             else f"code must be a whole number, got {bad!r}")
     if arr.size and (np.any(arr < 0) or np.any(arr > cfg.max_code)):
         raise ValueError(f"code out of range 0..{cfg.max_code}")
     volts = arr.astype(np.float64) / cfg.max_code * cfg.vref

@@ -10,11 +10,12 @@ with the run's middle sample taken as the edge.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SampleFrame
+from .signals import SampleFrame, _per_shape
 
 __all__ = [
     "InsufficientDataError",
@@ -41,10 +42,12 @@ def fft_notch(frame: SampleFrame, center: float = 50.0, half_band: float = 2.0) 
     if len(frame) < 2:
         raise ValueError("frame must hold at least 2 samples")
     _require_notch(center, half_band, frame.sample_rate)
+    n, rate = len(frame), frame.sample_rate
+    notched = _per_shape(("notch", n, rate, center, half_band), n,
+                         lambda: np.abs(np.fft.rfftfreq(n, d=1.0 / rate) - center) <= half_band)
     spectrum = np.fft.rfft(frame.values)
-    freqs = np.fft.rfftfreq(len(frame), d=1.0 / frame.sample_rate)
-    spectrum[np.abs(freqs - center) <= half_band] = 0.0
-    cleaned = np.fft.irfft(spectrum, n=len(frame))
+    spectrum[notched] = 0.0
+    cleaned = np.fft.irfft(spectrum, n=n)
     return frame.with_values(cleaned)
 
 
@@ -69,9 +72,10 @@ def smooth_emg(frame: SampleFrame, window: int) -> SampleFrame:
         raise ValueError(f"smoothing window {window} is longer than the {len(frame)}-sample frame")
     if window == 1:
         return frame
-    kernel = np.ones(window)
+    n, kernel = len(frame), np.ones(window)
     sums = np.convolve(frame.values, kernel, mode="same")
-    counts = np.convolve(np.ones(len(frame)), kernel, mode="same")
+    counts = _per_shape(("smooth", n, window), n,
+                        lambda: np.convolve(np.ones(n), kernel, mode="same"))
     return frame.with_values(sums / counts)
 
 
@@ -199,7 +203,7 @@ def heart_rate_from_edges(edges, sample_rate: float) -> HeartRateReading:
         for a, b in zip(rising, rising[1:])
     ]
     period = periods[-1]
-    median_period = float(np.median(periods)) if len(rising) > 2 else None
+    median_period = statistics.median(periods) if len(rising) > 2 else None
     return HeartRateReading(
         bpm=60.0 / period,
         period=period,

@@ -248,7 +248,7 @@ def apply_frontend(sig: SourceSignal, spec: FrontEndSpec) -> FrontEndResult:
     leak = 10 ** (-spec.cmrr_db / 20)
     x = (sig.differential.values + leak * sig.common_mode.values) * 1e-3  # mV -> V
     for b, a in _chain_coefficients(spec, rate):
-        x = lfilter(b, a, x, zi=np.zeros(2))[0]  # each run starts from rest
+        x = lfilter(b, a, x)  # each run starts from rest
     y = spec.chain_gain * x + spec.lift_bias
     lo, hi = spec.supply_min, spec.supply_max
     saturated = bool(len(y)) and bool(np.any((y < lo) | (y > hi)))

@@ -126,7 +126,7 @@ class SampleFrame:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1:
             raise ValueError("values must be one-dimensional")
-        if vals.size and not np.all(np.isfinite(vals)):
+        if vals.size and not np.isfinite(vals).all():
             raise ValueError("values must all be finite")
         object.__setattr__(self, "values", vals)
 
@@ -135,7 +135,8 @@ class SampleFrame:
 
     @property
     def times(self) -> np.ndarray:
-        return self.start_time + np.arange(len(self.values)) / self.sample_rate
+        """Sample times in seconds; the array may be shared and read-only."""
+        return _time_base(len(self.values), self.sample_rate, self.start_time)
 
     def with_values(self, values) -> "SampleFrame":
         """Copy of this frame with new values."""
@@ -199,11 +200,58 @@ class SourceSignal:
             raise ValueError("differential and common_mode must have equal length")
 
 
-# A wrap at least this many widths from every phase adds amplitude times
-# exp(-800) or less, and exp underflows to 0.0 below about -745: the term is
-# +-0.0, and out, which starts at +0.0 and so never holds -0.0, is
-# bit-identical without it.
+_SHAPE_CACHE_SAMPLES = 1 << 14  # a 1 h record's arrays would pin tens of megabytes
+_SHAPE_CACHE_ENTRIES = 8
+_shape_cache: dict[tuple, np.ndarray] = {}
+
+
+def _per_shape(key: tuple, n: int, make) -> np.ndarray:
+    """make(), computed once per key and then shared read-only, for frames
+    of at most 2**14 samples; a longer frame gets a fresh array every call.
+
+    key names everything make() reads.  Every record run_pipeline makes
+    starts at t = 0 on the same sample grid, so arrays that depend only on
+    the record's shape repeat bit for bit from record to record.  Each step
+    is one dict operation, so threads need no lock: two that miss together
+    store equal arrays.
+    """
+    if n > _SHAPE_CACHE_SAMPLES:
+        return make()
+    arr = _shape_cache.get(key)
+    if arr is None:
+        if len(_shape_cache) >= _SHAPE_CACHE_ENTRIES:
+            _shape_cache.clear()
+        arr = make()
+        arr.flags.writeable = False
+        _shape_cache[key] = arr
+    return arr
+
+
+def _time_base(n: int, sample_rate: float, start_time: float = 0.0) -> np.ndarray:
+    """start_time + arange(n) / sample_rate, the sample times of a frame."""
+    return _per_shape(("time", n, sample_rate, start_time), n,
+                      lambda: start_time + np.arange(n) / sample_rate)
+
+
+def _unit_tone(n: int, sample_rate: float, start_time: float, freq: float) -> np.ndarray:
+    """sin(2*pi*freq*t) on the frame's sample times."""
+    # -0.0 == 0.0 as a key, but sin(-0.0 * t) is -0.0
+    return _per_shape(("tone", n, sample_rate, start_time, freq, math.copysign(1.0, freq)), n,
+                      lambda: np.sin(2 * np.pi * freq * _time_base(n, sample_rate, start_time)))
+
+
+# exp(x) rounds to +0.0 for every x <= -746, and numpy's exp takes a slow
+# path on such lanes.  out starts at +0.0 and so never holds -0.0, which
+# makes adding a +-0.0 term the identity; two rules skip that work with
+# every bit of out as it was:
+# - far wraps: a wrap at least this many widths from every phase adds
+#   amplitude times exp(-800) or less, so it is not evaluated at all;
+# - underflowing lanes: a wrap whose argument can fall to -746 or below
+#   evaluates exp only where the argument is above -746 and leaves 0.0 in
+#   the other lanes.  Subnormal results (arguments between -745.13 and
+#   -708.4) are still computed, since they can show.
 _ZERO_WRAP_WIDTHS = 40.0
+_EXP_ZERO_BELOW = -746.0
 
 
 def generate_ecg(
@@ -225,17 +273,34 @@ def generate_ecg(
             f"sample_rate {sample_rate} Hz too low for {bpm} bpm (need >= {4 * fundamental} Hz)"
         )
     n = int(round(duration * sample_rate))
-    t = np.arange(n) / sample_rate
-    cycles = t * fundamental  # >= 0, so cycles - floor(cycles) is the exact remainder
-    phase = cycles - np.floor(cycles)
+    cycles = _time_base(n, sample_rate) * fundamental
+    # cycles >= 0, so cycles - floor(cycles) is the exact remainder
+    phase = np.floor(cycles)
+    np.subtract(cycles, phase, out=phase)
     out = np.zeros(n)
+    arg, term = cycles, np.empty(n)  # scratch
     for wave in params.waves():
+        c, w = wave.center, wave.width
         # wrap adjacent periods so tails near the beat boundary are kept;
-        # gap is the wrap's nearest distance to any phase in [0, 1)
-        for k, gap in ((-1.0, 1.0 - wave.center), (0.0, 0.0), (1.0, wave.center)):
-            if gap >= _ZERO_WRAP_WIDTHS * wave.width:
+        # gap and reach are the wrap's nearest and farthest distance to any
+        # phase in [0, 1)
+        for k, gap in ((-1.0, 1.0 - c), (0.0, 0.0), (1.0, c)):
+            if gap >= _ZERO_WRAP_WIDTHS * w:
                 continue
-            out += wave.amplitude * np.exp(-0.5 * ((phase - wave.center - k) / wave.width) ** 2)
+            reach = max(abs(c + k), abs(1.0 - c - k))
+            # arg = -0.5 * ((phase - c - k) / w) ** 2
+            np.subtract(phase, c, out=arg)
+            np.subtract(arg, k, out=arg)
+            np.divide(arg, w, out=arg)
+            np.square(arg, out=arg)
+            np.multiply(arg, -0.5, out=arg)
+            if -0.5 * (reach / w) ** 2 > _EXP_ZERO_BELOW:
+                np.exp(arg, out=term)
+            else:
+                term.fill(0.0)
+                np.exp(arg, out=term, where=arg > _EXP_ZERO_BELOW)
+            np.multiply(term, wave.amplitude, out=term)
+            out += term
     return SampleFrame(sample_rate=sample_rate, values=out)
 
 
@@ -257,21 +322,21 @@ def add_noise(src: SampleFrame, cfg: NoiseConfig) -> SourceSignal:
     differential = src + mains sine + wander sine + seeded Gaussian EMG
     + dc offset; common_mode is a separate sine per the config.
     """
-    t = src.times
+    n, rate, start = len(src), src.sample_rate, src.start_time
     diff = src.values.copy()
     if cfg.mains_amplitude > 0:
-        diff += cfg.mains_amplitude * np.sin(2 * np.pi * cfg.mains_freq * t)
+        diff += cfg.mains_amplitude * _unit_tone(n, rate, start, cfg.mains_freq)
     if cfg.wander_amplitude > 0:
-        diff += cfg.wander_amplitude * np.sin(2 * np.pi * cfg.wander_freq * t)
+        diff += cfg.wander_amplitude * _unit_tone(n, rate, start, cfg.wander_freq)
     if cfg.emg_sigma > 0:
         rng = np.random.default_rng(cfg.rng_seed)
-        diff += rng.normal(0.0, cfg.emg_sigma, len(diff))
+        diff += rng.normal(0.0, cfg.emg_sigma, n)
     if cfg.dc_offset != 0:
         diff += cfg.dc_offset
     if cfg.common_mode_amplitude > 0:
-        cm = cfg.common_mode_amplitude * np.sin(2 * np.pi * cfg.common_mode_freq * t)
+        cm = cfg.common_mode_amplitude * _unit_tone(n, rate, start, cfg.common_mode_freq)
     else:
-        cm = np.zeros(len(diff))
+        cm = np.zeros(n)
     return SourceSignal(
         differential=src.with_values(diff),
         common_mode=src.with_values(cm),

@@ -2,8 +2,8 @@
 
 Records serialize to canonical JSON (fixed key order, no insignificant
 whitespace, shortest round-trip decimals) so golden-file tests compare
-byte for byte.  Sinks write one JSON document per line; the loopback HTTP
-sink stands in for the uplink and records what it receives.
+byte for byte.  Sinks write one JSON document per line; the loopback
+listener stands in for the cloud endpoint and records what it receives.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numbers
 import socket
 import sys
 import threading
+import time
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -60,8 +61,9 @@ class TelemetryRecord:
 
     ecg may be given as any sequence of numbers or as a 1-D integer or
     float numpy array (such as a slice of ADC codes); either way it is
-    stored as a list of int/float.  Strings, bytes, mappings and sets are
-    refused: their elements are no ordered samples.
+    stored as a list of int/float.  Strings, bytes (and plain memoryviews
+    of them), mappings and sets are refused: their elements are no ordered
+    samples.
     """
 
     device_id: str
@@ -102,6 +104,12 @@ def _plain_numbers(ecg) -> list:
         return ecg.tolist()  # exact int/float, one C-level pass
     refused = ValueError(f"ecg must be a sequence of numbers, got {type(ecg).__name__}")
     if isinstance(ecg, (str, bytes, bytearray, Mapping, Set)):  # iterable, but no ordered samples
+        raise refused
+    # a plain view of bytes iterates byte values as bytes does; typed views
+    # (array('h'), .cast('h')) iterate samples, and array('B') shares the
+    # 'B' format, so the viewed object tells them apart
+    if (isinstance(ecg, memoryview) and ecg.format == "B"
+            and isinstance(ecg.obj, (bytes, bytearray))):
         raise refused
     try:
         values = list(ecg)
@@ -380,11 +388,24 @@ class HttpSink(_Sink):
         self._conn.close()
 
 
-def publish(sink, payload: bytes, retries: int = 2) -> DeliveryReceipt:
-    """Deliver one payload; on failure retry up to `retries` more times."""
+_RETRY_PAUSE_S = 0.05  # before the first retry; doubles before each later one
+_RETRY_PAUSE_MAX_S = 1.0
+
+
+def publish(sink, payload: bytes, retries: int = 2, sleep=time.sleep) -> DeliveryReceipt:
+    """Deliver one payload; on failure retry up to `retries` more times.
+
+    Each retry waits first, 0.05 s before the first and twice as long
+    before each next one, at most 1 s; a send that succeeds at once
+    waits for nothing.  sleep(seconds) does the waiting.
+    """
     attempts = 0
+    pause = _RETRY_PAUSE_S
     last_error: str | None = None
     while attempts <= retries:
+        if attempts:
+            sleep(pause)
+            pause = min(2 * pause, _RETRY_PAUSE_MAX_S)
         attempts += 1
         try:
             sink.send(payload)
@@ -455,10 +476,13 @@ class _LoopbackServer(ThreadingHTTPServer):
 
 
 class LoopbackListener:
-    """In-process HTTP listener that records every POSTed payload.
+    """In-process model of the cloud endpoint: an HTTP listener that
+    records every POSTed payload.
 
-    Binds 127.0.0.1 on the requested port (0 picks a free one, exposed via
-    .port).  Usable as a context manager.
+    The tests and the benchmark publish to it through an HttpSink; no CLI
+    command or pipeline path uses it.  Binds 127.0.0.1 on the requested
+    port (0 picks a free one, exposed via .port).  Usable as a context
+    manager.
     """
 
     def __init__(self, port: int = 0):

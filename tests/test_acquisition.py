@@ -58,6 +58,22 @@ class TestDequantize:
         with pytest.raises(ValueError):
             dequantize(4096, cfg)
 
+    @pytest.mark.parametrize("code, message", [
+        (float("nan"), "NaN"), (np.array([1.0, np.nan]), "NaN"),
+        (2047.5, "whole number, got 2047.5"), (np.array([0.0, 1e-9]), "whole number"),
+        (np.array([[1.0], [-0.5]]), "whole number, got -0.5")])
+    def test_nan_and_fractional_codes_refused(self, code, message):
+        """A code is a whole number: NaN used to give nan and 2047.5 gave 1.65 V."""
+        with pytest.raises(ValueError, match=message):
+            dequantize(code, AdcConfig())
+
+    def test_whole_float_codes_accepted(self):
+        cfg = AdcConfig()
+        assert dequantize(2048.0, cfg) == dequantize(2048, cfg)
+        assert dequantize(np.array([0.0, 4095.0]), cfg).tolist() == [0.0, 3.3]
+        with pytest.raises(ValueError, match="out of range"):
+            dequantize(np.array([0.0, np.inf]), cfg)
+
     def test_round_trip_identity_all_codes(self):
         """quantize(dequantize(c)) == c exhaustively over the 4096 codes."""
         cfg = AdcConfig()

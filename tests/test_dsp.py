@@ -1,9 +1,11 @@
 """DSP tests: spectral notch, smoothing, edge triggers, heart rate."""
 
+import statistics
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecgmon.dsp import (
@@ -273,3 +275,43 @@ class TestHeartRate:
         edges = [EdgeEvent(sample_index=i, time=i / 500.0, kind="rising") for i in (0, 421)]
         reading = heart_rate_from_edges(edges, 500.0)
         assert reading.bpm == pytest.approx(60.0 / reading.period, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(indices=[0, 250, 500, 752, 1000], rate=500.0)  # four periods: even
+    @example(indices=[0, 250, 500, 752], rate=500.0)  # three periods: odd
+    @given(indices=st.lists(st.integers(0, 10**7), min_size=3, max_size=40, unique=True)
+           .map(sorted), rate=st.floats(1.0, 1e5))
+    def test_median_period_has_the_bits_of_np_median(self, indices, rate):
+        """statistics.median picks (or averages) the same middle periods as
+        np.median, on odd and even period counts alike."""
+        edges = [EdgeEvent(sample_index=i, time=i / rate, kind="rising") for i in indices]
+        periods = [(b - a) / rate for a, b in zip(indices, indices[1:])]
+        got = heart_rate_from_edges(edges, rate).median_period
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.median(periods).tobytes()
+        assert statistics.median(periods) == got
+
+
+class TestShapeArrays:
+    """The notch bin mask and the smoothing normaliser are shared per frame
+    shape; the output keeps the bytes of computing them afresh."""
+
+    @pytest.mark.parametrize("n", [4608, 1001])
+    def test_notch_same_bytes_as_fresh_mask(self, n):
+        frame = SampleFrame(500.0, np.random.default_rng(n).normal(size=n))
+        spectrum = np.fft.rfft(frame.values)
+        freqs = np.fft.rfftfreq(n, d=1.0 / 500.0)
+        spectrum[np.abs(freqs - 50.0) <= 2.0] = 0.0
+        want = np.fft.irfft(spectrum, n=n)
+        for _ in range(2):
+            assert fft_notch(frame, 50.0, 2.0).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [4608, 1001])
+    @pytest.mark.parametrize("window", [3, 5, 31])
+    def test_smooth_same_bytes_as_fresh_counts(self, n, window):
+        frame = SampleFrame(500.0, np.random.default_rng(n).normal(size=n))
+        kernel = np.ones(window)
+        want = (np.convolve(frame.values, kernel, mode="same")
+                / np.convolve(np.ones(n), kernel, mode="same"))
+        for _ in range(2):
+            assert smooth_emg(frame, window).values.tobytes() == want.tobytes()

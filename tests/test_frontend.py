@@ -203,6 +203,14 @@ class TestDiscretize:
         assert np.array_equal(lfilter(*used, x), lfilter(*fresh, x))
         assert apply_frontend(sig, spec).frame.values.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("kind", ["notch", "lowpass", "highpass"])
+    def test_filtering_from_rest_needs_no_zi(self, kind):
+        """lfilter without zi, as apply_frontend calls it, starts from rest:
+        the bytes of passing zi = zeros."""
+        x = np.random.default_rng(5).normal(size=5000)
+        b, a = discretize(kind, bench_spec(), 500.0)
+        assert lfilter(b, a, x).tobytes() == lfilter(b, a, x, zi=np.zeros(2))[0].tobytes()
+
 
 def _chain_reference(sig: SourceSignal, spec: FrontEndSpec) -> np.ndarray:
     """apply_frontend's filter cascade run through freshly designed stages."""

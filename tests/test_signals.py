@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecgmon import signals
+from ecgmon.dsp import fft_notch, smooth_emg
 from ecgmon.signals import (
     EcgTemplateParams,
     NoiseConfig,
@@ -170,9 +171,9 @@ class _CountingExp:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def exp(self, x):
+    def exp(self, x, **kwargs):  # out= and where= as generate_ecg passes them
         self.calls += 1
-        return np.exp(x)
+        return np.exp(x, **kwargs)
 
 
 # P's k = +1 wrap (and in the second, T's k = -1 wrap) lies 38.3 widths from the
@@ -181,22 +182,48 @@ class _CountingExp:
 _BOUNDARY = dict(amplitudes=[0.1, -0.1, 1.0, -0.1, 0.2], widths=[0.005] * 5,
                  r_amplitude=1.0, bpm=60.0, rate=2000.0, duration=1.0)
 
+# R (width 0.0125, center 0.5 or 0.48) is the only wave whose terms near the
+# beat boundary are not 0.0.  Its k = 0 wrap (and, at 0.48, its k = +1 wrap)
+# reaches 40 or more widths, where exp underflows to 0.0, and passes 37.6 to
+# 38.6 widths, where exp is subnormal; those subnormal terms show in the output
+_PART_SUBNORMAL = dict(amplitudes=[0.1, -0.1, 1.0, -0.1, 0.2],
+                       widths=[0.005, 0.005, 0.0125, 0.005, 0.005],
+                       r_amplitude=1.0, bpm=60.0, rate=2000.0, duration=1.0)
+_PART_SUBNORMAL_CENTERS = ([0.46, 0.48, 0.5, 0.52, 0.54], [0.44, 0.46, 0.48, 0.5, 0.52])
+
+
+def _params(centers, amplitudes, widths, r_amplitude):
+    amplitudes = [*amplitudes[:2], r_amplitude, *amplitudes[3:]]
+    return EcgTemplateParams(*(Wave(a, c, w) for a, c, w in zip(amplitudes, centers, widths)))
+
 
 class TestGenerateEcgReference:
     @example(centers=[0.1915, 0.3, 0.4, 0.5, 0.6], **_BOUNDARY)
     @example(centers=[0.4, 0.5, 0.6, 0.7, 0.8085], **_BOUNDARY)
+    @example(centers=_PART_SUBNORMAL_CENTERS[0], **_PART_SUBNORMAL)
+    @example(centers=_PART_SUBNORMAL_CENTERS[1], **_PART_SUBNORMAL)
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(centers=_centers, amplitudes=_amplitudes, widths=_widths,
            r_amplitude=st.floats(0.01, 3.0), bpm=st.floats(20.0, 300.0),
            rate=st.floats(100.0, 2000.0), duration=st.floats(0.05, 2.0))
     def test_same_bytes_as_every_wrap(self, centers, amplitudes, widths, r_amplitude,
                                       bpm, rate, duration):
-        """Skipping the wraps that underflow to 0.0 leaves every bit as it was."""
-        amplitudes[2] = r_amplitude
-        params = EcgTemplateParams(*(Wave(a, c, w)
-                                     for a, c, w in zip(amplitudes, centers, widths)))
+        """Skipping the wraps and the lanes that underflow to 0.0 leaves every
+        bit as it was."""
+        params = _params(centers, amplitudes, widths, r_amplitude)
         got = generate_ecg(params, bpm, rate, duration).values
         assert got.tobytes() == generate_ecg_reference(params, bpm, rate, duration).tobytes()
+
+    @pytest.mark.parametrize("centers", _PART_SUBNORMAL_CENTERS)
+    def test_part_subnormal_examples_show_both_kinds_of_lane(self, centers):
+        """The examples above reach both sides of -746: lanes whose term is
+        0.0 and subnormal terms that stay in the output."""
+        kw = dict(_PART_SUBNORMAL)
+        params = _params(centers, kw.pop("amplitudes"), kw.pop("widths"), kw.pop("r_amplitude"))
+        values = generate_ecg(params, kw["bpm"], kw["rate"], kw["duration"]).values
+        tiny = np.finfo(np.float64).tiny
+        assert np.count_nonzero(values == 0.0) > 0
+        assert np.count_nonzero((values != 0.0) & (np.abs(values) < tiny)) > 0
 
     def test_default_template_skips_five_passes(self, monkeypatch):
         """Both wraps of R and S and Q's k = -1 wrap lie 40 or more widths away."""
@@ -257,6 +284,67 @@ class TestGenerateSine:
         frame = generate_sine(float(freq), amplitude, 500.0, 1.0)
         rms = np.sqrt(np.mean(frame.values**2))
         assert rms == pytest.approx(amplitude / math.sqrt(2), rel=0.01)
+
+
+def add_noise_reference(src: SampleFrame, cfg: NoiseConfig) -> tuple[np.ndarray, np.ndarray]:
+    """add_noise's differential and common-mode values, every sine computed afresh."""
+    t = src.start_time + np.arange(len(src)) / src.sample_rate
+    diff = src.values.copy()
+    if cfg.mains_amplitude > 0:
+        diff += cfg.mains_amplitude * np.sin(2 * np.pi * cfg.mains_freq * t)
+    if cfg.wander_amplitude > 0:
+        diff += cfg.wander_amplitude * np.sin(2 * np.pi * cfg.wander_freq * t)
+    if cfg.emg_sigma > 0:
+        diff += np.random.default_rng(cfg.rng_seed).normal(0.0, cfg.emg_sigma, len(diff))
+    return diff, cfg.common_mode_amplitude * np.sin(2 * np.pi * cfg.common_mode_freq * t)
+
+
+class TestShapeCache:
+    """Time bases and unit tones are computed once per frame shape."""
+
+    NOISE = NoiseConfig(mains_amplitude=0.3, mains_freq=50.0, wander_amplitude=0.2,
+                        wander_freq=0.2, emg_sigma=0.05, common_mode_amplitude=0.7,
+                        common_mode_freq=60.0, rng_seed=9)
+
+    @pytest.mark.parametrize("n", [5000, 777])
+    @pytest.mark.parametrize("start_time", [0.0, 1.25])
+    def test_add_noise_same_bytes_as_fresh_sines(self, n, start_time):
+        signals._shape_cache.clear()
+        src = SampleFrame(500.0, np.linspace(-1.0, 1.0, n), start_time)
+        want_diff, want_cm = add_noise_reference(src, self.NOISE)
+        for _ in range(2):  # the second call reads the cached tones
+            out = add_noise(src, self.NOISE)
+            assert out.differential.values.tobytes() == want_diff.tobytes()
+            assert out.common_mode.values.tobytes() == want_cm.tobytes()
+        assert len(signals._shape_cache) == 4  # one time base and three tones
+
+    def test_cached_arrays_are_read_only(self):
+        signals._shape_cache.clear()
+        src = generate_ecg(EcgTemplateParams.default(), 72, 500, 2.0)
+        add_noise(src, self.NOISE)
+        times = SampleFrame(500.0, np.zeros(1000), 2.0).times
+        assert signals._shape_cache
+        for arr in [times, *signals._shape_cache.values()]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_signed_zero_frequency_keeps_its_tone(self):
+        """-0.0 == 0.0, but the tone of -0.0 Hz is -0.0 and adding it keeps a -0.0 sample."""
+        src = SampleFrame(500.0, np.full(8, -0.0))
+        for freq in (0.0, -0.0, 0.0):
+            got = add_noise(src, NoiseConfig(mains_amplitude=1.0, mains_freq=freq))
+            want, _ = add_noise_reference(src, NoiseConfig(mains_amplitude=1.0, mains_freq=freq))
+            assert got.differential.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, cached", [(2**14, True), (2**14 + 1, False)])
+    def test_frames_above_the_cap_are_not_cached(self, n, cached):
+        signals._shape_cache.clear()
+        src = generate_ecg(EcgTemplateParams.default(), 72, 500, n / 500)
+        assert len(src) == n
+        sig = add_noise(src, self.NOISE)
+        smooth_emg(fft_notch(sig.differential), 5)
+        assert len(sig.differential.times) == n
+        assert bool(signals._shape_cache) is cached
 
 
 class TestAddNoise:

@@ -182,6 +182,26 @@ class TestEncoding:
                                              f"got {type(ecg).__name__}$"):
             make_record(ecg=ecg)
 
+    @pytest.mark.parametrize("ecg", [memoryview(b"\x01\x02"), memoryview(bytearray(b"\x01")),
+                                     memoryview(b"\x00\x01\x02")[1:],
+                                     memoryview(b"\x01\x02").cast("B"),
+                                     memoryview(memoryview(b"\x01"))],
+                             ids=["bytes", "bytearray", "slice", "cast", "view-of-view"])
+    def test_plain_byte_view_refused(self, ecg):
+        """A plain view of bytes iterates byte values, as bytes does."""
+        with pytest.raises(ValueError, match="^ecg must be a sequence of numbers, got memoryview$"):
+            make_record(ecg=ecg)
+
+    def test_typed_views_give_their_samples(self):
+        from array import array
+
+        codes = [2048, 2051, 4095]
+        assert make_record(ecg=memoryview(array("B", [1, 2]))).ecg == [1, 2]
+        assert make_record(ecg=memoryview(array("h", codes))).ecg == codes
+        raw = array("h", codes).tobytes()
+        assert make_record(ecg=memoryview(raw).cast("h")).ecg == codes
+        assert make_record(ecg=memoryview(np.array(codes, dtype=np.uint16))).ecg == codes
+
     @pytest.mark.parametrize("value, name", [(b'""', "str"), (b'"2048"', "str"), (b"{}", "dict"),
                                              (b'{"1":2}', "dict")])
     def test_decode_requires_an_ecg_array(self, value, name):
@@ -495,30 +515,70 @@ class TestSinks:
     def test_unwritable_path_fails_with_attempts(self, tmp_path):
         # missing parent directory: open() fails before any byte is written
         target = tmp_path / "no-such-dir" / "out.jsonl"
-        receipt = publish(FileSink(target), b"{}", retries=2)
+        pauses = []
+        receipt = publish(FileSink(target), b"{}", retries=2, sleep=pauses.append)
         assert not receipt.ok
         assert receipt.attempts == 3
         assert receipt.error
         assert not target.exists()
+        assert pauses == [0.05, 0.1]
 
     def test_dead_http_sink_fails(self):
         with LoopbackListener() as listener:
             port = listener.port
+        pauses = []
         with HttpSink(port) as sink:
-            receipt = publish(sink, b"{}", retries=1)
+            receipt = publish(sink, b"{}", retries=1, sleep=pauses.append)
         assert not receipt.ok
         assert receipt.attempts == 2
+        assert pauses == [0.05]
+
+    class _FailingSink(FileSink):
+        """A file sink whose first `failures` sends fail."""
+
+        def __init__(self, path, failures):
+            super().__init__(path)
+            self.failures = failures
+
+        def send(self, payload):
+            if self.failures:
+                self.failures -= 1
+                raise OSError("link down")
+            super().send(payload)
+
+    @pytest.mark.parametrize("failures, retries, pauses, ok", [
+        (0, 2, [], True),  # a send that works waits for nothing
+        (2, 2, [0.05, 0.1], True),
+        (9, 0, [], False),
+        (9, 8, [0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0, 1.0], False),  # doubling, capped at 1 s
+    ])
+    def test_retries_back_off(self, tmp_path, failures, retries, pauses, ok):
+        target = tmp_path / "out.jsonl"
+        waited = []
+        receipt = publish(self._FailingSink(target, failures), b"{}", retries=retries,
+                          sleep=waited.append)
+        assert waited == pauses
+        assert (receipt.ok, receipt.attempts) == (ok, len(pauses) + 1)
+        assert receipt.error == (None if ok else "link down")
+        assert target.exists() is ok
+
+    def test_default_backoff_really_waits(self, tmp_path):
+        t0 = time.perf_counter()
+        receipt = publish(FileSink(tmp_path / "no-such-dir" / "x"), b"{}", retries=1)
+        assert not receipt.ok and time.perf_counter() - t0 >= 0.05
 
     def test_sink_fails_once_its_listener_closed(self):
         with LoopbackListener() as listener, HttpSink(listener.port) as sink:
             assert publish(sink, b"{}").ok
             listener.close()  # with the sink's connection open
             t0 = time.perf_counter()
-            receipt = publish(sink, b"{}", retries=2)
+            pauses = []
+            receipt = publish(sink, b"{}", retries=2, sleep=pauses.append)
             assert time.perf_counter() - t0 < 1.0  # refused at once, no timeout waited
         assert not receipt.ok
         assert receipt.attempts == 3
         assert receipt.error
+        assert pauses == [0.05, 0.1]
 
 
 class TestRetrieveAndPlot:
