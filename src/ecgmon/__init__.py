@@ -21,6 +21,7 @@ from .frontend import (
     FrontEndSpec,
     MetricsReport,
     apply_frontend,
+    chain_magnitude,
     discretize,
     highpass_cutoff,
     instrument_gain,
@@ -51,16 +52,19 @@ from .telemetry import (
     HttpSink,
     LoopbackListener,
     PayloadTooLargeError,
+    PlotResult,
     StdoutSink,
     TelemetryRecord,
     decode_record,
     encode_alert,
     encode_record,
     evaluate_alert,
+    make_sink,
     publish,
+    publish_record,
     retrieve_and_plot,
 )
 from .config import ConfigError, PipelineConfig
-from .pipeline import PipelineError, PipelineResult, make_sink, run_pipeline
+from .pipeline import PipelineError, PipelineResult, run_pipeline
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from . import dsp, telemetry
 from .acquisition import AdcConfig, PingPongBuffer, quantize
 from .config import ConfigError, PipelineConfig
 from .frontend import chain_magnitude, measure_metrics
-from .pipeline import PipelineError, make_sink, run_pipeline
+from .pipeline import PipelineError, run_pipeline
 from .render import export_ascii, export_svg, Framebuffer, draw_trace, map_to_trace
 from .signals import NoiseConfig, SampleFrame, add_noise, generate_ecg, generate_sine
 
@@ -126,13 +126,7 @@ def _cmd_notch(args) -> int:
 
 def _cmd_detect(args) -> int:
     frame = SampleFrame.from_csv(args.infile)
-    cfg = dsp.TriggerConfig(
-        trigger_level=args.trigger_level,
-        band_epsilon=args.band_epsilon,
-        run_length=args.run_length,
-        refractory=args.refractory,
-    )
-    edges = dsp.detect_rising_edges(frame, cfg)
+    edges = dsp.detect_rising_edges(frame, dsp.TriggerConfig(refractory=args.refractory))
     doc: dict = {"edges": [{"index": e.sample_index, "t": round(e.time, 6)} for e in edges]}
     try:
         reading = dsp.heart_rate_from_edges(edges, frame.sample_rate)
@@ -191,7 +185,7 @@ def _cmd_send(args) -> int:
     )
     policy = telemetry.AlertPolicy(low_bpm=args.low_bpm, high_bpm=args.high_bpm)
     alert = telemetry.evaluate_alert(args.bpm, policy, args.location, args.timestamp)
-    with make_sink(args.sink) as sink:
+    with telemetry.make_sink(args.sink) as sink:
         receipts = telemetry.publish_record(sink, record, alert, args.max_ecg)
     summary = {
         "published": sum(1 for r in receipts if r.ok),
@@ -254,9 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="edge-trigger detection on a CSV frame")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--trigger-level", type=float, default=None)
-    p.add_argument("--band-epsilon", type=float, default=None)
-    p.add_argument("--run-length", type=int, default=dsp.TriggerConfig.run_length)
     p.add_argument("--refractory", type=float, default=dsp.TriggerConfig.refractory)
     p.set_defaults(fn=_cmd_detect)
 

@@ -1,9 +1,9 @@
 """Plain-text pipeline configuration: [section] headers and key = value lines.
 
 Unknown sections or keys are rejected and every diagnostic names the line
-it came from.  Values accept '#' comments; 'auto' means derive-at-runtime
-for the trigger keys.  Every default lives in a dataclass field: the file
-only overrides them, and each key's parser follows from its field's type.
+it came from.  Values accept '#' comments.  Every default lives in a
+dataclass field: the file only overrides them, and each key's parser
+follows from its field's type.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .dsp import TriggerConfig, _require_notch, _require_odd_window
 from .frontend import FrontEndSpec
 from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH
 from .signals import EcgTemplateParams, NoiseConfig, _require_finite_positive
-from .telemetry import MAX_ECG_SAMPLES, AlertPolicy
+from .telemetry import MAX_ECG_SAMPLES, AlertPolicy, _sink_factory
 
 __all__ = ["ConfigError", "PipelineConfig"]
 
@@ -74,6 +74,7 @@ class PipelineConfig:
             raise ValueError(f"display must have positive size, got {self.fb_width}x{self.fb_height}")
         if self.max_ecg < 0:
             raise ValueError(f"max_ecg must be >= 0, got {self.max_ecg}")
+        _sink_factory(self.sink)
         # not a field: AdcConfig checks bits and vref
         object.__setattr__(self, "adc", AdcConfig(resolution_bits=self.adc_bits, vref=self.adc_vref))
 
@@ -119,18 +120,17 @@ _SCHEMA: dict[str, tuple[str | None, dict[str, str]]] = {
     "adc": (None, {"resolution_bits": "adc_bits", "vref": "adc_vref",
                    "half_capacity": "half_capacity"}),
     "dsp": (None, _same("notch_center notch_half_band smooth_window")),
-    "trigger": ("trigger", _same("trigger_level band_epsilon run_length refractory")),
+    "trigger": ("trigger", _same("refractory")),
     "alerts": ("alerts", _same("low_bpm high_bpm")),
     "render": (None, {"width": "fb_width", "height": "fb_height"}),
     "telemetry": (None, _same("device_id location sink max_ecg timestamp")),
 }
 
-# field type -> parser of its file value; None-able fields spell None 'auto'
+# field type -> parser of its file value
 _PARSERS = {
     float: float,
     int: lambda s: int(s, 0),
     str: str,
-    float | None: lambda s: None if s.lower() == "auto" else float(s),
 }
 
 

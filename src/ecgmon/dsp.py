@@ -2,9 +2,9 @@
 
 Mains residue is removed in the frequency domain by zeroing the FFT bins
 around 50 Hz; EMG noise is tamed with a centered moving average.  Heart
-rate comes from rising-edge trigger points: runs of consecutive
-non-decreasing samples that pass through a band around the trigger level,
-with the run's middle sample taken as the edge.
+rate comes from rising-edge trigger points: runs of three non-decreasing
+samples that pass through a band around the frame midrange, with the
+run's middle sample taken as the edge.
 """
 
 from __future__ import annotations
@@ -88,24 +88,13 @@ def _require_odd_window(window: int) -> None:
 class TriggerConfig:
     """Edge-trigger parameters.
 
-    trigger_level / band_epsilon left as None are derived per frame: the
-    level defaults to the frame midrange (min+max)/2 and the band to 2% of
-    the frame peak-to-peak.  refractory suppresses re-triggering for the
-    given time after an accepted edge.
+    refractory suppresses re-triggering for the given time after an
+    accepted edge.
     """
 
-    trigger_level: float | None = None
-    band_epsilon: float | None = None
-    run_length: int = 3
     refractory: float = 0.25
 
     def __post_init__(self):
-        if self.trigger_level is not None and not math.isfinite(self.trigger_level):
-            raise ValueError(f"trigger_level must be finite, got {self.trigger_level}")
-        if self.band_epsilon is not None and not 0 <= self.band_epsilon < math.inf:
-            raise ValueError(f"band_epsilon must be finite and >= 0, got {self.band_epsilon}")
-        if self.run_length < 3:
-            raise ValueError(f"run_length must be >= 3, got {self.run_length}")
         if not 0 <= self.refractory < math.inf:
             raise ValueError(f"refractory must be finite and >= 0, got {self.refractory}")
 
@@ -119,36 +108,24 @@ class EdgeEvent:
     kind: str  # "rising"; heart_rate_from_edges skips any other kind
 
 
-def _resolve_trigger(values: np.ndarray, cfg: TriggerConfig) -> tuple[float, float]:
-    lo, hi = float(np.min(values)), float(np.max(values))
-    level = cfg.trigger_level if cfg.trigger_level is not None else (lo + hi) / 2.0
-    epsilon = cfg.band_epsilon if cfg.band_epsilon is not None else 0.02 * (hi - lo)
-    return level, epsilon
-
-
 def detect_rising_edges(frame: SampleFrame, cfg: TriggerConfig | None = None) -> list[EdgeEvent]:
     """Scan left to right for rising trigger points.
 
-    A match is run_length consecutive non-decreasing samples whose span
-    touches or straddles the band around the trigger level; the middle
-    sample of the run is reported and scanning skips ahead by the
+    A match is three non-decreasing samples whose span touches or straddles
+    the band reaching 2% of the frame peak-to-peak either side of its
+    midrange; the middle sample is reported and scanning skips ahead by the
     refractory interval.
     """
     cfg = cfg or TriggerConfig()
     values = frame.values
-    n = len(values)
-    run = cfg.run_length
-    if n < run:
-        raise ValueError(f"frame of {n} samples is shorter than run_length {run}")
-    level, epsilon = _resolve_trigger(values, cfg)
-    # steps_ok[i]: the run - 1 steps from sample i on are all non-decreasing
+    if len(values) < 3:
+        raise ValueError(f"frame of {len(values)} samples is shorter than a 3-sample run")
+    lo, hi = float(np.min(values)), float(np.max(values))
+    level, epsilon = (lo + hi) / 2.0, 0.02 * (hi - lo)
+    # steps_ok[i]: both steps of the run from sample i on are non-decreasing
     rises = np.diff(values) >= 0
-    starts = n - run + 1
-    steps_ok = rises[:starts].copy()
-    for shift in range(1, run - 1):
-        steps_ok &= rises[shift:shift + starts]
-    first = values[:starts]
-    last = values[run - 1:]
+    steps_ok = rises[:-1] & rises[1:]
+    first, last = values[:-2], values[2:]
     # the run must enter from at or below the band, leave at or above it,
     # and show a net rise (flat runs are not edges)
     candidates = np.nonzero(
@@ -160,7 +137,7 @@ def detect_rising_edges(frame: SampleFrame, cfg: TriggerConfig | None = None) ->
     for i in candidates:
         if i < next_allowed:
             continue
-        mid = int(i) + run // 2
+        mid = int(i) + 1
         events.append(EdgeEvent(
             sample_index=mid,
             time=frame.start_time + mid / frame.sample_rate,

@@ -13,7 +13,7 @@ from .config import PipelineConfig
 from .frontend import apply_frontend
 from .signals import SampleFrame, SourceSignal, add_noise, generate_ecg, generate_sine
 
-__all__ = ["PipelineError", "PipelineResult", "run_pipeline", "make_sink"]
+__all__ = ["PipelineError", "PipelineResult", "run_pipeline"]
 
 
 class PipelineError(RuntimeError):
@@ -43,17 +43,6 @@ def _stage(module: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except Exception as exc:
         raise PipelineError(module, exc) from exc
-
-
-def make_sink(sink_spec: str):
-    """Build a publish sink from 'stdout', 'file:<path>' or 'http:<port>'."""
-    if sink_spec == "stdout":
-        return telemetry.StdoutSink()
-    if sink_spec.startswith("file:"):
-        return telemetry.FileSink(sink_spec[len("file:"):])
-    if sink_spec.startswith("http:"):
-        return telemetry.HttpSink(int(sink_spec[len("http:"):]))
-    raise ValueError(f"unknown sink {sink_spec!r} (use stdout, file:<path> or http:<port>)")
 
 
 def run_pipeline(
@@ -106,7 +95,7 @@ def run_pipeline(
 
     receipts = []
     if publish_records:
-        with _stage("telemetry", make_sink, cfg.sink) as sink:
+        with _stage("telemetry", telemetry.make_sink, cfg.sink) as sink:
             receipts = _stage("telemetry", telemetry.publish_record,
                               sink, record, alert, cfg.max_ecg)
 

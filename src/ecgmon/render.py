@@ -8,6 +8,7 @@ drawing only the final trace on a fresh buffer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,10 +70,14 @@ def map_to_trace(
 
     Columns pick samples by stride (no averaging); larger voltages map to
     visually higher pixels, i.e. smaller row indices.  Values outside
-    [v_min, v_max] clamp to the edge rows.
+    [v_min, v_max] clamp to the edge rows; a bound that is given must be
+    finite.
     """
     if fb_width <= 0 or fb_height <= 0:
         raise ValueError(f"target size must be positive, got {fb_width}x{fb_height}")
+    for name, bound in (("v_min", v_min), ("v_max", v_max)):
+        if bound is not None and not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound}")
     if len(frame) == 0:
         raise ValueError("cannot map an empty frame")
     if v_min is None:

@@ -9,6 +9,7 @@ listener stands in for the cloud endpoint and records what it receives.
 from __future__ import annotations
 
 import contextlib
+import functools
 import http.client
 import json
 import math
@@ -35,6 +36,7 @@ __all__ = [
     "FileSink",
     "StdoutSink",
     "HttpSink",
+    "make_sink",
     "LoopbackListener",
     "evaluate_alert",
     "encode_record",
@@ -203,6 +205,8 @@ def _ecg_bytes(ecg: list) -> bytes:
 
 def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes:
     """Canonical JSON bytes: fixed key order, compact, UTF-8."""
+    if max_ecg < 0:
+        raise ValueError(f"max_ecg must be >= 0, got {max_ecg}")
     if len(rec.ecg) > max_ecg:
         raise PayloadTooLargeError(f"ecg holds {len(rec.ecg)} samples, limit is {max_ecg}")
     head = _json_bytes({
@@ -386,6 +390,27 @@ class HttpSink(_Sink):
 
     def close(self) -> None:
         self._conn.close()
+
+
+def _sink_factory(spec: str):
+    """The sink class a spec names, its argument bound: nothing is opened,
+    so a config can check its spec up front."""
+    kind, colon, target = spec.partition(":")
+    if spec == "stdout":
+        return StdoutSink
+    if kind == "file" and target:
+        return functools.partial(FileSink, target)
+    if kind == "http" and colon:
+        port = int(target) if target.isascii() and target.isdigit() else 0
+        if not 1 <= port <= 65535:
+            raise ValueError(f"http sink port must be an integer in 1..65535, got {target!r}")
+        return functools.partial(HttpSink, port)
+    raise ValueError(f"unknown sink {spec!r} (use stdout, file:<path> or http:<port>)")
+
+
+def make_sink(spec: str):
+    """Build a publish sink from 'stdout', 'file:<path>' or 'http:<port>'."""
+    return _sink_factory(spec)()
 
 
 _RETRY_PAUSE_S = 0.05  # before the first retry; doubles before each later one

@@ -21,9 +21,9 @@ from ecgmon.cli import build_parser, main
 from ecgmon.config import _SCHEMA, ConfigError, PipelineConfig
 from ecgmon.dsp import TriggerConfig
 from ecgmon.frontend import FrontEndSpec
-from ecgmon.pipeline import PipelineError, make_sink, run_pipeline
+from ecgmon.pipeline import PipelineError, run_pipeline
 from ecgmon.signals import NoiseConfig
-from ecgmon.telemetry import AlertPolicy, LoopbackListener, decode_record
+from ecgmon.telemetry import AlertPolicy, LoopbackListener, decode_record, make_sink
 
 import dataclasses
 
@@ -47,7 +47,6 @@ class TestConfig:
             "seed = 7\n"
             "\n"
             "[trigger]\n"
-            "trigger_level = auto\n"
             "refractory = 0.2\n"
         )
         cfg = PipelineConfig.load(path)
@@ -55,7 +54,6 @@ class TestConfig:
         assert cfg.bpm == 120.0
         assert cfg.noise.mains_amplitude == 0.3
         assert cfg.noise.rng_seed == 7
-        assert cfg.trigger.trigger_level is None
         assert cfg.trigger.refractory == 0.2
 
     def test_readme_block_is_the_defaults(self):
@@ -75,8 +73,7 @@ class TestConfig:
                                   supply_min=0.1, supply_max=3.2),
             adc_bits=11, adc_vref=3.0, half_capacity=256,
             notch_center=49.0, notch_half_band=3.0, smooth_window=7,
-            trigger=TriggerConfig(trigger_level=1.7, band_epsilon=0.03, run_length=4,
-                                  refractory=0.3),
+            trigger=TriggerConfig(refractory=0.3),
             alerts=AlertPolicy(low_bpm=55.0, high_bpm=100.0),
             fb_width=96, fb_height=48,
             device_id="dev-9", location="ward-3", sink="file:records.jsonl", max_ecg=1000,
@@ -112,6 +109,12 @@ class TestConfig:
         # notch_center is bounded by sample_rate, set in an earlier section
         cfg = PipelineConfig.loads("[signal]\nsample_rate = 80\n[dsp]\nnotch_center = 20\n")
         assert (cfg.sample_rate, cfg.notch_center) == (80.0, 20.0)
+
+    @pytest.mark.parametrize("key", ["trigger_level", "band_epsilon", "run_length"])
+    def test_fixed_trigger_keys_are_unknown(self, key):
+        """Level, band and run length belong to the detector, not the file."""
+        with pytest.raises(ConfigError, match=f"line 3: unknown key '{key}' in \\[trigger\\]"):
+            PipelineConfig.loads(f"[trigger]\nrefractory = 0.2\n{key} = 3\n")
 
     def test_key_outside_section_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -161,9 +164,6 @@ notch_half_band = 3
 smooth_window = 7
 
 [trigger]
-trigger_level = 1.7
-band_epsilon = 0.03
-run_length = 4
 refractory = 0.3
 
 [alerts]
@@ -272,6 +272,11 @@ class TestCliSubcommands:
                      "[trigger]\nrefractory = inf\n",
                      "[trigger]\ntrigger_level = nan\n",
                      "[trigger]\nband_epsilon = inf\n",
+                     "[trigger]\nrun_length = 4\n",
+                     "[telemetry]\nsink = bogus\n",
+                     "[telemetry]\nsink = http:abc\n",
+                     "[telemetry]\nsink = http:70000\n",
+                     "[telemetry]\nsink = file:\n",
                      "[noise]\nemg_sigma = nan\n",
                      "[noise]\nmains_freq = inf\n",
                      "[frontend]\ncmrr_db = nan\n",
@@ -335,8 +340,6 @@ class TestCliSubcommands:
     @pytest.mark.parametrize("flag, value", [
         ("--refractory", "inf"),
         ("--refractory", "nan"),
-        ("--trigger-level", "nan"),
-        ("--band-epsilon", "inf"),
     ])
     def test_detect_nonfinite_trigger_exits_runtime(self, tmp_path, capsys, flag, value):
         fixture = tmp_path / "sine.csv"
@@ -358,6 +361,19 @@ class TestCliSubcommands:
         pure = generate_sine(10.0, 1.0, 500.0, 2.0)
         residual = cleaned.values - pure.values
         assert float(np.sqrt(np.mean(residual**2))) < 0.02
+
+    @pytest.mark.parametrize("mode", [["--ascii"], []])
+    @pytest.mark.parametrize("bound", ["--v-max=inf", "--v-min=nan", "--v-min=-inf"])
+    def test_plot_nonfinite_range_exits_runtime(self, tmp_path, capsys, mode, bound):
+        """Refused, not drawn as a flat trace or reported as rows out of range."""
+        fixture, svg = tmp_path / "sine.csv", tmp_path / "sine.svg"
+        assert main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)]) == 0
+        assert main(["plot", "--in", str(fixture), "--out", str(svg), bound, *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = bound.partition("=")[0][2:].replace("-", "_")
+        assert f"{name} must be finite" in captured.err
+        assert not svg.exists()
 
     def test_stream_emits_ordered_json_lines(self, tmp_path, capsys):
         fixture = tmp_path / "sine.csv"
@@ -430,6 +446,23 @@ class TestCliSubcommands:
         assert rec.bpm == 130.0
         alert = json.loads(received[1])
         assert "above high threshold" in alert["message"]
+
+    def test_send_negative_max_ecg_exits_runtime(self, tmp_path, capsys):
+        """Refused before the samples are counted: codes[:-1] would hold 999."""
+        fixture = tmp_path / "sine.csv"
+        main(["simulate", "--source", "sine", "--duration", "2", "--out", str(fixture)])
+        capsys.readouterr()
+        assert main(["send", "--in", str(fixture), "--bpm", "72", "--max-ecg", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ecgmon: max_ecg must be >= 0, got -1\n"
+
+    def test_run_bad_sink_exits_runtime_without_publish(self, capsys):
+        """The sink spec is checked before any stage runs, published to or not."""
+        assert main(["run", "--duration", "4", "--sink", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ecgmon: unknown sink 'bogus'")
 
     def test_send_infinite_bound_exits_runtime(self, tmp_path, capsys):
         """An infinite high bound would never alert: refused before anything is sent."""
@@ -579,8 +612,7 @@ def _fuzz_options(root):
                     "--seed": ints, "--response-csv": outputs},
         "notch": {"--in": inputs, "--out": outputs, "--center": floats,
                   "--half-band": floats},
-        "detect": {"--in": inputs, "--trigger-level": floats, "--band-epsilon": floats,
-                   "--run-length": ints, "--refractory": floats},
+        "detect": {"--in": inputs, "--refractory": floats},
         "stream": {"--in": inputs, "--half-capacity": ints, "--bits": ints, "--vref": floats},
         "plot": {"--in": inputs, "--out": outputs, "--width": ints, "--height": ints,
                  "--v-min": floats, "--v-max": floats, "--ascii": None},

@@ -127,17 +127,19 @@ class TestDetectEdges:
         assert detect_rising_edges(frame) == []
 
     def test_ramp_single_edge_at_first_qualifying_run(self):
-        # 10-sample ramp 0..1 at 10 Hz; trigger 0.5, band 0.022:
-        # first run with v[i] <= 0.522 and v[i+2] >= 0.478 starts at i=3
+        # 10-sample ramp 0..1 at 10 Hz; level 0.5, band 0.02:
+        # first run with v[i] <= 0.52 and v[i+2] >= 0.48 starts at i=3
         frame = SampleFrame(10.0, np.linspace(0.0, 1.0, 10))
-        cfg = TriggerConfig(trigger_level=0.5, band_epsilon=0.022, refractory=0.5)
+        cfg = TriggerConfig(refractory=0.5)
         edges = detect_rising_edges(frame, cfg)
         assert [e.sample_index for e in edges] == [4]
         assert edges[0].time == pytest.approx(0.4)
 
     def test_two_hz_sine_two_edges(self):
-        frame = generate_sine(2.0, 1.0, 500.0, 1.0)
-        cfg = TriggerConfig(trigger_level=0.0, band_epsilon=0.01, refractory=0.2)
+        # rises through the midrange at 0 and 0.5 s; 0.9 s ends before the
+        # band around it catches the start of the rise at 1 s
+        frame = generate_sine(2.0, 1.0, 500.0, 0.9)
+        cfg = TriggerConfig(refractory=0.2)
         edges = detect_rising_edges(frame, cfg)
         assert len(edges) == 2
         spacing = edges[1].sample_index - edges[0].sample_index
@@ -148,7 +150,7 @@ class TestDetectEdges:
             detect_rising_edges(SampleFrame(500.0, np.zeros(2)))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("name", ["trigger_level", "band_epsilon", "refractory"])
+    @pytest.mark.parametrize("name", ["refractory"])
     def test_nonfinite_trigger_settings_rejected(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             TriggerConfig(**{name: bad})
@@ -156,7 +158,7 @@ class TestDetectEdges:
     def test_translation_equivariance(self):
         """Embedding the frame later in a plateau shifts interior edges by k."""
         frame = generate_sine(2.0, 1.0, 500.0, 2.0)
-        cfg = TriggerConfig(trigger_level=0.0, band_epsilon=0.01, refractory=0.2)
+        cfg = TriggerConfig(refractory=0.2)  # the plateau keeps the frame's level and band
         base = [e.sample_index for e in detect_rising_edges(frame, cfg)]
         k = 137
         shifted_values = np.concatenate([np.full(k, frame.values[0]), frame.values])
@@ -168,41 +170,36 @@ class TestDetectEdges:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(freq=st.integers(min_value=1, max_value=8), duration=st.integers(min_value=2, max_value=6))
     def test_edge_count_on_sine(self, freq, duration):
-        """floor(f*T) +- 1 rising edges for a pure sine triggered at DC."""
+        """floor(f*T) +- 1 rising edges for a pure sine, triggered at its midrange."""
         frame = generate_sine(float(freq), 1.0, 500.0, float(duration))
-        cfg = TriggerConfig(trigger_level=0.0, band_epsilon=0.02,
-                            refractory=0.25 / freq)
+        cfg = TriggerConfig(refractory=0.25 / freq)
         edges = detect_rising_edges(frame, cfg)
         assert abs(len(edges) - freq * duration) <= 1
 
     def test_amplitude_scale_invariance(self):
+        """Level and band scale with the frame."""
         frame = generate_sine(2.0, 1.0, 500.0, 2.0)
-        cfg1 = TriggerConfig(trigger_level=0.0, band_epsilon=0.01, refractory=0.2)
-        cfg2 = TriggerConfig(trigger_level=0.0, band_epsilon=0.05, refractory=0.2)
+        cfg = TriggerConfig(refractory=0.2)
         scaled = frame.with_values(frame.values * 5.0)
-        bpm1 = heart_rate_from_edges(detect_rising_edges(frame, cfg1), 500.0).bpm
-        bpm2 = heart_rate_from_edges(detect_rising_edges(scaled, cfg2), 500.0).bpm
+        bpm1 = heart_rate_from_edges(detect_rising_edges(frame, cfg), 500.0).bpm
+        bpm2 = heart_rate_from_edges(detect_rising_edges(scaled, cfg), 500.0).bpm
         assert bpm1 == bpm2
 
     def test_auto_trigger_defaults(self):
-        """Level defaults to midrange and the band to 2% of peak-to-peak."""
-        frame = generate_sine(2.0, 1.0, 500.0, 2.0)
-        auto = detect_rising_edges(frame)
-        explicit = detect_rising_edges(frame, TriggerConfig(
-            trigger_level=float((frame.values.min() + frame.values.max()) / 2),
-            band_epsilon=float(0.02 * (frame.values.max() - frame.values.min())),
-        ))
-        assert [e.sample_index for e in auto] == [e.sample_index for e in explicit]
+        """The level is the midrange and the band 2% of peak-to-peak: on the
+        ramp 1000..1100 (level 1050, band 2) the first run that reaches 1048
+        starts at sample 46; a band of 0 would start it at 48, one of 3 at 45."""
+        frame = SampleFrame(100.0, np.arange(1000.0, 1101.0))
+        assert [e.sample_index for e in detect_rising_edges(frame)] == [47]
 
 
 def detect_edges_reference(frame: SampleFrame, cfg: TriggerConfig) -> list[int]:
     """Edge indices by the sliding-window run check: each window of run - 1
     steps is tested with np.all."""
     values = frame.values
-    n, run = len(values), cfg.run_length
+    n, run = len(values), 3
     lo, hi = float(np.min(values)), float(np.max(values))
-    level = cfg.trigger_level if cfg.trigger_level is not None else (lo + hi) / 2.0
-    epsilon = cfg.band_epsilon if cfg.band_epsilon is not None else 0.02 * (hi - lo)
+    level, epsilon = (lo + hi) / 2.0, 0.02 * (hi - lo)
     steps_ok = np.all(sliding_window_view(np.diff(values) >= 0, run - 1), axis=1)
     first, last = values[: n - run + 1], values[run - 1:]
     candidates = np.nonzero(
@@ -218,23 +215,19 @@ def detect_edges_reference(frame: SampleFrame, cfg: TriggerConfig) -> list[int]:
 
 class TestDetectEdgesReference:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(steps=st.lists(st.integers(-3, 3), min_size=9, max_size=300),
-           run=st.integers(3, 9),
-           level=st.one_of(st.none(), st.integers(-20, 20).map(float)),
-           epsilon=st.one_of(st.none(), st.sampled_from([0.0, 0.5, 2.0])),
+    @given(steps=st.lists(st.integers(-3, 3), min_size=3, max_size=300),
            refractory=st.sampled_from([0.0, 0.01, 0.05, 0.2]))
-    def test_same_edges_as_window_check(self, steps, run, level, epsilon, refractory):
+    def test_same_edges_as_window_check(self, steps, refractory):
         """Small integer steps give long monotone runs, plateaus and reversals."""
         frame = SampleFrame(100.0, np.cumsum(np.asarray(steps, dtype=np.float64)))
-        cfg = TriggerConfig(trigger_level=level, band_epsilon=epsilon, run_length=run,
-                            refractory=refractory)
+        cfg = TriggerConfig(refractory=refractory)
         got = [e.sample_index for e in detect_rising_edges(frame, cfg)]
         assert got == detect_edges_reference(frame, cfg)
 
-    @pytest.mark.parametrize("run", [3, 4, 9])
+    @pytest.mark.parametrize("run", [3])  # a run is 3 samples
     def test_frame_of_exactly_run_length(self, run):
         frame = SampleFrame(100.0, np.arange(float(run)))
-        cfg = TriggerConfig(run_length=run)
+        cfg = TriggerConfig()
         got = [e.sample_index for e in detect_rising_edges(frame, cfg)]
         assert got == detect_edges_reference(frame, cfg) == [run // 2]
 

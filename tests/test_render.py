@@ -52,6 +52,17 @@ class TestMapToTrace:
         with pytest.raises(ValueError):
             map_to_trace(SampleFrame(500.0, np.zeros(0)), 128, 64, 0.0, 1.0)
 
+    @pytest.mark.parametrize("v_min, v_max, name", [
+        (float("nan"), None, "v_min"), (float("-inf"), 1.0, "v_min"),
+        (None, float("inf"), "v_max"), (0.0, float("nan"), "v_max"),
+    ])
+    def test_nonfinite_range_rejected(self, v_min, v_max, name):
+        """An infinite bound would squash the trace flat; a NaN one would
+        give no row at all."""
+        frame = generate_sine(2.0, 1.0, 500.0, 1.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            map_to_trace(frame, 128, 64, v_min, v_max)
+
     def test_length_matches_width(self):
         frame = generate_sine(2.0, 1.0, 500.0, 1.0)
         assert len(map_to_trace(frame, 99, 64)) == 99

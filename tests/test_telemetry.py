@@ -29,6 +29,7 @@ from ecgmon.telemetry import (
     encode_record,
     evaluate_alert,
     publish,
+    make_sink,
     publish_record,
     retrieve_and_plot,
 )
@@ -125,6 +126,12 @@ class TestEncoding:
         with pytest.raises(PayloadTooLargeError):
             encode_record(rec)
         assert encode_record(rec, max_ecg=6000)  # configurable bound
+
+    @pytest.mark.parametrize("ecg", [[], [1] * 5])
+    def test_negative_max_ecg_rejected(self, ecg):
+        """Refused before the samples are counted, empty record or not."""
+        with pytest.raises(ValueError, match="max_ecg must be >= 0, got -1"):
+            encode_record(make_record(ecg=ecg), max_ecg=-1)
 
     @pytest.mark.parametrize("sample", [float("nan"), float("inf"), -float("inf")])
     def test_non_json_numbers_rejected(self, sample):
@@ -450,6 +457,25 @@ class TestCodeTextDecoding:
 
 
 class TestSinks:
+    @pytest.mark.parametrize("spec, described", [
+        ("stdout", "stdout"), ("file:out.jsonl", "file:out.jsonl"),
+        ("file:a:b", "file:a:b"), ("http:1", "http:1"), ("http:65535", "http:65535"),
+    ])
+    def test_make_sink_describes_its_spec(self, spec, described):
+        with make_sink(spec) as sink:  # opens nothing
+            assert sink.describe() == described
+
+    @pytest.mark.parametrize("spec, match", [
+        ("bogus", "unknown sink 'bogus'"), ("stdout:", "unknown sink"), ("", "unknown sink"),
+        ("http:abc", "1..65535, got 'abc'"), ("http:0", "1..65535"), ("http:65536", "1..65535"),
+        ("http:", "1..65535"), ("http:-1", "1..65535"), ("file:", "unknown sink 'file:'"),
+    ])
+    def test_bad_sink_spec_rejected(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            make_sink(spec)
+        with pytest.raises(ValueError, match=match):
+            PipelineConfig(sink=spec)
+
     def test_file_publish_read_back(self, tmp_path):
         sink = FileSink(tmp_path / "out.jsonl")
         payload = encode_record(make_record())
