@@ -32,7 +32,7 @@ from .frontend import (
     bench_spec,
     voltage_gain,
 )
-from .acquisition import AdcConfig, PingPongBuffer, ReadyEvent, ReadyHalf, dequantize, quantize
+from .acquisition import AdcConfig, PingPongBuffer, ReadyHalf, dequantize, quantize
 from .dsp import (
     EdgeEvent,
     HeartRateReading,

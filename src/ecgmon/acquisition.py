@@ -2,11 +2,11 @@
 
 ADC codes are plain ints (0 .. 2^bits - 1).  The buffer holds two half
 buffers: the writer fills one, a block at a time as a DMA channel does,
-while the consumer owns the other; a filled half raises a ready event
-carrying a monotonically increasing sequence number.  If a new half
-completes while the previous ready half is still unconsumed, the stale
-half is dropped and overwritten (overrun policy: overwrite-oldest and
-flag), which shows up as a gap in consumed sequence numbers.
+while the consumer owns the other; each filled half becomes ready under
+a monotonically increasing sequence number.  If a new half completes
+while the previous ready half is still unconsumed, the stale half is
+dropped and overwritten (overrun policy: overwrite-oldest and flag),
+which shows up as a gap in consumed sequence numbers.
 
 PingPongBuffer.acquire() is the half driver that run_pipeline and
 `ecgmon stream` both use: it writes one half-sized block at a time and
@@ -29,7 +29,6 @@ from .signals import _require_finite_positive
 
 __all__ = [
     "AdcConfig",
-    "ReadyEvent",
     "ReadyHalf",
     "PingPongBuffer",
     "quantize",
@@ -63,8 +62,8 @@ def quantize(v, cfg: AdcConfig):
     if np.isnan(arr).any():
         raise ValueError("cannot quantize NaN")
     scaled = arr / cfg.vref * cfg.max_code
-    rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    codes = np.clip(rounded, 0, cfg.max_code).astype(np.int64)
+    # negative values clamp to 0, so rounding half up equals half away from zero
+    codes = np.clip(np.floor(scaled + 0.5), 0, cfg.max_code).astype(np.int64)
     if np.isscalar(v) or arr.ndim == 0:
         return int(codes)
     return codes
@@ -92,79 +91,67 @@ def dequantize(c, cfg: AdcConfig):
 
 
 @dataclass(frozen=True)
-class ReadyEvent:
-    """A half buffer finished filling."""
-
-    half: int
-    seq: int
-
-
-@dataclass(frozen=True)
 class ReadyHalf:
     """An owned copy of a filled half, stamped with its sequence number."""
 
     seq: int
     half: int
     codes: np.ndarray
-    overrun: bool
 
 
 class PingPongBuffer:
     """Two alternating half buffers between a block writer and a consumer.
 
-    push_block() copies a block of codes into the active half, switching
-    halves as each fills, and returns one ReadyEvent per completed half,
-    like a DMA transfer-complete interrupt; take_ready_half() hands the
-    filled half to the consumer as an owned copy; acquire() drives both in
-    turn over a whole code stream.  The overrun flag latches once a half is
-    dropped.
+    push_block() copies a block of codes into the half being written,
+    switching halves as each fills, and returns how many halves it
+    completed, like a count of DMA transfer-complete interrupts;
+    take_ready_half() hands the filled half to the consumer as an owned
+    copy; acquire() drives both in turn over a whole code stream.  The
+    overrun flag latches once a half is dropped.
     """
 
     def __init__(self, half_capacity: int):
         if half_capacity < 1:
             raise ValueError(f"half_capacity must be >= 1, got {half_capacity}")
         self.half_capacity = int(half_capacity)
+        # the half with sequence number seq is written into _halves[seq % 2]
         self._halves = [np.zeros(self.half_capacity, dtype=np.int64) for _ in range(2)]
         self.write_index = 0
-        self.active_half = 0
-        self._ready: ReadyEvent | None = None
+        self._ready: int | None = None  # seq of the filled half not yet taken
         self.overrun_flag = False
         self._next_seq = 0
         self._lock = threading.Lock()
 
-    def push_block(self, codes) -> list[ReadyEvent]:
-        """Write codes in order; return the events of the halves they completed."""
+    def push_block(self, codes) -> int:
+        """Write codes in order; return the number of halves they completed."""
         codes = np.asarray(codes, dtype=np.int64)
-        events: list[ReadyEvent] = []
+        completed = 0
         with self._lock:
             start = 0
             while start < len(codes):
-                half = self._halves[self.active_half]
+                half = self._halves[self._next_seq % 2]
                 n = min(self.half_capacity - self.write_index, len(codes) - start)
                 half[self.write_index:self.write_index + n] = codes[start:start + n]
                 self.write_index += n
                 start += n
                 if self.write_index < self.half_capacity:
                     break
-                event = ReadyEvent(half=self.active_half, seq=self._next_seq)
-                self._next_seq += 1
                 if self._ready is not None:
                     # consumer stalled: drop the stale ready half, keep newest
                     self.overrun_flag = True
-                self._ready = event
-                events.append(event)
-                self.active_half ^= 1
+                self._ready = self._next_seq
+                self._next_seq += 1
+                completed += 1
                 self.write_index = 0
-        return events
+        return completed
 
     def take_ready_half(self) -> ReadyHalf | None:
         """Pop the pending ready half, or None when nothing is ready."""
         with self._lock:
-            event, self._ready = self._ready, None
-            if event is None:
+            seq, self._ready = self._ready, None
+            if seq is None:
                 return None
-            codes = self._halves[event.half].copy()
-            return ReadyHalf(seq=event.seq, half=event.half, codes=codes, overrun=self.overrun_flag)
+            return ReadyHalf(seq=seq, half=seq % 2, codes=self._halves[seq % 2].copy())
 
     def acquire(self, codes) -> Iterator[ReadyHalf]:
         """Write codes one half_capacity block at a time, as the DMA does,

@@ -19,7 +19,7 @@ from .acquisition import AdcConfig, PingPongBuffer, quantize
 from .config import ConfigError, PipelineConfig
 from .frontend import chain_magnitude, measure_metrics
 from .pipeline import PipelineError, run_pipeline
-from .render import export_ascii, export_svg, Framebuffer, draw_trace, map_to_trace
+from .render import export_ascii, export_svg, Framebuffer, _require_finite_bounds, draw_trace, map_to_trace
 from .signals import NoiseConfig, SampleFrame, add_noise, generate_ecg, generate_sine
 
 USAGE_EXIT = 1
@@ -57,7 +57,6 @@ def _cmd_run(args) -> int:
         "median_period_s": None if reading.median_period is None else round(reading.median_period, 6),
         "edges": len(result.edges),
         "saturated": result.saturated,
-        "overrun": result.overrun,
         "alert": None if result.alert is None else result.alert.message,
         "published": len(result.receipts) - len(failed),
     }
@@ -147,7 +146,6 @@ def _cmd_stream(args) -> int:
         print(_json_line({
             "seq": half.seq,
             "half": half.half,
-            "overrun": half.overrun,
             "codes": half.codes.tolist(),
         }))
     return 0
@@ -157,6 +155,7 @@ def _cmd_plot(args) -> int:
     frame = SampleFrame.from_csv(args.infile)
     if args.ascii:
         fb = Framebuffer(width=args.width, height=args.height)
+        _require_finite_bounds(args.v_min, args.v_max)  # an empty frame maps nothing
         if len(frame):
             draw_trace(fb, None, map_to_trace(frame, args.width, args.height,
                                               args.v_min, args.v_max))

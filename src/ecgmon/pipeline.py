@@ -21,8 +21,6 @@ class PipelineError(RuntimeError):
 
     def __init__(self, module: str, cause: Exception):
         super().__init__(f"{module}: {cause}")
-        self.module = module
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -32,7 +30,6 @@ class PipelineResult:
     filtered: SampleFrame
     edges: list
     saturated: bool
-    overrun: bool
     record: telemetry.TelemetryRecord | None
     alert: telemetry.AlertEvent | None
     receipts: list
@@ -105,7 +102,6 @@ def run_pipeline(
         filtered=filtered,
         edges=edges,
         saturated=conditioned.saturated,
-        overrun=buf.overrun_flag,
         record=record,
         alert=alert,
         receipts=receipts,

@@ -59,6 +59,12 @@ class PlotTrace:
         return len(self.rows)
 
 
+def _require_finite_bounds(v_min: float | None, v_max: float | None) -> None:
+    for name, bound in (("v_min", v_min), ("v_max", v_max)):
+        if bound is not None and not math.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound}")
+
+
 def map_to_trace(
     frame: SampleFrame,
     fb_width: int = DEFAULT_WIDTH,
@@ -75,9 +81,7 @@ def map_to_trace(
     """
     if fb_width <= 0 or fb_height <= 0:
         raise ValueError(f"target size must be positive, got {fb_width}x{fb_height}")
-    for name, bound in (("v_min", v_min), ("v_max", v_max)):
-        if bound is not None and not math.isfinite(bound):
-            raise ValueError(f"{name} must be finite, got {bound}")
+    _require_finite_bounds(v_min, v_max)
     if len(frame) == 0:
         raise ValueError("cannot map an empty frame")
     if v_min is None:
@@ -137,9 +141,11 @@ def export_svg(
     """Write a single-polyline SVG of a frame.
 
     Polyline coordinates are exactly the map_to_trace rows; an empty frame
-    yields a valid SVG with an empty polyline.  Output bytes are fully
-    deterministic for identical inputs.
+    yields a valid SVG with an empty polyline, though a given bound must
+    still be finite.  Output bytes are fully deterministic for identical
+    inputs.
     """
+    _require_finite_bounds(v_min, v_max)
     if len(frame) == 0:
         points = ""
     else:

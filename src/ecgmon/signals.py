@@ -150,12 +150,12 @@ class SampleFrame:
                 fh.write(f"{t:.9g},{v:.9g}\n")
 
     @classmethod
-    def from_csv(cls, path, default_rate: float = 500.0) -> "SampleFrame":
+    def from_csv(cls, path) -> "SampleFrame":
         """Read a time,value CSV written by to_csv.
 
         The sample rate is recovered from the time column, which must be
         strictly increasing; frames with fewer than two rows fall back to
-        default_rate.
+        500 Hz.
         """
         times: list[float] = []
         values: list[float] = []
@@ -181,7 +181,7 @@ class SampleFrame:
             rate = float(f"{rate:.9g}")
             start = times[0]
         else:
-            rate = default_rate
+            rate = 500.0
             start = times[0] if times else 0.0
         return cls(sample_rate=rate, values=np.asarray(values), start_time=start)
 

@@ -358,6 +358,9 @@ class StdoutSink(_Sink):
         sys.stdout.write(payload.decode("utf-8") + "\n")
 
 
+_HTTP_TIMEOUT_S = 2.0  # per connect and per socket read
+
+
 class HttpSink(_Sink):
     """POSTs payloads to a local listener over one persistent HTTP/1.1
     connection, opened on the first send.
@@ -367,11 +370,9 @@ class HttpSink(_Sink):
     the listener closes it.  close() releases it.
     """
 
-    def __init__(self, port: int, host: str = "127.0.0.1", timeout: float = 2.0):
-        self.host = host
+    def __init__(self, port: int, host: str = "127.0.0.1"):
         self.port = port
-        self.timeout = timeout
-        self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
+        self._conn = http.client.HTTPConnection(host, port, timeout=_HTTP_TIMEOUT_S)
 
     def describe(self) -> str:
         return f"http:{self.port}"

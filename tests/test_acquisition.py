@@ -96,12 +96,15 @@ class TestDequantize:
 class TestPingPongBuffer:
     def test_fill_pattern_capacity_4(self):
         buf = PingPongBuffer(4)
-        assert buf.push_block([0, 1, 2]) == []
-        (event,) = buf.push_block([3])
-        assert event.half == 0 and event.seq == 0
-        assert buf.push_block([4, 5, 6]) == []
-        (event,) = buf.push_block([7])
-        assert event.half == 1 and event.seq == 1
+        assert buf.push_block([0, 1, 2]) == 0
+        assert buf.push_block([3]) == 1
+        half = buf.take_ready_half()
+        assert half.half == 0 and half.seq == 0
+        assert buf.push_block([4, 5, 6]) == 0
+        assert buf.push_block([7]) == 1
+        half = buf.take_ready_half()
+        assert half.half == 1 and half.seq == 1
+        assert buf.push_block(range(9)) == 2
 
     def test_take_returns_codes_in_push_order(self):
         buf = PingPongBuffer(4)
@@ -151,12 +154,12 @@ class TestPingPongBuffer:
         buf.push_block(range(4))
         half = buf.take_ready_half()
         # push another full half; the writer switches into half 1, not half 0
-        (event,) = buf.push_block([9, 9, 9, 9])
-        assert event.half == 1
+        assert buf.push_block([9, 9, 9, 9]) == 1
+        assert buf.take_ready_half().half == 1
         assert half.codes.tolist() == [0, 1, 2, 3]
         # the next half overwrites half 0 in the buffer, not the owned copy
-        (event,) = buf.push_block([8, 8, 8, 8])
-        assert event.half == 0
+        assert buf.push_block([8, 8, 8, 8]) == 1
+        assert buf.take_ready_half().half == 0
         assert half.codes.tolist() == [0, 1, 2, 3]
 
     def test_invalid_capacity(self):
@@ -196,17 +199,17 @@ class TestPingPongBuffer:
 
         def drive(split):
             buf = PingPongBuffer(capacity)
-            events, taken = [], []
+            completed, taken = 0, []
             start = 0
             for stop in bounds:
                 for lo, hi in split(start, stop):
-                    events += buf.push_block(data[lo:hi])
+                    completed += buf.push_block(data[lo:hi])
                 if takes.get(stop):
                     half = buf.take_ready_half()
                     if half is not None:
-                        taken.append((half.seq, half.half, half.overrun, half.codes.tolist()))
+                        taken.append((half.seq, half.half, half.codes.tolist()))
                 start = stop
-            return events, taken, buf.overrun_flag, buf.write_index
+            return completed, taken, buf.overrun_flag, buf.write_index
 
         blocks = drive(lambda lo, hi: [(lo, hi)])
         one_code = drive(lambda lo, hi: [(i, i + 1) for i in range(lo, hi)])
@@ -227,7 +230,7 @@ class TestPingPongBuffer:
         head, data = rng.integers(0, 4096, prefix), rng.integers(0, 4096, length)
 
         def fields(half):
-            return half.seq, half.half, half.overrun, half.codes.tolist()
+            return half.seq, half.half, half.codes.tolist()
 
         buf, ref = PingPongBuffer(capacity), PingPongBuffer(capacity)
         buf.push_block(head)

@@ -189,7 +189,6 @@ class TestRunPipeline:
         result = run_pipeline(cfg, bpm=120.0)
         assert result.reading.bpm == pytest.approx(120.0, abs=0.5)
         assert not result.saturated
-        assert not result.overrun
 
     def test_ecg_mode_with_noise_reports_72(self):
         noise = NoiseConfig(mains_amplitude=0.3, wander_amplitude=0.1,
@@ -237,6 +236,13 @@ class TestCliSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["bpm"] - 120.0) <= 0.5
         assert doc["alert"] is None
+
+    def test_run_stdout_line(self, capsys):
+        """The whole line, key set and order included."""
+        assert main(["run", "--source", "sine", "--bpm", "120", "--duration", "4"]) == 0
+        assert capsys.readouterr().out == (
+            '{"bpm":120.0,"period_s":0.5,"median_period_s":0.5,"edges":6,'
+            '"saturated":false,"alert":null,"published":0}\n')
 
     def test_failed_publish_exits_runtime(self, tmp_path, capsys):
         """A publish that fails exits 2 and names the error; stdout is the
@@ -362,12 +368,22 @@ class TestCliSubcommands:
         residual = cleaned.values - pure.values
         assert float(np.sqrt(np.mean(residual**2))) < 0.02
 
-    @pytest.mark.parametrize("mode", [["--ascii"], []])
+    @pytest.mark.parametrize("mode, empty", [
+        pytest.param(["--ascii"], False, id="mode0"),
+        pytest.param([], False, id="mode1"),
+        pytest.param(["--ascii"], True, id="empty-ascii"),
+        pytest.param([], True, id="empty-svg"),
+    ])
     @pytest.mark.parametrize("bound", ["--v-max=inf", "--v-min=nan", "--v-min=-inf"])
-    def test_plot_nonfinite_range_exits_runtime(self, tmp_path, capsys, mode, bound):
-        """Refused, not drawn as a flat trace or reported as rows out of range."""
+    def test_plot_nonfinite_range_exits_runtime(self, tmp_path, capsys, mode, empty, bound):
+        """Refused, not drawn as a flat trace or reported as rows out of range;
+        a header-only CSV, which maps no sample, is refused too."""
         fixture, svg = tmp_path / "sine.csv", tmp_path / "sine.svg"
-        assert main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)]) == 0
+        if empty:
+            fixture.write_text("time,value\n")
+        else:
+            assert main(["simulate", "--source", "sine", "--duration", "1",
+                         "--out", str(fixture)]) == 0
         assert main(["plot", "--in", str(fixture), "--out", str(svg), bound, *mode]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -383,9 +399,9 @@ class TestCliSubcommands:
         lines = capsys.readouterr().out.strip().splitlines()
         docs = [json.loads(line) for line in lines]
         assert [d["seq"] for d in docs] == list(range(len(docs)))
-        assert all(set(d) == {"seq", "half", "overrun", "codes"} for d in docs)
+        assert all(set(d) == {"seq", "half", "codes"} for d in docs)
+        assert all(d["half"] == d["seq"] % 2 for d in docs)
         assert all(len(d["codes"]) == 128 for d in docs)
-        assert not any(d["overrun"] for d in docs)
 
     @pytest.mark.parametrize("vref", ["nan", "inf"])
     def test_stream_nonfinite_vref_exits_runtime(self, tmp_path, capsys, vref):
@@ -399,11 +415,11 @@ class TestCliSubcommands:
     # sha256 of stdout for a 10 s noisy ECG at each half capacity; 5000 % 7
     # and 5000 % 128 leave a trailing partial half, which is not printed
     @pytest.mark.parametrize("capacity, digest", [
-        (1, "ab368953e9268f4625deb366eabaad702da4cdf9e79a36827e442d66a4b833b7"),
-        (7, "625f914547a625c2e6d5470ce69130983ea5ec8d63c086df3baa1e7bd573ca6c"),
-        (128, "377a0dddf2e6b910c38665a5bb3ac93dc56e0cbdb19a652cd194abeccba32f89"),
-        (512, "0c379fad7b929861d18e15ce9126028c7dacc001331213dec1d14a00687e5db9"),
-        (5000, "628213b20588d64f4b61eb2992afe0db3a50ce790291cf35bba36e94291ee05d"),
+        (1, "bef9469dc19c3d569a169ce34e2925d893e71ec03e86409e8c1bec6ac622be15"),
+        (7, "01c11095b9cca2b1110fc508cec8b4bc9435b383b818fd1594e5d33b5910996d"),
+        (128, "683633521003491a7c7ec95559ef52060ef7566673906b3044bf7a0cbdb88e7a"),
+        (512, "ce67f0d7b7fabd0d69636c7e9b58436a27e0c2617aa7fc4e6e7fae6e6d7c7ba0"),
+        (5000, "a32c9305d2594b98b047a37e8b7bb7c338c3b794fbda9d68b577e88b5080a495"),
     ])
     def test_stream_bytes(self, tmp_path, capsys, capacity, digest):
         fixture = tmp_path / "noisy.csv"
