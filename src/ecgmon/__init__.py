@@ -37,7 +37,6 @@ from .dsp import (
     EdgeEvent,
     HeartRateReading,
     InsufficientDataError,
-    TriggerConfig,
     detect_rising_edges,
     fft_notch,
     heart_rate_from_edges,

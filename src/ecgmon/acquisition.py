@@ -61,9 +61,10 @@ def quantize(v, cfg: AdcConfig):
     arr = np.asarray(v, dtype=np.float64)
     if np.isnan(arr).any():
         raise ValueError("cannot quantize NaN")
-    scaled = arr / cfg.vref * cfg.max_code
-    # negative values clamp to 0, so rounding half up equals half away from zero
-    codes = np.clip(np.floor(scaled + 0.5), 0, cfg.max_code).astype(np.int64)
+    # clamping the voltage first keeps a huge one from overflowing the
+    # scaling; negative values clamp to 0, so rounding half up equals half
+    # away from zero
+    codes = np.floor(np.clip(arr, 0.0, cfg.vref) / cfg.vref * cfg.max_code + 0.5).astype(np.int64)
     if np.isscalar(v) or arr.ndim == 0:
         return int(codes)
     return codes

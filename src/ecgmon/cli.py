@@ -125,7 +125,7 @@ def _cmd_notch(args) -> int:
 
 def _cmd_detect(args) -> int:
     frame = SampleFrame.from_csv(args.infile)
-    edges = dsp.detect_rising_edges(frame, dsp.TriggerConfig(refractory=args.refractory))
+    edges = dsp.detect_rising_edges(frame, args.refractory)
     doc: dict = {"edges": [{"index": e.sample_index, "t": round(e.time, 6)} for e in edges]}
     try:
         reading = dsp.heart_rate_from_edges(edges, frame.sample_rate)
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="edge-trigger detection on a CSV frame")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--refractory", type=float, default=dsp.TriggerConfig.refractory)
+    p.add_argument("--refractory", type=float, default=PipelineConfig.refractory)
     p.set_defaults(fn=_cmd_detect)
 
     p = sub.add_parser("stream", help="quantize a CSV frame through the ping-pong buffer")
@@ -295,13 +295,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"ecgmon: config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except FileNotFoundError as exc:
-        print(f"ecgmon: {exc}", file=sys.stderr)
-        return RUNTIME_EXIT
-    except PipelineError as exc:
-        print(f"ecgmon: {exc}", file=sys.stderr)
-        return RUNTIME_EXIT
-    except (ValueError, OSError) as exc:
+    except (PipelineError, ValueError, OSError) as exc:
         print(f"ecgmon: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

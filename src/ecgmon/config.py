@@ -13,7 +13,7 @@ import typing
 from dataclasses import dataclass, field, replace
 
 from .acquisition import AdcConfig
-from .dsp import TriggerConfig, _require_notch, _require_odd_window
+from .dsp import _require_notch, _require_odd_window, _require_refractory
 from .frontend import FrontEndSpec
 from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH
 from .signals import EcgTemplateParams, NoiseConfig, _require_finite_positive
@@ -31,7 +31,7 @@ class PipelineConfig:
     """Resolved settings for the end-to-end pipeline.
 
     Settings that mirror a stage dataclass take that dataclass's default;
-    the sub-configs (noise, frontend, trigger, alerts) carry their own.
+    the sub-configs (noise, frontend, adc, alerts) carry their own.
     """
 
     source: str = "ecg"
@@ -42,13 +42,12 @@ class PipelineConfig:
     template: EcgTemplateParams = field(default_factory=EcgTemplateParams.default)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     frontend: FrontEndSpec = field(default_factory=FrontEndSpec)
-    adc_bits: int = AdcConfig.resolution_bits
-    adc_vref: float = AdcConfig.vref
+    adc: AdcConfig = field(default_factory=AdcConfig)
     half_capacity: int = 512
     notch_center: float = 50.0
     notch_half_band: float = 2.0
     smooth_window: int = 5
-    trigger: TriggerConfig = field(default_factory=TriggerConfig)
+    refractory: float = 0.25
     alerts: AlertPolicy = field(default_factory=AlertPolicy)
     fb_width: int = DEFAULT_WIDTH
     fb_height: int = DEFAULT_HEIGHT
@@ -70,13 +69,12 @@ class PipelineConfig:
         # front so a config file's value is reported against the file
         _require_notch(self.notch_center, self.notch_half_band, self.sample_rate)
         _require_odd_window(self.smooth_window)
+        _require_refractory(self.refractory)
         if self.fb_width < 1 or self.fb_height < 1:
             raise ValueError(f"display must have positive size, got {self.fb_width}x{self.fb_height}")
         if self.max_ecg < 0:
             raise ValueError(f"max_ecg must be >= 0, got {self.max_ecg}")
         _sink_factory(self.sink)
-        # not a field: AdcConfig checks bits and vref
-        object.__setattr__(self, "adc", AdcConfig(resolution_bits=self.adc_bits, vref=self.adc_vref))
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
@@ -85,45 +83,41 @@ class PipelineConfig:
 
     @classmethod
     def loads(cls, text: str, name: str = "<config>") -> "PipelineConfig":
-        raw = _parse_sections(text, name)
+        changes = _parse_sections(text, name)
         cfg = cls()
-        # PipelineConfig's own fields change in one replace, since its checks
-        # relate keys of different sections (notch_center and sample_rate)
-        fields: dict[str, object] = {}
+        # each owner changes in one replace: PipelineConfig's checks relate
+        # keys of different sections (notch_center and sample_rate), and
+        # [adc] feeds both adc and PipelineConfig
         try:
-            for section, values in raw.items():
-                owner, keys = _SCHEMA[section]
-                changes = {keys[key]: value for key, value in values.items()}
-                if owner is None:
-                    fields.update(changes)
-                else:
-                    fields[owner] = replace(getattr(cfg, owner), **changes)
+            fields = changes.pop(None, {})
+            for owner, sub in changes.items():
+                fields[owner] = replace(getattr(cfg, owner), **sub)
             cfg = replace(cfg, **fields)
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
         return cfg
 
 
-def _same(names: str) -> dict[str, str]:
-    return {name: name for name in names.split()}
+def _keys(owner: str | None, names: str = "", **renamed: str) -> dict[str, tuple[str | None, str]]:
+    """File keys of one owner; a key sets the field of its own name unless renamed."""
+    fields = {**{name: name for name in names.split()}, **renamed}
+    return {key: (owner, attr) for key, attr in fields.items()}
 
 
-# file section -> (the PipelineConfig field holding the section's dataclass,
-# or None for PipelineConfig itself; file key -> the field it sets)
-_SCHEMA: dict[str, tuple[str | None, dict[str, str]]] = {
-    "signal": (None, _same("source sample_rate duration bpm sine_amplitude")),
-    "noise": ("noise", {**_same("mains_amplitude mains_freq wander_amplitude wander_freq "
-                                "emg_sigma dc_offset common_mode_amplitude common_mode_freq"),
-                        "seed": "rng_seed"}),
-    "frontend": ("frontend", _same("instrument_gain voltage_gain f_ch f_cl f_0 notch_q "
-                                   "cmrr_db lift_bias supply_min supply_max")),
-    "adc": (None, {"resolution_bits": "adc_bits", "vref": "adc_vref",
-                   "half_capacity": "half_capacity"}),
-    "dsp": (None, _same("notch_center notch_half_band smooth_window")),
-    "trigger": ("trigger", _same("refractory")),
-    "alerts": ("alerts", _same("low_bpm high_bpm")),
-    "render": (None, {"width": "fb_width", "height": "fb_height"}),
-    "telemetry": (None, _same("device_id location sink max_ecg timestamp")),
+# file section -> {file key -> (the PipelineConfig field holding the key's
+# dataclass, or None for PipelineConfig itself; the field the key sets)}
+_SCHEMA: dict[str, dict[str, tuple[str | None, str]]] = {
+    "signal": _keys(None, "source sample_rate duration bpm sine_amplitude"),
+    "noise": _keys("noise", "mains_amplitude mains_freq wander_amplitude wander_freq "
+                   "emg_sigma dc_offset common_mode_amplitude common_mode_freq", seed="rng_seed"),
+    "frontend": _keys("frontend", "instrument_gain voltage_gain f_ch f_cl f_0 notch_q "
+                      "cmrr_db lift_bias supply_min supply_max"),
+    "adc": {**_keys("adc", "resolution_bits vref"), **_keys(None, "half_capacity")},
+    "dsp": _keys(None, "notch_center notch_half_band smooth_window"),
+    "trigger": _keys(None, "refractory"),
+    "alerts": _keys("alerts", "low_bpm high_bpm"),
+    "render": _keys(None, width="fb_width", height="fb_height"),
+    "telemetry": _keys(None, "device_id location sink max_ecg timestamp"),
 }
 
 # field type -> parser of its file value
@@ -134,14 +128,14 @@ _PARSERS = {
 }
 
 
-def _parser(section: str, key: str):
-    owner, keys = _SCHEMA[section]
+def _parser(owner: str | None, attr: str):
     cls = PipelineConfig if owner is None else typing.get_type_hints(PipelineConfig)[owner]
-    return _PARSERS[typing.get_type_hints(cls)[keys[key]]]
+    return _PARSERS[typing.get_type_hints(cls)[attr]]
 
 
-def _parse_sections(text: str, name: str) -> dict[str, dict[str, object]]:
-    out: dict[str, dict[str, object]] = {}
+def _parse_sections(text: str, name: str) -> dict[str | None, dict[str, object]]:
+    """The file's values as {owner: {field: value}}, owners as in _SCHEMA."""
+    out: dict[str | None, dict[str, object]] = {}
     section: str | None = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -151,17 +145,17 @@ def _parse_sections(text: str, name: str) -> dict[str, dict[str, object]]:
             section = line[1:-1].strip()
             if section not in _SCHEMA:
                 raise ConfigError(f"{name}: line {lineno}: unknown section [{section}]")
-            out.setdefault(section, {})
             continue
         if "=" not in line:
             raise ConfigError(f"{name}: line {lineno}: expected 'key = value', got {rawline.strip()!r}")
         if section is None:
             raise ConfigError(f"{name}: line {lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA[section][1]:
+        if key not in _SCHEMA[section]:
             raise ConfigError(f"{name}: line {lineno}: unknown key {key!r} in [{section}]")
+        owner, attr = _SCHEMA[section][key]
         try:
-            out[section][key] = _parser(section, key)(value)
+            out.setdefault(owner, {})[attr] = _parser(owner, attr)(value)
         except ValueError as exc:
             raise ConfigError(f"{name}: line {lineno}: bad value for {key!r}: {exc}") from exc
     return out

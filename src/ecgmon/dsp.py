@@ -19,7 +19,6 @@ from .signals import SampleFrame, _per_shape
 
 __all__ = [
     "InsufficientDataError",
-    "TriggerConfig",
     "EdgeEvent",
     "HeartRateReading",
     "fft_notch",
@@ -33,7 +32,7 @@ class InsufficientDataError(ValueError):
     """Not enough detected structure to compute the requested quantity."""
 
 
-def fft_notch(frame: SampleFrame, center: float = 50.0, half_band: float = 2.0) -> SampleFrame:
+def fft_notch(frame: SampleFrame, center: float, half_band: float) -> SampleFrame:
     """Zero the spectral bins within center +/- half_band and transform back.
 
     Works on the real FFT so conjugate symmetry (and therefore a real
@@ -84,19 +83,9 @@ def _require_odd_window(window: int) -> None:
         raise ValueError(f"window must be a positive odd sample count, got {window}")
 
 
-@dataclass(frozen=True)
-class TriggerConfig:
-    """Edge-trigger parameters.
-
-    refractory suppresses re-triggering for the given time after an
-    accepted edge.
-    """
-
-    refractory: float = 0.25
-
-    def __post_init__(self):
-        if not 0 <= self.refractory < math.inf:
-            raise ValueError(f"refractory must be finite and >= 0, got {self.refractory}")
+def _require_refractory(refractory: float) -> None:
+    if not 0 <= refractory < math.inf:
+        raise ValueError(f"refractory must be finite and >= 0, got {refractory}")
 
 
 @dataclass(frozen=True)
@@ -108,15 +97,15 @@ class EdgeEvent:
     kind: str  # "rising"; heart_rate_from_edges skips any other kind
 
 
-def detect_rising_edges(frame: SampleFrame, cfg: TriggerConfig | None = None) -> list[EdgeEvent]:
+def detect_rising_edges(frame: SampleFrame, refractory: float) -> list[EdgeEvent]:
     """Scan left to right for rising trigger points.
 
     A match is three non-decreasing samples whose span touches or straddles
     the band reaching 2% of the frame peak-to-peak either side of its
-    midrange; the middle sample is reported and scanning skips ahead by the
-    refractory interval.
+    midrange; the middle sample is reported and re-triggering is suppressed
+    for refractory seconds after it.
     """
-    cfg = cfg or TriggerConfig()
+    _require_refractory(refractory)
     values = frame.values
     if len(values) < 3:
         raise ValueError(f"frame of {len(values)} samples is shorter than a 3-sample run")
@@ -131,7 +120,7 @@ def detect_rising_edges(frame: SampleFrame, cfg: TriggerConfig | None = None) ->
     candidates = np.nonzero(
         steps_ok & (first <= level + epsilon) & (last >= level - epsilon) & (last > first)
     )[0]
-    refractory_samples = int(round(cfg.refractory * frame.sample_rate))
+    refractory_samples = int(round(refractory * frame.sample_rate))
     events: list[EdgeEvent] = []
     next_allowed = 0
     for i in candidates:

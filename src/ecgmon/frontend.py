@@ -350,7 +350,7 @@ def _band_edges(spec: FrontEndSpec, sample_rate: float) -> tuple[float, float]:
 
 def measure_metrics(
     spec: FrontEndSpec,
-    sample_rate: float = 500.0,
+    sample_rate: float,
     noise: NoiseConfig | None = None,
 ) -> MetricsReport:
     """Measure the chain the way the bench table defines its rows.

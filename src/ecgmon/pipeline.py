@@ -77,7 +77,7 @@ def run_pipeline(
 
     filtered = _stage("dsp", dsp.fft_notch, digital, cfg.notch_center, cfg.notch_half_band)
     filtered = _stage("dsp", dsp.smooth_emg, filtered, cfg.smooth_window)
-    edges = _stage("dsp", dsp.detect_rising_edges, filtered, cfg.trigger)
+    edges = _stage("dsp", dsp.detect_rising_edges, filtered, cfg.refractory)
     reading = _stage("dsp", dsp.heart_rate_from_edges, edges, cfg.sample_rate)
 
     record = telemetry.TelemetryRecord(

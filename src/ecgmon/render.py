@@ -110,15 +110,24 @@ def _polyline_mask(trace: PlotTrace, height: int) -> np.ndarray:
 
 
 def draw_trace(fb: Framebuffer, old: PlotTrace | None, new: PlotTrace) -> Framebuffer:
-    """Erase the previous polyline, then draw the new one."""
-    if len(new) != fb.width:
-        raise ValueError(f"trace length {len(new)} does not match framebuffer width {fb.width}")
+    """Erase the previous polyline, then draw the new one.
+
+    Both traces must be mapped for this framebuffer: one row per column,
+    rows counted against its height.
+    """
+    _require_fits(fb, new, "trace")
     if old is not None:
-        if len(old) != fb.width:
-            raise ValueError(f"old trace length {len(old)} does not match framebuffer width {fb.width}")
+        _require_fits(fb, old, "old trace")
         fb.pixels &= ~_polyline_mask(old, fb.height)
     fb.pixels |= _polyline_mask(new, fb.height)
     return fb
+
+
+def _require_fits(fb: Framebuffer, trace: PlotTrace, what: str) -> None:
+    if len(trace) != fb.width:
+        raise ValueError(f"{what} length {len(trace)} does not match framebuffer width {fb.width}")
+    if trace.height != fb.height:
+        raise ValueError(f"{what} height {trace.height} does not match framebuffer height {fb.height}")
 
 
 _SVG_TEMPLATE = (

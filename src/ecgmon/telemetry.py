@@ -318,7 +318,6 @@ def encode_alert(event: AlertEvent) -> bytes:
 class DeliveryReceipt:
     ok: bool
     attempts: int
-    sink: str
     error: str | None = None
 
 
@@ -435,10 +434,10 @@ def publish(sink, payload: bytes, retries: int = 2, sleep=time.sleep) -> Deliver
         attempts += 1
         try:
             sink.send(payload)
-            return DeliveryReceipt(ok=True, attempts=attempts, sink=sink.describe())
+            return DeliveryReceipt(ok=True, attempts=attempts)
         except Exception as exc:  # noqa: BLE001 - any sink failure is a delivery failure
             last_error = str(exc)
-    return DeliveryReceipt(ok=False, attempts=attempts, sink=sink.describe(), error=last_error)
+    return DeliveryReceipt(ok=False, attempts=attempts, error=last_error)
 
 
 def publish_record(sink, record: TelemetryRecord, alert: AlertEvent | None,

@@ -23,6 +23,11 @@ class TestQuantize:
         assert quantize(4.0, cfg) == 4095
         assert quantize(np.array([-np.inf, np.inf]), cfg).tolist() == [0, 4095]
 
+    def test_huge_finite_voltages_clamp(self):
+        """Scaling 1e308 before the clamp overflowed with a RuntimeWarning."""
+        cfg = AdcConfig(vref=0.5)
+        assert quantize(np.array([1e308, -1e308]), cfg).tolist() == [4095, 0]
+
     def test_midpoint_rounds_away_from_zero(self):
         # 1.65/3.3 * 4095 = 2047.5 exactly; half away from zero -> 2048
         assert quantize(1.65, AdcConfig()) == 2048

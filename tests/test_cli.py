@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from ecgmon.acquisition import AdcConfig
 from ecgmon.cli import build_parser, main
 from ecgmon.config import _SCHEMA, ConfigError, PipelineConfig
-from ecgmon.dsp import TriggerConfig
 from ecgmon.frontend import FrontEndSpec
 from ecgmon.pipeline import PipelineError, run_pipeline
 from ecgmon.signals import NoiseConfig
@@ -54,7 +53,7 @@ class TestConfig:
         assert cfg.bpm == 120.0
         assert cfg.noise.mains_amplitude == 0.3
         assert cfg.noise.rng_seed == 7
-        assert cfg.trigger.refractory == 0.2
+        assert cfg.refractory == 0.2
 
     def test_readme_block_is_the_defaults(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -71,19 +70,17 @@ class TestConfig:
             frontend=FrontEndSpec(instrument_gain=20.0, voltage_gain=70.0, f_ch=0.2, f_cl=68.0,
                                   f_0=49.5, notch_q=25.0, cmrr_db=90.0, lift_bias=1.6,
                                   supply_min=0.1, supply_max=3.2),
-            adc_bits=11, adc_vref=3.0, half_capacity=256,
-            notch_center=49.0, notch_half_band=3.0, smooth_window=7,
-            trigger=TriggerConfig(refractory=0.3),
+            adc=AdcConfig(resolution_bits=11, vref=3.0), half_capacity=256,
+            notch_center=49.0, notch_half_band=3.0, smooth_window=7, refractory=0.3,
             alerts=AlertPolicy(low_bpm=55.0, high_bpm=100.0),
             fb_width=96, fb_height=48,
             device_id="dev-9", location="ward-3", sink="file:records.jsonl", max_ecg=1000,
             timestamp=42,
         )
         assert cfg == expected
-        assert cfg.adc == AdcConfig(resolution_bits=11, vref=3.0)
         # every value differs from its default, so no key can land unnoticed
         default = PipelineConfig()
-        for name in ("noise", "frontend", "trigger", "alerts"):
+        for name in ("noise", "frontend", "adc", "alerts"):
             sub, base = getattr(cfg, name), getattr(default, name)
             for f in dataclasses.fields(sub):
                 assert getattr(sub, f.name) != getattr(base, f.name), f"{name}.{f.name}"
@@ -91,7 +88,12 @@ class TestConfig:
             if f.name != "template":
                 assert getattr(cfg, f.name) != getattr(default, f.name), f.name
         lines = [line.split("=")[0].strip() for line in _ALL_KEYS.splitlines() if "=" in line]
-        assert len(lines) == len(set(lines)) == sum(len(keys) for _, keys in _SCHEMA.values())
+        assert len(lines) == len(set(lines)) == sum(len(keys) for keys in _SCHEMA.values())
+
+    def test_adc_is_a_field(self):
+        cfg = dataclasses.replace(PipelineConfig(), adc=AdcConfig(resolution_bits=10))
+        assert cfg.adc.max_code == 1023
+        assert PipelineConfig.loads("[adc]\nresolution_bits = 10\n") == cfg
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2"):

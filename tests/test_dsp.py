@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from ecgmon.dsp import (
     EdgeEvent,
     InsufficientDataError,
-    TriggerConfig,
     detect_rising_edges,
     fft_notch,
     heart_rate_from_edges,
@@ -27,7 +26,7 @@ def rms(x: np.ndarray) -> float:
 class TestFftNotch:
     def test_zero_frame_stays_zero(self):
         frame = SampleFrame(500.0, np.zeros(1000))
-        out = fft_notch(frame)
+        out = fft_notch(frame, 50.0, 2.0)
         assert np.allclose(out.values, 0.0)
         assert len(out) == len(frame)
 
@@ -67,7 +66,7 @@ class TestFftNotch:
 
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
-            fft_notch(SampleFrame(500.0, np.zeros(1)))
+            fft_notch(SampleFrame(500.0, np.zeros(1)), 50.0, 2.0)
 
     @pytest.mark.parametrize("center, half_band, match", [
         (float("nan"), 2.0, "center must be finite"),
@@ -124,14 +123,13 @@ class TestSmoothEmg:
 class TestDetectEdges:
     def test_constant_frame_has_no_edges(self):
         frame = SampleFrame(500.0, np.full(100, 1.0))
-        assert detect_rising_edges(frame) == []
+        assert detect_rising_edges(frame, 0.25) == []
 
     def test_ramp_single_edge_at_first_qualifying_run(self):
         # 10-sample ramp 0..1 at 10 Hz; level 0.5, band 0.02:
         # first run with v[i] <= 0.52 and v[i+2] >= 0.48 starts at i=3
         frame = SampleFrame(10.0, np.linspace(0.0, 1.0, 10))
-        cfg = TriggerConfig(refractory=0.5)
-        edges = detect_rising_edges(frame, cfg)
+        edges = detect_rising_edges(frame, 0.5)
         assert [e.sample_index for e in edges] == [4]
         assert edges[0].time == pytest.approx(0.4)
 
@@ -139,50 +137,47 @@ class TestDetectEdges:
         # rises through the midrange at 0 and 0.5 s; 0.9 s ends before the
         # band around it catches the start of the rise at 1 s
         frame = generate_sine(2.0, 1.0, 500.0, 0.9)
-        cfg = TriggerConfig(refractory=0.2)
-        edges = detect_rising_edges(frame, cfg)
+        edges = detect_rising_edges(frame, 0.2)
         assert len(edges) == 2
         spacing = edges[1].sample_index - edges[0].sample_index
         assert abs(spacing - 250) <= 3
 
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
-            detect_rising_edges(SampleFrame(500.0, np.zeros(2)))
+            detect_rising_edges(SampleFrame(500.0, np.zeros(2)), 0.25)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", ["refractory"])
     def test_nonfinite_trigger_settings_rejected(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            TriggerConfig(**{name: bad})
+            detect_rising_edges(SampleFrame(500.0, np.arange(3.0)), **{name: bad})
 
     def test_translation_equivariance(self):
         """Embedding the frame later in a plateau shifts interior edges by k."""
         frame = generate_sine(2.0, 1.0, 500.0, 2.0)
-        cfg = TriggerConfig(refractory=0.2)  # the plateau keeps the frame's level and band
-        base = [e.sample_index for e in detect_rising_edges(frame, cfg)]
+        refractory = 0.2  # the plateau keeps the frame's level and band
+        base = [e.sample_index for e in detect_rising_edges(frame, refractory)]
         k = 137
         shifted_values = np.concatenate([np.full(k, frame.values[0]), frame.values])
         shifted = SampleFrame(500.0, shifted_values)
-        moved = [e.sample_index for e in detect_rising_edges(shifted, cfg)]
-        interior = [i for i in base if i > cfg.refractory * 500]
-        assert [i + k for i in interior] == [i for i in moved if i > k + cfg.refractory * 500]
+        moved = [e.sample_index for e in detect_rising_edges(shifted, refractory)]
+        interior = [i for i in base if i > refractory * 500]
+        assert [i + k for i in interior] == [i for i in moved if i > k + refractory * 500]
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(freq=st.integers(min_value=1, max_value=8), duration=st.integers(min_value=2, max_value=6))
     def test_edge_count_on_sine(self, freq, duration):
         """floor(f*T) +- 1 rising edges for a pure sine, triggered at its midrange."""
         frame = generate_sine(float(freq), 1.0, 500.0, float(duration))
-        cfg = TriggerConfig(refractory=0.25 / freq)
-        edges = detect_rising_edges(frame, cfg)
+        edges = detect_rising_edges(frame, 0.25 / freq)
         assert abs(len(edges) - freq * duration) <= 1
 
     def test_amplitude_scale_invariance(self):
         """Level and band scale with the frame."""
         frame = generate_sine(2.0, 1.0, 500.0, 2.0)
-        cfg = TriggerConfig(refractory=0.2)
         scaled = frame.with_values(frame.values * 5.0)
-        bpm1 = heart_rate_from_edges(detect_rising_edges(frame, cfg), 500.0).bpm
-        bpm2 = heart_rate_from_edges(detect_rising_edges(scaled, cfg), 500.0).bpm
+        bpm1 = heart_rate_from_edges(detect_rising_edges(frame, 0.2), 500.0).bpm
+        bpm2 = heart_rate_from_edges(detect_rising_edges(scaled, 0.2), 500.0).bpm
         assert bpm1 == bpm2
 
     def test_auto_trigger_defaults(self):
@@ -190,10 +185,10 @@ class TestDetectEdges:
         ramp 1000..1100 (level 1050, band 2) the first run that reaches 1048
         starts at sample 46; a band of 0 would start it at 48, one of 3 at 45."""
         frame = SampleFrame(100.0, np.arange(1000.0, 1101.0))
-        assert [e.sample_index for e in detect_rising_edges(frame)] == [47]
+        assert [e.sample_index for e in detect_rising_edges(frame, 0.25)] == [47]
 
 
-def detect_edges_reference(frame: SampleFrame, cfg: TriggerConfig) -> list[int]:
+def detect_edges_reference(frame: SampleFrame, refractory: float) -> list[int]:
     """Edge indices by the sliding-window run check: each window of run - 1
     steps is tested with np.all."""
     values = frame.values
@@ -204,7 +199,7 @@ def detect_edges_reference(frame: SampleFrame, cfg: TriggerConfig) -> list[int]:
     first, last = values[: n - run + 1], values[run - 1:]
     candidates = np.nonzero(
         steps_ok & (first <= level + epsilon) & (last >= level - epsilon) & (last > first))[0]
-    refractory_samples = int(round(cfg.refractory * frame.sample_rate))
+    refractory_samples = int(round(refractory * frame.sample_rate))
     indices, next_allowed = [], 0
     for i in candidates:
         if i >= next_allowed:
@@ -220,16 +215,14 @@ class TestDetectEdgesReference:
     def test_same_edges_as_window_check(self, steps, refractory):
         """Small integer steps give long monotone runs, plateaus and reversals."""
         frame = SampleFrame(100.0, np.cumsum(np.asarray(steps, dtype=np.float64)))
-        cfg = TriggerConfig(refractory=refractory)
-        got = [e.sample_index for e in detect_rising_edges(frame, cfg)]
-        assert got == detect_edges_reference(frame, cfg)
+        got = [e.sample_index for e in detect_rising_edges(frame, refractory)]
+        assert got == detect_edges_reference(frame, refractory)
 
     @pytest.mark.parametrize("run", [3])  # a run is 3 samples
     def test_frame_of_exactly_run_length(self, run):
         frame = SampleFrame(100.0, np.arange(float(run)))
-        cfg = TriggerConfig()
-        got = [e.sample_index for e in detect_rising_edges(frame, cfg)]
-        assert got == detect_edges_reference(frame, cfg) == [run // 2]
+        got = [e.sample_index for e in detect_rising_edges(frame, 0.25)]
+        assert got == detect_edges_reference(frame, 0.25) == [run // 2]
 
 
 class TestHeartRate:

@@ -144,6 +144,21 @@ class TestDrawTrace:
         with pytest.raises(ValueError):
             draw_trace(fb, None, tr)
 
+    def test_trace_for_another_height_rejected(self):
+        """Rows mapped for 100 lines would clip on a 64-line buffer."""
+        fb = Framebuffer(width=128, height=64)
+        tr = map_to_trace(generate_sine(2.0, 1.0, 500.0, 1.0), 128, 100)
+        with pytest.raises(ValueError, match="trace height 100 does not match framebuffer height 64"):
+            draw_trace(fb, None, tr)
+        assert not fb.pixels.any()
+
+    def test_old_trace_for_another_height_rejected(self):
+        fb = Framebuffer(width=128, height=64)
+        new = map_to_trace(generate_sine(2.0, 1.0, 500.0, 1.0), 128, 64)
+        old = map_to_trace(generate_sine(2.0, 1.0, 500.0, 1.0), 128, 100)
+        with pytest.raises(ValueError, match="old trace height 100 does not match"):
+            draw_trace(fb, old, new)
+
 
 def polyline_mask_reference(trace: PlotTrace, width: int, height: int) -> np.ndarray:
     """The polyline mask filled one column at a time."""

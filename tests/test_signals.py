@@ -342,7 +342,7 @@ class TestShapeCache:
         src = generate_ecg(EcgTemplateParams.default(), 72, 500, n / 500)
         assert len(src) == n
         sig = add_noise(src, self.NOISE)
-        smooth_emg(fft_notch(sig.differential), 5)
+        smooth_emg(fft_notch(sig.differential, 50.0, 2.0), 5)
         assert len(sig.differential.times) == n
         assert bool(signals._shape_cache) is cached
 
