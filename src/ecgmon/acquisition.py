@@ -93,11 +93,15 @@ def dequantize(c, cfg: AdcConfig):
 
 @dataclass(frozen=True)
 class ReadyHalf:
-    """An owned copy of a filled half, stamped with its sequence number."""
+    """An owned copy of a filled half, stamped with its sequence number;
+    halves alternate, so the half it filled follows from seq."""
 
     seq: int
-    half: int
     codes: np.ndarray
+
+    @property
+    def half(self) -> int:
+        return self.seq % 2
 
 
 class PingPongBuffer:
@@ -152,7 +156,7 @@ class PingPongBuffer:
             seq, self._ready = self._ready, None
             if seq is None:
                 return None
-            return ReadyHalf(seq=seq, half=seq % 2, codes=self._halves[seq % 2].copy())
+            return ReadyHalf(seq=seq, codes=self._halves[seq % 2].copy())
 
     def acquire(self, codes) -> Iterator[ReadyHalf]:
         """Write codes one half_capacity block at a time, as the DMA does,

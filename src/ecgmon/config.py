@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, replace
 
 from .acquisition import AdcConfig
 from .dsp import _require_notch, _require_odd_window, _require_refractory
-from .frontend import FrontEndSpec
+from .frontend import FrontEndSpec, _chain_coefficients
 from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH
-from .signals import EcgTemplateParams, NoiseConfig, _require_finite_positive
-from .telemetry import MAX_ECG_SAMPLES, AlertPolicy, _sink_factory
+from .signals import EcgTemplateParams, NoiseConfig, _require_finite_positive, _require_source_rate
+from .telemetry import MAX_ECG_SAMPLES, AlertPolicy, make_sink
 
 __all__ = ["ConfigError", "PipelineConfig"]
 
@@ -39,7 +39,7 @@ class PipelineConfig:
     duration: float = 10.0
     bpm: float = 72.0
     sine_amplitude: float = 0.5
-    template: EcgTemplateParams = field(default_factory=EcgTemplateParams.default)
+    template: EcgTemplateParams = field(default_factory=EcgTemplateParams)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     frontend: FrontEndSpec = field(default_factory=FrontEndSpec)
     adc: AdcConfig = field(default_factory=AdcConfig)
@@ -65,8 +65,11 @@ class PipelineConfig:
             raise ValueError(f"sine_amplitude must be finite, got {self.sine_amplitude}")
         if self.half_capacity < 1:
             raise ValueError(f"half_capacity must be >= 1, got {self.half_capacity}")
-        # the bounds the dsp, render and telemetry stages apply, checked up
-        # front so a config file's value is reported against the file
+        # the bounds the stages apply, checked up front so a config file's
+        # value is reported against the file; the filter design is cached,
+        # so the run reuses it
+        _require_source_rate(self.source, self.bpm / 60.0, self.sample_rate)
+        _chain_coefficients(self.frontend, self.sample_rate)
         _require_notch(self.notch_center, self.notch_half_band, self.sample_rate)
         _require_odd_window(self.smooth_window)
         _require_refractory(self.refractory)
@@ -74,7 +77,7 @@ class PipelineConfig:
             raise ValueError(f"display must have positive size, got {self.fb_width}x{self.fb_height}")
         if self.max_ecg < 0:
             raise ValueError(f"max_ecg must be >= 0, got {self.max_ecg}")
-        _sink_factory(self.sink)
+        make_sink(self.sink)
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":

@@ -140,17 +140,21 @@ def detect_rising_edges(frame: SampleFrame, refractory: float) -> list[EdgeEvent
 class HeartRateReading:
     """Rate derived from the latest pair of rising edges.
 
-    median_period summarizes all consecutive edge pairs when more than two
-    edges were seen; otherwise it is None.
+    period is the distance of those two edges in seconds and bpm follows
+    from it.  median_period summarizes all consecutive edge pairs when
+    more than two edges were seen; otherwise it is None.
     """
 
-    bpm: float
     period: float
     median_period: float | None = None
 
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError(f"period must be > 0, got {self.period}")
+
+    @property
+    def bpm(self) -> float:
+        return 60.0 / self.period
 
 
 def heart_rate_from_edges(edges, sample_rate: float) -> HeartRateReading:
@@ -170,8 +174,4 @@ def heart_rate_from_edges(edges, sample_rate: float) -> HeartRateReading:
     ]
     period = periods[-1]
     median_period = statistics.median(periods) if len(rising) > 2 else None
-    return HeartRateReading(
-        bpm=60.0 / period,
-        period=period,
-        median_period=median_period,
-    )
+    return HeartRateReading(period=period, median_period=median_period)

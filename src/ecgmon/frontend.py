@@ -300,7 +300,10 @@ def _probe_gain(spec: FrontEndSpec, sample_rate: float, freq: float, channel: st
     return amp_out / (_PROBE_AMPLITUDE_MV * 1e-3)
 
 
-def _bisect_crossing(mag_fn, target: float, lo: float, hi: float, iterations: int = 80) -> float:
+_BISECT_ITERATIONS = 80  # at most: _bisect_crossing may stop earlier
+
+
+def _bisect_crossing(mag_fn, target: float, lo: float, hi: float) -> float:
     """Frequency where mag_fn crosses target, given a bracketing interval.
 
     Stops early once an iteration leaves the bracket unchanged: every later
@@ -308,7 +311,7 @@ def _bisect_crossing(mag_fn, target: float, lo: float, hi: float, iterations: in
     """
     f_lo, f_hi = lo, hi
     s_lo = mag_fn(f_lo) - target
-    for _ in range(iterations):
+    for _ in range(_BISECT_ITERATIONS):
         bracket = (f_lo, f_hi)
         mid = math.sqrt(f_lo * f_hi)  # geometric midpoint suits log-spaced responses
         s_mid = mag_fn(mid) - target

@@ -100,12 +100,12 @@ def map_to_trace(
     return PlotTrace(rows=(fb_height - 1) - rows_up, height=fb_height)
 
 
-def _polyline_mask(trace: PlotTrace, height: int) -> np.ndarray:
-    """Pixel set of the connected trace, one mask column per trace column:
-    the rows from the previous column's row to this one's."""
+def _polyline_mask(trace: PlotTrace) -> np.ndarray:
+    """Pixel set of the connected trace, trace.height rows by one column per
+    trace column: the rows from the previous column's row to this one's."""
     rows = trace.rows
     prev = np.concatenate((rows[:1], rows[:-1]))
-    r = np.arange(height)[:, None]
+    r = np.arange(trace.height)[:, None]
     return (np.minimum(prev, rows) <= r) & (r <= np.maximum(prev, rows))
 
 
@@ -118,8 +118,8 @@ def draw_trace(fb: Framebuffer, old: PlotTrace | None, new: PlotTrace) -> Frameb
     _require_fits(fb, new, "trace")
     if old is not None:
         _require_fits(fb, old, "old trace")
-        fb.pixels &= ~_polyline_mask(old, fb.height)
-    fb.pixels |= _polyline_mask(new, fb.height)
+        fb.pixels &= ~_polyline_mask(old)
+    fb.pixels |= _polyline_mask(new)
     return fb
 
 

@@ -31,6 +31,19 @@ def _require_finite_positive(**named: float) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def _require_source_rate(source: str, freq: float, sample_rate: float) -> None:
+    """The sample rate a source needs for its fundamental of freq Hz
+    (bpm / 60 for a beat train): an ECG beat at least four samples per
+    period, a sine below Nyquist."""
+    if source == "sine":
+        if freq >= sample_rate / 2:
+            raise ValueError(f"freq {freq} Hz aliases at sample_rate {sample_rate} Hz")
+    elif sample_rate < 4 * freq:
+        raise ValueError(
+            f"sample_rate {sample_rate} Hz too low for {60 * freq:g} bpm (need >= {4 * freq} Hz)"
+        )
+
+
 @dataclass(frozen=True)
 class Wave:
     """One Gaussian bump of the beat template.
@@ -50,13 +63,18 @@ class Wave:
 
 @dataclass(frozen=True)
 class EcgTemplateParams:
-    """P/Q/R/S/T bump parameters for one beat."""
+    """P/Q/R/S/T bump parameters for one beat.
 
-    p: Wave
-    q: Wave
-    r: Wave
-    s: Wave
-    t: Wave
+    The defaults give a beat of ~1 mV peak to peak on the differential
+    channel.  The R bump is kept narrow and the T bump broad so the pulse
+    train's spectral energy concentrates at the beat fundamental.
+    """
+
+    p: Wave = Wave(0.12, 0.16, 0.045)
+    q: Wave = Wave(-0.08, 0.36, 0.010)
+    r: Wave = Wave(0.90, 0.40, 0.010)
+    s: Wave = Wave(-0.15, 0.44, 0.010)
+    t: Wave = Wave(0.30, 0.64, 0.090)
 
     def __post_init__(self):
         centers = [w.center for w in self.waves()]
@@ -67,21 +85,6 @@ class EcgTemplateParams:
 
     def waves(self) -> tuple[Wave, Wave, Wave, Wave, Wave]:
         return (self.p, self.q, self.r, self.s, self.t)
-
-    @classmethod
-    def default(cls) -> "EcgTemplateParams":
-        """Default beat, ~1 mV peak to peak on the differential channel.
-
-        The R bump is kept narrow and the T bump broad so the pulse train's
-        spectral energy concentrates at the beat fundamental.
-        """
-        return cls(
-            p=Wave(0.12, 0.16, 0.045),
-            q=Wave(-0.08, 0.36, 0.010),
-            r=Wave(0.90, 0.40, 0.010),
-            s=Wave(-0.15, 0.44, 0.010),
-            t=Wave(0.30, 0.64, 0.090),
-        )
 
 
 @dataclass(frozen=True)
@@ -268,10 +271,7 @@ def generate_ecg(
     """
     _require_finite_positive(bpm=bpm, duration=duration, sample_rate=sample_rate)
     fundamental = bpm / 60.0
-    if sample_rate < 4 * fundamental:
-        raise ValueError(
-            f"sample_rate {sample_rate} Hz too low for {bpm} bpm (need >= {4 * fundamental} Hz)"
-        )
+    _require_source_rate("ecg", fundamental, sample_rate)
     n = int(round(duration * sample_rate))
     cycles = _time_base(n, sample_rate) * fundamental
     # cycles >= 0, so cycles - floor(cycles) is the exact remainder
@@ -309,8 +309,7 @@ def generate_sine(freq: float, amplitude: float, sample_rate: float, duration: f
     _require_finite_positive(sample_rate=sample_rate, duration=duration)
     if not (math.isfinite(freq) and math.isfinite(amplitude)):
         raise ValueError(f"freq and amplitude must be finite, got {freq}, {amplitude}")
-    if freq >= sample_rate / 2:
-        raise ValueError(f"freq {freq} Hz aliases at sample_rate {sample_rate} Hz")
+    _require_source_rate("sine", freq, sample_rate)
     n = int(round(duration * sample_rate))
     values = amplitude * np.sin(2 * np.pi * freq * np.arange(n) / sample_rate)
     return SampleFrame(sample_rate=sample_rate, values=values)

@@ -9,7 +9,6 @@ listener stands in for the cloud endpoint and records what it receives.
 from __future__ import annotations
 
 import contextlib
-import functools
 import http.client
 import json
 import math
@@ -19,7 +18,7 @@ import sys
 import threading
 import time
 from collections.abc import Mapping, Set
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -50,8 +49,6 @@ __all__ = [
 
 MAX_ECG_SAMPLES = 5000
 
-RECORD_KEYS = ("device_id", "timestamp", "bpm", "location", "ecg")
-
 
 class PayloadTooLargeError(ValueError):
     """Record carries more ECG samples than the configured maximum."""
@@ -61,6 +58,8 @@ class PayloadTooLargeError(ValueError):
 class TelemetryRecord:
     """One uplink record; ecg holds plain numbers (ADC codes or millivolts).
 
+    The fields are in wire order: encode_record writes them as the keys
+    of one JSON object, in this order, and decode_record reads them back.
     ecg may be given as any sequence of numbers or as a 1-D integer or
     float numpy array (such as a slice of ADC codes); either way it is
     stored as a list of int/float.  Strings, bytes (and plain memoryviews
@@ -71,8 +70,8 @@ class TelemetryRecord:
     device_id: str
     timestamp: int
     bpm: float
-    ecg: list
     location: str
+    ecg: list
 
     def __post_init__(self):
         for name in ("device_id", "location"):
@@ -87,6 +86,10 @@ class TelemetryRecord:
             raise ValueError(f"timestamp must be an integer, got {self.timestamp}")
         object.__setattr__(self, "timestamp", int(self.timestamp))
         object.__setattr__(self, "ecg", _plain_numbers(self.ecg))
+
+
+RECORD_KEYS = tuple(f.name for f in fields(TelemetryRecord))
+_HEADER_KEYS = RECORD_KEYS[:-1]  # every key but ecg, the last
 
 
 def _require_finite(name: str, v) -> None:
@@ -144,6 +147,9 @@ class AlertPolicy:
 
 @dataclass(frozen=True)
 class AlertEvent:
+    """A reading outside the policy's band; the fields are encode_alert's
+    keys, in order."""
+
     bpm: float
     message: str
     location: str
@@ -209,18 +215,12 @@ def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes
         raise ValueError(f"max_ecg must be >= 0, got {max_ecg}")
     if len(rec.ecg) > max_ecg:
         raise PayloadTooLargeError(f"ecg holds {len(rec.ecg)} samples, limit is {max_ecg}")
-    head = _json_bytes({
-        "device_id": rec.device_id,
-        "timestamp": rec.timestamp,
-        "bpm": rec.bpm,
-        "location": rec.location,
-    })
+    head = _json_bytes({key: getattr(rec, key) for key in _HEADER_KEYS})
     # ecg is the last key: splice it in before the closing brace
     return head[:-1] + b',"ecg":' + _ecg_bytes(rec.ecg) + b"}"
 
 
 _ECG_KEY = b',"ecg":['
-_HEADER_KEYS = frozenset(RECORD_KEYS[:-1])
 _MAX_CODE_DIGITS = 5  # 0..99999: every 16-bit code, far from int64's limit
 
 
@@ -263,9 +263,9 @@ def _canonical_record(data: bytes) -> dict | None:
         doc = json.loads((data[:cut] + b"}").decode("utf-8"))
     except (ValueError, RecursionError):
         return None
-    # the head parsed, so it is an object (it ends in "}"); with exactly these
-    # keys, "ecg" not among them, the whole line is that object plus the codes
-    if doc.keys() != _HEADER_KEYS:
+    # the head parsed, so it is an object (it ends in "}"); with exactly the
+    # header keys, in order, the whole line is that object plus the codes
+    if tuple(doc) != _HEADER_KEYS:
         return None
     doc["ecg"] = codes
     return doc
@@ -295,23 +295,11 @@ def decode_record(data: bytes) -> TelemetryRecord:
     doc = _canonical_record(data)
     if doc is None:
         doc = _json_record(data)
-    return TelemetryRecord(
-        device_id=doc["device_id"],
-        timestamp=doc["timestamp"],
-        bpm=doc["bpm"],
-        ecg=doc["ecg"],
-        location=doc["location"],
-    )
+    return TelemetryRecord(**doc)
 
 
 def encode_alert(event: AlertEvent) -> bytes:
-    doc = {
-        "bpm": event.bpm,
-        "message": event.message,
-        "location": event.location,
-        "timestamp": event.timestamp,
-    }
-    return _json_bytes(doc)
+    return _json_bytes(asdict(event))
 
 
 @dataclass(frozen=True)
@@ -358,6 +346,7 @@ class StdoutSink(_Sink):
 
 
 _HTTP_TIMEOUT_S = 2.0  # per connect and per socket read
+_LOOPBACK_HOST = "127.0.0.1"  # where HttpSink posts and LoopbackListener binds
 
 
 class HttpSink(_Sink):
@@ -369,9 +358,9 @@ class HttpSink(_Sink):
     the listener closes it.  close() releases it.
     """
 
-    def __init__(self, port: int, host: str = "127.0.0.1"):
+    def __init__(self, port: int):
         self.port = port
-        self._conn = http.client.HTTPConnection(host, port, timeout=_HTTP_TIMEOUT_S)
+        self._conn = http.client.HTTPConnection(_LOOPBACK_HOST, port, timeout=_HTTP_TIMEOUT_S)
 
     def describe(self) -> str:
         return f"http:{self.port}"
@@ -392,25 +381,23 @@ class HttpSink(_Sink):
         self._conn.close()
 
 
-def _sink_factory(spec: str):
-    """The sink class a spec names, its argument bound: nothing is opened,
-    so a config can check its spec up front."""
+def make_sink(spec: str):
+    """Build a publish sink from 'stdout', 'file:<path>' or 'http:<port>'.
+
+    No sink opens anything before its first send, so a config checks its
+    spec by building the sink.
+    """
     kind, colon, target = spec.partition(":")
     if spec == "stdout":
-        return StdoutSink
+        return StdoutSink()
     if kind == "file" and target:
-        return functools.partial(FileSink, target)
+        return FileSink(target)
     if kind == "http" and colon:
         port = int(target) if target.isascii() and target.isdigit() else 0
         if not 1 <= port <= 65535:
             raise ValueError(f"http sink port must be an integer in 1..65535, got {target!r}")
-        return functools.partial(HttpSink, port)
+        return HttpSink(port)
     raise ValueError(f"unknown sink {spec!r} (use stdout, file:<path> or http:<port>)")
-
-
-def make_sink(spec: str):
-    """Build a publish sink from 'stdout', 'file:<path>' or 'http:<port>'."""
-    return _sink_factory(spec)()
 
 
 _RETRY_PAUSE_S = 0.05  # before the first retry; doubles before each later one
@@ -478,7 +465,7 @@ class _LoopbackServer(ThreadingHTTPServer):
     daemon_threads = False  # server_close() joins every handler thread
 
     def __init__(self, port: int):
-        super().__init__(("127.0.0.1", port), _LoopbackHandler)
+        super().__init__((_LOOPBACK_HOST, port), _LoopbackHandler)
         self.received: list[bytes] = []
         self.connections: set[socket.socket] = set()
         self.lock = threading.Lock()

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -108,9 +109,27 @@ class TestConfig:
             PipelineConfig.loads("[signal]\nbpm = 70\nduration = fast\n")
 
     def test_sections_are_checked_together(self):
-        # notch_center is bounded by sample_rate, set in an earlier section
-        cfg = PipelineConfig.loads("[signal]\nsample_rate = 80\n[dsp]\nnotch_center = 20\n")
+        # notch_center is bounded by sample_rate, set in an earlier section;
+        # the front end's corners must fit under the same 40 Hz Nyquist
+        cfg = PipelineConfig.loads("[signal]\nsample_rate = 80\n[frontend]\nf_0 = 30\nf_cl = 35\n"
+                                   "[dsp]\nnotch_center = 20\n")
         assert (cfg.sample_rate, cfg.notch_center) == (80.0, 20.0)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[frontend]\nnotch_q = 1e-300\n", "filter poles must lie strictly inside the unit circle"),
+        ("[signal]\nsample_rate = 120\n", "lowpass corner 69.5 Hz is at or above Nyquist"),
+        ("[frontend]\nf_cl = 300\n", "lowpass corner 300.0 Hz is at or above Nyquist"),
+        ("[signal]\nbpm = 9000\n", "sample_rate 500.0 Hz too low for 9000 bpm"),
+        ("[signal]\nsource = sine\nbpm = 20000\n", "freq 333.3333333333333 Hz aliases"),
+    ], ids=["notch_q", "sample_rate", "f_cl", "bpm", "sine_bpm"])
+    def test_values_the_source_or_front_end_refuse_fail_at_load(self, tmp_path, capsys, text,
+                                                                message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["run", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"ecgmon: config error: {path}: {message}")
 
     @pytest.mark.parametrize("key", ["trigger_level", "band_epsilon", "run_length"])
     def test_fixed_trigger_keys_are_unknown(self, key):
@@ -688,3 +707,15 @@ def test_cli_start_leaves_scipy_unimported():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every `ecgmon ...` line of README's sh blocks exits 0, in order, so
+    later lines read the files earlier ones write."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("ecgmon ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, (line, capsys.readouterr().err)

@@ -173,16 +173,13 @@ def polyline_mask_reference(trace: PlotTrace, width: int, height: int) -> np.nda
 
 class TestPolylineMaskReference:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(data=st.data(), width=st.integers(1, 150), trace_height=st.integers(1, 70),
-           fb_height=st.integers(1, 70))
-    def test_same_pixels_as_column_loop(self, data, width, trace_height, fb_height):
-        """Also when the trace is taller than the buffer: rows below it clip."""
-        rows = data.draw(st.lists(st.integers(0, trace_height - 1),
-                                  min_size=width, max_size=width))
-        trace = PlotTrace(rows=np.array(rows), height=trace_height)
-        got = _polyline_mask(trace, fb_height)
+    @given(data=st.data(), width=st.integers(1, 150), height=st.integers(1, 70))
+    def test_same_pixels_as_column_loop(self, data, width, height):
+        rows = data.draw(st.lists(st.integers(0, height - 1), min_size=width, max_size=width))
+        trace = PlotTrace(rows=np.array(rows), height=height)
+        got = _polyline_mask(trace)
         assert got.dtype == bool
-        assert np.array_equal(got, polyline_mask_reference(trace, width, fb_height))
+        assert np.array_equal(got, polyline_mask_reference(trace, width, height))
 
 
 class TestExport:

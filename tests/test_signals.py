@@ -66,7 +66,7 @@ class TestSampleFrame:
 
 class TestTemplateValidation:
     def test_default_is_valid(self):
-        params = EcgTemplateParams.default()
+        params = EcgTemplateParams()
         assert params.r.amplitude > 0
 
     def test_rejects_unordered_centers(self):
@@ -108,20 +108,20 @@ class TestGenerateEcg:
         assert np.allclose(frame.values, 0.0, atol=1e-290)
 
     def test_120bpm_two_seconds_has_four_r_peaks(self):
-        params = EcgTemplateParams.default()
+        params = EcgTemplateParams()
         frame = generate_ecg(params, 120, 500, 2.0)
         assert count_r_peaks(frame.values, 0.5 * params.r.amplitude) == 4
 
     def test_72bpm_dominant_line_at_1_2_hz(self):
         # oracle: peak-bin search on the FFT of the generated frame
-        frame = generate_ecg(EcgTemplateParams.default(), 72, 500, 30.0)
+        frame = generate_ecg(EcgTemplateParams(), 72, 500, 30.0)
         spectrum = np.abs(np.fft.rfft(frame.values))
         spectrum[0] = 0.0  # DC offset is not a spectral line
         freqs = np.fft.rfftfreq(len(frame), 1.0 / frame.sample_rate)
         assert abs(freqs[int(np.argmax(spectrum))] - 1.2) <= 0.1
 
     def test_rejects_bad_arguments(self):
-        params = EcgTemplateParams.default()
+        params = EcgTemplateParams()
         with pytest.raises(ValueError):
             generate_ecg(params, 0, 500, 1.0)
         with pytest.raises(ValueError):
@@ -138,7 +138,7 @@ class TestGenerateEcg:
     )
     def test_beat_count_property(self, bpm, duration):
         """R-peak count stays within one beat of bpm/60 * duration."""
-        params = EcgTemplateParams.default()
+        params = EcgTemplateParams()
         frame = generate_ecg(params, bpm, 500, duration)
         peaks = count_r_peaks(frame.values, 0.5 * params.r.amplitude)
         expected = round(bpm / 60.0 * duration)
@@ -229,9 +229,9 @@ class TestGenerateEcgReference:
         """Both wraps of R and S and Q's k = -1 wrap lie 40 or more widths away."""
         counting = _CountingExp()
         monkeypatch.setattr(signals, "np", counting)
-        values = generate_ecg(EcgTemplateParams.default(), 72, 500, 2.0).values
+        values = generate_ecg(EcgTemplateParams(), 72, 500, 2.0).values
         assert counting.calls == 10
-        reference = generate_ecg_reference(EcgTemplateParams.default(), 72, 500, 2.0)
+        reference = generate_ecg_reference(EcgTemplateParams(), 72, 500, 2.0)
         assert values.tobytes() == reference.tobytes()
 
 
@@ -320,7 +320,7 @@ class TestShapeCache:
 
     def test_cached_arrays_are_read_only(self):
         signals._shape_cache.clear()
-        src = generate_ecg(EcgTemplateParams.default(), 72, 500, 2.0)
+        src = generate_ecg(EcgTemplateParams(), 72, 500, 2.0)
         add_noise(src, self.NOISE)
         times = SampleFrame(500.0, np.zeros(1000), 2.0).times
         assert signals._shape_cache
@@ -339,7 +339,7 @@ class TestShapeCache:
     @pytest.mark.parametrize("n, cached", [(2**14, True), (2**14 + 1, False)])
     def test_frames_above_the_cap_are_not_cached(self, n, cached):
         signals._shape_cache.clear()
-        src = generate_ecg(EcgTemplateParams.default(), 72, 500, n / 500)
+        src = generate_ecg(EcgTemplateParams(), 72, 500, n / 500)
         assert len(src) == n
         sig = add_noise(src, self.NOISE)
         smooth_emg(fft_notch(sig.differential, 50.0, 2.0), 5)
@@ -349,7 +349,7 @@ class TestShapeCache:
 
 class TestAddNoise:
     def test_zero_config_is_identity(self):
-        src = generate_ecg(EcgTemplateParams.default(), 72, 500, 2.0)
+        src = generate_ecg(EcgTemplateParams(), 72, 500, 2.0)
         out = add_noise(src, NoiseConfig())
         assert np.array_equal(out.differential.values, src.values)
         assert np.all(out.common_mode.values == 0.0)

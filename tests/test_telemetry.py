@@ -268,7 +268,7 @@ class TestCodeTextEncoding:
                          st.floats(min_value=1.0, max_value=300.0)),
            timestamp=st.integers(min_value=0, max_value=2**70), ecg=_ecg_lists)
     def test_same_bytes_as_one_json_dumps(self, device_id, location, bpm, timestamp, ecg):
-        rec = TelemetryRecord(device_id, timestamp, bpm, ecg, location)
+        rec = TelemetryRecord(device_id, timestamp, bpm, location, ecg)
         try:
             expected = encode_record_reference(rec)
         except ValueError:  # NaN or Infinity
