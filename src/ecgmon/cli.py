@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import dsp, telemetry
-from .acquisition import AdcConfig, PingPongBuffer, quantize
-from .config import ConfigError, PipelineConfig
+from .acquisition import PingPongBuffer, quantize
+from .config import _KEYS, ConfigError, PipelineConfig
 from .frontend import chain_magnitude, measure_metrics
 from .pipeline import PipelineError, run_pipeline
 from .render import export_ascii, export_svg, Framebuffer, _require_finite_bounds, draw_trace, map_to_trace
@@ -33,8 +32,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _load_config(args) -> PipelineConfig:
-    return PipelineConfig.load(args.config) if args.config else PipelineConfig()
+def _config(args) -> PipelineConfig:
+    """The --config file, or the defaults, with every given flag whose dest
+    names a config key applied through the config's checks; the file has
+    loaded on its own, so a refusal here is the flags'."""
+    cfg = PipelineConfig.load(args.config) if getattr(args, "config", None) else PipelineConfig()
+    changes: dict = {}
+    for key, value in vars(args).items():
+        if key in _KEYS and value is not None:
+            owner, attr = _KEYS[key]
+            changes.setdefault(owner, {})[attr] = value
+    return cfg.updated(changes, "command line")
 
 
 def _json_line(doc: dict) -> str:
@@ -42,13 +50,7 @@ def _json_line(doc: dict) -> str:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    if args.source:
-        cfg = replace(cfg, source=args.source)
-    if args.sink:
-        cfg = replace(cfg, sink=args.sink)
-    result = run_pipeline(cfg, bpm=args.bpm, duration=args.duration,
-                          publish_records=args.publish)
+    result = run_pipeline(_config(args), publish_records=args.publish)
     reading = result.reading
     failed = [r for r in result.receipts if not r.ok]
     doc = {
@@ -66,44 +68,26 @@ def _cmd_run(args) -> int:
     return RUNTIME_EXIT if failed else 0
 
 
-def _given(flag, setting):
-    """A flag given on the command line wins over the config's setting."""
-    return setting if flag is None else flag
-
-
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    rate = _given(args.rate, cfg.sample_rate)
-    duration = _given(args.duration, cfg.duration)
-    if _given(args.source, cfg.source) == "sine":
-        frame = generate_sine(args.freq, _given(args.amplitude, cfg.sine_amplitude), rate, duration)
+    cfg = _config(args)
+    if cfg.source == "sine":
+        frame = generate_sine(args.freq, cfg.sine_amplitude, cfg.sample_rate, cfg.duration)
     else:
-        frame = generate_ecg(cfg.template, _given(args.bpm, cfg.bpm), rate, duration)
-    flags = {
-        "mains_amplitude": args.mains_amplitude,
-        "wander_amplitude": args.wander_amplitude,
-        "emg_sigma": args.emg_sigma,
-        "common_mode_amplitude": args.common_mode_amplitude,
-        "rng_seed": args.seed,
-    }
-    noise = replace(cfg.noise, **{k: v for k, v in flags.items() if v is not None})
-    frame = add_noise(frame, noise).differential
+        frame = generate_ecg(cfg.template, cfg.bpm, cfg.sample_rate, cfg.duration)
+    frame = add_noise(frame, cfg.noise).differential
     frame.to_csv(args.out)
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    cfg = _load_config(args)
-    spec = cfg.frontend
-    rate = _given(args.rate, cfg.sample_rate)
-    sigma = _given(args.noise_sigma, cfg.noise.emg_sigma)
-    seed = _given(args.seed, cfg.noise.rng_seed)
-    noise = NoiseConfig(emg_sigma=sigma, rng_seed=seed)  # refuses a negative or non-finite sigma
-    report = measure_metrics(spec, sample_rate=rate, noise=noise if sigma > 0 else None)
+    cfg = _config(args)
+    sigma = cfg.noise.emg_sigma
+    noise = NoiseConfig(emg_sigma=sigma, rng_seed=cfg.noise.rng_seed) if sigma > 0 else None
+    report = measure_metrics(cfg.frontend, sample_rate=cfg.sample_rate, noise=noise)
     doc = {k: (round(v, 6) if isinstance(v, float) else v) for k, v in report.as_dict().items()}
     print(_json_line(doc))
     if args.response_csv:
-        _write_response_csv(spec, rate, args.response_csv)
+        _write_response_csv(cfg.frontend, cfg.sample_rate, args.response_csv)
     return 0
 
 
@@ -124,8 +108,9 @@ def _cmd_notch(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    cfg = _config(args)
     frame = SampleFrame.from_csv(args.infile)
-    edges = dsp.detect_rising_edges(frame, args.refractory)
+    edges = dsp.detect_rising_edges(frame, cfg.refractory)
     doc: dict = {"edges": [{"index": e.sample_index, "t": round(e.time, 6)} for e in edges]}
     try:
         reading = dsp.heart_rate_from_edges(edges, frame.sample_rate)
@@ -139,10 +124,10 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_stream(args) -> int:
+    cfg = _config(args)
     frame = SampleFrame.from_csv(args.infile)
-    adc = AdcConfig(resolution_bits=args.bits, vref=args.vref)
-    codes = quantize(frame.values, adc)
-    for half in PingPongBuffer(args.half_capacity).acquire(codes):
+    codes = quantize(frame.values, cfg.adc)
+    for half in PingPongBuffer(cfg.half_capacity).acquire(codes):
         print(_json_line({
             "seq": half.seq,
             "half": half.half,
@@ -152,40 +137,40 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    cfg = _config(args)
     frame = SampleFrame.from_csv(args.infile)
     if args.ascii:
-        fb = Framebuffer(width=args.width, height=args.height)
+        fb = Framebuffer(width=cfg.fb_width, height=cfg.fb_height)
         _require_finite_bounds(args.v_min, args.v_max)  # an empty frame maps nothing
         if len(frame):
-            draw_trace(fb, None, map_to_trace(frame, args.width, args.height,
+            draw_trace(fb, None, map_to_trace(frame, cfg.fb_width, cfg.fb_height,
                                               args.v_min, args.v_max))
         print(export_ascii(fb))
         return 0
-    export_svg(frame, args.out, width=args.width, height=args.height,
+    export_svg(frame, args.out, width=cfg.fb_width, height=cfg.fb_height,
                v_min=args.v_min, v_max=args.v_max)
     return 0
 
 
 def _cmd_send(args) -> int:
+    cfg = _config(args)
     frame = SampleFrame.from_csv(args.infile)
-    adc = AdcConfig()
     if args.unit == "mV":
         # lift a bipolar source frame to mid-rail before encoding
-        volts = frame.values * 1e-3 + adc.vref / 2
+        volts = frame.values * 1e-3 + cfg.adc.vref / 2
     else:
         volts = frame.values
-    codes = quantize(volts, adc)
+    codes = quantize(volts, cfg.adc)
     record = telemetry.TelemetryRecord(
-        device_id=args.device_id,
-        timestamp=args.timestamp,
-        bpm=args.bpm,
-        ecg=codes[: args.max_ecg],
-        location=args.location,
+        device_id=cfg.device_id,
+        timestamp=cfg.timestamp,
+        bpm=args.reading,
+        ecg=codes[: cfg.max_ecg],
+        location=cfg.location,
     )
-    policy = telemetry.AlertPolicy(low_bpm=args.low_bpm, high_bpm=args.high_bpm)
-    alert = telemetry.evaluate_alert(args.bpm, policy, args.location, args.timestamp)
-    with telemetry.make_sink(args.sink) as sink:
-        receipts = telemetry.publish_record(sink, record, alert, args.max_ecg)
+    alert = telemetry.evaluate_alert(args.reading, cfg.alerts, cfg.location, cfg.timestamp)
+    with telemetry.make_sink(cfg.sink) as sink:
+        receipts = telemetry.publish_record(sink, record, alert, cfg.max_ecg)
     summary = {
         "published": sum(1 for r in receipts if r.ok),
         "failed": sum(1 for r in receipts if not r.ok),
@@ -197,6 +182,8 @@ def _cmd_send(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ecgmon", description=__doc__)
+    # a flag whose dest names a config key sets that key through _config;
+    # a flag named after a key it does not set takes another dest
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config(p):
@@ -204,38 +191,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[], help="run the full pipeline and report bpm")
     add_config(p)
-    p.add_argument("--bpm", type=float, default=None)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--source", choices=("ecg", "sine"), default=None)
-    p.add_argument("--sink", default=None, help="stdout | file:<path> | http:<port>")
+    p.add_argument("--bpm", type=float)
+    p.add_argument("--duration", type=float)
+    p.add_argument("--source", choices=("ecg", "sine"))
+    p.add_argument("--sink", help="stdout | file:<path> | http:<port>")
     p.add_argument("--publish", action="store_true", help="publish telemetry to the sink")
     p.set_defaults(fn=_cmd_run)
 
-    # flags left out take the config's [signal] and [noise] values
     p = sub.add_parser("simulate", help="generate a source frame to CSV")
     add_config(p)
-    p.add_argument("--source", choices=("ecg", "sine"), default=None)
-    p.add_argument("--bpm", type=float, default=None)
+    p.add_argument("--source", choices=("ecg", "sine"))
+    p.add_argument("--bpm", type=float)
     p.add_argument("--freq", type=float, default=2.0, help="sine frequency (Hz)")
-    p.add_argument("--amplitude", type=float, default=None, help="sine amplitude (mV)")
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--mains-amplitude", type=float, default=None)
-    p.add_argument("--wander-amplitude", type=float, default=None)
-    p.add_argument("--emg-sigma", type=float, default=None)
-    p.add_argument("--common-mode-amplitude", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--amplitude", type=float, dest="sine_amplitude", metavar="AMPLITUDE",
+                   help="sine amplitude (mV)")
+    p.add_argument("--rate", type=float, dest="sample_rate", metavar="RATE")
+    p.add_argument("--duration", type=float)
+    p.add_argument("--mains-amplitude", type=float)
+    p.add_argument("--wander-amplitude", type=float)
+    p.add_argument("--emg-sigma", type=float)
+    p.add_argument("--common-mode-amplitude", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_simulate)
 
-    # flags left out take the config's [signal] sample_rate and [noise] emg_sigma/seed
     p = sub.add_parser("metrics", help="measure the front-end metrics as JSON")
     add_config(p)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--noise-sigma", type=float, default=None,
+    p.add_argument("--rate", type=float, dest="sample_rate", metavar="RATE")
+    p.add_argument("--noise-sigma", type=float, dest="emg_sigma", metavar="NOISE_SIGMA",
                    help="EMG sigma (mV) for the noise-floor row")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--response-csv", default=None, help="also dump freq_hz,mag_db")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--response-csv", help="also dump freq_hz,mag_db")
     p.set_defaults(fn=_cmd_metrics)
 
     p = sub.add_parser("notch", help="FFT 50 Hz removal on a CSV frame")
@@ -247,23 +233,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="edge-trigger detection on a CSV frame")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--refractory", type=float, default=PipelineConfig.refractory)
+    p.add_argument("--refractory", type=float)
     p.set_defaults(fn=_cmd_detect)
 
     p = sub.add_parser("stream", help="quantize a CSV frame through the ping-pong buffer")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--half-capacity", type=int, default=PipelineConfig.half_capacity)
-    p.add_argument("--bits", type=int, default=AdcConfig.resolution_bits)
-    p.add_argument("--vref", type=float, default=AdcConfig.vref)
+    p.add_argument("--half-capacity", type=int)
+    p.add_argument("--bits", type=int, dest="resolution_bits", metavar="BITS")
+    p.add_argument("--vref", type=float)
     p.set_defaults(fn=_cmd_stream)
 
     p = sub.add_parser("plot", help="render a CSV frame to SVG or ASCII")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default="ecg.svg")
-    p.add_argument("--width", type=int, default=Framebuffer.width)
-    p.add_argument("--height", type=int, default=Framebuffer.height)
-    p.add_argument("--v-min", type=float, default=None)
-    p.add_argument("--v-max", type=float, default=None)
+    p.add_argument("--width", type=int)
+    p.add_argument("--height", type=int)
+    p.add_argument("--v-min", type=float)
+    p.add_argument("--v-max", type=float)
     p.add_argument("--ascii", action="store_true", help="print to stdout instead of SVG")
     p.set_defaults(fn=_cmd_plot)
 
@@ -271,14 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--unit", choices=("mV", "V"), default="mV",
                    help="unit of the CSV values (mV frames are lifted to mid-rail)")
-    p.add_argument("--bpm", type=float, required=True)
-    p.add_argument("--device-id", default=PipelineConfig.device_id)
-    p.add_argument("--location", default=PipelineConfig.location)
-    p.add_argument("--timestamp", type=int, default=PipelineConfig.timestamp)
-    p.add_argument("--sink", default=PipelineConfig.sink, help="stdout | file:<path> | http:<port>")
-    p.add_argument("--low-bpm", type=float, default=telemetry.AlertPolicy.low_bpm)
-    p.add_argument("--high-bpm", type=float, default=telemetry.AlertPolicy.high_bpm)
-    p.add_argument("--max-ecg", type=int, default=PipelineConfig.max_ecg)
+    # the reading to send, not [signal] bpm
+    p.add_argument("--bpm", type=float, required=True, dest="reading", metavar="BPM")
+    p.add_argument("--device-id")
+    p.add_argument("--location")
+    p.add_argument("--timestamp", type=int)
+    p.add_argument("--sink", help="stdout | file:<path> | http:<port>")
+    p.add_argument("--low-bpm", type=float)
+    p.add_argument("--high-bpm", type=float)
+    p.add_argument("--max-ecg", type=int)
     p.set_defaults(fn=_cmd_send)
 
     return parser

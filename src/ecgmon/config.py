@@ -86,19 +86,23 @@ class PipelineConfig:
 
     @classmethod
     def loads(cls, text: str, name: str = "<config>") -> "PipelineConfig":
-        changes = _parse_sections(text, name)
-        cfg = cls()
+        return cls().updated(_parse_sections(text, name), name)
+
+    def updated(self, changes: dict[str | None, dict[str, object]], name: str) -> "PipelineConfig":
+        """This config with changes ({owner: {field: value}}, owners as in
+        _SCHEMA) applied through every check; a refusal raises ConfigError
+        naming the changes' source."""
         # each owner changes in one replace: PipelineConfig's checks relate
         # keys of different sections (notch_center and sample_rate), and
         # [adc] feeds both adc and PipelineConfig
+        fields = dict(changes.get(None, {}))
         try:
-            fields = changes.pop(None, {})
             for owner, sub in changes.items():
-                fields[owner] = replace(getattr(cfg, owner), **sub)
-            cfg = replace(cfg, **fields)
+                if owner is not None:
+                    fields[owner] = replace(getattr(self, owner), **sub)
+            return replace(self, **fields)
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-        return cfg
 
 
 def _keys(owner: str | None, names: str = "", **renamed: str) -> dict[str, tuple[str | None, str]]:
@@ -122,6 +126,9 @@ _SCHEMA: dict[str, dict[str, tuple[str | None, str]]] = {
     "render": _keys(None, width="fb_width", height="fb_height"),
     "telemetry": _keys(None, "device_id location sink max_ecg timestamp"),
 }
+
+# file key -> (owner, field), whatever its section; no key is in two sections
+_KEYS = {key: target for keys in _SCHEMA.values() for key, target in keys.items()}
 
 # field type -> parser of its file value
 _PARSERS = {

@@ -3,7 +3,7 @@ digital filtering -> heart rate -> telemetry."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,17 +50,19 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run the whole chain and return the heart-rate reading plus artifacts.
 
-    bpm/duration override the config when given.  With publish_records the
-    telemetry record (and any alert) goes to the configured sink.
+    bpm/duration, when given, replace the config's values through its
+    checks, so a value it refuses raises ValueError before any stage runs.
+    With publish_records the telemetry record (and any alert) goes to the
+    configured sink.
     """
-    bpm = cfg.bpm if bpm is None else bpm
-    duration = cfg.duration if duration is None else duration
+    overrides = {"bpm": bpm, "duration": duration}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
     if cfg.source == "sine":
         src = _stage("signal_model", generate_sine,
-                     bpm / 60.0, cfg.sine_amplitude, cfg.sample_rate, duration)
+                     cfg.bpm / 60.0, cfg.sine_amplitude, cfg.sample_rate, cfg.duration)
     else:
-        src = _stage("signal_model", generate_ecg, cfg.template, bpm, cfg.sample_rate, duration)
+        src = _stage("signal_model", generate_ecg, cfg.template, cfg.bpm, cfg.sample_rate, cfg.duration)
     sig: SourceSignal = _stage("signal_model", add_noise, src, cfg.noise)
 
     conditioned = _stage("analog_frontend", apply_frontend, sig, cfg.frontend)

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from ecgmon.acquisition import AdcConfig
 from ecgmon.cli import build_parser, main
-from ecgmon.config import _SCHEMA, ConfigError, PipelineConfig
+from ecgmon.config import _KEYS, _SCHEMA, ConfigError, PipelineConfig
 from ecgmon.frontend import FrontEndSpec
 from ecgmon.pipeline import PipelineError, run_pipeline
 from ecgmon.signals import NoiseConfig
@@ -90,6 +91,8 @@ class TestConfig:
                 assert getattr(cfg, f.name) != getattr(default, f.name), f.name
         lines = [line.split("=")[0].strip() for line in _ALL_KEYS.splitlines() if "=" in line]
         assert len(lines) == len(set(lines)) == sum(len(keys) for keys in _SCHEMA.values())
+        # so no key is in two sections, and the flat index holds every one
+        assert set(lines) == set(_KEYS)
 
     def test_adc_is_a_field(self):
         cfg = dataclasses.replace(PipelineConfig(), adc=AdcConfig(resolution_bits=10))
@@ -246,6 +249,14 @@ class TestRunPipeline:
             decoded = decode_record(records[0])
             assert decoded.bpm == pytest.approx(120.0, abs=0.5)
 
+    @pytest.mark.parametrize("override", [{"bpm": 9000.0}, {"bpm": float("nan")},
+                                          {"duration": 0.0}])
+    def test_refused_override_raises_before_any_stage(self, override):
+        """bpm/duration pass the config's checks: a ValueError, not a stage's
+        PipelineError."""
+        with pytest.raises(ValueError):
+            run_pipeline(PipelineConfig(), **override)
+
     def test_make_sink_rejects_unknown(self):
         with pytest.raises(ValueError):
             make_sink("carrier-pigeon:9")
@@ -369,11 +380,13 @@ class TestCliSubcommands:
         ("--refractory", "nan"),
     ])
     def test_detect_nonfinite_trigger_exits_runtime(self, tmp_path, capsys, flag, value):
+        """A config value, refused like the same [trigger] key in a file."""
         fixture = tmp_path / "sine.csv"
         assert main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)]) == 0
-        assert main(["detect", "--in", str(fixture), flag, value]) == 2
+        assert main(["detect", "--in", str(fixture), flag, value]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("ecgmon: config error: command line: ")
         assert flag[2:].replace("-", "_") in captured.err
 
     def test_notch_removes_mains(self, tmp_path, capsys):
@@ -428,9 +441,10 @@ class TestCliSubcommands:
     def test_stream_nonfinite_vref_exits_runtime(self, tmp_path, capsys, vref):
         fixture = tmp_path / "sine.csv"
         assert main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)]) == 0
-        assert main(["stream", "--in", str(fixture), "--vref", vref]) == 2
+        assert main(["stream", "--in", str(fixture), "--vref", vref]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("ecgmon: config error: command line: ")
         assert "vref" in captured.err
 
     # sha256 of stdout for a 10 s noisy ECG at each half capacity; 5000 % 7
@@ -484,31 +498,44 @@ class TestCliSubcommands:
         alert = json.loads(received[1])
         assert "above high threshold" in alert["message"]
 
+    def test_send_bpm_is_the_reading_not_a_config_value(self, tmp_path, capsys):
+        """A reading the source could not sample at 500 Hz is still sent, and alerts."""
+        fixture = tmp_path / "sine.csv"
+        main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)])
+        capsys.readouterr()
+        assert main(["send", "--in", str(fixture), "--bpm", "9000"]) == 0
+        captured = capsys.readouterr()
+        record, alert = captured.out.splitlines()
+        assert json.loads(record)["bpm"] == 9000.0
+        assert "above high threshold" in json.loads(alert)["message"]
+        assert json.loads(captured.err)["published"] == 2
+
     def test_send_negative_max_ecg_exits_runtime(self, tmp_path, capsys):
         """Refused before the samples are counted: codes[:-1] would hold 999."""
         fixture = tmp_path / "sine.csv"
         main(["simulate", "--source", "sine", "--duration", "2", "--out", str(fixture)])
         capsys.readouterr()
-        assert main(["send", "--in", str(fixture), "--bpm", "72", "--max-ecg", "-1"]) == 2
+        assert main(["send", "--in", str(fixture), "--bpm", "72", "--max-ecg", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "ecgmon: max_ecg must be >= 0, got -1\n"
+        assert captured.err == "ecgmon: config error: command line: max_ecg must be >= 0, got -1\n"
 
     def test_run_bad_sink_exits_runtime_without_publish(self, capsys):
         """The sink spec is checked before any stage runs, published to or not."""
-        assert main(["run", "--duration", "4", "--sink", "bogus"]) == 2
+        assert main(["run", "--duration", "4", "--sink", "bogus"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("ecgmon: unknown sink 'bogus'")
+        assert captured.err.startswith("ecgmon: config error: command line: unknown sink 'bogus'")
 
     def test_send_infinite_bound_exits_runtime(self, tmp_path, capsys):
         """An infinite high bound would never alert: refused before anything is sent."""
         fixture = tmp_path / "sine.csv"
         main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)])
         capsys.readouterr()
-        assert main(["send", "--in", str(fixture), "--bpm", "400", "--high-bpm", "inf"]) == 2
+        assert main(["send", "--in", str(fixture), "--bpm", "400", "--high-bpm", "inf"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("ecgmon: config error: command line: ")
         assert "high_bpm" in captured.err
 
     def test_missing_input_exits_runtime(self, capsys):
@@ -550,9 +577,10 @@ class TestCliSubcommands:
     @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
     def test_metrics_bad_noise_sigma_exits_runtime(self, capsys, sigma):
         """Not the no-noise row: --noise-sigma 0 alone selects that."""
-        assert main(["metrics", "--noise-sigma", sigma]) == 2
+        assert main(["metrics", "--noise-sigma", sigma]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("ecgmon: config error: command line: ")
         assert "emg_sigma" in captured.err
 
     def test_metrics_takes_config_values(self, tmp_path, capsys):
@@ -693,18 +721,23 @@ def test_cli_fuzz_exit_codes(fuzz_dir, command, data):
     assert code in (0, 1, 2), argv
 
 
-def test_cli_start_leaves_scipy_unimported():
+def test_cli_start_leaves_scipy_unimported(tmp_path):
     """scipy.signal takes most of a second to import and only the front-end
     filters need it: a top-level import would put that second back on every
-    subcommand."""
-    code = ("import sys\n"
+    subcommand.  detect, stream, send and plot check their flags through
+    PipelineConfig, whose checks design the front-end filter without it."""
+    shutil.copy(Path(__file__).parent / "golden" / "cli" / "inputs" / "sine.csv", tmp_path)
+    code = ("import contextlib, io, sys\n"
             "import ecgmon.cli\n"
-            "assert ecgmon.cli.main(['--help']) == 0\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    assert ecgmon.cli.main(['--help']) == 0\n"
+            "    for argv in (['detect'], ['stream'], ['send', '--bpm', '72'], ['plot', '--ascii']):\n"
+            "        assert ecgmon.cli.main([*argv, '--in', 'sine.csv']) == 0, argv\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 

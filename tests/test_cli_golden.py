@@ -19,7 +19,7 @@ import json
 import os
 import shlex
 import shutil
-import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -150,9 +150,24 @@ def test_cli_bytes(name, tmp_path, monkeypatch):
     assert {**actual, "command": CASES[name]} == expected
 
 
-def regenerate() -> None:
-    import tempfile
+@pytest.mark.parametrize("command", sorted(REFUSED))
+def test_refused_flag_is_refused_like_its_file_key(command, tmp_path, monkeypatch):
+    """A flag that sets a config key exits 1 before any output, with the
+    message the same key and value in a config file gives."""
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    flag = run_case(command, tmp_path / "flag")
+    (tmp_path / "file").mkdir()
+    (tmp_path / "file" / "f.cfg").write_text(REFUSED[command])
+    from_file = run_case("run --config f.cfg", tmp_path / "file")
+    assert (flag["exit"], flag["stdout"], flag["files"]) == (1, "", {})
+    assert from_file["exit"] == 1
+    flag_prefix = "ecgmon: config error: command line: "
+    file_prefix = "ecgmon: config error: f.cfg: "
+    assert flag["stderr"].startswith(flag_prefix) and from_file["stderr"].startswith(file_prefix)
+    assert flag["stderr"][len(flag_prefix):] == from_file["stderr"][len(file_prefix):]
 
+
+def regenerate() -> None:
     os.environ["COLUMNS"] = COLUMNS
     for stale in CORPUS.iterdir():
         if stale.is_dir() and stale != INPUTS and stale.name not in CASES:
@@ -164,4 +179,3 @@ def regenerate() -> None:
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)
