@@ -11,7 +11,10 @@ bilinear discretization with prewarping runs the stages on sampled data.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -227,6 +230,27 @@ def chain_magnitude(spec: FrontEndSpec, sample_rate: float, freqs) -> np.ndarray
     return np.abs(h)
 
 
+@functools.cache
+def _linear_filter():
+    """scipy's compiled direct-form II transposed filter, the routine
+    ``scipy.signal.lfilter`` runs for every (b, a) pair with len(a) > 1.
+
+    It is loaded from its extension module alone: importing the
+    ``scipy.signal`` package also imports scipy.stats, optimize, spatial and
+    more, which took three quarters of a run's start-up.
+    """
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy_dir, "signal"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    ext_spec = finder.find_spec("scipy.signal._sigtools")
+    if ext_spec is None:
+        raise ImportError(f"no scipy.signal._sigtools extension under {scipy_dir}")
+    module = importlib.util.module_from_spec(ext_spec)
+    ext_spec.loader.exec_module(module)
+    return module._linear_filter
+
+
 @dataclass(frozen=True)
 class FrontEndResult:
     """Conditioned output frame plus the rail-saturation flag."""
@@ -242,13 +266,12 @@ def apply_frontend(sig: SourceSignal, spec: FrontEndSpec) -> FrontEndResult:
     filter cascade and gain are applied, the output is lifted to the DC
     bias and saturated to the supply range.  Output frame is in volts.
     """
-    from scipy.signal import lfilter  # here, not at the top: scipy.signal takes ~0.8 s to import
-
+    linear_filter = _linear_filter()
     rate = sig.differential.sample_rate
     leak = 10 ** (-spec.cmrr_db / 20)
     x = (sig.differential.values + leak * sig.common_mode.values) * 1e-3  # mV -> V
     for b, a in _chain_coefficients(spec, rate):
-        x = lfilter(b, a, x)  # each run starts from rest
+        x = linear_filter(b, a, x, -1)  # each run starts from rest
     y = spec.chain_gain * x + spec.lift_bias
     lo, hi = spec.supply_min, spec.supply_max
     saturated = bool(len(y)) and bool(np.any((y < lo) | (y > hi)))

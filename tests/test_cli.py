@@ -510,7 +510,7 @@ class TestCliSubcommands:
         assert "above high threshold" in json.loads(alert)["message"]
         assert json.loads(captured.err)["published"] == 2
 
-    def test_send_negative_max_ecg_exits_runtime(self, tmp_path, capsys):
+    def test_send_negative_max_ecg_exits_config_error(self, tmp_path, capsys):
         """Refused before the samples are counted: codes[:-1] would hold 999."""
         fixture = tmp_path / "sine.csv"
         main(["simulate", "--source", "sine", "--duration", "2", "--out", str(fixture)])
@@ -520,14 +520,14 @@ class TestCliSubcommands:
         assert captured.out == ""
         assert captured.err == "ecgmon: config error: command line: max_ecg must be >= 0, got -1\n"
 
-    def test_run_bad_sink_exits_runtime_without_publish(self, capsys):
+    def test_run_bad_sink_exits_config_error_without_publish(self, capsys):
         """The sink spec is checked before any stage runs, published to or not."""
         assert main(["run", "--duration", "4", "--sink", "bogus"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("ecgmon: config error: command line: unknown sink 'bogus'")
 
-    def test_send_infinite_bound_exits_runtime(self, tmp_path, capsys):
+    def test_send_infinite_bound_exits_config_error(self, tmp_path, capsys):
         """An infinite high bound would never alert: refused before anything is sent."""
         fixture = tmp_path / "sine.csv"
         main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)])
@@ -722,24 +722,32 @@ def test_cli_fuzz_exit_codes(fuzz_dir, command, data):
 
 
 def test_cli_start_leaves_scipy_unimported(tmp_path):
-    """scipy.signal takes most of a second to import and only the front-end
-    filters need it: a top-level import would put that second back on every
-    subcommand.  detect, stream, send and plot check their flags through
-    PipelineConfig, whose checks design the front-end filter without it."""
+    """The scipy.signal package takes over a second to import, and the only
+    part of scipy the package runs is that package's compiled linear filter.
+    detect, stream, send and plot check their flags through PipelineConfig,
+    whose checks design the front-end filter without running it: they load
+    no scipy module.  run and metrics filter, and load only the filter's
+    extension module, never scipy or scipy.signal."""
     shutil.copy(Path(__file__).parent / "golden" / "cli" / "inputs" / "sine.csv", tmp_path)
     code = ("import contextlib, io, sys\n"
             "import ecgmon.cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
             "    assert ecgmon.cli.main(['--help']) == 0\n"
             "    for argv in (['detect'], ['stream'], ['send', '--bpm', '72'], ['plot', '--ascii']):\n"
             "        assert ecgmon.cli.main([*argv, '--in', 'sine.csv']) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+            "    before = scipy_modules()\n"
+            "    assert ecgmon.cli.main(['run', '--duration', '4']) == 0\n"
+            "    assert ecgmon.cli.main(['metrics']) == 0\n"
+            "print(before)\n"
+            "print(scipy_modules())\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "['scipy.signal._sigtools']"]
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):

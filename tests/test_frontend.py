@@ -1,7 +1,12 @@
 """Front-end tests: component formulas, discretization, chain behavior, metrics."""
 
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from scipy.signal import freqz, lfilter
 
 from ecgmon import frontend
 from ecgmon.cli import main
+from ecgmon.config import PipelineConfig
 from ecgmon.frontend import (
     ComponentValues,
     FrontEndSpec,
@@ -26,6 +32,7 @@ from ecgmon.frontend import (
     bench_spec,
     voltage_gain,
 )
+from ecgmon.pipeline import run_pipeline
 from ecgmon.signals import NoiseConfig, SampleFrame, SourceSignal, generate_sine
 
 
@@ -133,6 +140,21 @@ class TestCutoffFormulas:
         assert notch_center(c.r31, c.c5, c.r27, c.c7) == pytest.approx(49.79, rel=0.005)
 
 
+# a stage kind and the spec it is designed from at 500 Hz, f being the
+# stage's corner as a fraction of the rate
+STAGE_DRAWS = dict(
+    kind=st.sampled_from(["highpass", "lowpass", "notch"]),
+    f=st.floats(min_value=0.01, max_value=0.49),
+    q=st.floats(min_value=0.5, max_value=50.0),
+)
+
+
+def _drawn_spec(f: float, q: float) -> FrontEndSpec:
+    freq = f * 500.0
+    return FrontEndSpec(f_ch=min(0.9 * freq, 0.18), f_cl=max(freq, 0.2),
+                        f_0=max(0.95 * freq, 0.19), notch_q=q)
+
+
 class TestDiscretize:
     def test_highpass_rejects_dc(self):
         b, a = discretize("highpass", bench_spec(), 500.0)
@@ -170,22 +192,10 @@ class TestDiscretize:
                 discretize(kind, spec, 500.0)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        kind=st.sampled_from(["highpass", "lowpass", "notch"]),
-        f=st.floats(min_value=0.01, max_value=0.49),
-        q=st.floats(min_value=0.5, max_value=50.0),
-    )
+    @given(**STAGE_DRAWS)
     def test_stability_property(self, kind, f, q):
         """Poles stay strictly inside the unit circle across admissible corners."""
-        rate = 500.0
-        freq = f * rate
-        spec = FrontEndSpec(
-            f_ch=min(0.9 * freq, 0.18),
-            f_cl=max(freq, 0.2),
-            f_0=max(0.95 * freq, 0.19),
-            notch_q=q,
-        )
-        b, a = discretize(kind, spec, rate)
+        b, a = discretize(kind, _drawn_spec(f, q), 500.0)
         assert len(b) == len(a) == 3 and a[0] == 1.0
         assert np.all(np.abs(np.roots(a)) < 1.0)
 
@@ -200,16 +210,63 @@ class TestDiscretize:
         used, fresh = discretize("lowpass", spec, 500.0), discretize("lowpass", spec, 500.0)
         assert used == fresh
         assert all(type(part) is tuple for part in used)
-        assert np.array_equal(lfilter(*used, x), lfilter(*fresh, x))
+        linear_filter = frontend._linear_filter()
+        assert np.array_equal(linear_filter(*used, x, -1), linear_filter(*fresh, x, -1))
         assert apply_frontend(sig, spec).frame.values.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("kind", ["notch", "lowpass", "highpass"])
     def test_filtering_from_rest_needs_no_zi(self, kind):
-        """lfilter without zi, as apply_frontend calls it, starts from rest:
-        the bytes of passing zi = zeros."""
+        """The package's filter without an initial state, as apply_frontend
+        calls it, starts from rest: the bytes of passing a zero state."""
         x = np.random.default_rng(5).normal(size=5000)
         b, a = discretize(kind, bench_spec(), 500.0)
-        assert lfilter(b, a, x).tobytes() == lfilter(b, a, x, zi=np.zeros(2))[0].tobytes()
+        linear_filter = frontend._linear_filter()
+        assert linear_filter(b, a, x, -1).tobytes() == linear_filter(b, a, x, -1, np.zeros(2))[0].tobytes()
+
+
+class TestLoadedFilter:
+    """apply_frontend filters through scipy's compiled routine, loaded without
+    the scipy.signal package; scipy.signal.lfilter is the public call that
+    runs the same routine, so a scipy release that moves or changes it fails
+    here by name."""
+
+    @pytest.mark.parametrize("stage", range(3))
+    def test_bench_stage_matches_lfilter(self, stage):
+        x = np.random.default_rng(7).normal(size=5000)
+        b, a = frontend._chain_coefficients(bench_spec(), 500.0)[stage]
+        assert frontend._linear_filter()(b, a, x, -1).tobytes() == lfilter(b, a, x).tobytes()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(**STAGE_DRAWS)
+    def test_drawn_stage_matches_lfilter(self, kind, f, q):
+        x = np.random.default_rng(8).normal(size=1000)
+        b, a = discretize(kind, _drawn_spec(f, q), 500.0)
+        assert frontend._linear_filter()(b, a, x, -1).tobytes() == lfilter(b, a, x).tobytes()
+
+    @pytest.mark.parametrize("scipy_signal_first", [False, True])
+    def test_load_order_with_scipy_signal(self, scipy_signal_first):
+        """Loading the filter before or after the scipy.signal package leaves
+        both working and equal, with no warning under -X dev -W error."""
+        code = ("import hashlib, numpy as np\n"
+                + ("import scipy.signal\n" if scipy_signal_first else "")
+                + "from ecgmon import frontend\n"
+                "from ecgmon.config import PipelineConfig\n"
+                "from ecgmon.pipeline import run_pipeline\n"
+                "result = run_pipeline(PipelineConfig())\n"
+                "import scipy.signal\n"
+                "x = np.random.default_rng(3).normal(size=2000)\n"
+                "for b, a in frontend._chain_coefficients(frontend.bench_spec(), 500.0):\n"
+                "    assert (frontend._linear_filter()(b, a, x, -1).tobytes()\n"
+                "            == scipy.signal.lfilter(b, a, x).tobytes())\n"
+                "print(hashlib.sha256(result.digital.values.tobytes()).hexdigest())\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        expected = run_pipeline(PipelineConfig()).digital.values.tobytes()
+        assert proc.stdout.split() == [hashlib.sha256(expected).hexdigest()]
 
 
 def _chain_reference(sig: SourceSignal, spec: FrontEndSpec) -> np.ndarray:
