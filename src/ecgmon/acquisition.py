@@ -83,7 +83,7 @@ def dequantize(c, cfg: AdcConfig):
             bad = float(arr[~whole][0])
             raise ValueError("cannot dequantize NaN" if math.isnan(bad)
                              else f"code must be a whole number, got {bad!r}")
-    if arr.size and (np.any(arr < 0) or np.any(arr > cfg.max_code)):
+    if arr.size and (arr.min() < 0 or arr.max() > cfg.max_code):
         raise ValueError(f"code out of range 0..{cfg.max_code}")
     volts = arr.astype(np.float64) / cfg.max_code * cfg.vref
     if np.isscalar(c) or arr.ndim == 0:

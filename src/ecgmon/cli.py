@@ -13,13 +13,13 @@ import sys
 
 import numpy as np
 
-from . import dsp, telemetry
+from . import dsp
 from .acquisition import PingPongBuffer, quantize
 from .config import _KEYS, ConfigError, PipelineConfig
 from .frontend import chain_magnitude, measure_metrics
-from .pipeline import PipelineError, run_pipeline
+from .pipeline import PipelineError, report, run_pipeline, source_signal
 from .render import export_ascii, export_svg, Framebuffer, _require_finite_bounds, draw_trace, map_to_trace
-from .signals import NoiseConfig, SampleFrame, add_noise, generate_ecg, generate_sine
+from .signals import NoiseConfig, SampleFrame
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -69,22 +69,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _config(args)
-    if cfg.source == "sine":
-        frame = generate_sine(args.freq, cfg.sine_amplitude, cfg.sample_rate, cfg.duration)
-    else:
-        frame = generate_ecg(cfg.template, cfg.bpm, cfg.sample_rate, cfg.duration)
-    frame = add_noise(frame, cfg.noise).differential
-    frame.to_csv(args.out)
+    source_signal(_config(args)).differential.to_csv(args.out)
     return 0
 
 
 def _cmd_metrics(args) -> int:
     cfg = _config(args)
-    sigma = cfg.noise.emg_sigma
-    noise = NoiseConfig(emg_sigma=sigma, rng_seed=cfg.noise.rng_seed) if sigma > 0 else None
-    report = measure_metrics(cfg.frontend, sample_rate=cfg.sample_rate, noise=noise)
-    doc = {k: (round(v, 6) if isinstance(v, float) else v) for k, v in report.as_dict().items()}
+    noise = NoiseConfig(emg_sigma=cfg.noise.emg_sigma, rng_seed=cfg.noise.rng_seed)
+    measured = measure_metrics(cfg.frontend, sample_rate=cfg.sample_rate, noise=noise)
+    doc = {k: (round(v, 6) if isinstance(v, float) else v) for k, v in measured.as_dict().items()}
     print(_json_line(doc))
     if args.response_csv:
         _write_response_csv(cfg.frontend, cfg.sample_rate, args.response_csv)
@@ -161,16 +154,7 @@ def _cmd_send(args) -> int:
     else:
         volts = frame.values
     codes = quantize(volts, cfg.adc)
-    record = telemetry.TelemetryRecord(
-        device_id=cfg.device_id,
-        timestamp=cfg.timestamp,
-        bpm=args.reading,
-        ecg=codes[: cfg.max_ecg],
-        location=cfg.location,
-    )
-    alert = telemetry.evaluate_alert(args.reading, cfg.alerts, cfg.location, cfg.timestamp)
-    with telemetry.make_sink(cfg.sink) as sink:
-        receipts = telemetry.publish_record(sink, record, alert, cfg.max_ecg)
+    _, alert, receipts = report(cfg, args.reading, codes, publish_records=True)
     summary = {
         "published": sum(1 for r in receipts if r.ok),
         "failed": sum(1 for r in receipts if not r.ok),
@@ -201,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a source frame to CSV")
     add_config(p)
     p.add_argument("--source", choices=("ecg", "sine"))
-    p.add_argument("--bpm", type=float)
-    p.add_argument("--freq", type=float, default=2.0, help="sine frequency (Hz)")
+    p.add_argument("--bpm", type=float, help="heart rate; a sine runs at bpm / 60 Hz")
     p.add_argument("--amplitude", type=float, dest="sine_amplitude", metavar="AMPLITUDE",
                    help="sine amplitude (mV)")
     p.add_argument("--rate", type=float, dest="sample_rate", metavar="RATE")

@@ -320,6 +320,9 @@ def _probe_gain(spec: FrontEndSpec, sample_rate: float, freq: float, channel: st
     n_keep = int(round(n_cycles * sample_rate / freq))
     tail = tail[:n_keep]
     amp_out = math.sqrt(2.0) * float(np.std(tail - np.mean(tail)))
+    if amp_out == 0:
+        raise ValueError(f"the {channel} probe at {freq:g} Hz measured a gain of 0, "
+                         "so the gain ratios are undefined")
     return amp_out / (_PROBE_AMPLITUDE_MV * 1e-3)
 
 
@@ -377,7 +380,7 @@ def _band_edges(spec: FrontEndSpec, sample_rate: float) -> tuple[float, float]:
 def measure_metrics(
     spec: FrontEndSpec,
     sample_rate: float,
-    noise: NoiseConfig | None = None,
+    noise: NoiseConfig = NoiseConfig(),
 ) -> MetricsReport:
     """Measure the chain the way the bench table defines its rows.
 
@@ -397,13 +400,10 @@ def measure_metrics(
     alpha_db = 20 * math.log10(a_50 / a_20)
     f_low, f_high = _band_edges(spec, sample_rate)
 
-    if noise is None:
-        u_omax = 0.0
-    else:
-        flat = SampleFrame(sample_rate=sample_rate, values=np.zeros(int(4 * sample_rate)))
-        out = apply_frontend(add_noise(flat, noise), spec).frame.values
-        tail = out[len(out) // 2:]
-        u_omax = float(np.max(np.abs(tail - spec.lift_bias)))
+    flat = SampleFrame(sample_rate=sample_rate, values=np.zeros(int(4 * sample_rate)))
+    out = apply_frontend(add_noise(flat, noise), spec).frame.values
+    tail = out[len(out) // 2:]
+    u_omax = float(np.max(np.abs(tail - spec.lift_bias)))
 
     return MetricsReport(
         differential_gain=a_d,

@@ -13,7 +13,7 @@ from .config import PipelineConfig
 from .frontend import apply_frontend
 from .signals import SampleFrame, SourceSignal, add_noise, generate_ecg, generate_sine
 
-__all__ = ["PipelineError", "PipelineResult", "run_pipeline"]
+__all__ = ["PipelineError", "PipelineResult", "source_signal", "report", "run_pipeline"]
 
 
 class PipelineError(RuntimeError):
@@ -42,6 +42,36 @@ def _stage(module: str, fn, *args, **kwargs):
         raise PipelineError(module, exc) from exc
 
 
+def source_signal(cfg: PipelineConfig) -> SourceSignal:
+    """The config's source with its noise added: the ECG beat train, or a
+    sine at bpm / 60 Hz."""
+    if cfg.source == "sine":
+        src = generate_sine(cfg.bpm / 60.0, cfg.sine_amplitude, cfg.sample_rate, cfg.duration)
+    else:
+        src = generate_ecg(cfg.template, cfg.bpm, cfg.sample_rate, cfg.duration)
+    return add_noise(src, cfg.noise)
+
+
+def report(
+    cfg: PipelineConfig, bpm: float, codes, publish_records: bool,
+) -> tuple[telemetry.TelemetryRecord, telemetry.AlertEvent | None, list]:
+    """The telemetry record of bpm and the first max_ecg codes, its alert
+    (or None) and, with publish_records, the configured sink's receipts."""
+    record = telemetry.TelemetryRecord(
+        device_id=cfg.device_id,
+        timestamp=cfg.timestamp,
+        bpm=bpm,
+        ecg=codes[: cfg.max_ecg],
+        location=cfg.location,
+    )
+    alert = telemetry.evaluate_alert(bpm, cfg.alerts, cfg.location, cfg.timestamp)
+    receipts = []
+    if publish_records:
+        with telemetry.make_sink(cfg.sink) as sink:
+            receipts = telemetry.publish_record(sink, record, alert, cfg.max_ecg)
+    return record, alert, receipts
+
+
 def run_pipeline(
     cfg: PipelineConfig,
     bpm: float | None = None,
@@ -58,12 +88,7 @@ def run_pipeline(
     overrides = {"bpm": bpm, "duration": duration}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
-    if cfg.source == "sine":
-        src = _stage("signal_model", generate_sine,
-                     cfg.bpm / 60.0, cfg.sine_amplitude, cfg.sample_rate, cfg.duration)
-    else:
-        src = _stage("signal_model", generate_ecg, cfg.template, cfg.bpm, cfg.sample_rate, cfg.duration)
-    sig: SourceSignal = _stage("signal_model", add_noise, src, cfg.noise)
+    sig = _stage("signal_model", source_signal, cfg)
 
     conditioned = _stage("analog_frontend", apply_frontend, sig, cfg.frontend)
 
@@ -82,21 +107,8 @@ def run_pipeline(
     edges = _stage("dsp", dsp.detect_rising_edges, filtered, cfg.refractory)
     reading = _stage("dsp", dsp.heart_rate_from_edges, edges, cfg.sample_rate)
 
-    record = telemetry.TelemetryRecord(
-        device_id=cfg.device_id,
-        timestamp=cfg.timestamp,
-        bpm=reading.bpm,
-        ecg=digital_codes[: cfg.max_ecg],
-        location=cfg.location,
-    )
-    alert = _stage("telemetry", telemetry.evaluate_alert,
-                   reading.bpm, cfg.alerts, cfg.location, cfg.timestamp)
-
-    receipts = []
-    if publish_records:
-        with _stage("telemetry", telemetry.make_sink, cfg.sink) as sink:
-            receipts = _stage("telemetry", telemetry.publish_record,
-                              sink, record, alert, cfg.max_ecg)
+    record, alert, receipts = _stage("telemetry", report,
+                                     cfg, reading.bpm, digital_codes, publish_records)
 
     return PipelineResult(
         reading=reading,

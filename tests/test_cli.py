@@ -18,11 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecgmon import pipeline, telemetry
 from ecgmon.acquisition import AdcConfig
 from ecgmon.cli import build_parser, main
 from ecgmon.config import _KEYS, _SCHEMA, ConfigError, PipelineConfig
 from ecgmon.frontend import FrontEndSpec
-from ecgmon.pipeline import PipelineError, run_pipeline
+from ecgmon.pipeline import PipelineError, run_pipeline, source_signal
 from ecgmon.signals import NoiseConfig
 from ecgmon.telemetry import AlertPolicy, LoopbackListener, decode_record, make_sink
 
@@ -238,6 +239,15 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="acquisition"):
             run_pipeline(cfg, bpm=120.0, duration=0.5)
 
+    def test_record_build_failure_names_telemetry(self, monkeypatch):
+        """The record is built inside the telemetry stage, like its alert."""
+        def refuse(**_):
+            raise ValueError("record refused")
+        monkeypatch.setattr(telemetry, "TelemetryRecord", refuse)
+        cfg = dataclasses.replace(PipelineConfig(), source="sine", duration=4.0)
+        with pytest.raises(PipelineError, match="^telemetry: record refused$"):
+            run_pipeline(cfg)
+
     def test_publishes_to_loopback(self):
         with LoopbackListener() as listener:
             cfg = dataclasses.replace(PipelineConfig(), source="sine", duration=4.0,
@@ -360,7 +370,7 @@ class TestCliSubcommands:
 
     def test_simulate_then_detect_2hz_fixture(self, tmp_path, capsys):
         fixture = tmp_path / "sine2hz.csv"
-        assert main(["simulate", "--source", "sine", "--freq", "2", "--amplitude", "1",
+        assert main(["simulate", "--source", "sine", "--bpm", "120", "--amplitude", "1",
                      "--rate", "500", "--duration", "3", "--out", str(fixture)]) == 0
         assert main(["detect", "--in", str(fixture), "--refractory", "0.2"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -369,7 +379,7 @@ class TestCliSubcommands:
 
     def test_detect_insufficient_edges_reports_null(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
-        assert main(["simulate", "--source", "sine", "--freq", "2", "--amplitude", "0",
+        assert main(["simulate", "--source", "sine", "--bpm", "120", "--amplitude", "0",
                      "--duration", "1", "--out", str(flat)]) == 0
         assert main(["detect", "--in", str(flat)]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -379,7 +389,7 @@ class TestCliSubcommands:
         ("--refractory", "inf"),
         ("--refractory", "nan"),
     ])
-    def test_detect_nonfinite_trigger_exits_runtime(self, tmp_path, capsys, flag, value):
+    def test_detect_nonfinite_trigger_exits_config_error(self, tmp_path, capsys, flag, value):
         """A config value, refused like the same [trigger] key in a file."""
         fixture = tmp_path / "sine.csv"
         assert main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)]) == 0
@@ -392,7 +402,7 @@ class TestCliSubcommands:
     def test_notch_removes_mains(self, tmp_path, capsys):
         noisy = tmp_path / "noisy.csv"
         clean = tmp_path / "clean.csv"
-        assert main(["simulate", "--source", "sine", "--freq", "10", "--amplitude", "1",
+        assert main(["simulate", "--source", "sine", "--bpm", "600", "--amplitude", "1",
                      "--duration", "2", "--mains-amplitude", "0.5", "--out", str(noisy)]) == 0
         assert main(["notch", "--in", str(noisy), "--out", str(clean)]) == 0
         from ecgmon.signals import SampleFrame, generate_sine
@@ -427,7 +437,7 @@ class TestCliSubcommands:
 
     def test_stream_emits_ordered_json_lines(self, tmp_path, capsys):
         fixture = tmp_path / "sine.csv"
-        assert main(["simulate", "--source", "sine", "--freq", "2", "--amplitude", "1",
+        assert main(["simulate", "--source", "sine", "--bpm", "120", "--amplitude", "1",
                      "--duration", "2", "--out", str(fixture)]) == 0
         assert main(["stream", "--in", str(fixture), "--half-capacity", "128"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -475,7 +485,7 @@ class TestCliSubcommands:
 
     def test_plot_ascii(self, tmp_path, capsys):
         fixture = tmp_path / "sine.csv"
-        main(["simulate", "--source", "sine", "--freq", "2", "--amplitude", "1",
+        main(["simulate", "--source", "sine", "--bpm", "120", "--amplitude", "1",
               "--duration", "1", "--out", str(fixture)])
         assert main(["plot", "--in", str(fixture), "--ascii",
                      "--width", "64", "--height", "16"]) == 0
@@ -486,7 +496,7 @@ class TestCliSubcommands:
 
     def test_send_publishes_record_and_alert(self, tmp_path, capsys):
         fixture = tmp_path / "sine.csv"
-        main(["simulate", "--source", "sine", "--freq", "2", "--amplitude", "1",
+        main(["simulate", "--source", "sine", "--bpm", "120", "--amplitude", "1",
               "--duration", "1", "--out", str(fixture)])
         with LoopbackListener() as listener:
             assert main(["send", "--in", str(fixture), "--bpm", "130",
@@ -566,6 +576,25 @@ class TestCliSubcommands:
         assert paths["mixed"].read_bytes() == paths["plain"].read_bytes()
         assert len(paths["config"].read_text().splitlines()) == 1 + 500
 
+    @pytest.mark.parametrize("source", ["ecg", "sine"])
+    def test_simulate_writes_the_source_run_reads(self, tmp_path, capsys, monkeypatch, source):
+        """Both read one config the same way: a sine runs at bpm / 60 Hz."""
+        cfg = tmp_path / "src.cfg"
+        cfg.write_text(f"[signal]\nsource = {source}\nbpm = 90\nduration = 4\n"
+                       "[noise]\nmains_amplitude = 0.1\nemg_sigma = 0.02\nseed = 5\n")
+        simulated, expected, ran = (tmp_path / f"{n}.csv" for n in ("sim", "expected", "run"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(simulated)]) == 0
+        source_signal(PipelineConfig.load(cfg)).differential.to_csv(expected)
+        assert simulated.read_bytes() == expected.read_bytes()
+
+        seen = []
+        monkeypatch.setattr(pipeline, "source_signal",
+                            lambda c: seen.append(source_signal(c)) or seen[-1])
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["bpm"] == pytest.approx(90.0, abs=1.0)
+        seen[0].differential.to_csv(ran)
+        assert ran.read_bytes() == simulated.read_bytes()
+
     def test_metrics_response_csv(self, tmp_path, capsys):
         path = tmp_path / "resp.csv"
         assert main(["metrics", "--response-csv", str(path)]) == 0
@@ -602,6 +631,20 @@ class TestCliSubcommands:
         assert out["mixed"] == out["plain"]
         assert out["config"][0] != out["plain"][0] and out["config"][1] != out["plain"][1]
         assert json.loads(out["config"][0])["equiv_input_noise"] > 0
+
+    @pytest.mark.parametrize("key, probe", [
+        ("cmrr_db = 400", "common"),
+        ("instrument_gain = 1e-300", "differential"),
+    ])
+    def test_metrics_zero_probe_gain_exits_runtime(self, tmp_path, capsys, key, probe):
+        """Named and refused, not a ZeroDivisionError traceback."""
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(f"[frontend]\n{key}\n")
+        assert main(["metrics", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"ecgmon: the {probe} probe at 10 Hz measured a gain of 0, "
+                                "so the gain ratios are undefined\n")
 
     def test_zero_noise_sine_reproduces_bpm(self):
         """Clean sine source reproduces the source rate at the defaults."""
@@ -644,7 +687,7 @@ _CONFIG_TEXTS = {
 def fuzz_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["simulate", "--source", "sine", "--freq", "2", "--amplitude", "1",
+        assert main(["simulate", "--source", "sine", "--bpm", "120", "--amplitude", "1",
                      "--duration", "3", "--out", str(root / "sine.csv")]) == 0
     for name, text in {**_CSV_TEXTS, **_CONFIG_TEXTS}.items():
         if text is not None:
@@ -669,7 +712,7 @@ def _fuzz_options(root):
                 "--publish": None},
         "simulate": {"--out": outputs, "--config": configs,
                      "--source": st.sampled_from(["ecg", "sine"]), "--bpm": bpms,
-                     "--freq": floats, "--amplitude": floats, "--rate": rates,
+                     "--amplitude": floats, "--rate": rates,
                      "--duration": durations, "--mains-amplitude": floats,
                      "--wander-amplitude": floats, "--emg-sigma": floats,
                      "--common-mode-amplitude": floats, "--seed": ints},

@@ -73,7 +73,7 @@ CASES = {
     "run-config-publish": "run --config run.cfg --publish --sink file:records.jsonl",
     "simulate-ecg-noise": "simulate --duration 2 --mains-amplitude 0.3 --wander-amplitude 0.2 "
                           "--emg-sigma 0.05 --common-mode-amplitude 0.1 --seed 3 --out ecg.csv",
-    "simulate-sine": "simulate --source sine --freq 2 --amplitude 1 --duration 2 --out sine2.csv",
+    "simulate-sine": "simulate --source sine --bpm 120 --amplitude 1 --duration 2 --out sine2.csv",
     "notch": "notch --in noisy.csv --out clean.csv",
     "detect": "detect --in sine.csv",
     "detect-refractory": "detect --in sine.csv --refractory 0.2",
