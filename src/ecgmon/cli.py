@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dsp
 from .acquisition import PingPongBuffer, quantize
-from .config import _KEYS, ConfigError, PipelineConfig
+from .config import _KEYS, SOURCES, ConfigError, PipelineConfig, _parse
 from .frontend import chain_magnitude, measure_metrics
 from .pipeline import PipelineError, report, run_pipeline, source_signal
 from .render import export_ascii, export_svg, Framebuffer, _require_finite_bounds, draw_trace, map_to_trace
@@ -33,15 +33,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config(args) -> PipelineConfig:
-    """The --config file, or the defaults, with every given flag whose dest
-    names a config key applied through the config's checks; the file has
-    loaded on its own, so a refusal here is the flags'."""
+    """The --config file, or the defaults, with the text of every given flag
+    whose dest names a config key parsed like that key's file value and
+    applied through the config's checks; the file has loaded on its own, so
+    a refusal here is the flags'."""
     cfg = PipelineConfig.load(args.config) if getattr(args, "config", None) else PipelineConfig()
     changes: dict = {}
-    for key, value in vars(args).items():
-        if key in _KEYS and value is not None:
-            owner, attr = _KEYS[key]
-            changes.setdefault(owner, {})[attr] = value
+    for key, text in vars(args).items():
+        if key in _KEYS and text is not None:
+            _parse(key, text, changes, "command line")
     return cfg.updated(changes, "command line")
 
 
@@ -166,8 +166,8 @@ def _cmd_send(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ecgmon", description=__doc__)
-    # a flag whose dest names a config key sets that key through _config;
-    # a flag named after a key it does not set takes another dest
+    # a flag whose dest names a config key takes no type: _config parses its text
+    # like the file's; a flag named after a key it does not set takes another dest
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config(p):
@@ -175,35 +175,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[], help="run the full pipeline and report bpm")
     add_config(p)
-    p.add_argument("--bpm", type=float)
-    p.add_argument("--duration", type=float)
-    p.add_argument("--source", choices=("ecg", "sine"))
+    p.add_argument("--bpm")
+    p.add_argument("--duration")
+    p.add_argument("--source", choices=SOURCES)
     p.add_argument("--sink", help="stdout | file:<path> | http:<port>")
     p.add_argument("--publish", action="store_true", help="publish telemetry to the sink")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("simulate", help="generate a source frame to CSV")
     add_config(p)
-    p.add_argument("--source", choices=("ecg", "sine"))
-    p.add_argument("--bpm", type=float, help="heart rate; a sine runs at bpm / 60 Hz")
-    p.add_argument("--amplitude", type=float, dest="sine_amplitude", metavar="AMPLITUDE",
+    p.add_argument("--source", choices=SOURCES)
+    p.add_argument("--bpm", help="heart rate; a sine runs at bpm / 60 Hz")
+    p.add_argument("--amplitude", dest="sine_amplitude", metavar="AMPLITUDE",
                    help="sine amplitude (mV)")
-    p.add_argument("--rate", type=float, dest="sample_rate", metavar="RATE")
-    p.add_argument("--duration", type=float)
-    p.add_argument("--mains-amplitude", type=float)
-    p.add_argument("--wander-amplitude", type=float)
-    p.add_argument("--emg-sigma", type=float)
-    p.add_argument("--common-mode-amplitude", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--rate", dest="sample_rate", metavar="RATE")
+    p.add_argument("--duration")
+    p.add_argument("--mains-amplitude")
+    p.add_argument("--wander-amplitude")
+    p.add_argument("--emg-sigma")
+    p.add_argument("--common-mode-amplitude")
+    p.add_argument("--seed")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("metrics", help="measure the front-end metrics as JSON")
     add_config(p)
-    p.add_argument("--rate", type=float, dest="sample_rate", metavar="RATE")
-    p.add_argument("--noise-sigma", type=float, dest="emg_sigma", metavar="NOISE_SIGMA",
+    p.add_argument("--rate", dest="sample_rate", metavar="RATE")
+    p.add_argument("--noise-sigma", dest="emg_sigma", metavar="NOISE_SIGMA",
                    help="EMG sigma (mV) for the noise-floor row")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.add_argument("--response-csv", help="also dump freq_hz,mag_db")
     p.set_defaults(fn=_cmd_metrics)
 
@@ -216,21 +216,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="edge-trigger detection on a CSV frame")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--refractory", type=float)
+    p.add_argument("--refractory")
     p.set_defaults(fn=_cmd_detect)
 
     p = sub.add_parser("stream", help="quantize a CSV frame through the ping-pong buffer")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--half-capacity", type=int)
-    p.add_argument("--bits", type=int, dest="resolution_bits", metavar="BITS")
-    p.add_argument("--vref", type=float)
+    p.add_argument("--half-capacity")
+    p.add_argument("--bits", dest="resolution_bits", metavar="BITS")
+    p.add_argument("--vref")
     p.set_defaults(fn=_cmd_stream)
 
     p = sub.add_parser("plot", help="render a CSV frame to SVG or ASCII")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default="ecg.svg")
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
+    p.add_argument("--width")
+    p.add_argument("--height")
     p.add_argument("--v-min", type=float)
     p.add_argument("--v-max", type=float)
     p.add_argument("--ascii", action="store_true", help="print to stdout instead of SVG")
@@ -244,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bpm", type=float, required=True, dest="reading", metavar="BPM")
     p.add_argument("--device-id")
     p.add_argument("--location")
-    p.add_argument("--timestamp", type=int)
+    p.add_argument("--timestamp")
     p.add_argument("--sink", help="stdout | file:<path> | http:<port>")
-    p.add_argument("--low-bpm", type=float)
-    p.add_argument("--high-bpm", type=float)
-    p.add_argument("--max-ecg", type=int)
+    p.add_argument("--low-bpm")
+    p.add_argument("--high-bpm")
+    p.add_argument("--max-ecg")
     p.set_defaults(fn=_cmd_send)
 
     return parser
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"ecgmon: config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (PipelineError, ValueError, OSError) as exc:
+    except (PipelineError, ValueError, OSError, MemoryError) as exc:
         print(f"ecgmon: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

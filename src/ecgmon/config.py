@@ -2,8 +2,8 @@
 
 Unknown sections or keys are rejected and every diagnostic names the line
 it came from.  Values accept '#' comments.  Every default lives in a
-dataclass field: the file only overrides them, and each key's parser
-follows from its field's type.
+dataclass field: the file only overrides them, and each key's text, from
+a file or a command-line flag, is parsed by its field's type.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from .signals import EcgTemplateParams, NoiseConfig, _require_finite_positive, _
 from .telemetry import MAX_ECG_SAMPLES, AlertPolicy, make_sink
 
 __all__ = ["ConfigError", "PipelineConfig"]
+
+# the values of [signal] source
+SOURCES = ("ecg", "sine")
 
 
 class ConfigError(ValueError):
@@ -58,7 +61,7 @@ class PipelineConfig:
     timestamp: int = 0
 
     def __post_init__(self):
-        if self.source not in ("ecg", "sine"):
+        if self.source not in SOURCES:
             raise ValueError(f"source must be 'ecg' or 'sine', got {self.source!r}")
         _require_finite_positive(sample_rate=self.sample_rate, duration=self.duration, bpm=self.bpm)
         if not math.isfinite(self.sine_amplitude):
@@ -130,17 +133,17 @@ _SCHEMA: dict[str, dict[str, tuple[str | None, str]]] = {
 # file key -> (owner, field), whatever its section; no key is in two sections
 _KEYS = {key: target for keys in _SCHEMA.values() for key, target in keys.items()}
 
-# field type -> parser of its file value
-_PARSERS = {
-    float: float,
-    int: lambda s: int(s, 0),
-    str: str,
-}
 
-
-def _parser(owner: str | None, attr: str):
+def _parse(key: str, text: str, changes: dict[str | None, dict[str, object]], where: str) -> None:
+    """Parse text as file key `key`'s value with the type of the field it sets
+    (float, int or str) into changes; a refusal raises ConfigError naming
+    where the text came from."""
+    owner, attr = _KEYS[key]
     cls = PipelineConfig if owner is None else typing.get_type_hints(PipelineConfig)[owner]
-    return _PARSERS[typing.get_type_hints(cls)[attr]]
+    try:
+        changes.setdefault(owner, {})[attr] = typing.get_type_hints(cls)[attr](text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
 def _parse_sections(text: str, name: str) -> dict[str | None, dict[str, object]]:
@@ -163,9 +166,5 @@ def _parse_sections(text: str, name: str) -> dict[str | None, dict[str, object]]
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA[section]:
             raise ConfigError(f"{name}: line {lineno}: unknown key {key!r} in [{section}]")
-        owner, attr = _SCHEMA[section][key]
-        try:
-            out.setdefault(owner, {})[attr] = _parser(owner, attr)(value)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: line {lineno}: bad value for {key!r}: {exc}") from exc
+        _parse(key, value, out, f"{name}: line {lineno}")
     return out

@@ -120,7 +120,8 @@ def detect_rising_edges(frame: SampleFrame, refractory: float) -> list[EdgeEvent
     candidates = np.nonzero(
         steps_ok & (first <= level + epsilon) & (last >= level - epsilon) & (last > first)
     )[0]
-    refractory_samples = int(round(refractory * frame.sample_rate))
+    # clamped to the frame: a refractory past it keeps only the first edge
+    refractory_samples = int(round(min(refractory * frame.sample_rate, len(values))))
     events: list[EdgeEvent] = []
     next_allowed = 0
     for i in candidates:

@@ -93,7 +93,7 @@ def run_pipeline(
     conditioned = _stage("analog_frontend", apply_frontend, sig, cfg.frontend)
 
     codes = _stage("acquisition", quantize, conditioned.frame.values, cfg.adc)
-    buf = PingPongBuffer(cfg.half_capacity)
+    buf = _stage("acquisition", PingPongBuffer, cfg.half_capacity)
     consumed = _stage("acquisition", lambda: [h.codes for h in buf.acquire(codes)])
     if not consumed:
         raise PipelineError("acquisition", ValueError(

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgmon import pipeline, telemetry
+from ecgmon import cli, pipeline, telemetry
 from ecgmon.acquisition import AdcConfig
 from ecgmon.cli import build_parser, main
 from ecgmon.config import _KEYS, _SCHEMA, ConfigError, PipelineConfig
@@ -267,6 +267,15 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline(PipelineConfig(), **override)
 
+    def test_failed_buffer_allocation_names_acquisition(self, monkeypatch):
+        """The ping-pong buffer is built inside the acquisition stage."""
+        def refuse(_):
+            raise MemoryError("Unable to allocate 728. TiB")
+        monkeypatch.setattr(pipeline, "PingPongBuffer", refuse)
+        cfg = dataclasses.replace(PipelineConfig(), source="sine", duration=4.0)
+        with pytest.raises(PipelineError, match="^acquisition: Unable to allocate 728. TiB$"):
+            run_pipeline(cfg)
+
     def test_make_sink_rejects_unknown(self):
         with pytest.raises(ValueError):
             make_sink("carrier-pigeon:9")
@@ -399,6 +408,33 @@ class TestCliSubcommands:
         assert captured.err.startswith("ecgmon: config error: command line: ")
         assert flag[2:].replace("-", "_") in captured.err
 
+    def test_detect_huge_refractory_keeps_first_edge(self, tmp_path, capsys):
+        """A refractory too long for an int sample count is longer than the frame."""
+        fixture = tmp_path / "sine.csv"
+        assert main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)]) == 0
+        assert main(["detect", "--in", str(fixture), "--refractory", "1e308"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (len(doc["edges"]), doc["bpm"]) == (1, None)
+
+    @pytest.mark.parametrize("module, name, argv, prefix", [
+        (cli, "PingPongBuffer", ["stream", "--in", "sine.csv"], "ecgmon: "),
+        (cli, "source_signal", ["simulate", "--out", "x.csv"], "ecgmon: "),
+        (cli, "Framebuffer", ["plot", "--in", "sine.csv", "--ascii"], "ecgmon: "),
+        (pipeline, "PingPongBuffer", ["run"], "ecgmon: acquisition: "),
+    ], ids=["stream", "simulate", "plot", "run"])
+    def test_failed_allocation_exits_runtime(self, tmp_path, capsys, monkeypatch, module, name,
+                                             argv, prefix):
+        """An array too large to allocate is a runtime failure: one line on
+        stderr and exit 2, not a traceback."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--source", "sine", "--duration", "1", "--out", "sine.csv"]) == 0
+
+        def refuse(*_, **__):
+            raise MemoryError("Unable to allocate 728. TiB")
+        monkeypatch.setattr(module, name, refuse)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"{prefix}Unable to allocate 728. TiB\n")
+
     def test_notch_removes_mains(self, tmp_path, capsys):
         noisy = tmp_path / "noisy.csv"
         clean = tmp_path / "clean.csv"
@@ -448,7 +484,7 @@ class TestCliSubcommands:
         assert all(len(d["codes"]) == 128 for d in docs)
 
     @pytest.mark.parametrize("vref", ["nan", "inf"])
-    def test_stream_nonfinite_vref_exits_runtime(self, tmp_path, capsys, vref):
+    def test_stream_nonfinite_vref_exits_config_error(self, tmp_path, capsys, vref):
         fixture = tmp_path / "sine.csv"
         assert main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)]) == 0
         assert main(["stream", "--in", str(fixture), "--vref", vref]) == 1

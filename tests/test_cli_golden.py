@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from ecgmon.cli import main
+from ecgmon.config import _KEYS, ConfigError, PipelineConfig
 
 CORPUS = Path(__file__).parent / "golden" / "cli"
 INPUTS = CORPUS / "inputs"
@@ -65,6 +66,15 @@ REFUSED = {
     "send --in sine.csv --bpm 72 --max-ecg -1": "[telemetry]\nmax_ecg = -1\n",
 }
 
+# flag command line ({} takes the text) -> the config key the flag sets and
+# texts to parse; int keys are decimal, whatever base a literal names
+INT_TEXTS = ("010", "1_000", "0x10", "abc")
+PARSED = {
+    "simulate --out x.csv --duration 1 --seed {}": ("noise", "seed", INT_TEXTS),
+    "stream --in sine.csv --half-capacity {}": ("adc", "half_capacity", INT_TEXTS),
+    "simulate --out x.csv --duration 1 --bpm {}": ("signal", "bpm", ("1e2", "fast")),
+}
+
 # entry name -> command line after `ecgmon`, run in a copy of INPUTS
 CASES = {
     "run": "run",
@@ -87,6 +97,11 @@ CASES = {
     "metrics-noise": "metrics --noise-sigma 0.05 --seed 3",
     "usage-error": "simulate --source nope --out x.csv",
     "config-error": "run --config bad.cfg",
+    "unparsable-simulate-seed-abc": "simulate --out x.csv --seed abc",
+    "unparsable-run-bpm-fast": "run --bpm fast",
+    "help": "--help",
+    **{f"help-{cmd}": f"{cmd} --help"
+       for cmd in ("run", "simulate", "metrics", "notch", "detect", "stream", "plot", "send")},
     **{"-".join(["refused", cmd.split()[0], cmd.split()[-2].lstrip("-"), cmd.split()[-1]]): cmd
        for cmd in REFUSED},
 }
@@ -165,6 +180,29 @@ def test_refused_flag_is_refused_like_its_file_key(command, tmp_path, monkeypatc
     file_prefix = "ecgmon: config error: f.cfg: "
     assert flag["stderr"].startswith(flag_prefix) and from_file["stderr"].startswith(file_prefix)
     assert flag["stderr"][len(flag_prefix):] == from_file["stderr"][len(file_prefix):]
+
+
+@pytest.mark.parametrize("command, text",
+                         [(cmd, text) for cmd, (_, _, texts) in PARSED.items() for text in texts])
+def test_flag_text_parses_like_its_file_value(command, text, tmp_path, monkeypatch):
+    """A flag's text and the same text as its key's file value give the same
+    value (the flag's bytes equal those of the value's decimal text), or the
+    same refusal, less the file's name and line."""
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    section, key, _ = PARSED[command]
+    flag = run_case(command.format(text), tmp_path / "flag")
+    try:
+        cfg = PipelineConfig.loads(f"[{section}]\n{key} = {text}\n", name="f.cfg")
+    except ConfigError as exc:
+        file_prefix = "f.cfg: line 2: "
+        assert str(exc).startswith(file_prefix)
+        reason = str(exc)[len(file_prefix):]
+        assert flag == {"exit": 1, "stdout": "", "files": {},
+                        "stderr": f"ecgmon: config error: command line: {reason}\n"}
+    else:
+        owner, attr = _KEYS[key]
+        value = getattr(cfg if owner is None else getattr(cfg, owner), attr)
+        assert flag == run_case(command.format(value), tmp_path / "value")
 
 
 def regenerate() -> None:

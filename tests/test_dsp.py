@@ -142,6 +142,14 @@ class TestDetectEdges:
         spacing = edges[1].sample_index - edges[0].sample_index
         assert abs(spacing - 250) <= 3
 
+    def test_refractory_past_the_frame_keeps_first_edge(self):
+        """Any refractory as long as the frame keeps only its first edge, even
+        one whose sample count overflows an int."""
+        frame = generate_sine(2.0, 1.0, 500.0, 2.0)
+        whole = [e.sample_index for e in detect_rising_edges(frame, len(frame) / 500.0)]
+        assert len(whole) == 1
+        assert [e.sample_index for e in detect_rising_edges(frame, 1e308)] == whole
+
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
             detect_rising_edges(SampleFrame(500.0, np.zeros(2)), 0.25)
