@@ -8,8 +8,8 @@ listener stands in for the cloud endpoint and records what it receives.
 
 from __future__ import annotations
 
+import array
 import contextlib
-import http.client
 import json
 import math
 import numbers
@@ -201,9 +201,11 @@ def _ecg_bytes(ecg: list) -> bytes:
     code-text table; everything else (floats, negatives, larger ints, the
     empty list) goes through json.
     """
-    codes = np.array(ecg)
-    if (codes.dtype.kind in "iu" and codes.size
-            and codes.min() >= 0 and codes.max() <= _MAX_TABLE_CODE):
+    try:
+        codes = np.frombuffer(array.array("q", ecg), dtype=np.int64)
+    except (TypeError, OverflowError):  # a float, or an int beyond int64
+        return _json_bytes(ecg)
+    if codes.size and codes.min() >= 0 and codes.max() <= _MAX_TABLE_CODE:
         # every row ends in a comma: drop the padding, then the last comma
         return b"[" + _CODE_TEXT[codes].tobytes().translate(None, b"\0")[:-1] + b"]"
     return _json_bytes(ecg)
@@ -347,38 +349,134 @@ class StdoutSink(_Sink):
 
 _HTTP_TIMEOUT_S = 2.0  # per connect and per socket read
 _LOOPBACK_HOST = "127.0.0.1"  # where HttpSink posts and LoopbackListener binds
+_MAX_LINE = 65536  # bytes per status, header or chunk-size line, its line end included
+_MAX_HEADERS = 100  # header fields per reply
+_OWS = b" \t"  # whitespace around a header value (RFC 9112)
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
 
 
 class HttpSink(_Sink):
     """POSTs payloads to a local listener over one persistent HTTP/1.1
     connection, opened on the first send.
 
-    Any failure drops the connection, so the next send (publish's retry)
-    reconnects; http.client drops it too when a response announces that
-    the listener closes it.  close() releases it.
+    Each POST is one write of head and payload.  The reply's status line
+    and headers are read (1xx interim replies skipped) and its body is
+    read and dropped, framed by Content-Length, chunked, or running to
+    the close.  A malformed reply or any other failure drops the
+    connection, so the next send (publish's retry) reconnects; so does a
+    reply that announces the close.  A status outside 2xx raises once its
+    body is read, keeping the connection.  close() releases it.
     """
 
     def __init__(self, port: int):
         self.port = port
-        self._conn = http.client.HTTPConnection(_LOOPBACK_HOST, port, timeout=_HTTP_TIMEOUT_S)
+        self._head = (f"POST / HTTP/1.1\r\nHost: {_LOOPBACK_HOST}:{port}\r\n"
+                      "Content-Type: application/json\r\nContent-Length: ").encode("ascii")
+        self._sock: socket.socket | None = None
+        self._reader = None
 
     def describe(self) -> str:
         return f"http:{self.port}"
 
     def send(self, payload: bytes) -> None:
         try:
-            self._conn.request("POST", "/", body=payload,
-                               headers={"Content-Type": "application/json"})
-            with self._conn.getresponse() as resp:
-                resp.read()
+            if self._sock is None:
+                self._sock = socket.create_connection((_LOOPBACK_HOST, self.port), _HTTP_TIMEOUT_S)
+                self._reader = self._sock.makefile("rb")
+            self._sock.sendall(b"%s%d\r\n\r\n%s" % (self._head, len(payload), payload))
+            status, keep_alive = self._read_reply()
         except BaseException:
-            self._conn.close()  # a half-done exchange leaves the stream unusable
+            self.close()  # a half-done exchange leaves the stream unusable
             raise
-        if not 200 <= resp.status < 300:
-            raise OSError(f"listener answered {resp.status}")
+        if not keep_alive:
+            self.close()
+        if not 200 <= status < 300:
+            raise OSError(f"listener answered {status}")
 
     def close(self) -> None:
-        self._conn.close()
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
+
+    def _read_reply(self) -> tuple[int, bool]:
+        """Read one final reply; its status, and whether the connection stays open."""
+        status = 100
+        while 100 <= status < 200:  # interim replies carry no body
+            version, status = self._read_status()
+            headers = self._read_headers()
+        tokens = {t.strip(_OWS).lower() for t in headers.get(b"connection", b"").split(b",")}
+        keep_alive = b"close" not in tokens and (version != b"HTTP/1.0" or b"keep-alive" in tokens)
+        if status in (204, 304):  # no body, whatever the headers say
+            return status, keep_alive
+        coding = headers.get(b"transfer-encoding")
+        if coding is None and b"content-length" in headers:
+            length = headers[b"content-length"]
+            if not length.isdigit():  # bytes.isdigit is ASCII digits only
+                raise OSError(f"Content-Length {length[:80]!r} is not a decimal number")
+            self._drop(int(length))
+        elif coding is not None and coding.rsplit(b",", 1)[-1].strip(_OWS).lower() == b"chunked":
+            self._drop_chunks()
+        else:  # the body runs to the close
+            while self._reader.read(_MAX_LINE):
+                pass
+            keep_alive = False
+        return status, keep_alive
+
+    def _read_line(self) -> bytes:
+        line = self._reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise OSError(f"reply line longer than {_MAX_LINE} bytes")
+        return line
+
+    def _read_status(self) -> tuple[bytes, int]:
+        line = self._read_line()
+        if not line:
+            raise ConnectionError("listener closed the connection before replying")
+        version, _, rest = line.rstrip(b"\r\n").partition(b" ")
+        code = rest[:3]
+        if (not version.startswith(b"HTTP/1.") or not code.isdigit()
+                or rest[3:4] not in (b"", b" ") or code[:1] == b"0"):
+            raise OSError(f"bad status line from listener: {line[:80]!r}")
+        return version, int(code)
+
+    def _read_headers(self) -> dict[bytes, bytes]:
+        """Header fields up to the blank line, names lower-cased; repeated
+        fields are joined with commas."""
+        headers: dict[bytes, bytes] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._read_line()
+            if line in (b"\r\n", b"\n"):
+                return headers
+            if not line:
+                raise ConnectionError("listener closed the connection mid-headers")
+            name, colon, value = line.rstrip(b"\r\n").partition(b":")
+            if not colon or not name or name != name.strip(_OWS):
+                raise OSError(f"bad header line from listener: {line[:80]!r}")
+            name, value = name.lower(), value.strip(_OWS)
+            headers[name] = headers[name] + b"," + value if name in headers else value
+        raise OSError(f"reply has more than {_MAX_HEADERS} headers")
+
+    def _drop(self, size: int) -> None:
+        """Read and discard size body bytes, a bounded piece at a time."""
+        while size:
+            got = len(self._reader.read(min(size, _MAX_LINE)))
+            if not got:
+                raise ConnectionError("listener closed the connection mid-body")
+            size -= got
+
+    def _drop_chunks(self) -> None:
+        while True:
+            line = self._read_line().rstrip(b"\r\n")
+            size = line.split(b";", 1)[0].strip(_OWS)  # a chunk extension follows ";"
+            if not size or size.translate(None, _HEX_DIGITS):
+                raise OSError(f"bad chunk size line from listener: {line[:80]!r}")
+            if int(size, 16) == 0:
+                self._read_headers()  # the trailer section
+                return
+            self._drop(int(size, 16))
+            if self._read_line() not in (b"\r\n", b"\n"):
+                raise OSError("chunk data not followed by a line end")
 
 
 def make_sink(spec: str):
@@ -440,7 +538,11 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"  # keep-alive: one connection serves many POSTs
 
     def do_POST(self):  # noqa: N802 - http.server API
-        length = int(self.headers.get("Content-Length", 0))
+        text = self.headers.get("Content-Length", "0").strip(" \t")
+        if not (text.isascii() and text.isdigit()):
+            self.send_error(400, "malformed Content-Length")  # also closes the connection
+            return
+        length = int(text)
         body = self.rfile.read(length)
         if len(body) != length:  # connection shut down mid-body: record nothing
             self.close_connection = True

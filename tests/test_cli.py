@@ -640,7 +640,7 @@ class TestCliSubcommands:
         assert freqs == sorted(freqs) and len(freqs) == 200
 
     @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
-    def test_metrics_bad_noise_sigma_exits_runtime(self, capsys, sigma):
+    def test_metrics_bad_noise_sigma_exits_config_error(self, capsys, sigma):
         """Not the no-noise row: --noise-sigma 0 alone selects that."""
         assert main(["metrics", "--noise-sigma", sigma]) == 1
         captured = capsys.readouterr()

@@ -1,9 +1,11 @@
 """Telemetry tests: canonical encoding, alerts, sinks, retrieve-and-plot."""
 
+import contextlib
 import dataclasses
 import json
 import math
 import re
+import socket
 import threading
 import time
 from pathlib import Path
@@ -334,6 +336,15 @@ class TestCodeTextEncoding:
     def test_other_arrays_take_the_per_sample_check(self, ecg, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make_record(ecg=ecg)
+
+    @pytest.mark.parametrize("ecg", [[2**63], [2**64], [2048.0], [1, 2.5], [], [65536]],
+                             ids=["int64-max-plus-1", "uint64-max-plus-1", "float", "mixed",
+                                  "empty", "above-table"])
+    def test_lists_outside_the_table_go_through_json(self, ecg):
+        """Ints beyond int64, floats and the empty list are no int64 codes,
+        and 65536 is past the table: each is written by json.dumps."""
+        rec = make_record(ecg=ecg)
+        assert encode_record(rec) == encode_record_reference(rec)
 
 
 def decode_record_reference(data: bytes) -> TelemetryRecord:
@@ -684,3 +695,222 @@ class TestRetrieveAndPlot:
         source.write_bytes(b"\n".join([good, *not_arrays]) + b"\n")
         result = retrieve_and_plot(source, tmp_path / "plot.svg")
         assert (result.records_plotted, result.warnings) == (1, len(not_arrays))
+
+
+class ScriptedListener:
+    """A raw-socket HTTP peer that answers HttpSink's POSTs from a script.
+
+    Each script entry answers one request: (reply, close) sends the reply
+    bytes, unless reply is None, and then closes the connection if close
+    is true.  Requests are read as HttpSink writes them, a head up to the
+    blank line and Content-Length body bytes, and kept whole in .requests.
+    """
+
+    def __init__(self, *script):
+        self._script = list(script)
+        self._server = socket.create_server((telemetry._LOOPBACK_HOST, 0))
+        self.port = self._server.getsockname()[1]
+        self.accepted = 0
+        self.requests: list[bytes] = []
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        with self._server:
+            while self._script:
+                try:
+                    conn, _ = self._server.accept()
+                except OSError:  # shut down by close()
+                    return
+                self.accepted += 1
+                conn.settimeout(5.0)
+                with conn, conn.makefile("rb") as rfile, contextlib.suppress(OSError):
+                    self._answer(conn, rfile)
+
+    def _answer(self, conn, rfile):
+        while self._script:
+            head = b""
+            while not head.endswith(b"\r\n\r\n"):
+                line = rfile.readline()
+                if not line:  # the sink closed the connection
+                    return
+                head += line
+            length = int(re.search(rb"\r\nContent-Length: (\d+)\r\n", head)[1])
+            self.requests.append(head + rfile.read(length))
+            reply, close = self._script.pop(0)
+            if reply is not None:
+                conn.sendall(reply)
+            if close:
+                return
+
+    def close(self):
+        with contextlib.suppress(OSError):  # the thread may have closed it already
+            self._server.shutdown(socket.SHUT_RDWR)
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+OK_EMPTY = (b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n", False)
+
+
+def header_line(size: int) -> bytes:
+    """One header line of exactly size bytes, its CRLF included."""
+    line = b"X-Long: \r\n"
+    return line[:-2] + b"a" * (size - len(line)) + b"\r\n"
+
+
+class TestHttpSinkReplies:
+    """HttpSink against scripted replies: each framing, and the failures
+    that drop the connection."""
+
+    @staticmethod
+    def send_all(sink, count):
+        return [publish(sink, b'{"n":%d}' % i, retries=0) for i in range(count)]
+
+    def test_content_length_body(self):
+        reply = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 5\r\n\r\nhello"
+        with ScriptedListener((reply, False), (reply, False)) as peer, HttpSink(peer.port) as sink:
+            assert all(r.ok for r in self.send_all(sink, 2))
+        assert peer.accepted == 1  # the body was read, so the connection carried both
+
+    def test_chunked_body(self):
+        reply = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                 b"5;note=x\r\nhello\r\n1A\r\n" + b"z" * 26 + b"\r\n0\r\nX-Trailer: 1\r\n\r\n")
+        with ScriptedListener((reply, False), (reply, False)) as peer, HttpSink(peer.port) as sink:
+            assert all(r.ok for r in self.send_all(sink, 2))
+        assert peer.accepted == 1
+
+    def test_close_delimited_http10_body(self):
+        reply = b"HTTP/1.0 200 OK\r\nContent-Type: text/plain\r\n\r\nbody to the close"
+        with ScriptedListener((reply, True), (reply, True)) as peer, HttpSink(peer.port) as sink:
+            assert all(r.ok for r in self.send_all(sink, 2))
+        assert peer.accepted == 2  # the body ended the connection: one per POST
+
+    def test_connection_close_on_http11(self):
+        reply = b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok"
+        with ScriptedListener((reply, True), (reply, True)) as peer, HttpSink(peer.port) as sink:
+            assert all(r.ok for r in self.send_all(sink, 2))
+        assert peer.accepted == 2
+
+    def test_interim_reply_skipped(self):
+        script = [(b"HTTP/1.1 100 Continue\r\n\r\n" + OK_EMPTY[0], False), OK_EMPTY]
+        with ScriptedListener(*script) as peer, HttpSink(peer.port) as sink:
+            assert all(r.ok for r in self.send_all(sink, 2))
+        assert peer.accepted == 1
+
+    def test_no_content_reply_has_no_body(self):
+        reply = b"HTTP/1.1 204 No Content\r\n\r\n"  # neither length nor chunks, yet no body
+        with ScriptedListener((reply, False), (reply, False)) as peer, HttpSink(peer.port) as sink:
+            assert all(r.ok for r in self.send_all(sink, 2))
+        assert peer.accepted == 1
+
+    def test_error_status_keeps_the_connection(self):
+        error = b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 4\r\n\r\noops"
+        with ScriptedListener((error, False), OK_EMPTY) as peer, HttpSink(peer.port) as sink:
+            failed, sent = self.send_all(sink, 2)
+        assert (failed.ok, failed.error) == (False, "listener answered 500")
+        assert sent.ok
+        assert peer.accepted == 1  # the 500's body was read: the next POST reused the connection
+
+    def test_close_before_reply_reconnects(self):
+        with ScriptedListener((None, True), OK_EMPTY) as peer, HttpSink(peer.port) as sink:
+            failed, sent = self.send_all(sink, 2)
+        assert (failed.ok, failed.error) == (False, "listener closed the connection before replying")
+        assert sent.ok
+        assert peer.accepted == 2
+        assert peer.requests[0] == peer.requests[1].replace(b'{"n":1}', b'{"n":0}')
+
+    @pytest.mark.parametrize("reply, error", [
+        (b"HTTP/1.1 200 OK\r\n" + header_line(65537) + b"\r\n",
+         "reply line longer than 65536 bytes"),
+        (b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n", "reply has more than 100 headers"),
+        (b"HTTP/1.1 2x0 OK\r\n\r\n", "bad status line from listener: b'HTTP/1.1 2x0 OK\\r\\n'"),
+        (b"ICY 200 OK\r\n\r\n", "bad status line from listener: b'ICY 200 OK\\r\\n'"),
+        (b"HTTP/1.1 200 OK\r\nno colon\r\n\r\n", "bad header line from listener: b'no colon\\r\\n'"),
+        (b"HTTP/1.1 200 OK\r\n folded: x\r\n\r\n", "bad header line from listener: b' folded: x\\r\\n'"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n", "Content-Length b'-5' is not a decimal number"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nshort", "listener closed the connection mid-body"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n", "listener closed the connection mid-headers"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nxyz\r\n",
+         "bad chunk size line from listener: b'xyz'"),
+    ], ids=["long-line", "101-headers", "bad-code", "bad-version", "no-colon", "folded", "bad-length",
+            "short-body", "cut-head", "bad-chunk"])
+    def test_malformed_reply_fails_and_reconnects(self, reply, error):
+        with ScriptedListener((reply, True), OK_EMPTY) as peer, HttpSink(peer.port) as sink:
+            failed, sent = self.send_all(sink, 2)
+        assert (failed.ok, failed.error) == (False, error)
+        assert sent.ok
+        assert peer.accepted == 2
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\n" + header_line(65536) + b"Content-Length: 0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 99 + b"Content-Length: 0\r\n\r\n",
+    ], ids=["65536-byte-line", "100-headers"])
+    def test_replies_at_the_limits_are_read(self, reply):
+        with ScriptedListener((reply, False), (reply, False)) as peer, HttpSink(peer.port) as sink:
+            assert all(r.ok for r in self.send_all(sink, 2))
+        assert peer.accepted == 1
+
+    @staticmethod
+    def counting_connections(monkeypatch) -> list:
+        """The sockets HttpSink opens, each wrapped to record its sendall calls."""
+        opened = []
+        create_connection = socket.create_connection
+
+        class CountingSocket:
+            def __init__(self, sock):
+                self.sock = sock
+                self.sendalls = []
+
+            def sendall(self, data):
+                self.sendalls.append(bytes(data))
+                return self.sock.sendall(data)
+
+            def __getattr__(self, name):
+                return getattr(self.sock, name)
+
+        def counting_create_connection(*args, **kwargs):
+            opened.append(CountingSocket(create_connection(*args, **kwargs)))
+            return opened[-1]
+
+        monkeypatch.setattr(telemetry.socket, "create_connection", counting_create_connection)
+        return opened
+
+    def test_one_write_per_post(self, monkeypatch):
+        opened = self.counting_connections(monkeypatch)
+        payloads = [encode_record(make_record(timestamp=i + 1)) for i in range(3)]
+        with LoopbackListener() as listener, HttpSink(listener.port) as sink:
+            assert all(publish(sink, p, retries=0).ok for p in payloads)
+            assert listener.received == payloads
+        assert len(opened) == 1
+        writes = opened[0].sendalls
+        assert len(writes) == len(payloads)  # head and payload in one sendall each
+        for write, payload in zip(writes, payloads):
+            assert write == (b"POST / HTTP/1.1\r\nHost: 127.0.0.1:%d\r\n"
+                             b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s"
+                             % (listener.port, len(payload), payload))
+
+    def test_no_socket_before_the_first_send(self, monkeypatch):
+        opened = self.counting_connections(monkeypatch)
+        with ScriptedListener(OK_EMPTY) as peer, HttpSink(peer.port) as sink:
+            assert sink.describe() == f"http:{peer.port}"
+            assert opened == [] and peer.accepted == 0
+            assert publish(sink, b"{}", retries=0).ok
+            assert len(opened) == 1 and peer.accepted == 1
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"+5", b"5_0", b"\xd9\xa5", b""])
+    def test_listener_answers_400_to_a_malformed_content_length(self, capfd, length):
+        with LoopbackListener() as listener:
+            with socket.create_connection((telemetry._LOOPBACK_HOST, listener.port), timeout=2) as conn:
+                conn.sendall(b"POST / HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n{}")
+                with conn.makefile("rb") as rfile:
+                    reply = rfile.read()  # the listener closes the connection after the 400
+            assert reply.split(b" ", 2)[1] == b"400"
+            assert listener.received == []
+        assert "Traceback" not in capfd.readouterr().err
