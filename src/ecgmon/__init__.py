@@ -15,3 +15,13 @@ from .config import *
 from .pipeline import *
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the cloud model loads http.server, which no command needs: import it
+    # the first time its listener is asked for (PEP 562)
+    if name == "LoopbackListener":
+        from .cloud import LoopbackListener
+
+        return LoopbackListener
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,24 +2,22 @@
 
 Records serialize to canonical JSON (fixed key order, no insignificant
 whitespace, shortest round-trip decimals) so golden-file tests compare
-byte for byte.  Sinks write one JSON document per line; the loopback
-listener stands in for the cloud endpoint and records what it receives.
+byte for byte.  Sinks write one JSON document per line.  The endpoint an
+HttpSink posts to in the tests and the benchmark, LoopbackListener, lives
+in ecgmon.cloud.
 """
 
 from __future__ import annotations
 
 import array
-import contextlib
 import json
 import math
 import numbers
 import socket
 import sys
-import threading
 import time
 from collections.abc import Mapping, Set
 from dataclasses import asdict, dataclass, fields
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
@@ -36,7 +34,6 @@ __all__ = [
     "StdoutSink",
     "HttpSink",
     "make_sink",
-    "LoopbackListener",
     "evaluate_alert",
     "encode_record",
     "decode_record",
@@ -348,7 +345,7 @@ class StdoutSink(_Sink):
 
 
 _HTTP_TIMEOUT_S = 2.0  # per connect and per socket read
-_LOOPBACK_HOST = "127.0.0.1"  # where HttpSink posts and LoopbackListener binds
+_LOOPBACK_HOST = "127.0.0.1"  # where HttpSink posts and cloud.LoopbackListener binds
 _MAX_LINE = 65536  # bytes per status, header or chunk-size line, its line end included
 _MAX_HEADERS = 100  # header fields per reply
 _OWS = b" \t"  # whitespace around a header value (RFC 9112)
@@ -532,99 +529,6 @@ def publish_record(sink, record: TelemetryRecord, alert: AlertEvent | None,
     if alert is not None:
         receipts.append(publish(sink, encode_alert(alert)))
     return receipts
-
-
-class _LoopbackHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # keep-alive: one connection serves many POSTs
-
-    def do_POST(self):  # noqa: N802 - http.server API
-        text = self.headers.get("Content-Length", "0").strip(" \t")
-        if not (text.isascii() and text.isdigit()):
-            self.send_error(400, "malformed Content-Length")  # also closes the connection
-            return
-        length = int(text)
-        body = self.rfile.read(length)
-        if len(body) != length:  # connection shut down mid-body: record nothing
-            self.close_connection = True
-            return
-        with self.server.lock:  # type: ignore[attr-defined]
-            self.server.received.append(body)  # type: ignore[attr-defined]
-        self.send_response(200)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    def log_message(self, *args):  # keep tests quiet
-        pass
-
-
-_POLL_INTERVAL_S = 0.05  # serve_forever's shutdown poll: close() waits up to this long
-
-
-class _LoopbackServer(ThreadingHTTPServer):
-    """Tracks its open connections so close() can end the handler threads
-    that wait on an idle keep-alive connection."""
-
-    daemon_threads = False  # server_close() joins every handler thread
-
-    def __init__(self, port: int):
-        super().__init__((_LOOPBACK_HOST, port), _LoopbackHandler)
-        self.received: list[bytes] = []
-        self.connections: set[socket.socket] = set()
-        self.lock = threading.Lock()
-
-    def process_request(self, request, client_address):
-        with self.lock:
-            self.connections.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request):
-        with self.lock:
-            self.connections.discard(request)
-        super().shutdown_request(request)
-
-    def shutdown_connections(self) -> None:
-        with self.lock:
-            for conn in self.connections:
-                with contextlib.suppress(OSError):  # the peer may be gone already
-                    conn.shutdown(socket.SHUT_RDWR)
-
-
-class LoopbackListener:
-    """In-process model of the cloud endpoint: an HTTP listener that
-    records every POSTed payload.
-
-    The tests and the benchmark publish to it through an HttpSink; no CLI
-    command or pipeline path uses it.  Binds 127.0.0.1 on the requested
-    port (0 picks a free one, exposed via .port).  Usable as a context
-    manager.
-    """
-
-    def __init__(self, port: int = 0):
-        self._server = _LoopbackServer(port)
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        args=(_POLL_INTERVAL_S,), daemon=True)
-        self._thread.start()
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def received(self) -> list[bytes]:
-        with self._server.lock:
-            return list(self._server.received)
-
-    def close(self) -> None:
-        self._server.shutdown()  # no connection is accepted after this returns
-        self._server.shutdown_connections()  # handlers see EOF and return
-        self._server.server_close()  # joins the handler threads
-        self._thread.join(timeout=5)
-
-    def __enter__(self) -> "LoopbackListener":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from ecgmon.config import _KEYS, _SCHEMA, ConfigError, PipelineConfig
 from ecgmon.frontend import FrontEndSpec
 from ecgmon.pipeline import PipelineError, run_pipeline, source_signal
 from ecgmon.signals import NoiseConfig
-from ecgmon.telemetry import AlertPolicy, LoopbackListener, decode_record, make_sink
+from ecgmon.cloud import LoopbackListener
+from ecgmon.telemetry import AlertPolicy, decode_record, make_sink
 
 import dataclasses
 
@@ -800,33 +801,40 @@ def test_cli_fuzz_exit_codes(fuzz_dir, command, data):
     assert code in (0, 1, 2), argv
 
 
-def test_cli_start_leaves_scipy_unimported(tmp_path):
+def test_cli_start_leaves_scipy_and_http_unimported(tmp_path):
     """The scipy.signal package takes over a second to import, and the only
     part of scipy the package runs is that package's compiled linear filter.
     detect, stream, send and plot check their flags through PipelineConfig,
     whose checks design the front-end filter without running it: they load
     no scipy module.  run and metrics filter, and load only the filter's
-    extension module, never scipy or scipy.signal."""
+    extension module, never scipy or scipy.signal.
+
+    No command loads the HTTP stack (http, email, ssl): only the cloud
+    model's listener needs http.server, and reading ecgmon.LoopbackListener
+    is what loads it."""
     shutil.copy(Path(__file__).parent / "golden" / "cli" / "inputs" / "sine.csv", tmp_path)
     code = ("import contextlib, io, sys\n"
             "import ecgmon.cli\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "def modules(*tops):\n"
+            "    return sorted(m for m in sys.modules if m.partition('.')[0] in tops)\n"
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
             "    assert ecgmon.cli.main(['--help']) == 0\n"
             "    for argv in (['detect'], ['stream'], ['send', '--bpm', '72'], ['plot', '--ascii']):\n"
             "        assert ecgmon.cli.main([*argv, '--in', 'sine.csv']) == 0, argv\n"
-            "    before = scipy_modules()\n"
+            "    before = modules('scipy')\n"
             "    assert ecgmon.cli.main(['run', '--duration', '4']) == 0\n"
             "    assert ecgmon.cli.main(['metrics']) == 0\n"
             "print(before)\n"
-            "print(scipy_modules())\n")
+            "print(modules('scipy'))\n"
+            "print(modules('http', 'email', 'ssl'))\n"
+            "ecgmon.LoopbackListener\n"
+            "print('http.server' in sys.modules)\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[]", "['scipy.signal._sigtools']"]
+    assert proc.stdout.splitlines()[-4:] == ["[]", "['scipy.signal._sigtools']", "[]", "True"]
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):

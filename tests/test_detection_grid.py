@@ -7,15 +7,23 @@ the counts the edge trigger gets today; a detector change may raise a
 cell's Se or +P but not lower either.  The noisy cells carry mains 0.3 mV
 and wander 0.2 mV plus the EMG sigma given; the 250 and 300 bpm cells,
 above 60 / refractory = 240 bpm, carry none.
+
+The trigger's contract also holds without ground truth, as relations
+between runs of detect_rising_edges on a cell's filtered frame
+(metamorphic tests): a scale, an offset and a cut of the frame leave its
+edges where they were.
 """
 
+import functools
 import importlib
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecgmon import NoiseConfig, PipelineConfig, run_pipeline
+from ecgmon import NoiseConfig, PipelineConfig, detect_rising_edges, run_pipeline
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,14 +53,60 @@ def scoring():
         yield importlib.import_module("scoring")
 
 
-@pytest.mark.parametrize("emg, bpm, beats, edges, matched", GRID)
-def test_cell_keeps_its_floor(scoring, emg, bpm, beats, edges, matched):
-    cfg = PipelineConfig(duration=30.0)
+CFG = PipelineConfig(duration=30.0)
+
+
+@functools.lru_cache(maxsize=None)
+def cell(emg, bpm):
+    """run_pipeline's result for one grid cell."""
+    cfg = CFG
     if emg is not None:
         cfg = replace(cfg, noise=NoiseConfig(mains_amplitude=0.3, wander_amplitude=0.2,
                                              emg_sigma=emg))
+    return run_pipeline(cfg, bpm=float(bpm))
+
+
+def edge_indices(frame) -> list[int]:
+    return [e.sample_index for e in detect_rising_edges(frame, CFG.refractory)]
+
+
+@pytest.mark.parametrize("emg, bpm, beats, edges, matched", GRID)
+def test_cell_keeps_its_floor(scoring, emg, bpm, beats, edges, matched):
     score = scoring.DetectionScore()
-    score.add(run_pipeline(cfg, bpm=float(bpm)), bpm, cfg.template.r.center)
+    score.add(cell(emg, bpm), bpm, CFG.template.r.center)
     assert score.beats == beats
     assert score.se >= matched / beats
     assert score.ppv >= matched / edges
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(row=st.sampled_from(GRID), k=st.integers(-4, 4))
+def test_scaling_by_a_power_of_two_keeps_the_edges(row, k):
+    # the trigger's level and band scale with the frame, and a power of
+    # two scales every sample exactly
+    frame = cell(*row[:2]).filtered
+    assert edge_indices(frame.with_values(frame.values * 2.0 ** k)) == edge_indices(frame)
+
+
+# (EMG sigma, bpm) of four noisy cells: mains 0.3 mV and wander 0.2 mV each
+FIXED = [(0.0, 72), (0.05, 72), (0.0, 50), (0.0, 120)]
+
+
+@pytest.mark.parametrize("offset", [1e-3, 1.0])  # 1 mV and 1 V on the frame's volts
+@pytest.mark.parametrize("emg, bpm", FIXED)
+def test_an_offset_keeps_the_edges(emg, bpm, offset):
+    frame = cell(emg, bpm).filtered
+    assert edge_indices(frame.with_values(frame.values + offset)) == edge_indices(frame)
+
+
+@pytest.mark.parametrize("emg, bpm", FIXED)
+def test_dropping_the_first_samples_shifts_the_edges_back(emg, bpm):
+    cut = 137
+    frame = cell(emg, bpm).filtered
+    edges = edge_indices(frame)
+    shifted = edge_indices(frame.with_values(frame.values[cut:]))
+    # until the refractory of the last dropped edge ends, the cut frame may
+    # trigger on a run that edge suppressed (at 120 bpm it does, at sample 1)
+    dropped = [e for e in edges if e < cut]
+    settled = dropped[-1] - 1 + round(CFG.refractory * frame.sample_rate) - cut if dropped else 0
+    assert [e for e in shifted if e >= settled] == [e - cut for e in edges if e >= cut]

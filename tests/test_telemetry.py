@@ -15,14 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgmon import telemetry
+from ecgmon import cloud, telemetry
+from ecgmon.cloud import LoopbackListener
 from ecgmon.config import PipelineConfig
 from ecgmon.pipeline import run_pipeline
 from ecgmon.telemetry import (
     AlertPolicy,
     FileSink,
     HttpSink,
-    LoopbackListener,
     PayloadTooLargeError,
     TelemetryRecord,
     _plain_number,
@@ -498,13 +498,13 @@ class TestSinks:
     def count_connections(monkeypatch) -> list:
         """Record one entry per TCP connection the loopback listener accepts."""
         accepted = []
-        setup = telemetry._LoopbackHandler.setup
+        setup = cloud._LoopbackHandler.setup
 
         def counting_setup(handler):
             accepted.append(handler.client_address)
             setup(handler)
 
-        monkeypatch.setattr(telemetry._LoopbackHandler, "setup", counting_setup)
+        monkeypatch.setattr(cloud._LoopbackHandler, "setup", counting_setup)
         return accepted
 
     def test_loopback_receives_in_order(self, monkeypatch):
@@ -522,7 +522,7 @@ class TestSinks:
     def test_listener_that_closes_each_connection(self, monkeypatch):
         # an HTTP/1.0 reply announces the close: the sink reconnects per POST
         accepted = self.count_connections(monkeypatch)
-        monkeypatch.setattr(telemetry._LoopbackHandler, "protocol_version", "HTTP/1.0")
+        monkeypatch.setattr(cloud._LoopbackHandler, "protocol_version", "HTTP/1.0")
         payloads = [encode_record(make_record(timestamp=i + 1)) for i in range(3)]
         with LoopbackListener() as listener, HttpSink(listener.port) as sink:
             assert all(publish(sink, p, retries=0).ok for p in payloads)
@@ -914,3 +914,23 @@ class TestHttpSinkReplies:
             assert reply.split(b" ", 2)[1] == b"400"
             assert listener.received == []
         assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("length", [b"100000000000000", b"%d" % (cloud.MAX_BODY_BYTES + 1)])
+    def test_listener_answers_413_to_a_body_over_its_bound(self, capfd, length):
+        # refused before any of the body is read, so no memory is asked for it
+        with LoopbackListener() as listener:
+            with socket.create_connection((telemetry._LOOPBACK_HOST, listener.port), timeout=2) as conn:
+                conn.sendall(b"POST / HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n{}")
+                with conn.makefile("rb") as rfile:
+                    reply = rfile.read()  # the listener closes the connection after the 413
+            assert reply.split(b" ", 2)[1] == b"413"
+            assert listener.received == []
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_listener_records_a_body_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(cloud, "MAX_BODY_BYTES", 2)
+        with LoopbackListener() as listener, HttpSink(listener.port) as sink:
+            assert publish(sink, b"{}", retries=0).ok
+            receipt = publish(sink, b"[{}]", retries=0)
+            assert (receipt.ok, receipt.error) == (False, "listener answered 413")
+            assert listener.received == [b"{}"]
