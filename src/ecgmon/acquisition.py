@@ -11,15 +11,11 @@ which shows up as a gap in consumed sequence numbers.
 PingPongBuffer.acquire() is the half driver that run_pipeline and
 `ecgmon stream` both use: it writes one half-sized block at a time and
 hands each completed half to the caller as soon as it fills.
-
-One producer context and one consumer context may operate concurrently;
-all buffer state is guarded by an internal lock.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -125,38 +121,35 @@ class PingPongBuffer:
         self._ready: int | None = None  # seq of the filled half not yet taken
         self.overrun_flag = False
         self._next_seq = 0
-        self._lock = threading.Lock()
 
     def push_block(self, codes) -> int:
         """Write codes in order; return the number of halves they completed."""
         codes = np.asarray(codes, dtype=np.int64)
         completed = 0
-        with self._lock:
-            start = 0
-            while start < len(codes):
-                half = self._halves[self._next_seq % 2]
-                n = min(self.half_capacity - self.write_index, len(codes) - start)
-                half[self.write_index:self.write_index + n] = codes[start:start + n]
-                self.write_index += n
-                start += n
-                if self.write_index < self.half_capacity:
-                    break
-                if self._ready is not None:
-                    # consumer stalled: drop the stale ready half, keep newest
-                    self.overrun_flag = True
-                self._ready = self._next_seq
-                self._next_seq += 1
-                completed += 1
-                self.write_index = 0
+        start = 0
+        while start < len(codes):
+            half = self._halves[self._next_seq % 2]
+            n = min(self.half_capacity - self.write_index, len(codes) - start)
+            half[self.write_index:self.write_index + n] = codes[start:start + n]
+            self.write_index += n
+            start += n
+            if self.write_index < self.half_capacity:
+                break
+            if self._ready is not None:
+                # consumer stalled: drop the stale ready half, keep newest
+                self.overrun_flag = True
+            self._ready = self._next_seq
+            self._next_seq += 1
+            completed += 1
+            self.write_index = 0
         return completed
 
     def take_ready_half(self) -> ReadyHalf | None:
         """Pop the pending ready half, or None when nothing is ready."""
-        with self._lock:
-            seq, self._ready = self._ready, None
-            if seq is None:
-                return None
-            return ReadyHalf(seq=seq, codes=self._halves[seq % 2].copy())
+        seq, self._ready = self._ready, None
+        if seq is None:
+            return None
+        return ReadyHalf(seq=seq, codes=self._halves[seq % 2].copy())
 
     def acquire(self, codes) -> Iterator[ReadyHalf]:
         """Write codes one half_capacity block at a time, as the DMA does,

@@ -23,7 +23,6 @@ from .signals import (NoiseConfig, SampleFrame, SourceSignal, _require_finite_po
                       generate_sine)
 
 __all__ = [
-    "ComponentValues",
     "FrontEndSpec",
     "FrontEndResult",
     "MetricsReport",
@@ -36,7 +35,6 @@ __all__ = [
     "apply_frontend",
     "measure_metrics",
     "chain_magnitude",
-    "bench_components",
     "bench_spec",
 ]
 
@@ -44,39 +42,16 @@ INPUT_IMPEDANCE = 13.2e6  # ohms, declared constant, never simulated
 STAGE_ORDER = ("notch", "lowpass", "highpass")
 
 
-@dataclass(frozen=True)
-class ComponentValues:
-    """Resistor/capacitor values of the conditioning chain (ohms, farads)."""
-
-    r1: float
-    r2: float
-    r3: float
-    r4: float
-    r5: float
-    r7: float
-    r_hp: float
-    c2: float
-    r15: float
-    c3: float
-    r31: float
-    r27: float
-    c5: float
-    c7: float
-    r_a: float
-    r_b: float
-
-    def __post_init__(self):
-        _require_finite_positive(**{name: getattr(self, name) for name in self.__dataclass_fields__})
-
-
-def instrument_gain(c: ComponentValues) -> float:
+def instrument_gain(r1: float, r2: float, r3: float, r4: float, r5: float, r7: float) -> float:
     """Two-stage instrumentation amplifier gain: (1 + (R3+R4)/(R1+R2)) * R7/R5."""
-    return (1.0 + (c.r3 + c.r4) / (c.r1 + c.r2)) * (c.r7 / c.r5)
+    _require_finite_positive(r1=r1, r2=r2, r3=r3, r4=r4, r5=r5, r7=r7)
+    return (1.0 + (r3 + r4) / (r1 + r2)) * (r7 / r5)
 
 
-def voltage_gain(c: ComponentValues) -> float:
+def voltage_gain(r_a: float, r_b: float) -> float:
     """Non-inverting voltage amplifier gain 1 + Rb/Ra."""
-    return 1.0 + c.r_b / c.r_a
+    _require_finite_positive(r_a=r_a, r_b=r_b)
+    return 1.0 + r_b / r_a
 
 
 def highpass_cutoff(c2: float, r_hp: float) -> float:
@@ -144,23 +119,6 @@ class FrontEndSpec:
     @property
     def chain_gain(self) -> float:
         return self.instrument_gain * self.voltage_gain
-
-
-def bench_components() -> ComponentValues:
-    """Component set reproducing the design-formula values.
-
-    Instrumentation stage ratios give gain 22; the RC pairs are solved to
-    land the 0.072 Hz / 70.73 Hz / 49.79 Hz corners.
-    """
-    return ComponentValues(
-        r1=5e3, r2=5e3, r3=50e3, r4=50e3, r5=10e3, r7=20e3,
-        r_hp=1.0 / (2 * math.pi * 0.072 * 22e-6), c2=22e-6,
-        r15=1.0 / (2 * math.pi * 70.73 * 100e-9), c3=100e-9,
-        r31=1.0 / (2 * math.pi * 49.79 * 100e-9),
-        r27=1.0 / (2 * math.pi * 49.79 * 100e-9),
-        c5=100e-9, c7=100e-9,
-        r_a=1e3, r_b=74e3,
-    )
 
 
 def bench_spec() -> FrontEndSpec:

@@ -93,8 +93,8 @@ def run_pipeline(
     conditioned = _stage("analog_frontend", apply_frontend, sig, cfg.frontend)
 
     codes = _stage("acquisition", quantize, conditioned.frame.values, cfg.adc)
-    buf = _stage("acquisition", PingPongBuffer, cfg.half_capacity)
-    consumed = _stage("acquisition", lambda: [h.codes for h in buf.acquire(codes)])
+    consumed = _stage("acquisition",
+                      lambda: [h.codes for h in PingPongBuffer(cfg.half_capacity).acquire(codes)])
     if not consumed:
         raise PipelineError("acquisition", ValueError(
             f"{len(codes)} samples never filled a {cfg.half_capacity}-sample half; "

@@ -126,6 +126,8 @@ class SampleFrame:
 
     def __post_init__(self):
         _require_finite_positive(sample_rate=self.sample_rate)
+        if not math.isfinite(self.start_time):
+            raise ValueError(f"start_time must be finite, got {self.start_time}")
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1:
             raise ValueError("values must be one-dimensional")
@@ -174,6 +176,9 @@ class SampleFrame:
                     t, v = float(parts[0]), float(parts[1])
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+                if not (math.isfinite(t) and math.isfinite(v)):
+                    raise ValueError(f"{path}: line {lineno}: time and value must be finite, "
+                                     f"got {line!r}")
                 if times and not t > times[-1]:
                     raise ValueError(f"{path}: line {lineno}: time column must be strictly "
                                      f"increasing, got {t:.9g} after {times[-1]:.9g}")
@@ -214,9 +219,7 @@ def _per_shape(key: tuple, n: int, make) -> np.ndarray:
 
     key names everything make() reads.  Every record run_pipeline makes
     starts at t = 0 on the same sample grid, so arrays that depend only on
-    the record's shape repeat bit for bit from record to record.  Each step
-    is one dict operation, so threads need no lock: two that miss together
-    store equal arrays.
+    the record's shape repeat bit for bit from record to record.
     """
     if n > _SHAPE_CACHE_SAMPLES:
         return make()

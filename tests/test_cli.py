@@ -585,6 +585,19 @@ class TestCliSubcommands:
         assert captured.err.startswith("ecgmon: config error: command line: ")
         assert "high_bpm" in captured.err
 
+    @pytest.mark.parametrize("argv", [["plot", "--ascii"], ["send", "--bpm", "72"]])
+    @pytest.mark.parametrize("row", ["nan,1", "0.002,nan", "inf,1"])
+    def test_nonfinite_csv_row_exits_runtime(self, tmp_path, capsys, argv, row):
+        """A one-row CSV with a non-finite time or value is refused naming
+        the file and the line; `nan,1` used to be read as a 500 Hz frame."""
+        fixture = tmp_path / "bad.csv"
+        fixture.write_text(f"time,value\n{row}\n")
+        assert main([argv[0], "--in", str(fixture), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"ecgmon: {fixture}: line 2: time and value must be finite, "
+                                f"got {row!r}\n")
+
     def test_missing_input_exits_runtime(self, capsys):
         assert main(["detect", "--in", "/no/such/file.csv"]) == 2
 

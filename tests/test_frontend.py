@@ -18,7 +18,6 @@ from ecgmon import frontend
 from ecgmon.cli import main
 from ecgmon.config import PipelineConfig
 from ecgmon.frontend import (
-    ComponentValues,
     FrontEndSpec,
     chain_magnitude,
     apply_frontend,
@@ -28,7 +27,6 @@ from ecgmon.frontend import (
     lowpass_cutoff,
     measure_metrics,
     notch_center,
-    bench_components,
     bench_spec,
     voltage_gain,
 )
@@ -36,15 +34,11 @@ from ecgmon.pipeline import run_pipeline
 from ecgmon.signals import NoiseConfig, SampleFrame, SourceSignal, generate_sine
 
 
-def components(**overrides) -> ComponentValues:
-    base = dict(
-        r1=5e3, r2=5e3, r3=50e3, r4=50e3, r5=10e3, r7=20e3,
-        r_hp=100e3, c2=22e-6, r15=22.5e3, c3=100e-9,
-        r31=32e3, r27=32e3, c5=100e-9, c7=100e-9,
-        r_a=1e3, r_b=74e3,
-    )
+def resistors(**overrides) -> dict:
+    """The gain stages' resistors (ohms) of the paper's part list."""
+    base = dict(r1=5e3, r2=5e3, r3=50e3, r4=50e3, r5=10e3, r7=20e3)
     base.update(overrides)
-    return ComponentValues(**base)
+    return base
 
 
 def zero_source(rate: float, n: int) -> SourceSignal:
@@ -70,24 +64,26 @@ def steady_amplitude(values: np.ndarray, rate: float, freq: float) -> float:
 class TestGainFormulas:
     def test_paper_component_set_gives_22(self):
         # (R3+R4)/(R1+R2) = 10 and R7/R5 = 2 -> (1+10)*2 = 22 by hand algebra
-        assert instrument_gain(components()) == pytest.approx(22.0, abs=1e-12)
+        assert instrument_gain(**resistors()) == pytest.approx(22.0, abs=1e-12)
 
     def test_first_stage_collapse_limit(self):
         # R3+R4 -> 0 collapses the first stage to unity: gain -> R7/R5
-        c = components(r3=1e-9, r4=1e-9)
-        assert instrument_gain(c) == pytest.approx(c.r7 / c.r5, rel=1e-9)
+        r = resistors(r3=1e-9, r4=1e-9)
+        assert instrument_gain(**r) == pytest.approx(r["r7"] / r["r5"], rel=1e-9)
 
     def test_symmetric_case_gives_2(self):
-        c = components(r3=3e3, r4=7e3, r1=4e3, r2=6e3, r5=10e3, r7=10e3)
-        assert instrument_gain(c) == pytest.approx(2.0, abs=1e-12)
+        r = resistors(r3=3e3, r4=7e3, r1=4e3, r2=6e3, r5=10e3, r7=10e3)
+        assert instrument_gain(**r) == pytest.approx(2.0, abs=1e-12)
 
     def test_voltage_gain(self):
-        assert voltage_gain(components()) == pytest.approx(75.0, abs=1e-12)
+        assert voltage_gain(r_a=1e3, r_b=74e3) == pytest.approx(75.0, abs=1e-12)
 
     def test_nonpositive_component_rejected(self):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="r5 must be finite and > 0"):
-                components(r5=bad)
+                instrument_gain(**resistors(r5=bad))
+            with pytest.raises(ValueError, match="r_b must be finite and > 0"):
+                voltage_gain(r_a=1e3, r_b=bad)
 
 
 class TestCutoffFormulas:
@@ -131,13 +127,6 @@ class TestCutoffFormulas:
             lowpass_cutoff(1.0, -2.0)
         with pytest.raises(ValueError):
             notch_center(1.0, 1.0, 0.0, 1.0)
-
-    def test_bench_components_reproduce_design_values(self):
-        c = bench_components()
-        assert instrument_gain(c) == pytest.approx(22.0, abs=1e-9)
-        assert highpass_cutoff(c.c2, c.r_hp) == pytest.approx(0.072, rel=0.005)
-        assert lowpass_cutoff(c.c3, c.r15) == pytest.approx(70.73, rel=0.005)
-        assert notch_center(c.r31, c.c5, c.r27, c.c7) == pytest.approx(49.79, rel=0.005)
 
 
 # a stage kind and the spec it is designed from at 500 Hz, f being the

@@ -56,6 +56,25 @@ class TestSampleFrame:
         with pytest.raises(ValueError, match="line 3"):
             SampleFrame.from_csv(path)
 
+    def test_rejects_nonfinite_start_time(self):
+        for bad in (float("nan"), math.inf, -math.inf):
+            with pytest.raises(ValueError, match="start_time must be finite"):
+                SampleFrame(sample_rate=500.0, values=np.zeros(3), start_time=bad)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("column", ["time", "value"])
+    @pytest.mark.parametrize("lineno", [2, 3, 4])
+    def test_csv_nonfinite_row_names_line(self, tmp_path, token, column, lineno):
+        """A non-finite time or value is refused at its own line, whether it
+        is the first, a middle or the last row."""
+        rows = [["0.0", "1.0"], ["0.002", "2.0"], ["0.004", "3.0"]]
+        rows[lineno - 2][0 if column == "time" else 1] = token
+        path = tmp_path / "bad.csv"
+        path.write_text("time,value\n" + "".join(f"{t},{v}\n" for t, v in rows))
+        with pytest.raises(ValueError,
+                           match=f"bad.csv: line {lineno}: time and value must be finite"):
+            SampleFrame.from_csv(path)
+
     @pytest.mark.parametrize("second_time", ["0.002", "0.001", "nan"])
     def test_csv_time_not_increasing_names_line(self, tmp_path, second_time):
         path = tmp_path / "bad.csv"
