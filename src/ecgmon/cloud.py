@@ -25,6 +25,9 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"  # keep-alive: one connection serves many POSTs
 
     def do_POST(self):  # noqa: N802 - http.server API
+        if "Transfer-Encoding" in self.headers:  # a body it does not frame: refused unread
+            self.send_error(411, "Transfer-Encoding not supported")  # also closes the connection
+            return
         text = self.headers.get("Content-Length", "0").strip(" \t")
         if not (text.isascii() and text.isdigit()):
             self.send_error(400, "malformed Content-Length")  # also closes the connection
@@ -85,8 +88,9 @@ class LoopbackListener:
     The tests and the benchmark publish to it through an HttpSink.  Binds
     127.0.0.1 on the requested port (0 picks a free one, exposed via
     .port).  A POST whose Content-Length is not decimal gets 400, one
-    over MAX_BODY_BYTES gets 413; either closes its connection and
-    records nothing.  Usable as a context manager.
+    over MAX_BODY_BYTES gets 413, one with a Transfer-Encoding gets 411;
+    each closes its connection and records nothing.  Usable as a context
+    manager.
     """
 
     def __init__(self, port: int = 0):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SampleFrame, _per_shape
+from .signals import SampleFrame, _per_shape, _require_finite_positive
 
 __all__ = [
     "InsufficientDataError",
@@ -150,8 +150,7 @@ class HeartRateReading:
     median_period: float | None = None
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
+        _require_finite_positive(period=self.period)
 
     @property
     def bpm(self) -> float:
@@ -164,6 +163,7 @@ def heart_rate_from_edges(edges, sample_rate: float) -> HeartRateReading:
     The beat period is the sample distance between the last two rising
     edges; bpm = 60 / period.
     """
+    _require_finite_positive(sample_rate=sample_rate)
     rising = [e for e in edges if e.kind == "rising"]
     if len(rising) < 2:
         raise InsufficientDataError(

@@ -159,8 +159,8 @@ class SampleFrame:
         """Read a time,value CSV written by to_csv.
 
         The sample rate is recovered from the time column, which must be
-        strictly increasing; frames with fewer than two rows fall back to
-        500 Hz.
+        strictly increasing and give a finite rate; frames with fewer than
+        two rows fall back to 500 Hz.
         """
         times: list[float] = []
         values: list[float] = []
@@ -187,6 +187,9 @@ class SampleFrame:
         if len(times) >= 2:
             rate = (len(times) - 1) / (times[-1] - times[0])
             rate = float(f"{rate:.9g}")
+            if not 0 < rate < math.inf:
+                raise ValueError(f"{path}: sample_rate from the time column must be finite "
+                                 f"and > 0, got {rate}")
             start = times[0]
         else:
             rate = 500.0

@@ -346,23 +346,23 @@ class StdoutSink(_Sink):
 
 _HTTP_TIMEOUT_S = 2.0  # per connect and per socket read
 _LOOPBACK_HOST = "127.0.0.1"  # where HttpSink posts and cloud.LoopbackListener binds
-_MAX_LINE = 65536  # bytes per status, header or chunk-size line, its line end included
+_MAX_LINE = 65536  # bytes per status or header line, its line end included
 _MAX_HEADERS = 100  # header fields per reply
 _OWS = b" \t"  # whitespace around a header value (RFC 9112)
-_HEX_DIGITS = b"0123456789abcdefABCDEF"
 
 
 class HttpSink(_Sink):
     """POSTs payloads to a local listener over one persistent HTTP/1.1
     connection, opened on the first send.
 
-    Each POST is one write of head and payload.  The reply's status line
-    and headers are read (1xx interim replies skipped) and its body is
-    read and dropped, framed by Content-Length, chunked, or running to
-    the close.  A malformed reply or any other failure drops the
-    connection, so the next send (publish's retry) reconnects; so does a
-    reply that announces the close.  A status outside 2xx raises once its
-    body is read, keeping the connection.  close() releases it.
+    Each POST is one write of head and payload.  Delivery is decided by
+    the final status line: the reply's status line and headers are read
+    (1xx interim replies skipped), its body never is.  The connection is
+    kept only after a reply with no body (204, 304, or Content-Length: 0
+    without Transfer-Encoding) that does not announce a close; after any
+    other reply, a malformed one or any other failure it is dropped, and
+    the next send reconnects.  A status outside 2xx raises.  close()
+    releases the connection.
     """
 
     def __init__(self, port: int):
@@ -397,28 +397,17 @@ class HttpSink(_Sink):
             self._sock = self._reader = None
 
     def _read_reply(self) -> tuple[int, bool]:
-        """Read one final reply; its status, and whether the connection stays open."""
+        """Read one final reply's status line and headers, never its body;
+        its status, and whether the connection stays open."""
         status = 100
         while 100 <= status < 200:  # interim replies carry no body
             version, status = self._read_status()
             headers = self._read_headers()
         tokens = {t.strip(_OWS).lower() for t in headers.get(b"connection", b"").split(b",")}
+        bodiless = status in (204, 304) or (b"transfer-encoding" not in headers
+                                            and headers.get(b"content-length") == b"0")
         keep_alive = b"close" not in tokens and (version != b"HTTP/1.0" or b"keep-alive" in tokens)
-        if status in (204, 304):  # no body, whatever the headers say
-            return status, keep_alive
-        coding = headers.get(b"transfer-encoding")
-        if coding is None and b"content-length" in headers:
-            length = headers[b"content-length"]
-            if not length.isdigit():  # bytes.isdigit is ASCII digits only
-                raise OSError(f"Content-Length {length[:80]!r} is not a decimal number")
-            self._drop(int(length))
-        elif coding is not None and coding.rsplit(b",", 1)[-1].strip(_OWS).lower() == b"chunked":
-            self._drop_chunks()
-        else:  # the body runs to the close
-            while self._reader.read(_MAX_LINE):
-                pass
-            keep_alive = False
-        return status, keep_alive
+        return status, bodiless and keep_alive
 
     def _read_line(self) -> bytes:
         line = self._reader.readline(_MAX_LINE + 1)
@@ -454,27 +443,6 @@ class HttpSink(_Sink):
             headers[name] = headers[name] + b"," + value if name in headers else value
         raise OSError(f"reply has more than {_MAX_HEADERS} headers")
 
-    def _drop(self, size: int) -> None:
-        """Read and discard size body bytes, a bounded piece at a time."""
-        while size:
-            got = len(self._reader.read(min(size, _MAX_LINE)))
-            if not got:
-                raise ConnectionError("listener closed the connection mid-body")
-            size -= got
-
-    def _drop_chunks(self) -> None:
-        while True:
-            line = self._read_line().rstrip(b"\r\n")
-            size = line.split(b";", 1)[0].strip(_OWS)  # a chunk extension follows ";"
-            if not size or size.translate(None, _HEX_DIGITS):
-                raise OSError(f"bad chunk size line from listener: {line[:80]!r}")
-            if int(size, 16) == 0:
-                self._read_headers()  # the trailer section
-                return
-            self._drop(int(size, 16))
-            if self._read_line() not in (b"\r\n", b"\n"):
-                raise OSError("chunk data not followed by a line end")
-
 
 def make_sink(spec: str):
     """Build a publish sink from 'stdout', 'file:<path>' or 'http:<port>'.
@@ -506,6 +474,8 @@ def publish(sink, payload: bytes, retries: int = 2, sleep=time.sleep) -> Deliver
     before each next one, at most 1 s; a send that succeeds at once
     waits for nothing.  sleep(seconds) does the waiting.
     """
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
     attempts = 0
     pause = _RETRY_PAUSE_S
     last_error: str | None = None

@@ -598,6 +598,22 @@ class TestCliSubcommands:
         assert captured.err == (f"ecgmon: {fixture}: line 2: time and value must be finite, "
                                 f"got {row!r}\n")
 
+    @pytest.mark.parametrize("argv", [["plot", "--ascii"], ["detect"], ["notch", "--out", "n.csv"]])
+    @pytest.mark.parametrize("rows, rate", [("0,1\n1e-320,2", "inf"), ("-1e308,1\n1e308,2", "0.0")],
+                             ids=["tiny-step", "huge-span"])
+    def test_csv_time_column_with_unusable_rate_exits_runtime(self, tmp_path, monkeypatch, capsys,
+                                                               argv, rows, rate):
+        """A time column whose rate is infinite or zero is refused naming the file."""
+        monkeypatch.chdir(tmp_path)
+        fixture = tmp_path / "bad.csv"
+        fixture.write_text(f"time,value\n{rows}\n")
+        assert main([argv[0], "--in", str(fixture), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"ecgmon: {fixture}: sample_rate from the time column must be "
+                                f"finite and > 0, got {rate}\n")
+        assert not (tmp_path / "n.csv").exists()
+
     def test_missing_input_exits_runtime(self, capsys):
         assert main(["detect", "--in", "/no/such/file.csv"]) == 2
 

@@ -1,5 +1,6 @@
 """DSP tests: spectral notch, smoothing, edge triggers, heart rate."""
 
+import math
 import statistics
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from ecgmon.dsp import (
     EdgeEvent,
+    HeartRateReading,
     InsufficientDataError,
     detect_rising_edges,
     fft_notch,
@@ -269,6 +271,23 @@ class TestHeartRate:
         edges = [EdgeEvent(sample_index=i, time=i / 500.0, kind="rising") for i in (0, 421)]
         reading = heart_rate_from_edges(edges, 500.0)
         assert reading.bpm == pytest.approx(60.0 / reading.period, rel=1e-12)
+
+    @pytest.mark.parametrize("rate", [float("nan"), math.inf, 0.0, -500.0])
+    def test_unusable_sample_rate_refused(self, rate):
+        edges = [EdgeEvent(sample_index=i, time=i / 500.0, kind="rising") for i in (0, 250)]
+        with pytest.raises(ValueError, match=f"^sample_rate must be finite and > 0, got {rate}$"):
+            heart_rate_from_edges(edges, rate)
+
+    @pytest.mark.parametrize("period", [float("nan"), math.inf, 0.0, -0.5])
+    def test_period_must_be_finite_and_positive(self, period):
+        with pytest.raises(ValueError, match=f"^period must be finite and > 0, got {period}$"):
+            HeartRateReading(period=period)
+
+    def test_period_overflowing_to_inf_refused(self):
+        """A rate so small that the period overflows gives no 0 bpm reading."""
+        edges = [EdgeEvent(sample_index=i, time=0.0, kind="rising") for i in (0, 10)]
+        with pytest.raises(ValueError, match="^period must be finite and > 0, got inf$"):
+            heart_rate_from_edges(edges, 1e-320)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @example(indices=[0, 250, 500, 752, 1000], rate=500.0)  # four periods: even

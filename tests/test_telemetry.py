@@ -599,6 +599,12 @@ class TestSinks:
         assert receipt.error == (None if ok else "link down")
         assert target.exists() is ok
 
+    def test_negative_retries_refused_before_any_send(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError, match=r"^retries must be >= 0, got -1$"):
+            publish(FileSink(target), b"{}", retries=-1)
+        assert not target.exists()
+
     def test_default_backoff_really_waits(self, tmp_path):
         t0 = time.perf_counter()
         receipt = publish(FileSink(tmp_path / "no-such-dir" / "x"), b"{}", retries=1)
@@ -777,14 +783,14 @@ class TestHttpSinkReplies:
         reply = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 5\r\n\r\nhello"
         with ScriptedListener((reply, False), (reply, False)) as peer, HttpSink(peer.port) as sink:
             assert all(r.ok for r in self.send_all(sink, 2))
-        assert peer.accepted == 1  # the body was read, so the connection carried both
+        assert peer.accepted == 2  # the body is never read, so its connection is dropped
 
     def test_chunked_body(self):
         reply = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
                  b"5;note=x\r\nhello\r\n1A\r\n" + b"z" * 26 + b"\r\n0\r\nX-Trailer: 1\r\n\r\n")
         with ScriptedListener((reply, False), (reply, False)) as peer, HttpSink(peer.port) as sink:
             assert all(r.ok for r in self.send_all(sink, 2))
-        assert peer.accepted == 1
+        assert peer.accepted == 2
 
     def test_close_delimited_http10_body(self):
         reply = b"HTTP/1.0 200 OK\r\nContent-Type: text/plain\r\n\r\nbody to the close"
@@ -810,13 +816,13 @@ class TestHttpSinkReplies:
             assert all(r.ok for r in self.send_all(sink, 2))
         assert peer.accepted == 1
 
-    def test_error_status_keeps_the_connection(self):
+    def test_error_status_with_a_body_reconnects(self):
         error = b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 4\r\n\r\noops"
         with ScriptedListener((error, False), OK_EMPTY) as peer, HttpSink(peer.port) as sink:
             failed, sent = self.send_all(sink, 2)
         assert (failed.ok, failed.error) == (False, "listener answered 500")
         assert sent.ok
-        assert peer.accepted == 1  # the 500's body was read: the next POST reused the connection
+        assert peer.accepted == 2  # the 500's body was not read: the next POST reconnected
 
     def test_close_before_reply_reconnects(self):
         with ScriptedListener((None, True), OK_EMPTY) as peer, HttpSink(peer.port) as sink:
@@ -834,19 +840,29 @@ class TestHttpSinkReplies:
         (b"ICY 200 OK\r\n\r\n", "bad status line from listener: b'ICY 200 OK\\r\\n'"),
         (b"HTTP/1.1 200 OK\r\nno colon\r\n\r\n", "bad header line from listener: b'no colon\\r\\n'"),
         (b"HTTP/1.1 200 OK\r\n folded: x\r\n\r\n", "bad header line from listener: b' folded: x\\r\\n'"),
-        (b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n", "Content-Length b'-5' is not a decimal number"),
-        (b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nshort", "listener closed the connection mid-body"),
         (b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n", "listener closed the connection mid-headers"),
-        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nxyz\r\n",
-         "bad chunk size line from listener: b'xyz'"),
-    ], ids=["long-line", "101-headers", "bad-code", "bad-version", "no-colon", "folded", "bad-length",
-            "short-body", "cut-head", "bad-chunk"])
+    ], ids=["long-line", "101-headers", "bad-code", "bad-version", "no-colon", "folded", "cut-head"])
     def test_malformed_reply_fails_and_reconnects(self, reply, error):
         with ScriptedListener((reply, True), OK_EMPTY) as peer, HttpSink(peer.port) as sink:
             failed, sent = self.send_all(sink, 2)
         assert (failed.ok, failed.error) == (False, error)
         assert sent.ok
         assert peer.accepted == 2
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nshort",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nxyz\r\n",
+    ], ids=["bad-length", "short-body", "bad-chunk"])
+    def test_2xx_reply_is_delivered_once_whatever_its_body(self, reply):
+        """The status line decides delivery: a 2xx whose body is broken is
+        not retried, so the peer stores the record once."""
+        with ScriptedListener((reply, False), OK_EMPTY) as peer, HttpSink(peer.port) as sink:
+            receipt = publish(sink, b"{}", retries=2, sleep=lambda _: None)
+            assert (receipt.ok, receipt.attempts) == (True, 1)
+            assert len(peer.requests) == 1
+            assert publish(sink, b"{}", retries=0).ok
+        assert peer.accepted == 2  # the body was left unread: the next POST reconnected
 
     @pytest.mark.parametrize("reply", [
         b"HTTP/1.1 200 OK\r\n" + header_line(65536) + b"Content-Length: 0\r\n\r\n",
@@ -912,6 +928,18 @@ class TestHttpSinkReplies:
                 with conn.makefile("rb") as rfile:
                     reply = rfile.read()  # the listener closes the connection after the 400
             assert reply.split(b" ", 2)[1] == b"400"
+            assert listener.received == []
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_listener_answers_411_to_a_transfer_encoding(self, capfd):
+        # it frames a body by Content-Length only, so a chunked one is refused, not taken as empty
+        with LoopbackListener() as listener:
+            with socket.create_connection((telemetry._LOOPBACK_HOST, listener.port), timeout=2) as conn:
+                conn.sendall(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                             b"2\r\n{}\r\n0\r\n\r\n")
+                with conn.makefile("rb") as rfile:
+                    reply = rfile.read()  # the listener closes the connection after the 411
+            assert reply.split(b" ", 2)[1] == b"411"
             assert listener.received == []
         assert "Traceback" not in capfd.readouterr().err
 
