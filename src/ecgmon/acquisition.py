@@ -31,6 +31,8 @@ __all__ = [
     "dequantize",
 ]
 
+_MAX_BITS = 16  # the widest ADC modelled; telemetry's code-text table covers its codes
+
 
 @dataclass(frozen=True)
 class AdcConfig:
@@ -40,8 +42,8 @@ class AdcConfig:
     vref: float = 3.3
 
     def __post_init__(self):
-        if not 1 <= self.resolution_bits <= 16:
-            raise ValueError(f"resolution_bits must be within 1..16, got {self.resolution_bits}")
+        if not 1 <= self.resolution_bits <= _MAX_BITS:
+            raise ValueError(f"resolution_bits must be within 1..{_MAX_BITS}, got {self.resolution_bits}")
         _require_finite_positive(vref=self.vref)
 
     @property

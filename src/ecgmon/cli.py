@@ -8,7 +8,6 @@ inputs).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -20,6 +19,7 @@ from .frontend import chain_magnitude, measure_metrics
 from .pipeline import PipelineError, report, run_pipeline, source_signal
 from .render import export_ascii, export_svg, Framebuffer, _require_finite_bounds, draw_trace, map_to_trace
 from .signals import NoiseConfig, SampleFrame
+from .telemetry import _json_bytes
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -46,7 +46,7 @@ def _config(args) -> PipelineConfig:
 
 
 def _json_line(doc: dict) -> str:
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
+    return _json_bytes(doc).decode("utf-8")
 
 
 def _cmd_run(args) -> int:

@@ -65,6 +65,12 @@ def _require_finite_bounds(v_min: float | None, v_max: float | None) -> None:
             raise ValueError(f"{name} must be finite, got {bound}")
 
 
+def _require_target(width: int, height: int, v_min: float | None, v_max: float | None) -> None:
+    if width <= 0 or height <= 0:
+        raise ValueError(f"target size must be positive, got {width}x{height}")
+    _require_finite_bounds(v_min, v_max)
+
+
 def map_to_trace(
     frame: SampleFrame,
     fb_width: int = DEFAULT_WIDTH,
@@ -79,9 +85,7 @@ def map_to_trace(
     [v_min, v_max] clamp to the edge rows; a bound that is given must be
     finite.
     """
-    if fb_width <= 0 or fb_height <= 0:
-        raise ValueError(f"target size must be positive, got {fb_width}x{fb_height}")
-    _require_finite_bounds(v_min, v_max)
+    _require_target(fb_width, fb_height, v_min, v_max)
     if len(frame) == 0:
         raise ValueError("cannot map an empty frame")
     if v_min is None:
@@ -150,11 +154,11 @@ def export_svg(
     """Write a single-polyline SVG of a frame.
 
     Polyline coordinates are exactly the map_to_trace rows; an empty frame
-    yields a valid SVG with an empty polyline, though a given bound must
-    still be finite.  Output bytes are fully deterministic for identical
-    inputs.
+    yields a valid SVG with an empty polyline, though the size must still
+    be positive and a given bound finite.  Output bytes are fully
+    deterministic for identical inputs.
     """
-    _require_finite_bounds(v_min, v_max)
+    _require_target(width, height, v_min, v_max)
     if len(frame) == 0:
         points = ""
     else:

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .acquisition import _MAX_BITS
 from .signals import SampleFrame
 from .render import export_svg
 
@@ -186,26 +187,31 @@ def _code_text_table(max_code: int) -> np.ndarray:
     return text.view(np.uint64).ravel()
 
 
-# every code of an ADC with up to 16 bits (AdcConfig's limit)
-_MAX_TABLE_CODE = 65535
+_MAX_TABLE_CODE = (1 << _MAX_BITS) - 1  # every code AdcConfig allows
 _CODE_TEXT = _code_text_table(_MAX_TABLE_CODE)
 
 
-def _ecg_bytes(ecg: list) -> bytes:
-    """JSON array bytes of ecg, as json.dumps writes them.
+def _code_text(codes: np.ndarray) -> bytes | None:
+    """The JSON array body of int64 codes, such as b"2048,0,17", gathered
+    from the code-text table; None if codes is empty or holds a code
+    outside 0.._MAX_TABLE_CODE."""
+    if not codes.size or codes.min() < 0 or codes.max() > _MAX_TABLE_CODE:
+        return None
+    # every row ends in a comma: drop the padding, then the last comma
+    return _CODE_TEXT[codes].tobytes().translate(None, b"\0")[:-1]
 
-    Non-empty lists of ints in 0.._MAX_TABLE_CODE are gathered from the
-    code-text table; everything else (floats, negatives, larger ints, the
-    empty list) goes through json.
-    """
+
+def _ecg_bytes(ecg: list) -> bytes:
+    """JSON array bytes of ecg, as json.dumps writes them: from the
+    code-text table for codes, through json for anything else."""
     try:
-        codes = np.frombuffer(array.array("q", ecg), dtype=np.int64)
+        text = _code_text(np.frombuffer(array.array("q", ecg), dtype=np.int64))
     except (TypeError, OverflowError):  # a float, or an int beyond int64
-        return _json_bytes(ecg)
-    if codes.size and codes.min() >= 0 and codes.max() <= _MAX_TABLE_CODE:
-        # every row ends in a comma: drop the padding, then the last comma
-        return b"[" + _CODE_TEXT[codes].tobytes().translate(None, b"\0")[:-1] + b"]"
-    return _json_bytes(ecg)
+        text = None
+    return _json_bytes(ecg) if text is None else b"[" + text + b"]"
+
+
+_ECG_KEY = b',"ecg":['  # the last key and the "[" of its array
 
 
 def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes:
@@ -215,48 +221,27 @@ def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes
     if len(rec.ecg) > max_ecg:
         raise PayloadTooLargeError(f"ecg holds {len(rec.ecg)} samples, limit is {max_ecg}")
     head = _json_bytes({key: getattr(rec, key) for key in _HEADER_KEYS})
-    # ecg is the last key: splice it in before the closing brace
-    return head[:-1] + b',"ecg":' + _ecg_bytes(rec.ecg) + b"}"
-
-
-_ECG_KEY = b',"ecg":['
-_MAX_CODE_DIGITS = 5  # 0..99999: every 16-bit code, far from int64's limit
-
-
-def _ecg_codes(body: bytes) -> np.ndarray | None:
-    """The int64 codes of a JSON array's body such as b"2048,0,17", or None
-    unless it is canonical integers of 1-5 digits joined by single commas
-    (what _ecg_bytes writes for codes up to 99999)."""
-    chars = np.frombuffer(body, dtype=np.uint8)
-    digit = chars - np.uint8(ord("0")) <= 9  # bytes below "0" wrap past 9
-    # a separator at each comma and on both sides of the body: every field
-    # lies between two, and two in a row enclose an empty field
-    sep = np.ones(chars.size + 2, dtype=bool)
-    sep[1:-1] = chars == ord(",")
-    if not (digit | sep[1:-1]).all() or (sep[1:] & sep[:-1]).any():
-        return None
-    if ((chars[:-1] == ord("0")) & sep[:-3] & digit[1:]).any():  # JSON has no leading zeros
-        return None
-    if chars.size > _MAX_CODE_DIGITS:  # no digit may end a longer run of digits
-        longer = digit[_MAX_CODE_DIGITS:].copy()
-        for k in range(1, _MAX_CODE_DIGITS + 1):
-            longer &= digit[_MAX_CODE_DIGITS - k:-k]
-        if longer.any():
-            return None
-    return np.fromstring(body, dtype=np.int64, sep=",")  # checked above: parses to its end
+    # splice the array in before the head's closing brace; it brings its own "["
+    return head[:-1] + _ECG_KEY[:-1] + _ecg_bytes(rec.ecg) + b"}"
 
 
 def _canonical_record(data: bytes) -> dict | None:
     """The fields of a line encode_record writes for a record of codes, ecg
     as an int64 array: only the four header keys go through json.  None for
-    any other line, even a valid one."""
+    any other line, even a valid one.  numpy's parse is lenient (it reads
+    "+1", " 1" and "1,-"), so a code list counts only when its text is
+    exactly the code-text table's, which is canonical and one-to-one."""
     if not (isinstance(data, bytes) and data.endswith(b"]}")):
         return None
     cut = data.rfind(_ECG_KEY)
     if cut < 0:
         return None
-    codes = _ecg_codes(data[cut + len(_ECG_KEY):-2])
-    if codes is None:
+    body = data[cut + len(_ECG_KEY):-2]
+    try:
+        codes = np.fromstring(body, dtype=np.int64, sep=",")
+    except ValueError:  # text numpy cannot read to its end
+        return None
+    if _code_text(codes) != body:
         return None
     try:
         doc = json.loads((data[:cut] + b"}").decode("utf-8"))
@@ -288,8 +273,9 @@ def decode_record(data: bytes) -> TelemetryRecord:
     """Parse canonical record bytes back into a TelemetryRecord; malformed
     bytes, and an ecg value that is no JSON array, raise ValueError.
 
-    A line of codes as encode_record writes it parses its samples with
-    numpy; every other line goes through json whole, with the same result.
+    numpy reads the samples of a line only when its code text is exactly
+    what encode_record writes for codes in 0.._MAX_TABLE_CODE; every other
+    line goes through json whole, with the same result.
     """
     doc = _canonical_record(data)
     if doc is None:

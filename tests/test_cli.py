@@ -296,6 +296,13 @@ class TestCliSubcommands:
             '{"bpm":120.0,"period_s":0.5,"median_period_s":0.5,"edges":6,'
             '"saturated":false,"alert":null,"published":0}\n')
 
+    def test_json_line_refuses_non_finite_numbers(self):
+        """stdout lines are JSON: a NaN or an infinity raises instead of printing as NaN."""
+        assert cli._json_line({"bpm": 72.5, "loc": "w\xe9"}) == '{"bpm":72.5,"loc":"w\xe9"}'
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                cli._json_line({"bpm": value})
+
     def test_failed_publish_exits_runtime(self, tmp_path, capsys):
         """A publish that fails exits 2 and names the error; stdout is the
         same line a run without --publish prints (nothing was published)."""

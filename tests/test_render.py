@@ -197,6 +197,14 @@ class TestExport:
         assert svg.startswith('<?xml')
         assert path.read_text().count("<polyline") == 1
 
+    @pytest.mark.parametrize("width,height", [(0, 64), (128, -3), (-1, -1)])
+    def test_empty_frame_refuses_the_size_a_full_one_does(self, tmp_path, width, height):
+        for values in (np.zeros(0), np.zeros(8)):
+            path = tmp_path / "bad.svg"
+            with pytest.raises(ValueError, match=f"target size must be positive, got {width}x{height}"):
+                export_svg(SampleFrame(500.0, values), path, width=width, height=height)
+            assert not path.exists()
+
     def test_two_hz_sine_has_two_visible_periods(self, tmp_path):
         svg = export_svg(generate_sine(2.0, 1.0, 500.0, 1.0), tmp_path / "sine.svg")
         points = re.search(r'points="([^"]*)"', svg).group(1)

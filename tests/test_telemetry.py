@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgmon import cloud, telemetry
+from ecgmon.acquisition import AdcConfig
 from ecgmon.cloud import LoopbackListener
 from ecgmon.config import PipelineConfig
 from ecgmon.pipeline import run_pipeline
@@ -371,9 +372,10 @@ def decode_outcome(decode, data: bytes):
     return rec, type(rec.timestamp), type(rec.bpm), [type(v) for v in rec.ecg]
 
 
-# one field of a code list: canonical codes, and text the numpy parse must
-# leave to json (leading zeros, signs, fractions, exponents, more than five
-# digits, whitespace, other JSON values, empty fields)
+# one field of a code list: canonical codes (those above _MAX_TABLE_CODE go
+# through json), and text the numpy parse must leave to json (leading zeros,
+# signs, fractions, exponents, more than five digits, whitespace, other JSON
+# values, empty fields)
 _code_fields = st.integers(min_value=0, max_value=99999).map(str)
 _odd_fields = st.sampled_from([
     "", "00", "01", "007", "-1", "-0", "1.5", "2.0", "1e3", "123456", "012345",
@@ -418,8 +420,9 @@ class TestCodeTextDecoding:
         assert decode_outcome(decode_record, line) == decode_outcome(decode_record_reference, line)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(rec=record_strategy, codes=st.lists(st.integers(min_value=0, max_value=99999),
-                                               min_size=1, max_size=60))
+    @given(rec=record_strategy,
+           codes=st.lists(st.integers(min_value=0, max_value=telemetry._MAX_TABLE_CODE),
+                          min_size=1, max_size=60))
     def test_canonical_code_lines_take_the_numpy_parse(self, rec, codes):
         line = encode_record(dataclasses.replace(rec, ecg=codes))
         assert telemetry._canonical_record(line) is not None
@@ -427,11 +430,19 @@ class TestCodeTextDecoding:
 
     @pytest.mark.parametrize("ecg", [
         b"[2048, 2051]", b"[2048,2051.0]", b"[-1,2]", b"[123456]", b"[]", b"[01]", b"[1,,2]",
-        b"[1,2,]", b"[,1]", b"[1e3]", b"[true]",
+        b"[1,2,]", b"[,1]", b"[1e3]", b"[true]", b"[65536]", b"[99999]", b"[+1]", b"[1,-]",
+        b"[\n1]", b"[ 1]", b"[-0]",
     ])
     def test_other_code_lists_go_through_json(self, ecg):
         line = encode_record(make_record()).replace(b"[2048,2051,2047,2049]", ecg)
         assert telemetry._canonical_record(line) is None
+        assert decode_outcome(decode_record, line) == decode_outcome(decode_record_reference, line)
+
+    def test_widest_adc_code_takes_the_numpy_parse(self):
+        code = AdcConfig(resolution_bits=16).max_code
+        line = encode_record(make_record(ecg=[0, code]))
+        assert line.endswith(b'"ecg":[0,%d]}' % code)
+        assert telemetry._canonical_record(line)["ecg"].tolist() == [0, code]
         assert decode_outcome(decode_record, line) == decode_outcome(decode_record_reference, line)
 
     @pytest.mark.parametrize("line", [
