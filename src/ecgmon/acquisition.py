@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import _require_finite_positive
+from .signals import _require_finite_positive, _require_int
 
 __all__ = [
     "AdcConfig",
@@ -42,6 +42,7 @@ class AdcConfig:
     vref: float = 3.3
 
     def __post_init__(self):
+        _require_int("resolution_bits", self.resolution_bits)
         if not 1 <= self.resolution_bits <= _MAX_BITS:
             raise ValueError(f"resolution_bits must be within 1..{_MAX_BITS}, got {self.resolution_bits}")
         _require_finite_positive(vref=self.vref)
@@ -114,8 +115,7 @@ class PingPongBuffer:
     """
 
     def __init__(self, half_capacity: int):
-        if half_capacity < 1:
-            raise ValueError(f"half_capacity must be >= 1, got {half_capacity}")
+        _require_int("half_capacity", half_capacity, 1)
         self.half_capacity = int(half_capacity)
         # the half with sequence number seq is written into _halves[seq % 2]
         self._halves = [np.zeros(self.half_capacity, dtype=np.int64) for _ in range(2)]

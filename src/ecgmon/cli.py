@@ -17,7 +17,7 @@ from .acquisition import PingPongBuffer, quantize
 from .config import _KEYS, SOURCES, ConfigError, PipelineConfig, _parse
 from .frontend import chain_magnitude, measure_metrics
 from .pipeline import PipelineError, report, run_pipeline, source_signal
-from .render import export_ascii, export_svg, Framebuffer, _require_finite_bounds, draw_trace, map_to_trace
+from .render import export_ascii, export_svg, Framebuffer, _require_target, draw_trace, map_to_trace
 from .signals import NoiseConfig, SampleFrame
 from .telemetry import _json_bytes
 
@@ -134,7 +134,7 @@ def _cmd_plot(args) -> int:
     frame = SampleFrame.from_csv(args.infile)
     if args.ascii:
         fb = Framebuffer(width=cfg.fb_width, height=cfg.fb_height)
-        _require_finite_bounds(args.v_min, args.v_max)  # an empty frame maps nothing
+        _require_target(cfg.fb_width, cfg.fb_height, args.v_min, args.v_max)  # an empty frame maps nothing
         if len(frame):
             draw_trace(fb, None, map_to_trace(frame, cfg.fb_width, cfg.fb_height,
                                               args.v_min, args.v_max))

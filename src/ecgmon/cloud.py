@@ -59,8 +59,8 @@ class _LoopbackServer(ThreadingHTTPServer):
 
     daemon_threads = False  # server_close() joins every handler thread
 
-    def __init__(self, port: int):
-        super().__init__((_LOOPBACK_HOST, port), _LoopbackHandler)
+    def __init__(self):
+        super().__init__((_LOOPBACK_HOST, 0), _LoopbackHandler)  # port 0: a free one
         self.received: list[bytes] = []
         self.connections: set[socket.socket] = set()
         self.lock = threading.Lock()
@@ -86,15 +86,14 @@ class LoopbackListener:
     """An HTTP listener that records every POSTed payload.
 
     The tests and the benchmark publish to it through an HttpSink.  Binds
-    127.0.0.1 on the requested port (0 picks a free one, exposed via
-    .port).  A POST whose Content-Length is not decimal gets 400, one
-    over MAX_BODY_BYTES gets 413, one with a Transfer-Encoding gets 411;
-    each closes its connection and records nothing.  Usable as a context
-    manager.
+    a free port on 127.0.0.1, exposed as .port.  A POST whose
+    Content-Length is not decimal gets 400, one over MAX_BODY_BYTES gets
+    413, one with a Transfer-Encoding gets 411; each closes its connection
+    and records nothing.  Usable as a context manager.
     """
 
-    def __init__(self, port: int = 0):
-        self._server = _LoopbackServer(port)
+    def __init__(self):
+        self._server = _LoopbackServer()
         self._thread = threading.Thread(target=self._server.serve_forever,
                                         args=(_POLL_INTERVAL_S,), daemon=True)
         self._thread.start()

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 from .acquisition import AdcConfig
 from .dsp import _require_notch, _require_odd_window, _require_refractory
 from .frontend import FrontEndSpec, _chain_coefficients
-from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH
-from .signals import EcgTemplateParams, NoiseConfig, _require_finite_positive, _require_source_rate
+from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH, _require_target
+from .signals import EcgTemplateParams, NoiseConfig, _require_finite_positive, _require_int, _require_source_rate
 from .telemetry import MAX_ECG_SAMPLES, AlertPolicy, make_sink
 
 __all__ = ["ConfigError", "PipelineConfig"]
@@ -66,8 +66,7 @@ class PipelineConfig:
         _require_finite_positive(sample_rate=self.sample_rate, duration=self.duration, bpm=self.bpm)
         if not math.isfinite(self.sine_amplitude):
             raise ValueError(f"sine_amplitude must be finite, got {self.sine_amplitude}")
-        if self.half_capacity < 1:
-            raise ValueError(f"half_capacity must be >= 1, got {self.half_capacity}")
+        _require_int("half_capacity", self.half_capacity, 1)  # PingPongBuffer's check
         # the bounds the stages apply, checked up front so a config file's
         # value is reported against the file; the filter design is cached,
         # so the run reuses it
@@ -76,10 +75,8 @@ class PipelineConfig:
         _require_notch(self.notch_center, self.notch_half_band, self.sample_rate)
         _require_odd_window(self.smooth_window)
         _require_refractory(self.refractory)
-        if self.fb_width < 1 or self.fb_height < 1:
-            raise ValueError(f"display must have positive size, got {self.fb_width}x{self.fb_height}")
-        if self.max_ecg < 0:
-            raise ValueError(f"max_ecg must be >= 0, got {self.max_ecg}")
+        _require_target(self.fb_width, self.fb_height)
+        _require_int("max_ecg", self.max_ecg, 0)
         make_sink(self.sink)
 
     @classmethod

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SampleFrame, _per_shape, _require_finite_positive
+from .signals import SampleFrame, _per_shape, _require_finite_positive, _require_int
 
 __all__ = [
     "InsufficientDataError",
@@ -79,6 +79,7 @@ def smooth_emg(frame: SampleFrame, window: int) -> SampleFrame:
 
 
 def _require_odd_window(window: int) -> None:
+    _require_int("window", window)
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be a positive odd sample count, got {window}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signals import SampleFrame
+from .signals import SampleFrame, _require_int
 
 __all__ = [
     "Framebuffer",
@@ -37,8 +37,7 @@ class Framebuffer:
     pixels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"framebuffer must have positive size, got {self.width}x{self.height}")
+        _require_target(self.width, self.height)
         self.pixels = np.zeros((self.height, self.width), dtype=bool)
 
 
@@ -59,16 +58,15 @@ class PlotTrace:
         return len(self.rows)
 
 
-def _require_finite_bounds(v_min: float | None, v_max: float | None) -> None:
+def _require_target(width: int, height: int, v_min: float | None = None, v_max: float | None = None) -> None:
+    """A display's size (the config's, a framebuffer's, an SVG's), and the bounds given."""
+    _require_int("width", width)
+    _require_int("height", height)
+    if width <= 0 or height <= 0:
+        raise ValueError(f"display must have positive size, got {width}x{height}")
     for name, bound in (("v_min", v_min), ("v_max", v_max)):
         if bound is not None and not math.isfinite(bound):
             raise ValueError(f"{name} must be finite, got {bound}")
-
-
-def _require_target(width: int, height: int, v_min: float | None, v_max: float | None) -> None:
-    if width <= 0 or height <= 0:
-        raise ValueError(f"target size must be positive, got {width}x{height}")
-    _require_finite_bounds(v_min, v_max)
 
 
 def map_to_trace(

@@ -31,6 +31,15 @@ def _require_finite_positive(**named: float) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def _require_int(name: str, value: int, minimum: int | None = None) -> None:
+    """The one rule of an integer setting: an int or numpy integer, not a
+    bool nor a float however whole, and at least minimum where given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def _require_source_rate(source: str, freq: float, sample_rate: float) -> None:
     """The sample rate a source needs for its fundamental of freq Hz
     (bpm / 60 for a beat train): an ECG beat at least four samples per
@@ -112,8 +121,7 @@ class NoiseConfig:
         for name in ("mains_amplitude", "wander_amplitude", "emg_sigma", "common_mode_amplitude"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        _require_int("rng_seed", self.rng_seed, 0)
 
 
 @dataclass(frozen=True)

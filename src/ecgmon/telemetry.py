@@ -12,17 +12,15 @@ from __future__ import annotations
 import array
 import json
 import math
-import numbers
 import socket
 import sys
 import time
-from collections.abc import Mapping, Set
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .acquisition import _MAX_BITS
-from .signals import SampleFrame
+from .signals import SampleFrame, _require_finite_positive
 from .render import export_svg
 
 __all__ = [
@@ -58,11 +56,9 @@ class TelemetryRecord:
 
     The fields are in wire order: encode_record writes them as the keys
     of one JSON object, in this order, and decode_record reads them back.
-    ecg may be given as any sequence of numbers or as a 1-D integer or
-    float numpy array (such as a slice of ADC codes); either way it is
-    stored as a list of int/float.  Strings, bytes (and plain memoryviews
-    of them), mappings and sets are refused: their elements are no ordered
-    samples.
+    ecg is a list or tuple of numbers, or a 1-D integer or float numpy
+    array of at most 64-bit items (such as a slice of ADC codes), stored
+    as a new list of int/float; any other container is refused.
     """
 
     device_id: str
@@ -72,17 +68,7 @@ class TelemetryRecord:
     ecg: list
 
     def __post_init__(self):
-        for name in ("device_id", "location"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise ValueError(f"{name} must be a string, got {value!r}")
-        _require_finite("bpm", self.bpm)
-        if self.bpm <= 0:
-            raise ValueError(f"bpm must be > 0, got {self.bpm}")
-        _require_finite("timestamp", self.timestamp)
-        if int(self.timestamp) != self.timestamp:
-            raise ValueError(f"timestamp must be an integer, got {self.timestamp}")
-        object.__setattr__(self, "timestamp", int(self.timestamp))
+        _wire_fields(self, "device_id", "location")
         object.__setattr__(self, "ecg", _plain_numbers(self.ecg))
 
 
@@ -90,11 +76,24 @@ RECORD_KEYS = tuple(f.name for f in fields(TelemetryRecord))
 _HEADER_KEYS = RECORD_KEYS[:-1]  # every key but ecg, the last
 
 
-def _require_finite(name: str, v) -> None:
-    # bool is an int subclass but not a reading; ints are finite however large
-    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-            or not (isinstance(v, numbers.Integral) or math.isfinite(v))):
-        raise ValueError(f"{name} must be a finite number, got {v!r}")
+def _wire_fields(obj, *string_fields: str) -> None:
+    """Check a frozen record's or alert's header (string_fields are str, bpm
+    finite and > 0, timestamp whole) and store its numbers as int/float,
+    so that what the constructor accepts encodes."""
+    for name in string_fields:
+        if not isinstance(getattr(obj, name), str):
+            raise ValueError(f"{name} must be a string, got {getattr(obj, name)!r}")
+    object.__setattr__(obj, "bpm", _wire_bpm(obj.bpm))
+    timestamp = _plain_number(obj.timestamp, "timestamp must be an integer")
+    if isinstance(timestamp, float) and not timestamp.is_integer():  # NaN and infinities too
+        raise ValueError(f"timestamp must be an integer, got {timestamp}")
+    object.__setattr__(obj, "timestamp", int(timestamp))
+
+
+def _wire_bpm(bpm):
+    bpm = _plain_number(bpm, "bpm must be finite and > 0")
+    _require_finite_positive(bpm=bpm)
+    return bpm
 
 
 _PLAIN_TYPES = frozenset((int, float))
@@ -103,31 +102,22 @@ _PLAIN_TYPES = frozenset((int, float))
 def _plain_numbers(ecg) -> list:
     """ecg as a new list of int/float; the per-sample pass runs only when
     some element's exact type is another one (bool, numpy scalar, ...)."""
-    if isinstance(ecg, np.ndarray) and ecg.ndim == 1 and ecg.dtype.kind in "iuf":
-        return ecg.tolist()  # exact int/float, one C-level pass
-    refused = ValueError(f"ecg must be a sequence of numbers, got {type(ecg).__name__}")
-    if isinstance(ecg, (str, bytes, bytearray, Mapping, Set)):  # iterable, but no ordered samples
-        raise refused
-    # a plain view of bytes iterates byte values as bytes does; typed views
-    # (array('h'), .cast('h')) iterate samples, and array('B') shares the
-    # 'B' format, so the viewed object tells them apart
-    if (isinstance(ecg, memoryview) and ecg.format == "B"
-            and isinstance(ecg.obj, (bytes, bytearray))):
-        raise refused
-    try:
-        values = list(ecg)
-    except TypeError:
-        raise refused from None
-    if _PLAIN_TYPES.issuperset(map(type, values)):
-        return values
-    return [_plain_number(v) for v in values]
+    if isinstance(ecg, np.ndarray):
+        if ecg.ndim == 1 and ecg.dtype.kind in "iuf" and ecg.dtype.itemsize <= 8:
+            return ecg.tolist()  # exact int/float, one C-level pass
+    elif isinstance(ecg, (list, tuple)):
+        if _PLAIN_TYPES.issuperset(map(type, ecg)):
+            return list(ecg)
+        return [_plain_number(v) for v in ecg]
+    raise ValueError(f"ecg must be a sequence of numbers, got {type(ecg).__name__}")
 
 
-def _plain_number(v):
+def _plain_number(v, rule: str = "ecg samples must be numbers"):
+    """v as an int or float (numpy scalars unwrapped); other types raise."""
     if isinstance(v, (np.integer, np.floating)):
-        v = v.item()
+        v = v.item()  # a long double stays one, and is refused
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"ecg samples must be numbers, got {type(v).__name__}")
+        raise ValueError(f"{rule}, got {type(v).__name__}")
     return v
 
 
@@ -153,14 +143,17 @@ class AlertEvent:
     location: str
     timestamp: int
 
+    def __post_init__(self):
+        _wire_fields(self, "message", "location")
+
 
 def evaluate_alert(bpm: float, policy: AlertPolicy, location: str, timestamp: int = 0) -> AlertEvent | None:
     """Alert iff bpm < low or bpm > high; values on a threshold are normal.
 
-    A bpm that is not finite and > 0 is no reading and raises ValueError.
+    A bpm that is not finite and > 0 is no reading and raises ValueError;
+    the event's location and timestamp are checked as a record's are.
     """
-    if not 0 < bpm < math.inf:  # also false for NaN
-        raise ValueError(f"bpm must be finite and > 0, got {bpm}")
+    bpm = _wire_bpm(bpm)
     if bpm < policy.low_bpm:
         message = f"heart rate {bpm:g} bpm below low threshold {policy.low_bpm:g}"
     elif bpm > policy.high_bpm:

@@ -96,6 +96,13 @@ class TestDequantize:
             with pytest.raises(ValueError, match="vref"):
                 AdcConfig(vref=bad)
 
+    @pytest.mark.parametrize("bits", [12.5, 12.0, True, "12"])
+    def test_resolution_bits_must_be_an_integer(self, bits):
+        """Refused where it is set, not by the first quantize's shift."""
+        with pytest.raises(ValueError, match=f"^resolution_bits must be an integer, got {bits!r}$"):
+            AdcConfig(resolution_bits=bits)
+        assert AdcConfig(resolution_bits=np.int64(12)).max_code == 4095
+
 
 class TestPingPongBuffer:
     def test_fill_pattern_capacity_4(self):
@@ -167,8 +174,13 @@ class TestPingPongBuffer:
         assert half.codes.tolist() == [0, 1, 2, 3]
 
     def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^half_capacity must be >= 1, got 0$"):
             PingPongBuffer(0)
+        # a fractional capacity is refused, not truncated
+        for bad in (512.5, 512.0, True, None):
+            with pytest.raises(ValueError, match=f"^half_capacity must be an integer, got {bad!r}$"):
+                PingPongBuffer(bad)
+        assert PingPongBuffer(np.int64(4)).half_capacity == 4
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(

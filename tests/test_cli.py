@@ -38,6 +38,21 @@ class TestConfig:
         assert cfg.half_capacity == 512
         assert cfg.frontend.chain_gain == pytest.approx(1650.0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PipelineConfig(half_capacity=512.5), "half_capacity must be an integer, got 512.5"),
+        (lambda: PipelineConfig(half_capacity=True), "half_capacity must be an integer, got True"),
+        (lambda: PipelineConfig(half_capacity=0), "half_capacity must be >= 1, got 0"),
+        (lambda: PipelineConfig(smooth_window=5.0), "window must be an integer, got 5.0"),
+        (lambda: PipelineConfig(max_ecg=50.5), "max_ecg must be an integer, got 50.5"),
+        (lambda: PipelineConfig(fb_width=128.5), "width must be an integer, got 128.5"),
+        (lambda: NoiseConfig(rng_seed=1.5), "rng_seed must be an integer, got 1.5"),
+    ])
+    def test_integer_settings_refuse_non_integers(self, build, message):
+        """Refused where each is defined, not truncated or left to a stage;
+        the config and the buffer give the same half_capacity messages."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_load_sections(self, tmp_path):
         path = tmp_path / "pipeline.cfg"
         path.write_text(

@@ -106,6 +106,11 @@ class TestSmoothEmg:
         with pytest.raises(ValueError):
             smooth_emg(frame, 4)
 
+    @pytest.mark.parametrize("window", [5.0, True])
+    def test_window_must_be_an_integer(self, window):
+        with pytest.raises(ValueError, match=f"^window must be an integer, got {window!r}$"):
+            smooth_emg(SampleFrame(500.0, np.zeros(10)), window)
+
     def test_length_preserved(self):
         frame = generate_sine(5.0, 1.0, 500.0, 0.123)
         assert len(smooth_emg(frame, 7)) == len(frame)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecgmon.config import PipelineConfig
 from ecgmon.render import (
     Framebuffer,
     PlotTrace,
@@ -201,9 +202,20 @@ class TestExport:
     def test_empty_frame_refuses_the_size_a_full_one_does(self, tmp_path, width, height):
         for values in (np.zeros(0), np.zeros(8)):
             path = tmp_path / "bad.svg"
-            with pytest.raises(ValueError, match=f"target size must be positive, got {width}x{height}"):
+            with pytest.raises(ValueError, match=f"display must have positive size, got {width}x{height}"):
                 export_svg(SampleFrame(500.0, values), path, width=width, height=height)
             assert not path.exists()
+
+    @pytest.mark.parametrize("width,height", [(0, 64), (128, 0)])
+    def test_one_display_size_rule(self, width, height):
+        """The config, a framebuffer and a trace refuse a size with one message."""
+        message = f"^display must have positive size, got {width}x{height}$"
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(fb_width=width, fb_height=height)
+        with pytest.raises(ValueError, match=message):
+            Framebuffer(width, height)
+        with pytest.raises(ValueError, match=message):
+            map_to_trace(SampleFrame(500.0, np.zeros(8)), width, height)
 
     def test_two_hz_sine_has_two_visible_periods(self, tmp_path):
         svg = export_svg(generate_sine(2.0, 1.0, 500.0, 1.0), tmp_path / "sine.svg")

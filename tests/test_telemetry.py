@@ -8,12 +8,15 @@ import re
 import socket
 import threading
 import time
+from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ecgmon import cloud, telemetry
 from ecgmon.acquisition import AdcConfig
@@ -21,6 +24,7 @@ from ecgmon.cloud import LoopbackListener
 from ecgmon.config import PipelineConfig
 from ecgmon.pipeline import run_pipeline
 from ecgmon.telemetry import (
+    AlertEvent,
     AlertPolicy,
     FileSink,
     HttpSink,
@@ -184,33 +188,16 @@ class TestEncoding:
         assert [type(v) for v in rec.ecg] == [int, float]
 
     @pytest.mark.parametrize("ecg", [b"\x01\x02", bytearray(b"\x01"), {3, 1, 2}, frozenset(),
-                                     {5: "a"}, {}, {}.keys(), "", "2048"],
+                                     {5: "a"}, {}, {}.keys(), "", "2048", memoryview(b"\x01\x02"),
+                                     memoryview(array("h", [2048])), array("h", [2048]), range(3),
+                                     iter([1, 2]), 5, None],
                              ids=lambda ecg: type(ecg).__name__)
-    def test_text_mapping_and_set_ecg_refused(self, ecg):
-        """Their elements are bytes, characters, keys or unordered: no samples."""
+    def test_other_containers_refused(self, ecg):
+        """ecg is a list, a tuple or a 1-D integer or float ndarray; nothing
+        else is read, whether its elements are samples or not."""
         with pytest.raises(ValueError, match=f"^ecg must be a sequence of numbers, "
                                              f"got {type(ecg).__name__}$"):
             make_record(ecg=ecg)
-
-    @pytest.mark.parametrize("ecg", [memoryview(b"\x01\x02"), memoryview(bytearray(b"\x01")),
-                                     memoryview(b"\x00\x01\x02")[1:],
-                                     memoryview(b"\x01\x02").cast("B"),
-                                     memoryview(memoryview(b"\x01"))],
-                             ids=["bytes", "bytearray", "slice", "cast", "view-of-view"])
-    def test_plain_byte_view_refused(self, ecg):
-        """A plain view of bytes iterates byte values, as bytes does."""
-        with pytest.raises(ValueError, match="^ecg must be a sequence of numbers, got memoryview$"):
-            make_record(ecg=ecg)
-
-    def test_typed_views_give_their_samples(self):
-        from array import array
-
-        codes = [2048, 2051, 4095]
-        assert make_record(ecg=memoryview(array("B", [1, 2]))).ecg == [1, 2]
-        assert make_record(ecg=memoryview(array("h", codes))).ecg == codes
-        raw = array("h", codes).tobytes()
-        assert make_record(ecg=memoryview(raw).cast("h")).ecg == codes
-        assert make_record(ecg=memoryview(np.array(codes, dtype=np.uint16))).ecg == codes
 
     @pytest.mark.parametrize("value, name", [(b'""', "str"), (b'"2048"', "str"), (b"{}", "dict"),
                                              (b'{"1":2}', "dict")])
@@ -238,6 +225,67 @@ class TestEncoding:
         assert [type(v) for v in got] == [type(v) for v in expected]
         assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, expected))
         assert len(got) == len(expected)
+
+
+_NUMPY_SCALARS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+                  np.uint64, np.float16, np.float32, np.float64]
+# header values of the types a caller may hand over, numbers or not
+_header_values = st.one_of(
+    st.sampled_from(_NUMPY_SCALARS).flatmap(lambda t: hnp.from_dtype(np.dtype(t))),
+    st.integers(), st.floats(), st.booleans(), st.fractions(), st.text(max_size=4), st.none())
+
+
+def _python_value(value):
+    return value.item() if isinstance(value, np.generic) else value
+
+
+class TestWireFields:
+    """A record's and an alert's header pass the same checks."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(bpm=_header_values, timestamp=_header_values, location=_header_values)
+    def test_what_a_constructor_takes_encodes(self, bpm, timestamp, location):
+        """Each value is refused with ValueError or taken as the Python value
+        it holds: the bytes equal those of the plain-Python equivalent."""
+        builds = ((lambda b, t, loc: TelemetryRecord("ecg-001", t, b, loc, [1, 2]), encode_record),
+                  (lambda b, t, loc: AlertEvent(b, "m", loc, t), encode_alert))
+        for build, encode in builds:
+            try:
+                made = build(bpm, timestamp, location)
+            except ValueError:
+                continue
+            plain = build(_python_value(bpm), _python_value(timestamp), _python_value(location))
+            assert encode(made) == encode(plain)
+            assert (type(made.bpm), type(made.timestamp)) in ((int, int), (float, int))
+
+    @pytest.mark.parametrize("location, timestamp, message", [
+        (5, 5, "location must be a string, got 5"),
+        ("x", "5", "timestamp must be an integer, got str"),
+        ("x", 5.5, "timestamp must be an integer, got 5.5"),
+        ("x", float("nan"), "timestamp must be an integer, got nan"),
+    ])
+    def test_alert_header_refused(self, location, timestamp, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_alert(130.0, AlertPolicy(), location, timestamp)
+
+    def test_alert_numpy_timestamp_encodes_as_int(self):
+        event = evaluate_alert(130.0, AlertPolicy(), "x", np.int64(5))
+        assert type(event.timestamp) is int
+        assert encode_alert(event) == b'{"bpm":130.0,"message":"heart rate 130 bpm above high ' \
+                                      b'threshold 120","location":"x","timestamp":5}'
+
+    @pytest.mark.parametrize("bpm, shown", [(0.0, "0.0"), (-1, "-1"), (float("inf"), "inf"),
+                                            ("72", "str"), (True, "bool"), (Fraction(3, 2), "Fraction"),
+                                            (np.float32("nan"), "nan")])
+    def test_one_bpm_rule(self, bpm, shown):
+        """The record, the alert and evaluate_alert refuse a bpm with one message."""
+        message = f"^bpm must be finite and > 0, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            make_record(bpm=bpm)
+        with pytest.raises(ValueError, match=message):
+            AlertEvent(bpm, "m", "x", 0)
+        with pytest.raises(ValueError, match=message):
+            evaluate_alert(bpm, AlertPolicy(), "x")
 
 
 def encode_record_reference(rec: TelemetryRecord, max_ecg: int = telemetry.MAX_ECG_SAMPLES) -> bytes:
@@ -327,15 +375,14 @@ class TestCodeTextEncoding:
         ecg[0] = 1
         assert rec.ecg[0] == arr[0]  # the record holds its own copy
 
-    @pytest.mark.parametrize("ecg, message", [
-        (np.array([1, 0], dtype=bool), r"ecg samples must be numbers, got bool_?"),  # numpy < 2: bool_
-        (np.array([1 + 2j]), r"ecg samples must be numbers, got complex128"),
-        (np.array([1, "x"], dtype=object), r"ecg samples must be numbers, got str"),
-        (np.array(5), r"ecg must be a sequence of numbers, got ndarray"),
-        (np.zeros((2, 3), dtype=np.int64), r"ecg samples must be numbers, got ndarray"),
-    ])
-    def test_other_arrays_take_the_per_sample_check(self, ecg, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+    @pytest.mark.parametrize("ecg", [
+        np.array([1, 0], dtype=bool), np.array([1 + 2j]), np.array([1, "x"], dtype=object),
+        np.array(5), np.zeros((2, 3), dtype=np.int64), np.zeros(3, dtype=np.longdouble),
+    ], ids=["bool", "complex", "object", "0-d", "2-d", "longdouble"])
+    def test_other_arrays_refused(self, ecg):
+        """Only a 1-D array of int or float items of at most 64 bits holds
+        samples that are Python numbers."""
+        with pytest.raises(ValueError, match="^ecg must be a sequence of numbers, got ndarray$"):
             make_record(ecg=ecg)
 
     @pytest.mark.parametrize("ecg", [[2**63], [2**64], [2048.0], [1, 2.5], [], [65536]],
