@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import _require_finite_positive, _require_int
+from .signals import _require_int, _require_real
 
 __all__ = [
     "AdcConfig",
@@ -45,7 +45,7 @@ class AdcConfig:
         _require_int("resolution_bits", self.resolution_bits)
         if not 1 <= self.resolution_bits <= _MAX_BITS:
             raise ValueError(f"resolution_bits must be within 1..{_MAX_BITS}, got {self.resolution_bits}")
-        _require_finite_positive(vref=self.vref)
+        _require_real(0, vref=self.vref)
 
     @property
     def max_code(self) -> int:

@@ -8,16 +8,15 @@ a file or a command-line flag, is parsed by its field's type.
 
 from __future__ import annotations
 
-import math
-import typing
 from dataclasses import dataclass, field, replace
 
 from .acquisition import AdcConfig
-from .dsp import _require_notch, _require_odd_window, _require_refractory
+from .dsp import _require_notch, _require_odd_window
 from .frontend import FrontEndSpec, _chain_coefficients
 from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH, _require_target
-from .signals import EcgTemplateParams, NoiseConfig, _require_finite_positive, _require_int, _require_source_rate
-from .telemetry import MAX_ECG_SAMPLES, AlertPolicy, make_sink
+from .signals import (EcgTemplateParams, NoiseConfig, _field_types, _require_declared_types,
+                      _require_int, _require_real, _require_source_rate, _sample_count)
+from .telemetry import MAX_ECG_SAMPLES, AlertPolicy, _require_text, make_sink
 
 __all__ = ["ConfigError", "PipelineConfig"]
 
@@ -61,28 +60,39 @@ class PipelineConfig:
     timestamp: int = 0
 
     def __post_init__(self):
+        _require_declared_types(self)
         if self.source not in SOURCES:
             raise ValueError(f"source must be 'ecg' or 'sine', got {self.source!r}")
-        _require_finite_positive(sample_rate=self.sample_rate, duration=self.duration, bpm=self.bpm)
-        if not math.isfinite(self.sine_amplitude):
-            raise ValueError(f"sine_amplitude must be finite, got {self.sine_amplitude}")
+        _require_real(0, sample_rate=self.sample_rate, duration=self.duration, bpm=self.bpm)
+        _require_real(sine_amplitude=self.sine_amplitude)
         _require_int("half_capacity", self.half_capacity, 1)  # PingPongBuffer's check
         # the bounds the stages apply, checked up front so a config file's
         # value is reported against the file; the filter design is cached,
         # so the run reuses it
         _require_source_rate(self.source, self.bpm / 60.0, self.sample_rate)
+        _sample_count(self.duration, self.sample_rate)
         _chain_coefficients(self.frontend, self.sample_rate)
         _require_notch(self.notch_center, self.notch_half_band, self.sample_rate)
         _require_odd_window(self.smooth_window)
-        _require_refractory(self.refractory)
+        _require_real(0, False, refractory=self.refractory)
         _require_target(self.fb_width, self.fb_height)
         _require_int("max_ecg", self.max_ecg, 0)
+        _require_int("timestamp", self.timestamp)
+        _require_text(self, "device_id", "location")  # the record's rule
         make_sink(self.sink)
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read(), name=str(path))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # lines counted as _parse_sections counts them; "x" holds the byte's place
+            lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+            raise ConfigError(f"{path}: line {lineno}: byte 0x{data[exc.start]:02x} is not "
+                              f"UTF-8 text ({exc.reason})") from exc
+        return cls.loads(text, name=str(path))
 
     @classmethod
     def loads(cls, text: str, name: str = "<config>") -> "PipelineConfig":
@@ -136,9 +146,9 @@ def _parse(key: str, text: str, changes: dict[str | None, dict[str, object]], wh
     (float, int or str) into changes; a refusal raises ConfigError naming
     where the text came from."""
     owner, attr = _KEYS[key]
-    cls = PipelineConfig if owner is None else typing.get_type_hints(PipelineConfig)[owner]
+    cls = PipelineConfig if owner is None else _field_types(PipelineConfig)[owner]
     try:
-        changes.setdefault(owner, {})[attr] = typing.get_type_hints(cls)[attr](text)
+        changes.setdefault(owner, {})[attr] = _field_types(cls)[attr](text)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 
@@ -146,6 +156,7 @@ def _parse(key: str, text: str, changes: dict[str | None, dict[str, object]], wh
 def _parse_sections(text: str, name: str) -> dict[str | None, dict[str, object]]:
     """The file's values as {owner: {field: value}}, owners as in _SCHEMA."""
     out: dict[str | None, dict[str, object]] = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     section: str | None = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -163,5 +174,8 @@ def _parse_sections(text: str, name: str) -> dict[str | None, dict[str, object]]
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA[section]:
             raise ConfigError(f"{name}: line {lineno}: unknown key {key!r} in [{section}]")
+        if key in set_on:
+            raise ConfigError(f"{name}: line {lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         _parse(key, value, out, f"{name}: line {lineno}")
     return out

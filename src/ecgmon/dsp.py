@@ -9,13 +9,12 @@ run's middle sample taken as the edge.
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SampleFrame, _per_shape, _require_finite_positive, _require_int
+from .signals import SampleFrame, _per_shape, _require_int, _require_real
 
 __all__ = [
     "InsufficientDataError",
@@ -52,12 +51,10 @@ def fft_notch(frame: SampleFrame, center: float, half_band: float) -> SampleFram
 
 def _require_notch(center: float, half_band: float, sample_rate: float) -> None:
     # a NaN center or band would match no bin and pass the frame through
-    if not math.isfinite(center):
-        raise ValueError(f"notch center must be finite, got {center}")
+    _require_real(center=center)
     if center >= sample_rate / 2:
         raise ValueError(f"notch center {center} Hz is at or above Nyquist ({sample_rate / 2} Hz)")
-    if not 0 <= half_band < math.inf:
-        raise ValueError(f"half_band must be finite and >= 0, got {half_band}")
+    _require_real(0, False, half_band=half_band)
 
 
 def smooth_emg(frame: SampleFrame, window: int) -> SampleFrame:
@@ -84,11 +81,6 @@ def _require_odd_window(window: int) -> None:
         raise ValueError(f"window must be a positive odd sample count, got {window}")
 
 
-def _require_refractory(refractory: float) -> None:
-    if not 0 <= refractory < math.inf:
-        raise ValueError(f"refractory must be finite and >= 0, got {refractory}")
-
-
 @dataclass(frozen=True)
 class EdgeEvent:
     """A detected trigger point."""
@@ -106,7 +98,7 @@ def detect_rising_edges(frame: SampleFrame, refractory: float) -> list[EdgeEvent
     midrange; the middle sample is reported and re-triggering is suppressed
     for refractory seconds after it.
     """
-    _require_refractory(refractory)
+    _require_real(0, False, refractory=refractory)
     values = frame.values
     if len(values) < 3:
         raise ValueError(f"frame of {len(values)} samples is shorter than a 3-sample run")
@@ -151,7 +143,7 @@ class HeartRateReading:
     median_period: float | None = None
 
     def __post_init__(self):
-        _require_finite_positive(period=self.period)
+        _require_real(0, period=self.period)
 
     @property
     def bpm(self) -> float:
@@ -164,7 +156,7 @@ def heart_rate_from_edges(edges, sample_rate: float) -> HeartRateReading:
     The beat period is the sample distance between the last two rising
     edges; bpm = 60 / period.
     """
-    _require_finite_positive(sample_rate=sample_rate)
+    _require_real(0, sample_rate=sample_rate)
     rising = [e for e in edges if e.kind == "rising"]
     if len(rising) < 2:
         raise InsufficientDataError(

@@ -19,8 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .signals import (NoiseConfig, SampleFrame, SourceSignal, _require_finite_positive, add_noise,
-                      generate_sine)
+from .signals import NoiseConfig, SampleFrame, SourceSignal, _require_real, add_noise, generate_sine
 
 __all__ = [
     "FrontEndSpec",
@@ -44,31 +43,31 @@ STAGE_ORDER = ("notch", "lowpass", "highpass")
 
 def instrument_gain(r1: float, r2: float, r3: float, r4: float, r5: float, r7: float) -> float:
     """Two-stage instrumentation amplifier gain: (1 + (R3+R4)/(R1+R2)) * R7/R5."""
-    _require_finite_positive(r1=r1, r2=r2, r3=r3, r4=r4, r5=r5, r7=r7)
+    _require_real(0, r1=r1, r2=r2, r3=r3, r4=r4, r5=r5, r7=r7)
     return (1.0 + (r3 + r4) / (r1 + r2)) * (r7 / r5)
 
 
 def voltage_gain(r_a: float, r_b: float) -> float:
     """Non-inverting voltage amplifier gain 1 + Rb/Ra."""
-    _require_finite_positive(r_a=r_a, r_b=r_b)
+    _require_real(0, r_a=r_a, r_b=r_b)
     return 1.0 + r_b / r_a
 
 
 def highpass_cutoff(c2: float, r_hp: float) -> float:
     """High-pass corner 1/(2*pi*R*C)."""
-    _require_finite_positive(c2=c2, r_hp=r_hp)
+    _require_real(0, c2=c2, r_hp=r_hp)
     return 1.0 / (2 * math.pi * r_hp * c2)
 
 
 def lowpass_cutoff(c3: float, r15: float) -> float:
     """Low-pass corner 1/(2*pi*R*C)."""
-    _require_finite_positive(c3=c3, r15=r15)
+    _require_real(0, c3=c3, r15=r15)
     return 1.0 / (2 * math.pi * r15 * c3)
 
 
 def notch_center(r31: float, c5: float, r27: float, c7: float) -> float:
     """Band-reject center: geometric mean of the two RC leg frequencies."""
-    _require_finite_positive(r31=r31, c5=c5, r27=r27, c7=c7)
+    _require_real(0, r31=r31, c5=c5, r27=r27, c7=c7)
     f_leg1 = 1.0 / (2 * math.pi * r31 * c5)
     f_leg2 = 1.0 / (2 * math.pi * r27 * c7)
     return math.sqrt(f_leg1 * f_leg2)
@@ -97,20 +96,14 @@ class FrontEndSpec:
     supply_max: float = 3.3
 
     def __post_init__(self):
-        _require_finite_positive(
-            instrument_gain=self.instrument_gain,
-            voltage_gain=self.voltage_gain,
-            f_ch=self.f_ch,
-            f_cl=self.f_cl,
-            f_0=self.f_0,
-            notch_q=self.notch_q,
-        )
-        if not math.isfinite(self.cmrr_db):
-            raise ValueError(f"cmrr_db must be finite, got {self.cmrr_db}")
+        _require_real(0, instrument_gain=self.instrument_gain, voltage_gain=self.voltage_gain,
+                      f_ch=self.f_ch, f_cl=self.f_cl, f_0=self.f_0, notch_q=self.notch_q)
+        _require_real(cmrr_db=self.cmrr_db, lift_bias=self.lift_bias,
+                      supply_min=self.supply_min, supply_max=self.supply_max)
         if not self.f_ch < self.f_0 < self.f_cl:
             raise ValueError(f"need f_ch < f_0 < f_cl, got {self.f_ch}, {self.f_0}, {self.f_cl}")
         low, high = self.supply_min, self.supply_max
-        if not -math.inf < low < high < math.inf:
+        if not low < high:
             raise ValueError(f"supply range must be finite and increasing, got {(low, high)}")
         if not low <= self.lift_bias <= high:
             raise ValueError(f"lift_bias must be within the supply [{low}, {high}] V, "
@@ -143,7 +136,7 @@ def discretize(stage_kind: str, spec: FrontEndSpec, sample_rate: float) -> tuple
     high-/low-pass hit exactly -3 dB at their corners and the notch zero
     lands exactly on f_0 at any sample rate.
     """
-    _require_finite_positive(sample_rate=sample_rate)
+    _require_real(0, sample_rate=sample_rate)
     if stage_kind == "highpass":
         f = spec.f_ch
     elif stage_kind == "lowpass":

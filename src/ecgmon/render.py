@@ -8,12 +8,11 @@ drawing only the final trace on a fresh buffer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signals import SampleFrame, _require_int
+from .signals import SampleFrame, _require_int, _require_real
 
 __all__ = [
     "Framebuffer",
@@ -64,9 +63,7 @@ def _require_target(width: int, height: int, v_min: float | None = None, v_max: 
     _require_int("height", height)
     if width <= 0 or height <= 0:
         raise ValueError(f"display must have positive size, got {width}x{height}")
-    for name, bound in (("v_min", v_min), ("v_max", v_max)):
-        if bound is not None and not math.isfinite(bound):
-            raise ValueError(f"{name} must be finite, got {bound}")
+    _require_real(**{k: v for k, v in {"v_min": v_min, "v_max": v_max}.items() if v is not None})
 
 
 def map_to_trace(

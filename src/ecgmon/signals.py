@@ -8,7 +8,9 @@ explicitly seeded generator so generated streams reproduce bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +27,16 @@ __all__ = [
 ]
 
 
-def _require_finite_positive(**named: float) -> None:
+def _require_real(low: float | None = None, strict: bool = True, **named: float) -> None:
+    """The one rule of a real-valued setting: an int, float, numpy integer or
+    numpy float, never a bool, finite and > low (>= low if not strict) where given."""
     for name, value in named.items():
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if type(value) not in (float, int) and not isinstance(value, (np.integer, np.floating)):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        above = -math.inf < value if low is None else (low < value if strict else low <= value)
+        if not (above and value < math.inf):
+            bound = "" if low is None else f" and {'>' if strict else '>='} {low}"
+            raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
 def _require_int(name: str, value: int, minimum: int | None = None) -> None:
@@ -38,6 +46,29 @@ def _require_int(name: str, value: int, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, type]:
+    """Each field of a settings dataclass and its declared type."""
+    return typing.get_type_hints(cls)
+
+
+def _require_declared_types(obj) -> None:
+    """Refuse a field of obj (a str or a sub-config) that holds another type than
+    it declares; float and int fields are left to _require_real and _require_int."""
+    for name, kind in _field_types(type(obj)).items():
+        if kind is not float and kind is not int and not isinstance(getattr(obj, name), kind):
+            raise ValueError(f"{name} must be of type {kind.__name__}, got {getattr(obj, name)!r}")
+
+
+def _sample_count(duration: float, sample_rate: float) -> int:
+    """round(duration * sample_rate), refused where the product overflows."""
+    samples = duration * sample_rate
+    if not samples < math.inf:
+        raise ValueError(f"duration {duration} s at sample_rate {sample_rate} Hz "
+                         "gives no finite sample count")
+    return int(round(samples))
 
 
 def _require_source_rate(source: str, freq: float, sample_rate: float) -> None:
@@ -66,8 +97,8 @@ class Wave:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError(f"wave width must be > 0, got {self.width}")
+        _require_real(amplitude=self.amplitude, center=self.center)
+        _require_real(0, width=self.width)
 
 
 @dataclass(frozen=True)
@@ -86,6 +117,7 @@ class EcgTemplateParams:
     t: Wave = Wave(0.30, 0.64, 0.090)
 
     def __post_init__(self):
+        _require_declared_types(self)
         centers = [w.center for w in self.waves()]
         if any(b <= a for a, b in zip(centers, centers[1:])):
             raise ValueError("wave centers must be strictly increasing in P,Q,R,S,T order")
@@ -115,12 +147,11 @@ class NoiseConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("mains_freq", "wander_freq", "dc_offset", "common_mode_freq"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("mains_amplitude", "wander_amplitude", "emg_sigma", "common_mode_amplitude"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        _require_real(mains_freq=self.mains_freq, wander_freq=self.wander_freq,
+                      dc_offset=self.dc_offset, common_mode_freq=self.common_mode_freq)
+        _require_real(0, False, mains_amplitude=self.mains_amplitude,
+                      wander_amplitude=self.wander_amplitude, emg_sigma=self.emg_sigma,
+                      common_mode_amplitude=self.common_mode_amplitude)
         _require_int("rng_seed", self.rng_seed, 0)
 
 
@@ -133,9 +164,8 @@ class SampleFrame:
     start_time: float = 0.0
 
     def __post_init__(self):
-        _require_finite_positive(sample_rate=self.sample_rate)
-        if not math.isfinite(self.start_time):
-            raise ValueError(f"start_time must be finite, got {self.start_time}")
+        _require_real(0, sample_rate=self.sample_rate)
+        _require_real(start_time=self.start_time)
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1:
             raise ValueError("values must be one-dimensional")
@@ -283,10 +313,10 @@ def generate_ecg(
     Gaussian at its center fraction.  Bumps are wrapped across beat
     boundaries so the waveform is exactly periodic.
     """
-    _require_finite_positive(bpm=bpm, duration=duration, sample_rate=sample_rate)
+    _require_real(0, bpm=bpm, duration=duration, sample_rate=sample_rate)
     fundamental = bpm / 60.0
     _require_source_rate("ecg", fundamental, sample_rate)
-    n = int(round(duration * sample_rate))
+    n = _sample_count(duration, sample_rate)
     cycles = _time_base(n, sample_rate) * fundamental
     # cycles >= 0, so cycles - floor(cycles) is the exact remainder
     phase = np.floor(cycles)
@@ -320,11 +350,10 @@ def generate_ecg(
 
 def generate_sine(freq: float, amplitude: float, sample_rate: float, duration: float) -> SampleFrame:
     """Pure sine frame: values[n] = amplitude * sin(2*pi*freq*n/sample_rate)."""
-    _require_finite_positive(sample_rate=sample_rate, duration=duration)
-    if not (math.isfinite(freq) and math.isfinite(amplitude)):
-        raise ValueError(f"freq and amplitude must be finite, got {freq}, {amplitude}")
+    _require_real(0, sample_rate=sample_rate, duration=duration)
+    _require_real(freq=freq, amplitude=amplitude)
     _require_source_rate("sine", freq, sample_rate)
-    n = int(round(duration * sample_rate))
+    n = _sample_count(duration, sample_rate)
     values = amplitude * np.sin(2 * np.pi * freq * np.arange(n) / sample_rate)
     return SampleFrame(sample_rate=sample_rate, values=values)
 

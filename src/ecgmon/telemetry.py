@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import array
 import json
-import math
 import socket
 import sys
 import time
@@ -20,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .acquisition import _MAX_BITS
-from .signals import SampleFrame, _require_finite_positive
+from .signals import SampleFrame, _require_int, _require_real
 from .render import export_svg
 
 __all__ = [
@@ -76,13 +75,24 @@ RECORD_KEYS = tuple(f.name for f in fields(TelemetryRecord))
 _HEADER_KEYS = RECORD_KEYS[:-1]  # every key but ecg, the last
 
 
+def _require_text(obj, *names: str) -> None:
+    """Each named field of obj is a str that UTF-8 can write: a lone
+    surrogate, such as a command line's undecodable byte, is refused."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string, got {value!r}")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{name} must be UTF-8 text, got {value!r}") from None
+
+
 def _wire_fields(obj, *string_fields: str) -> None:
-    """Check a frozen record's or alert's header (string_fields are str, bpm
-    finite and > 0, timestamp whole) and store its numbers as int/float,
-    so that what the constructor accepts encodes."""
-    for name in string_fields:
-        if not isinstance(getattr(obj, name), str):
-            raise ValueError(f"{name} must be a string, got {getattr(obj, name)!r}")
+    """Check a frozen record's or alert's header (string_fields are UTF-8
+    text, bpm finite and > 0, timestamp whole) and store its numbers as
+    int/float, so that what the constructor accepts encodes."""
+    _require_text(obj, *string_fields)
     object.__setattr__(obj, "bpm", _wire_bpm(obj.bpm))
     timestamp = _plain_number(obj.timestamp, "timestamp must be an integer")
     if isinstance(timestamp, float) and not timestamp.is_integer():  # NaN and infinities too
@@ -92,7 +102,7 @@ def _wire_fields(obj, *string_fields: str) -> None:
 
 def _wire_bpm(bpm):
     bpm = _plain_number(bpm, "bpm must be finite and > 0")
-    _require_finite_positive(bpm=bpm)
+    _require_real(0, bpm=bpm)
     return bpm
 
 
@@ -129,7 +139,8 @@ class AlertPolicy:
     high_bpm: float = 120.0
 
     def __post_init__(self):
-        if not 0 < self.low_bpm < self.high_bpm < math.inf:
+        _require_real(0, low_bpm=self.low_bpm, high_bpm=self.high_bpm)
+        if not self.low_bpm < self.high_bpm:
             raise ValueError(f"need finite 0 < low_bpm < high_bpm, got {self.low_bpm}, {self.high_bpm}")
 
 
@@ -209,8 +220,7 @@ _ECG_KEY = b',"ecg":['  # the last key and the "[" of its array
 
 def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes:
     """Canonical JSON bytes: fixed key order, compact, UTF-8."""
-    if max_ecg < 0:
-        raise ValueError(f"max_ecg must be >= 0, got {max_ecg}")
+    _require_int("max_ecg", max_ecg, 0)
     if len(rec.ecg) > max_ecg:
         raise PayloadTooLargeError(f"ecg holds {len(rec.ecg)} samples, limit is {max_ecg}")
     head = _json_bytes({key: getattr(rec, key) for key in _HEADER_KEYS})
@@ -453,8 +463,7 @@ def publish(sink, payload: bytes, retries: int = 2, sleep=time.sleep) -> Deliver
     before each next one, at most 1 s; a send that succeeds at once
     waits for nothing.  sleep(seconds) does the waiting.
     """
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
+    _require_int("retries", retries, 0)
     attempts = 0
     pause = _RETRY_PAUSE_S
     last_error: str | None = None

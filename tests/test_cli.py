@@ -161,6 +161,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 1"):
             PipelineConfig.loads("bpm = 70\n")
 
+    def test_file_that_is_not_utf8_names_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"[signal]\nbpm = 7\xff2\n")
+        message = f"{path}: line 2: byte 0xff is not UTF-8 text (invalid start byte)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            PipelineConfig.load(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"ecgmon: config error: {message}\n")
+
+    def test_key_set_twice_is_refused(self, tmp_path, capsys):
+        text = "[signal]\nbpm = 60\n[noise]\nseed = 1\n[signal]\nduration = 4\nbpm = 70\n"
+        with pytest.raises(ConfigError, match="^f.cfg: line 7: key 'bpm' already set on line 2$"):
+            PipelineConfig.loads(text, name="f.cfg")
+        # a flag still overrides the file's value
+        path = tmp_path / "once.cfg"
+        path.write_text("[signal]\nsource = sine\nbpm = 60\nduration = 4\n")
+        assert main(["run", "--config", str(path), "--bpm", "120"]) == 0
+        assert json.loads(capsys.readouterr().out)["bpm"] == 120.0
+
 
 # every config key, each set to a value other than its default
 _ALL_KEYS = """
@@ -746,7 +765,7 @@ class TestCliSubcommands:
 _FLOATS = ["-1", "0", "nan", "inf", "abc", "0.05", "1"]
 _INTS = ["-1", "0", "1", "7", "12", "128", "2.5", "abc"]
 _BPMS = ["-1", "0", "nan", "inf", "30", "72", "150", "300"]
-_DURATIONS = ["-1", "0", "nan", "inf", "0.5", "3"]
+_DURATIONS = ["-1", "0", "nan", "inf", "1e308", "0.5", "3"]
 _RATES = ["-1", "0", "nan", "inf", "100", "500"]
 _COMMANDS = ("run", "simulate", "metrics", "notch", "detect", "stream", "plot", "send")
 _CSV_TEXTS = {

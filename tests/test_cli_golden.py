@@ -46,6 +46,7 @@ REFUSED = {
         "[signal]\nsource = sine\nsine_amplitude = nan\n",
     "simulate --out x.csv --rate 100": "[signal]\nsample_rate = 100\n",
     "simulate --out x.csv --duration 0": "[signal]\nduration = 0\n",
+    "simulate --out x.csv --duration 1e308": "[signal]\nduration = 1e308\n",
     "simulate --out x.csv --mains-amplitude nan": "[noise]\nmains_amplitude = nan\n",
     "simulate --out x.csv --wander-amplitude inf": "[noise]\nwander_amplitude = inf\n",
     "simulate --out x.csv --emg-sigma -1": "[noise]\nemg_sigma = -1\n",

@@ -1,6 +1,7 @@
 """Signal source tests: template beats, sinusoids, noise overlay, CSV I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,12 @@ class TestTemplateValidation:
         with pytest.raises(ValueError, match="width"):
             Wave(0.1, 0.2, 0.0)
 
+    def test_rejects_nan_width(self):
+        """A NaN-width R bump added nothing to the beat: with the R wave gone
+        a run read 200 bpm and raised a tachycardia alert."""
+        with pytest.raises(ValueError, match="^width must be finite and > 0, got nan$"):
+            EcgTemplateParams(r=Wave(0.9, 0.4, math.nan))
+
     def test_rejects_nonpositive_r(self):
         waves = dict(
             p=Wave(0.1, 0.1, 0.05),
@@ -149,6 +156,15 @@ class TestGenerateEcg:
             generate_ecg(params, 60, 0.0, 1.0)
         with pytest.raises(ValueError):
             generate_ecg(params, 600, 4.0, 1.0)  # below 4x fundamental
+
+    @pytest.mark.parametrize("generate", [
+        lambda duration, rate: generate_ecg(EcgTemplateParams(), 60, rate, duration),
+        lambda duration, rate: generate_sine(1.0, 1.0, rate, duration),
+    ], ids=["ecg", "sine"])
+    def test_sample_count_must_be_finite(self, generate):
+        message = "duration 1e+308 s at sample_rate 500 Hz gives no finite sample count"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate(1e308, 500)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(

@@ -107,7 +107,7 @@ class TestAlerts:
         with pytest.raises(ValueError):
             AlertPolicy(low_bpm=120, high_bpm=50)
         for low, high in ((50.0, math.inf), (50.0, math.nan), (math.nan, 120.0)):
-            with pytest.raises(ValueError, match="need finite"):
+            with pytest.raises(ValueError, match="_bpm must be finite and > 0"):
                 AlertPolicy(low_bpm=low, high_bpm=high)
 
 
@@ -181,6 +181,9 @@ class TestEncoding:
             for bad in (5, None, ["ecg-001"], {"id": 1}):
                 with pytest.raises(ValueError, match=f"{name} must be a string"):
                     make_record(**{name: bad})
+            # a lone surrogate (an undecodable command-line byte) has no UTF-8
+            with pytest.raises(ValueError, match=f"{name} must be UTF-8 text"):
+                make_record(**{name: "ward-\udcff"})
         with pytest.raises(ValueError, match="device_id must be a string"):
             decode_record(b'{"device_id":5,"timestamp":0,"bpm":72,"location":null,"ecg":[1,2]}')
         rec = make_record(bpm=np.float64(61.5), timestamp=7.0, ecg=(np.int64(3), 2.5))
