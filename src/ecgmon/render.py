@@ -58,12 +58,15 @@ class PlotTrace:
 
 
 def _require_target(width: int, height: int, v_min: float | None = None, v_max: float | None = None) -> None:
-    """A display's size (the config's, a framebuffer's, an SVG's), and the bounds given."""
+    """A display's size (the config's, a framebuffer's, an SVG's), and the
+    bounds given: each finite, and not reversed when both are."""
     _require_int("width", width)
     _require_int("height", height)
     if width <= 0 or height <= 0:
         raise ValueError(f"display must have positive size, got {width}x{height}")
     _require_real(**{k: v for k, v in {"v_min": v_min, "v_max": v_max}.items() if v is not None})
+    if v_min is not None and v_max is not None and v_max < v_min:
+        raise ValueError(f"degenerate value range [{v_min}, {v_max}]")
 
 
 def map_to_trace(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import typing
 from dataclasses import dataclass
 
@@ -26,15 +27,18 @@ __all__ = [
     "add_noise",
 ]
 
+_FLOAT_MAX = sys.float_info.max  # an int beyond it has no float, so it is not finite
+
 
 def _require_real(low: float | None = None, strict: bool = True, **named: float) -> None:
     """The one rule of a real-valued setting: an int, float, numpy integer or
-    numpy float, never a bool, finite and > low (>= low if not strict) where given."""
+    numpy float, never a bool, finite (an int within the float range) and > low
+    (>= low if not strict) where given."""
     for name, value in named.items():
         if type(value) not in (float, int) and not isinstance(value, (np.integer, np.floating)):
             raise ValueError(f"{name} must be a real number, got {value!r}")
         above = -math.inf < value if low is None else (low < value if strict else low <= value)
-        if not (above and value < math.inf):
+        if not (above and value < math.inf) or (type(value) is int and abs(value) > _FLOAT_MAX):
             bound = "" if low is None else f" and {'>' if strict else '>='} {low}"
             raise ValueError(f"{name} must be finite{bound}, got {value}")
 

@@ -51,13 +51,13 @@ class PayloadTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class TelemetryRecord:
-    """One uplink record; ecg holds plain numbers (ADC codes or millivolts).
+    """One uplink record; ecg holds the ADC codes it carries.
 
     The fields are in wire order: encode_record writes them as the keys
     of one JSON object, in this order, and decode_record reads them back.
-    ecg is a list or tuple of numbers, or a 1-D integer or float numpy
-    array of at most 64-bit items (such as a slice of ADC codes), stored
-    as a new list of int/float; any other container is refused.
+    ecg is a list or tuple of ints, or a 1-D integer numpy array (such as
+    a slice of ADC codes), every value in 0.._MAX_TABLE_CODE, stored as a
+    new list of int; any other container or sample is refused.
     """
 
     device_id: str
@@ -68,7 +68,7 @@ class TelemetryRecord:
 
     def __post_init__(self):
         _wire_fields(self, "device_id", "location")
-        object.__setattr__(self, "ecg", _plain_numbers(self.ecg))
+        object.__setattr__(self, "ecg", _ecg_codes(self.ecg))
 
 
 RECORD_KEYS = tuple(f.name for f in fields(TelemetryRecord))
@@ -106,23 +106,27 @@ def _wire_bpm(bpm):
     return bpm
 
 
-_PLAIN_TYPES = frozenset((int, float))
-
-
-def _plain_numbers(ecg) -> list:
-    """ecg as a new list of int/float; the per-sample pass runs only when
-    some element's exact type is another one (bool, numpy scalar, ...)."""
-    if isinstance(ecg, np.ndarray):
-        if ecg.ndim == 1 and ecg.dtype.kind in "iuf" and ecg.dtype.itemsize <= 8:
-            return ecg.tolist()  # exact int/float, one C-level pass
+def _ecg_codes(ecg) -> list:
+    """ecg as a new list of int codes, each in 0.._MAX_TABLE_CODE; an
+    array is range-checked before it is converted."""
+    if isinstance(ecg, np.ndarray) and ecg.ndim == 1 and ecg.dtype.kind in "iu":
+        low, high = (ecg.min(), ecg.max()) if ecg.size else (0, 0)
+        ecg = ecg.tolist()
     elif isinstance(ecg, (list, tuple)):
-        if _PLAIN_TYPES.issuperset(map(type, ecg)):
-            return list(ecg)
-        return [_plain_number(v) for v in ecg]
-    raise ValueError(f"ecg must be a sequence of numbers, got {type(ecg).__name__}")
+        if not {int}.issuperset(map(type, ecg)):
+            odd = next(v for v in ecg if type(v) is not int)
+            raise ValueError(f"ecg samples must be ADC codes (int), got {type(odd).__name__}")
+        low, high = (min(ecg), max(ecg)) if ecg else (0, 0)
+        ecg = list(ecg)
+    else:
+        raise ValueError(f"ecg must be a list, tuple or 1-D integer array of ADC codes, "
+                         f"got {type(ecg).__name__}")
+    if low < 0 or high > _MAX_TABLE_CODE:
+        raise ValueError(f"ecg codes must be in 0..{_MAX_TABLE_CODE}, got {low if low < 0 else high}")
+    return ecg
 
 
-def _plain_number(v, rule: str = "ecg samples must be numbers"):
+def _plain_number(v, rule: str):
     """v as an int or float (numpy scalars unwrapped); other types raise."""
     if isinstance(v, (np.integer, np.floating)):
         v = v.item()  # a long double stays one, and is refused
@@ -175,7 +179,7 @@ def evaluate_alert(bpm: float, policy: AlertPolicy, location: str, timestamp: in
 
 
 def _json_bytes(doc: dict | list) -> bytes:
-    # NaN and Infinity are not JSON: a record holding one raises ValueError
+    # NaN and Infinity are not JSON: a document holding one raises ValueError
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=False, allow_nan=False).encode("utf-8")
 
 
@@ -196,94 +200,69 @@ _CODE_TEXT = _code_text_table(_MAX_TABLE_CODE)
 
 
 def _code_text(codes: np.ndarray) -> bytes | None:
-    """The JSON array body of int64 codes, such as b"2048,0,17", gathered
-    from the code-text table; None if codes is empty or holds a code
+    """The JSON array body of int64 codes, such as b"2048,0,17" (b"" for
+    no codes), gathered from the code-text table; None if a code is
     outside 0.._MAX_TABLE_CODE."""
-    if not codes.size or codes.min() < 0 or codes.max() > _MAX_TABLE_CODE:
+    if codes.size and (codes.min() < 0 or codes.max() > _MAX_TABLE_CODE):
         return None
     # every row ends in a comma: drop the padding, then the last comma
     return _CODE_TEXT[codes].tobytes().translate(None, b"\0")[:-1]
-
-
-def _ecg_bytes(ecg: list) -> bytes:
-    """JSON array bytes of ecg, as json.dumps writes them: from the
-    code-text table for codes, through json for anything else."""
-    try:
-        text = _code_text(np.frombuffer(array.array("q", ecg), dtype=np.int64))
-    except (TypeError, OverflowError):  # a float, or an int beyond int64
-        text = None
-    return _json_bytes(ecg) if text is None else b"[" + text + b"]"
 
 
 _ECG_KEY = b',"ecg":['  # the last key and the "[" of its array
 
 
 def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes:
-    """Canonical JSON bytes: fixed key order, compact, UTF-8."""
+    """Canonical JSON bytes: fixed key order, compact, UTF-8; the header
+    through json, the codes from the code-text table."""
     _require_int("max_ecg", max_ecg, 0)
     if len(rec.ecg) > max_ecg:
         raise PayloadTooLargeError(f"ecg holds {len(rec.ecg)} samples, limit is {max_ecg}")
     head = _json_bytes({key: getattr(rec, key) for key in _HEADER_KEYS})
-    # splice the array in before the head's closing brace; it brings its own "["
-    return head[:-1] + _ECG_KEY[:-1] + _ecg_bytes(rec.ecg) + b"}"
+    text = _code_text(np.frombuffer(array.array("q", rec.ecg), dtype=np.int64))
+    # splice the codes in before the head's closing brace
+    return head[:-1] + _ECG_KEY + text + b"]}"
 
 
-def _canonical_record(data: bytes) -> dict | None:
-    """The fields of a line encode_record writes for a record of codes, ecg
-    as an int64 array: only the four header keys go through json.  None for
-    any other line, even a valid one.  numpy's parse is lenient (it reads
-    "+1", " 1" and "1,-"), so a code list counts only when its text is
-    exactly the code-text table's, which is canonical and one-to-one."""
-    if not (isinstance(data, bytes) and data.endswith(b"]}")):
-        return None
+def _canonical_record(data: bytes) -> dict:
+    """The fields of a line encode_record writes, ecg as an int64 array:
+    only the four header keys go through json.  Any other line raises
+    ValueError with the reason.  numpy's parse is lenient (it reads "+1",
+    " 1" and "1,-"), so the codes count only when their text is exactly
+    the code-text table's, which is canonical and one-to-one."""
+    if not isinstance(data, bytes):
+        raise ValueError(f"record must be bytes, got {type(data).__name__}")
     cut = data.rfind(_ECG_KEY)
-    if cut < 0:
-        return None
+    if cut < 0 or not data.endswith(b"]}"):
+        raise ValueError('record must end with its ecg array: ,"ecg":[...]}')
     body = data[cut + len(_ECG_KEY):-2]
     try:
         codes = np.fromstring(body, dtype=np.int64, sep=",")
+        canonical = _code_text(codes) == body
     except ValueError:  # text numpy cannot read to its end
-        return None
-    if _code_text(codes) != body:
-        return None
+        canonical = False
+    if not canonical:
+        raise ValueError(f"ecg must be ADC codes in 0..{_MAX_TABLE_CODE}, "
+                         "comma-separated as encode_record writes them")
     try:
         doc = json.loads((data[:cut] + b"}").decode("utf-8"))
-    except (ValueError, RecursionError):
-        return None
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"record header is not JSON: {exc}") from None
     # the head parsed, so it is an object (it ends in "}"); with exactly the
     # header keys, in order, the whole line is that object plus the codes
     if tuple(doc) != _HEADER_KEYS:
-        return None
+        raise ValueError(f"bad record keys: {list(doc)} before ecg, want {list(_HEADER_KEYS)}")
     doc["ecg"] = codes
     return doc
 
 
-def _json_record(data: bytes) -> dict:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except RecursionError:
-        raise ValueError("record nests too deeply") from None
-    if not isinstance(doc, dict):
-        raise ValueError("record must be a JSON object")
-    missing = [k for k in RECORD_KEYS if k not in doc]
-    extra = [k for k in doc if k not in RECORD_KEYS]
-    if missing or extra:
-        raise ValueError(f"bad record keys: missing {missing}, unexpected {extra}")
-    return doc
-
-
 def decode_record(data: bytes) -> TelemetryRecord:
-    """Parse canonical record bytes back into a TelemetryRecord; malformed
-    bytes, and an ecg value that is no JSON array, raise ValueError.
+    """Parse record bytes back into a TelemetryRecord.
 
-    numpy reads the samples of a line only when its code text is exactly
-    what encode_record writes for codes in 0.._MAX_TABLE_CODE; every other
-    line goes through json whole, with the same result.
+    A line reads exactly when _canonical_record reads it and its header
+    values pass the record's checks; anything else raises ValueError.
     """
-    doc = _canonical_record(data)
-    if doc is None:
-        doc = _json_record(data)
-    return TelemetryRecord(**doc)
+    return TelemetryRecord(**_canonical_record(data))
 
 
 def encode_alert(event: AlertEvent) -> bytes:
@@ -515,15 +494,10 @@ def retrieve_and_plot(source, out) -> PlotResult:
                 continue
             try:
                 rec = decode_record(line)
-                # OverflowError: an int sample beyond the float range
-                ecg = np.asarray(rec.ecg, dtype=np.float64)
-            except (ValueError, OverflowError):
+            except ValueError:
                 warnings += 1
                 continue
-            if not np.isfinite(ecg).all():  # NaN/Infinity samples cannot be drawn
-                warnings += 1
-                continue
-            records.append((rec.timestamp, ecg))
+            records.append((rec.timestamp, np.asarray(rec.ecg, dtype=np.float64)))
     records.sort(key=lambda r: r[0])
     samples = np.concatenate([np.empty(0), *(ecg for _, ecg in records)])
     export_svg(SampleFrame(sample_rate=_PLOT_RATE, values=samples), out)

@@ -513,6 +513,19 @@ class TestCliSubcommands:
         assert f"{name} must be finite" in captured.err
         assert not svg.exists()
 
+    @pytest.mark.parametrize("mode", [["--ascii"], []], ids=["ascii", "svg"])
+    @pytest.mark.parametrize("empty", [True, False], ids=["empty", "full"])
+    def test_plot_reversed_range_exits_runtime(self, tmp_path, capsys, mode, empty):
+        """A header-only CSV refuses --v-min above --v-max as a full one does."""
+        fixture, svg = tmp_path / "sine.csv", tmp_path / "sine.svg"
+        fixture.write_text("time,value\n" if empty else "time,value\n0,0\n0.002,1\n0.004,0\n")
+        assert main(["plot", "--in", str(fixture), "--out", str(svg),
+                     "--v-min", "2", "--v-max", "1", *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ecgmon: degenerate value range [2.0, 1.0]\n"
+        assert not svg.exists()
+
     def test_stream_emits_ordered_json_lines(self, tmp_path, capsys):
         fixture = tmp_path / "sine.csv"
         assert main(["simulate", "--source", "sine", "--bpm", "120", "--amplitude", "1",

@@ -200,10 +200,13 @@ class TestExport:
 
     @pytest.mark.parametrize("width,height", [(0, 64), (128, -3), (-1, -1)])
     def test_empty_frame_refuses_the_size_a_full_one_does(self, tmp_path, width, height):
+        """And the reversed bounds a full one does."""
         for values in (np.zeros(0), np.zeros(8)):
             path = tmp_path / "bad.svg"
             with pytest.raises(ValueError, match=f"display must have positive size, got {width}x{height}"):
                 export_svg(SampleFrame(500.0, values), path, width=width, height=height)
+            with pytest.raises(ValueError, match=re.escape("degenerate value range [2.0, 1.0]")):
+                export_svg(SampleFrame(500.0, values), path, v_min=2.0, v_max=1.0)
             assert not path.exists()
 
     @pytest.mark.parametrize("width,height", [(0, 64), (128, 0)])

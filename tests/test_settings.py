@@ -24,9 +24,11 @@ from ecgmon.telemetry import AlertPolicy, encode_alert, encode_record
 SETTINGS = (Wave, EcgTemplateParams, NoiseConfig, FrontEndSpec, AdcConfig, AlertPolicy,
             PipelineConfig)
 
+HUGE_INT = 10 ** 400  # an int beyond the float range
+
 # values of another kind, or out of every real field's range, per declared type
 BAD_VALUES = {
-    float: (math.nan, math.inf, -math.inf, True, "1", None),
+    float: (math.nan, math.inf, -math.inf, HUGE_INT, True, "1", None),
     int: (1.0, True, "1", None),
     str: (5, None, b"x"),
 }
@@ -44,7 +46,8 @@ def _field_cases():
             kind = hints[f.name]
             bad = BAD_SUB_CONFIGS if dataclasses.is_dataclass(kind) else BAD_VALUES[kind]
             for value in bad:
-                yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+                shown = "10**400" if value is HUGE_INT else repr(value)
+                yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={shown}")
 
 
 @pytest.mark.parametrize("cls, name, value", _field_cases())
@@ -78,6 +81,8 @@ def test_real_rule_refuses_other_types(value):
     (0, True, math.inf, "x must be finite and > 0, got inf"),
     (0, False, -1, "x must be finite and >= 0, got -1"),
     (0, False, np.float64(math.nan), "x must be finite and >= 0, got nan"),
+    pytest.param(None, True, -HUGE_INT, f"x must be finite, got {-HUGE_INT}", id="huge-int"),
+    pytest.param(0, True, HUGE_INT, f"x must be finite and > 0, got {HUGE_INT}", id="huge-int-above-0"),
 ])
 def test_real_rule_messages(low, strict, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

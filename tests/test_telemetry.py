@@ -30,7 +30,6 @@ from ecgmon.telemetry import (
     HttpSink,
     PayloadTooLargeError,
     TelemetryRecord,
-    _plain_number,
     decode_record,
     encode_alert,
     encode_record,
@@ -142,15 +141,19 @@ class TestEncoding:
 
     @pytest.mark.parametrize("sample", [float("nan"), float("inf"), -float("inf")])
     def test_non_json_numbers_rejected(self, sample):
-        """NaN and Infinity are not JSON: encoding raises instead of writing them."""
-        with pytest.raises(ValueError):
-            encode_record(make_record(ecg=[1, sample, 2.5]))
+        """NaN and Infinity are not JSON: no record holds one as a sample (it
+        is no code), and no alert as its bpm."""
+        with pytest.raises(ValueError, match=r"^ecg samples must be ADC codes \(int\), got float$"):
+            make_record(ecg=[1, sample, 2])
         with pytest.raises(ValueError):
             encode_alert(telemetry.AlertEvent(bpm=sample, message="m", location="w", timestamp=0))
 
     def test_round_trip_example(self):
-        rec = make_record(bpm=61.5, ecg=[1, 2.5, 3])
+        rec = make_record(bpm=61.5, ecg=[1, 2, 3])
         assert decode_record(encode_record(rec)) == rec
+        # a float sample among codes is no code: refused, not written
+        with pytest.raises(ValueError, match=r"^ecg samples must be ADC codes \(int\), got float$"):
+            make_record(bpm=61.5, ecg=[1, 2.5, 3])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(rec=record_strategy)
@@ -158,11 +161,19 @@ class TestEncoding:
         assert decode_record(encode_record(rec)) == rec
 
     def test_decode_rejects_bad_keys(self):
-        with pytest.raises(ValueError, match="keys"):
+        ends = '^record must end with its ecg array: ,"ecg":\\[\\.\\.\\.\\]}$'
+        with pytest.raises(ValueError, match=ends):
             decode_record(b'{"device_id":"x","timestamp":1,"bpm":60,"location":"y"}')
-        with pytest.raises(ValueError, match="keys"):
+        with pytest.raises(ValueError, match=ends):
             decode_record(
                 b'{"device_id":"x","timestamp":1,"bpm":60,"location":"y","ecg":[],"extra":1}')
+        with pytest.raises(ValueError, match=re.escape(
+                "bad record keys: ['device_id', 'timestamp', 'bpm', 'extra', 'location'] before ecg, "
+                "want ['device_id', 'timestamp', 'bpm', 'location']")):
+            decode_record(
+                b'{"device_id":"x","timestamp":1,"bpm":60,"extra":1,"location":"y","ecg":[]}')
+        with pytest.raises(ValueError, match="^bad record keys: "):  # the header keys out of order
+            decode_record(b'{"timestamp":1,"device_id":"x","bpm":60,"location":"y","ecg":[]}')
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
@@ -186,9 +197,15 @@ class TestEncoding:
                 make_record(**{name: "ward-\udcff"})
         with pytest.raises(ValueError, match="device_id must be a string"):
             decode_record(b'{"device_id":5,"timestamp":0,"bpm":72,"location":null,"ecg":[1,2]}')
-        rec = make_record(bpm=np.float64(61.5), timestamp=7.0, ecg=(np.int64(3), 2.5))
-        assert (rec.timestamp, rec.ecg) == (7, [3, 2.5])
-        assert [type(v) for v in rec.ecg] == [int, float]
+        rec = make_record(bpm=np.float64(61.5), timestamp=7.0, ecg=(3, 2))
+        assert (rec.timestamp, rec.ecg) == (7, [3, 2])
+        assert [type(v) for v in rec.ecg] == [int, int]
+        # a list of numpy scalars is no list of codes: hand over the array instead
+        for sample in (np.int64(3), np.uint16(3), np.float64(3.0)):
+            with pytest.raises(ValueError, match=f"^ecg samples must be ADC codes \\(int\\), "
+                                                 f"got {type(sample).__name__}$"):
+                make_record(ecg=[sample])
+        assert make_record(ecg=np.array([3], dtype=np.uint16)).ecg == [3]
 
     @pytest.mark.parametrize("ecg", [b"\x01\x02", bytearray(b"\x01"), {3, 1, 2}, frozenset(),
                                      {5: "a"}, {}, {}.keys(), "", "2048", memoryview(b"\x01\x02"),
@@ -196,38 +213,69 @@ class TestEncoding:
                                      iter([1, 2]), 5, None],
                              ids=lambda ecg: type(ecg).__name__)
     def test_other_containers_refused(self, ecg):
-        """ecg is a list, a tuple or a 1-D integer or float ndarray; nothing
-        else is read, whether its elements are samples or not."""
-        with pytest.raises(ValueError, match=f"^ecg must be a sequence of numbers, "
-                                             f"got {type(ecg).__name__}$"):
+        """ecg is a list, a tuple or a 1-D integer ndarray; nothing else is
+        read, whether its elements are codes or not."""
+        with pytest.raises(ValueError, match=f"^ecg must be a list, tuple or 1-D integer array "
+                                             f"of ADC codes, got {type(ecg).__name__}$"):
             make_record(ecg=ecg)
 
     @pytest.mark.parametrize("value, name", [(b'""', "str"), (b'"2048"', "str"), (b"{}", "dict"),
                                              (b'{"1":2}', "dict")])
     def test_decode_requires_an_ecg_array(self, value, name):
+        """A JSON str or object in the array's place is refused, not read as
+        an empty or a key list."""
+        assert type(json.loads(value)).__name__ == name
         line = encode_record(make_record()).replace(b"[2048,2051,2047,2049]", value)
-        with pytest.raises(ValueError, match=f"^ecg must be a sequence of numbers, got {name}$"):
+        with pytest.raises(ValueError, match='^record must end with its ecg array'):
             decode_record(line)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(ecg=st.lists(st.one_of(
-        st.integers(min_value=-2**70, max_value=2**70), st.floats(), st.just(float("nan")),
+    @given(ecg=st.one_of(st.lists(st.integers(min_value=0, max_value=65535), max_size=20),
+                         st.lists(st.one_of(
+        st.integers(min_value=0, max_value=65535), st.integers(min_value=-2**70, max_value=2**70),
+        st.floats(), st.just(float("nan")),
         st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64),
         st.floats(width=64).map(np.float64), st.booleans(), st.text(max_size=3),
-        st.none()), max_size=20))
+        st.none()), max_size=20)))
     def test_record_check_matches_per_sample_check(self, ecg):
-        """The one-pass check keeps what the per-sample check gives: values,
-        exact types and errors."""
-        try:
-            expected = [_plain_number(v) for v in ecg]
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+        """The one-pass check keeps what a per-sample check gives: the codes
+        as exact ints, or its error."""
+        error = per_sample_error(ecg)
+        if error is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
                 make_record(ecg=ecg)
             return
         got = make_record(ecg=ecg).ecg
-        assert [type(v) for v in got] == [type(v) for v in expected]
-        assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, expected))
-        assert len(got) == len(expected)
+        assert got == ecg
+        assert all(type(v) is int for v in got)
+
+
+def per_sample_error(ecg: list) -> str | None:
+    """The record's rule, one sample at a time: the message for the first
+    sample that is no exact int, else for the lowest code below 0 or the
+    highest above 65535; None for a list of codes."""
+    for v in ecg:
+        if type(v) is not int:
+            return f"ecg samples must be ADC codes (int), got {type(v).__name__}"
+    if ecg and min(ecg) < 0:
+        return f"ecg codes must be in 0..65535, got {min(ecg)}"
+    if ecg and max(ecg) > 65535:
+        return f"ecg codes must be in 0..65535, got {max(ecg)}"
+    return None
+
+
+def assert_line_refused(line: bytes, tmp_path, reason: str, read_after_strip: bool = False) -> None:
+    """decode_record refuses line with a message starting with reason, and
+    retrieve_and_plot counts a warning for each line of it in a file (a
+    newline inside it makes two); it strips each line's whitespace first,
+    so with read_after_strip the line plots there."""
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}"):
+        decode_record(line)
+    source = tmp_path / "records.jsonl"
+    source.write_bytes(line + b"\n")
+    result = retrieve_and_plot(source, tmp_path / "plot.svg")
+    expected = (1, 0) if read_after_strip else (0, len(line.splitlines()))
+    assert (result.records_plotted, result.warnings) == expected
 
 
 _NUMPY_SCALARS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
@@ -301,18 +349,11 @@ def encode_record_reference(rec: TelemetryRecord, max_ecg: int = telemetry.MAX_E
                       allow_nan=False).encode("utf-8")
 
 
-# samples on both sides of every choice encode_record makes: codes 0..65535,
-# ints just outside them, negatives, int64 and uint64 extremes, ints beyond
-# int64, floats (non-finite ones too)
-_samples = st.one_of(
-    st.integers(min_value=0, max_value=65535),
-    st.sampled_from([-1, 0, 65535, 65536, -2**63, 2**63 - 1, 2**63, 2**64 - 1, 2**64]),
-    st.integers(min_value=-2**31, max_value=-1),
-    st.integers(min_value=-2**80, max_value=2**80),
-    st.floats(),
-)
-_ecg_lists = st.one_of(st.lists(st.integers(min_value=0, max_value=65535), max_size=80),
-                       st.lists(_samples, max_size=30))
+# code lists, the empty one included, with the codes where the digit count
+# changes and the ends of the table drawn often
+_code_lists = st.lists(st.one_of(st.integers(min_value=0, max_value=65535),
+                                 st.sampled_from([0, 9, 10, 99, 100, 9999, 10000, 65535])),
+                       max_size=80)
 
 
 class TestCodeTextEncoding:
@@ -320,16 +361,10 @@ class TestCodeTextEncoding:
     @given(device_id=st.text(max_size=12), location=st.text(max_size=12),
            bpm=st.one_of(st.integers(min_value=1, max_value=300),
                          st.floats(min_value=1.0, max_value=300.0)),
-           timestamp=st.integers(min_value=0, max_value=2**70), ecg=_ecg_lists)
+           timestamp=st.integers(min_value=0, max_value=2**70), ecg=_code_lists)
     def test_same_bytes_as_one_json_dumps(self, device_id, location, bpm, timestamp, ecg):
         rec = TelemetryRecord(device_id, timestamp, bpm, location, ecg)
-        try:
-            expected = encode_record_reference(rec)
-        except ValueError:  # NaN or Infinity
-            with pytest.raises(ValueError):
-                encode_record(rec)
-            return
-        assert encode_record(rec) == expected
+        assert encode_record(rec) == encode_record_reference(rec)
 
     @pytest.mark.parametrize("bits", [1, 4, 12, 16])
     def test_full_records_of_codes(self, bits):
@@ -361,41 +396,83 @@ class TestCodeTextEncoding:
                                        np.uint8, np.uint16, np.uint32, np.uint64,
                                        np.float16, np.float32, np.float64])
     def test_record_from_array_equals_record_from_list(self, dtype):
+        """An integer array holds what its list holds, codes or a refusal with
+        the same message; a float array and its list are both refused."""
         kind = np.iinfo if np.issubdtype(dtype, np.integer) else np.finfo
         arr = np.array([kind(dtype).min, kind(dtype).max, 0, 1, 100], dtype=dtype)
         if kind is np.finfo:
             arr = np.append(arr, np.array([-0.0, 0.1, kind(dtype).tiny], dtype=dtype))
-        for ecg in (arr, arr[::-1], arr[::2], arr.astype(arr.dtype.newbyteorder())):
+        variants = (arr, arr[::-1], arr[::2], arr.astype(arr.dtype.newbyteorder()))
+        if kind is np.finfo:
+            for ecg in variants:
+                for sample in (ecg, ecg.tolist()):
+                    with pytest.raises(ValueError):
+                        make_record(ecg=sample)
+            return
+        codes = arr[(arr >= 0) & (arr <= 65535)]
+        for ecg in (*variants, codes):
+            error = per_sample_error(ecg.tolist())
+            if error is not None:
+                for sample in (ecg, ecg.tolist()):
+                    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                        make_record(ecg=sample)
+                continue
             from_array = make_record(ecg=ecg)
-            from_list = make_record(ecg=ecg.tolist())
-            per_sample = [_plain_number(v) for v in ecg]
             assert type(from_array.ecg) is list
-            assert from_array == from_list
-            assert from_array.ecg == per_sample
-            assert [type(v) for v in from_array.ecg] == [type(v) for v in per_sample]
-        ecg = arr.copy()
+            assert from_array == make_record(ecg=ecg.tolist())
+            assert all(type(v) is int for v in from_array.ecg)
+        ecg = codes.copy()
         rec = make_record(ecg=ecg)
-        ecg[0] = 1
-        assert rec.ecg[0] == arr[0]  # the record holds its own copy
+        ecg[0] = 7
+        assert rec.ecg[0] == codes[0]  # the record holds its own copy
 
     @pytest.mark.parametrize("ecg", [
         np.array([1, 0], dtype=bool), np.array([1 + 2j]), np.array([1, "x"], dtype=object),
         np.array(5), np.zeros((2, 3), dtype=np.int64), np.zeros(3, dtype=np.longdouble),
-    ], ids=["bool", "complex", "object", "0-d", "2-d", "longdouble"])
+        np.zeros(3), np.zeros(3, dtype=np.float32), np.zeros(3, dtype=np.float16),
+    ], ids=["bool", "complex", "object", "0-d", "2-d", "longdouble", "float64", "float32",
+            "float16"])
     def test_other_arrays_refused(self, ecg):
-        """Only a 1-D array of int or float items of at most 64 bits holds
-        samples that are Python numbers."""
-        with pytest.raises(ValueError, match="^ecg must be a sequence of numbers, got ndarray$"):
+        """Only a 1-D array of integer items holds codes."""
+        with pytest.raises(ValueError, match="^ecg must be a list, tuple or 1-D integer array "
+                                             "of ADC codes, got ndarray$"):
             make_record(ecg=ecg)
 
-    @pytest.mark.parametrize("ecg", [[2**63], [2**64], [2048.0], [1, 2.5], [], [65536]],
-                             ids=["int64-max-plus-1", "uint64-max-plus-1", "float", "mixed",
-                                  "empty", "above-table"])
-    def test_lists_outside_the_table_go_through_json(self, ecg):
-        """Ints beyond int64, floats and the empty list are no int64 codes,
-        and 65536 is past the table: each is written by json.dumps."""
-        rec = make_record(ecg=ecg)
-        assert encode_record(rec) == encode_record_reference(rec)
+    @pytest.mark.parametrize("ecg, shown", [
+        (np.array([0, -1], dtype=np.int8), -1),
+        (np.array([-1, 65536], dtype=np.int64), -1),
+        (np.array([0, 65536], dtype=np.int32), 65536),
+        (np.array([0, 2**32 - 1], dtype=np.uint32), 2**32 - 1),
+        (np.array([0, 2**64 - 1], dtype=np.uint64), 2**64 - 1),
+    ], ids=["int8", "int64", "int32", "uint32", "uint64"])
+    def test_arrays_outside_the_table_refused(self, ecg, shown):
+        """Checked on the array, before it becomes a list."""
+        with pytest.raises(ValueError, match=f"^ecg codes must be in 0..65535, got {shown}$"):
+            make_record(ecg=ecg)
+
+    @pytest.mark.parametrize("ecg, error", [
+        ([2**63], "ecg codes must be in 0..65535, got 9223372036854775808"),
+        ([2**64], "ecg codes must be in 0..65535, got 18446744073709551616"),
+        ([2048.0], "ecg samples must be ADC codes (int), got float"),
+        ([1, 2.5], "ecg samples must be ADC codes (int), got float"),
+        ([], None),
+        ([65536], "ecg codes must be in 0..65535, got 65536"),
+    ], ids=["int64-max-plus-1", "uint64-max-plus-1", "float", "mixed", "empty", "above-table"])
+    def test_lists_outside_the_table_go_through_json(self, tmp_path, ecg, error):
+        """Nothing goes through json any more: a list that is no codes is
+        refused when the record is built, and the line json.dumps would
+        write for it is refused when read.  The empty list is the table's
+        text for no codes."""
+        doc = dict(device_id="ecg-001", timestamp=1, bpm=72.0, location="w", ecg=ecg)
+        line = json.dumps(doc, separators=(",", ":")).encode()
+        if error is None:
+            rec = TelemetryRecord(**doc)
+            assert encode_record(rec) == line == encode_record_reference(rec)
+            assert decode_record(line) == rec
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            TelemetryRecord(**doc)
+        assert_line_refused(line, tmp_path, "ecg must be ADC codes in 0..65535")
 
 
 def decode_record_reference(data: bytes) -> TelemetryRecord:
@@ -466,8 +543,17 @@ class TestCodeTextDecoding:
     @settings(max_examples=800, deadline=None, derandomize=True)
     @given(line=_record_lines())
     def test_same_outcome_as_one_json_loads(self, line):
-        """Values, exact types and error messages: the numpy parse changes none."""
-        assert decode_outcome(decode_record, line) == decode_outcome(decode_record_reference, line)
+        """decode_record reads a line exactly when _canonical_record does, with
+        the values and exact types one json.loads gives; it refuses any other
+        line with _canonical_record's reason."""
+        try:
+            telemetry._canonical_record(line)
+        except ValueError as exc:
+            assert decode_outcome(decode_record, line) == (ValueError, str(exc))
+            return
+        outcome = decode_outcome(decode_record, line)
+        assert isinstance(outcome[0], TelemetryRecord)
+        assert outcome == decode_outcome(decode_record_reference, line)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(rec=record_strategy,
@@ -483,10 +569,14 @@ class TestCodeTextDecoding:
         b"[1,2,]", b"[,1]", b"[1e3]", b"[true]", b"[65536]", b"[99999]", b"[+1]", b"[1,-]",
         b"[\n1]", b"[ 1]", b"[-0]",
     ])
-    def test_other_code_lists_go_through_json(self, ecg):
+    def test_other_code_lists_go_through_json(self, tmp_path, ecg):
+        """None goes through json any more: each text other than the table's
+        is refused.  "[]" is the table's text for no codes, and reads."""
         line = encode_record(make_record()).replace(b"[2048,2051,2047,2049]", ecg)
-        assert telemetry._canonical_record(line) is None
-        assert decode_outcome(decode_record, line) == decode_outcome(decode_record_reference, line)
+        if ecg == b"[]":
+            assert decode_record(line) == make_record(ecg=[])
+            return
+        assert_line_refused(line, tmp_path, "ecg must be ADC codes in 0..65535")
 
     def test_widest_adc_code_takes_the_numpy_parse(self):
         code = AdcConfig(resolution_bits=16).max_code
@@ -495,18 +585,20 @@ class TestCodeTextDecoding:
         assert telemetry._canonical_record(line)["ecg"].tolist() == [0, code]
         assert decode_outcome(decode_record, line) == decode_outcome(decode_record_reference, line)
 
-    @pytest.mark.parametrize("line", [
-        encode_record(make_record()).replace(b'"bpm"', b'"ecg":[1],"bpm"'),
-        encode_record(make_record(location="w\xe9")).replace("é".encode(), b"\xe9"),
-        encode_record(make_record()) + b" ",
-        encode_record(make_record()) + b"\n",
-        encode_record(make_record()) + b"}",
-        encode_record(make_record()).replace(b'"ward-3/bed-12"', b"[" * 100_000 + b"]" * 100_000),
+    @pytest.mark.parametrize("line, reason", [
+        (encode_record(make_record()).replace(b'"bpm"', b'"ecg":[1],"bpm"'), "bad record keys"),
+        (encode_record(make_record(location="w\xe9")).replace("é".encode(), b"\xe9"),
+         "record header is not JSON: 'utf-8' codec can't decode byte 0xe9"),
+        (encode_record(make_record()) + b" ", "record must end with its ecg array"),
+        (encode_record(make_record()) + b"\n", "record must end with its ecg array"),
+        (encode_record(make_record()) + b"}", "record must end with its ecg array"),
+        (encode_record(make_record()).replace(b'"ward-3/bed-12"', b"[" * 100_000 + b"]" * 100_000),
+         "record header is not JSON: maximum recursion depth"),
     ], ids=["ecg-in-head", "not-utf8", "trailing-space", "trailing-newline", "trailing-brace",
             "deep-head"])
-    def test_other_lines_go_through_json(self, line):
-        assert telemetry._canonical_record(line) is None
-        assert decode_outcome(decode_record, line) == decode_outcome(decode_record_reference, line)
+    def test_other_lines_go_through_json(self, tmp_path, line, reason):
+        """None goes through json whole any more: each is refused with its reason."""
+        assert_line_refused(line, tmp_path, reason, read_after_strip=line.strip() != line)
 
     def test_pipeline_record_samples_never_reach_json(self, monkeypatch):
         """A 5000-code record's line goes through json only for its four header keys."""
@@ -753,6 +845,24 @@ class TestRetrieveAndPlot:
         result = retrieve_and_plot(source, tmp_path / "plot.svg")
         assert result.records_plotted == 2
         assert result.warnings == len(malformed)
+
+    def test_only_canonical_lines_are_plotted(self, tmp_path):
+        """Lines a json reader would take, but encode_record never writes,
+        are warnings: float samples, a space in the code list, a code past
+        the table."""
+        good = [encode_record(make_record(timestamp=t, ecg=[t, 2 * t])) for t in (1, 2, 3)]
+        bad = [good[0].replace(b"[1,2]", b"[1.0,2.0]"), good[0].replace(b'"ecg":[1,2]', b'"ecg": [1, 2]'),
+               good[0].replace(b"[1,2]", b"[65536]")]
+        source = tmp_path / "records.jsonl"
+        source.write_bytes(b"\n".join([good[2], bad[0], good[0], bad[1], bad[2], good[1]]) + b"\n")
+        out = tmp_path / "plot.svg"
+        result = retrieve_and_plot(source, out)
+        assert (result.records_plotted, result.warnings) == (3, 3)
+        from ecgmon.render import export_svg
+        from ecgmon.signals import SampleFrame
+        joined = tmp_path / "joined.svg"
+        export_svg(SampleFrame(500.0, np.array([1.0, 2.0, 2.0, 4.0, 3.0, 6.0])), joined)
+        assert out.read_bytes() == joined.read_bytes()
 
     def test_ecg_that_is_no_array_counts_as_warning(self, tmp_path):
         source = tmp_path / "records.jsonl"
