@@ -55,16 +55,18 @@ class TelemetryRecord:
 
     The fields are in wire order: encode_record writes them as the keys
     of one JSON object, in this order, and decode_record reads them back.
-    ecg is a list or tuple of ints, or a 1-D integer numpy array (such as
-    a slice of ADC codes), every value in 0.._MAX_TABLE_CODE, stored as a
-    new list of int; any other container or sample is refused.
+    ecg is a list or tuple of ints, a 1-D integer numpy array (such as a
+    slice of ADC codes) or an array('H'), every value in
+    0.._MAX_TABLE_CODE, stored as a new array('H'): an edit in place can
+    only store what encode_record writes.  Any other container or sample
+    is refused.
     """
 
     device_id: str
     timestamp: int
     bpm: float
     location: str
-    ecg: list
+    ecg: array.array
 
     def __post_init__(self):
         _wire_fields(self, "device_id", "location")
@@ -106,24 +108,26 @@ def _wire_bpm(bpm):
     return bpm
 
 
-def _ecg_codes(ecg) -> list:
-    """ecg as a new list of int codes, each in 0.._MAX_TABLE_CODE; an
-    array is range-checked before it is converted."""
+def _ecg_codes(ecg) -> array.array:
+    """ecg as a new array('H') of codes, each in 0.._MAX_TABLE_CODE; an
+    integer ndarray is range-checked, then copied as bytes."""
+    if isinstance(ecg, array.array) and ecg.typecode == "H":
+        return array.array("H", ecg)  # its type holds exactly the table's codes
     if isinstance(ecg, np.ndarray) and ecg.ndim == 1 and ecg.dtype.kind in "iu":
         low, high = (ecg.min(), ecg.max()) if ecg.size else (0, 0)
-        ecg = ecg.tolist()
     elif isinstance(ecg, (list, tuple)):
         if not {int}.issuperset(map(type, ecg)):
             odd = next(v for v in ecg if type(v) is not int)
             raise ValueError(f"ecg samples must be ADC codes (int), got {type(odd).__name__}")
         low, high = (min(ecg), max(ecg)) if ecg else (0, 0)
-        ecg = list(ecg)
     else:
         raise ValueError(f"ecg must be a list, tuple or 1-D integer array of ADC codes, "
                          f"got {type(ecg).__name__}")
     if low < 0 or high > _MAX_TABLE_CODE:
         raise ValueError(f"ecg codes must be in 0..{_MAX_TABLE_CODE}, got {low if low < 0 else high}")
-    return ecg
+    if isinstance(ecg, np.ndarray):
+        return array.array("H", ecg.astype(np.ushort).tobytes())
+    return array.array("H", ecg)
 
 
 def _plain_number(v, rule: str):
@@ -200,7 +204,7 @@ _CODE_TEXT = _code_text_table(_MAX_TABLE_CODE)
 
 
 def _code_text(codes: np.ndarray) -> bytes | None:
-    """The JSON array body of int64 codes, such as b"2048,0,17" (b"" for
+    """The JSON array body of integer codes, such as b"2048,0,17" (b"" for
     no codes), gathered from the code-text table; None if a code is
     outside 0.._MAX_TABLE_CODE."""
     if codes.size and (codes.min() < 0 or codes.max() > _MAX_TABLE_CODE):
@@ -219,7 +223,7 @@ def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes
     if len(rec.ecg) > max_ecg:
         raise PayloadTooLargeError(f"ecg holds {len(rec.ecg)} samples, limit is {max_ecg}")
     head = _json_bytes({key: getattr(rec, key) for key in _HEADER_KEYS})
-    text = _code_text(np.frombuffer(array.array("q", rec.ecg), dtype=np.int64))
+    text = _code_text(np.frombuffer(rec.ecg, dtype=np.ushort))
     # splice the codes in before the head's closing brace
     return head[:-1] + _ECG_KEY + text + b"]}"
 
@@ -485,7 +489,7 @@ def retrieve_and_plot(source, out) -> PlotResult:
     Records are plotted in timestamp order; malformed lines are skipped
     and counted as warnings.
     """
-    records: list[tuple[int, np.ndarray]] = []  # (timestamp, ecg) per good line
+    records: list[tuple[int, np.ndarray]] = []  # (timestamp, codes) per good line
     warnings = 0
     with open(source, "rb") as fh:
         for line in fh:
@@ -497,8 +501,8 @@ def retrieve_and_plot(source, out) -> PlotResult:
             except ValueError:
                 warnings += 1
                 continue
-            records.append((rec.timestamp, np.asarray(rec.ecg, dtype=np.float64)))
+            records.append((rec.timestamp, np.frombuffer(rec.ecg, dtype=np.ushort)))
     records.sort(key=lambda r: r[0])
-    samples = np.concatenate([np.empty(0), *(ecg for _, ecg in records)])
-    export_svg(SampleFrame(sample_rate=_PLOT_RATE, values=samples), out)
+    codes = np.concatenate([np.empty(0, dtype=np.ushort), *(ecg for _, ecg in records)])
+    export_svg(SampleFrame(sample_rate=_PLOT_RATE, values=codes.astype(np.float64)), out)
     return PlotResult(records_plotted=len(records), warnings=warnings)

@@ -71,7 +71,7 @@ def _sha(values, dtype) -> str:
 
 def _hashes(cfg: PipelineConfig, bpm: float) -> dict[str, str]:
     result = run_pipeline(cfg, bpm=bpm)
-    codes = result.record.ecg
+    codes = result.record.ecg.tolist()
     assert len(codes) == len(result.digital)
     fb = Framebuffer(cfg.fb_width, cfg.fb_height)
     first = map_to_trace(result.digital, fb.width, fb.height)

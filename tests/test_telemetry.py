@@ -151,6 +151,10 @@ class TestEncoding:
     def test_round_trip_example(self):
         rec = make_record(bpm=61.5, ecg=[1, 2, 3])
         assert decode_record(encode_record(rec)) == rec
+        # replace() hands the stored array('H') back to the constructor
+        moved = dataclasses.replace(rec, timestamp=rec.timestamp + 1)
+        assert decode_record(encode_record(moved)) == moved
+        assert moved.ecg == rec.ecg and moved.ecg is not rec.ecg
         # a float sample among codes is no code: refused, not written
         with pytest.raises(ValueError, match=r"^ecg samples must be ADC codes \(int\), got float$"):
             make_record(bpm=61.5, ecg=[1, 2.5, 3])
@@ -158,6 +162,45 @@ class TestEncoding:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(rec=record_strategy)
     def test_round_trip_property(self, rec):
+        assert decode_record(encode_record(rec)) == rec
+        moved = dataclasses.replace(rec, timestamp=rec.timestamp + 1)
+        assert decode_record(encode_record(moved)) == moved
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda ecg: ecg.append(70000), OverflowError),
+        (lambda ecg: ecg.append(-1), OverflowError),
+        (lambda ecg: ecg.append(1.5), TypeError),
+        (lambda ecg: ecg.__setitem__(slice(None), [2**70]), TypeError),
+        (lambda ecg: ecg.__setitem__(0, 2**70), OverflowError),
+        (lambda ecg: ecg.__setitem__(slice(None), array("q", [5])), TypeError),
+        (lambda ecg: ecg.extend(array("h", [1])), TypeError),
+        (lambda ecg: ecg.fromlist([1, 65536]), OverflowError),
+    ], ids=["append-above", "append-negative", "append-float", "slice-huge-list", "item-huge",
+            "slice-other-array", "extend-other-array", "fromlist-above"])
+    def test_edit_in_place_refused(self, edit, error):
+        """A record's codes are an array('H'): an edit in place that would
+        store no code raises, and the record still encodes as before."""
+        rec = make_record()
+        before = encode_record(rec)
+        with pytest.raises(error):
+            edit(rec.ecg)
+        assert encode_record(rec) == before
+
+    @pytest.mark.parametrize("edit", [
+        lambda ecg: ecg.append(65535),
+        lambda ecg: ecg.extend([0, 9, 10]),
+        lambda ecg: ecg.__setitem__(0, 10000),
+        lambda ecg: ecg.__setitem__(slice(1, 3), array("H", [5])),
+        lambda ecg: ecg.__delitem__(0),
+        lambda ecg: ecg.insert(0, True),
+        lambda ecg: ecg.frombytes(array("H", [7, 8]).tobytes()),
+        lambda ecg: ecg.append(np.int64(5)),
+    ], ids=["append-max", "extend", "item", "slice", "delete", "insert-bool", "frombytes",
+            "append-numpy"])
+    def test_edit_in_place_accepted_round_trips(self, edit):
+        """An edit the array takes stores codes, which encode and read back."""
+        rec = make_record()
+        edit(rec.ecg)
         assert decode_record(encode_record(rec)) == rec
 
     def test_decode_rejects_bad_keys(self):
@@ -198,14 +241,14 @@ class TestEncoding:
         with pytest.raises(ValueError, match="device_id must be a string"):
             decode_record(b'{"device_id":5,"timestamp":0,"bpm":72,"location":null,"ecg":[1,2]}')
         rec = make_record(bpm=np.float64(61.5), timestamp=7.0, ecg=(3, 2))
-        assert (rec.timestamp, rec.ecg) == (7, [3, 2])
+        assert (rec.timestamp, rec.ecg.tolist()) == (7, [3, 2])
         assert [type(v) for v in rec.ecg] == [int, int]
         # a list of numpy scalars is no list of codes: hand over the array instead
         for sample in (np.int64(3), np.uint16(3), np.float64(3.0)):
             with pytest.raises(ValueError, match=f"^ecg samples must be ADC codes \\(int\\), "
                                                  f"got {type(sample).__name__}$"):
                 make_record(ecg=[sample])
-        assert make_record(ecg=np.array([3], dtype=np.uint16)).ecg == [3]
+        assert make_record(ecg=np.array([3], dtype=np.uint16)).ecg.tolist() == [3]
 
     @pytest.mark.parametrize("ecg", [b"\x01\x02", bytearray(b"\x01"), {3, 1, 2}, frozenset(),
                                      {5: "a"}, {}, {}.keys(), "", "2048", memoryview(b"\x01\x02"),
@@ -246,7 +289,7 @@ class TestEncoding:
                 make_record(ecg=ecg)
             return
         got = make_record(ecg=ecg).ecg
-        assert got == ecg
+        assert got.tolist() == ecg
         assert all(type(v) is int for v in got)
 
 
@@ -344,7 +387,7 @@ def encode_record_reference(rec: TelemetryRecord, max_ecg: int = telemetry.MAX_E
     if len(rec.ecg) > max_ecg:
         raise PayloadTooLargeError(f"ecg holds {len(rec.ecg)} samples, limit is {max_ecg}")
     doc = {"device_id": rec.device_id, "timestamp": rec.timestamp, "bpm": rec.bpm,
-           "location": rec.location, "ecg": rec.ecg}
+           "location": rec.location, "ecg": rec.ecg.tolist()}
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=False,
                       allow_nan=False).encode("utf-8")
 
@@ -418,7 +461,7 @@ class TestCodeTextEncoding:
                         make_record(ecg=sample)
                 continue
             from_array = make_record(ecg=ecg)
-            assert type(from_array.ecg) is list
+            assert isinstance(from_array.ecg, array) and from_array.ecg.typecode == "H"
             assert from_array == make_record(ecg=ecg.tolist())
             assert all(type(v) is int for v in from_array.ecg)
         ecg = codes.copy()
