@@ -1,6 +1,7 @@
 """Timer-paced ADC model and the DMA-style ping-pong double buffer.
 
-ADC codes are plain ints (0 .. 2^bits - 1).  The buffer holds two half
+ADC codes are 16-bit, like the DMA buffer's words: np.ushort arrays, or a
+plain int for one code (0 .. 2^bits - 1).  The buffer holds two half
 buffers: the writer fills one, a block at a time as a DMA channel does,
 while the consumer owns the other; each filled half becomes ready under
 a monotonically increasing sequence number.  If a new half completes
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 _MAX_BITS = 16  # the widest ADC modelled; telemetry's code-text table covers its codes
+_MAX_CODE = (1 << _MAX_BITS) - 1  # np.ushort holds exactly the codes 0.._MAX_CODE
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,8 @@ class AdcConfig:
 def quantize(v, cfg: AdcConfig):
     """Voltage(s) to ADC code(s): round half away from zero, clamp to range.
 
-    +-inf clamp like any out-of-range voltage; NaN has no code and is refused.
+    Codes come back as an np.ushort array, or an int for a scalar.  +-inf
+    clamp like any out-of-range voltage; NaN has no code and is refused.
     """
     arr = np.asarray(v, dtype=np.float64)
     if np.isnan(arr).any():
@@ -63,7 +66,7 @@ def quantize(v, cfg: AdcConfig):
     # clamping the voltage first keeps a huge one from overflowing the
     # scaling; negative values clamp to 0, so rounding half up equals half
     # away from zero
-    codes = np.floor(np.clip(arr, 0.0, cfg.vref) / cfg.vref * cfg.max_code + 0.5).astype(np.int64)
+    codes = np.floor(np.clip(arr, 0.0, cfg.vref) / cfg.vref * cfg.max_code + 0.5).astype(np.ushort)
     if np.isscalar(v) or arr.ndim == 0:
         return int(codes)
     return codes
@@ -90,10 +93,37 @@ def dequantize(c, cfg: AdcConfig):
     return volts
 
 
+def _adc_codes(codes, name: str, sequences: tuple[type, ...] = (list, tuple)) -> np.ndarray:
+    """codes as a 1-D np.ushort array, refusing any value no 16-bit ADC
+    makes: codes is a 1-D integer ndarray or one of sequences holding only
+    ints, each in 0.._MAX_CODE.  A native uint16 array is returned as it
+    is, since its type holds exactly those codes; any other is checked,
+    then converted.  The check is explicit because numpy's casts are none:
+    astype wraps an int64 array, and an out-of-range int raises or only
+    warns depending on the numpy version."""
+    if isinstance(codes, np.ndarray) and codes.ndim == 1 and codes.dtype.kind in "iu":
+        if codes.dtype == np.ushort:
+            return codes
+        low, high = (codes.min(), codes.max()) if codes.size else (0, 0)
+    elif isinstance(codes, sequences):
+        if not {int}.issuperset(map(type, codes)):
+            odd = next(v for v in codes if type(v) is not int)
+            raise ValueError(f"{name} samples must be ADC codes (int), got {type(odd).__name__}")
+        low, high = (min(codes), max(codes)) if codes else (0, 0)
+    else:
+        kinds = ", ".join(kind.__name__ for kind in sequences)
+        raise ValueError(f"{name} must be a {kinds} or 1-D integer array of ADC codes, "
+                         f"got {type(codes).__name__}")
+    if low < 0 or high > _MAX_CODE:
+        raise ValueError(f"{name} codes must be in 0..{_MAX_CODE}, got {low if low < 0 else high}")
+    return np.asarray(codes, dtype=np.ushort)
+
+
 @dataclass(frozen=True)
 class ReadyHalf:
-    """An owned copy of a filled half, stamped with its sequence number;
-    halves alternate, so the half it filled follows from seq."""
+    """An owned copy of a filled half (np.ushort codes), stamped with its
+    sequence number; halves alternate, so the half it filled follows from
+    seq."""
 
     seq: int
     codes: np.ndarray
@@ -111,22 +141,28 @@ class PingPongBuffer:
     completed, like a count of DMA transfer-complete interrupts;
     take_ready_half() hands the filled half to the consumer as an owned
     copy; acquire() drives both in turn over a whole code stream.  The
-    overrun flag latches once a half is dropped.
+    halves are np.ushort, like the device's DMA buffer.  The overrun flag
+    latches once a half is dropped.
     """
 
     def __init__(self, half_capacity: int):
         _require_int("half_capacity", half_capacity, 1)
         self.half_capacity = int(half_capacity)
         # the half with sequence number seq is written into _halves[seq % 2]
-        self._halves = [np.zeros(self.half_capacity, dtype=np.int64) for _ in range(2)]
+        self._halves = [np.zeros(self.half_capacity, dtype=np.ushort) for _ in range(2)]
         self.write_index = 0
         self._ready: int | None = None  # seq of the filled half not yet taken
         self.overrun_flag = False
         self._next_seq = 0
 
     def push_block(self, codes) -> int:
-        """Write codes in order; return the number of halves they completed."""
-        codes = np.asarray(codes, dtype=np.int64)
+        """Write codes in order; return the number of halves they completed.
+
+        codes is a list, tuple, range or 1-D integer array of 16-bit ADC
+        codes; any other, or a value outside 0.._MAX_CODE, raises
+        ValueError before anything is written.
+        """
+        codes = _adc_codes(codes, "block", (list, tuple, range))
         completed = 0
         start = 0
         while start < len(codes):

@@ -69,6 +69,12 @@ def _require_target(width: int, height: int, v_min: float | None = None, v_max: 
         raise ValueError(f"degenerate value range [{v_min}, {v_max}]")
 
 
+def _columns(n: int, width: int) -> np.ndarray:
+    """Which of n samples each of width columns shows: one by stride, no
+    averaging."""
+    return np.arange(width) * n // width
+
+
 def map_to_trace(
     frame: SampleFrame,
     fb_width: int = DEFAULT_WIDTH,
@@ -95,8 +101,7 @@ def map_to_trace(
         v_min, v_max = v_min - 0.5, v_max + 0.5
     if v_max < v_min:
         raise ValueError(f"degenerate value range [{v_min}, {v_max}]")
-    picks = (np.arange(fb_width) * len(frame)) // fb_width
-    norm = (frame.values[picks] - v_min) / (v_max - v_min)
+    norm = (frame.values[_columns(len(frame), fb_width)] - v_min) / (v_max - v_min)
     norm = np.clip(norm, 0.0, 1.0)
     rows_up = np.floor(norm * (fb_height - 1) + 0.5).astype(np.int64)
     return PlotTrace(rows=(fb_height - 1) - rows_up, height=fb_height)

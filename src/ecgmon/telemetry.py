@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .acquisition import _MAX_BITS
+from .acquisition import _MAX_CODE, _adc_codes
 from .signals import SampleFrame, _require_int, _require_real
-from .render import export_svg
+from .render import DEFAULT_WIDTH, _columns, export_svg
 
 __all__ = [
     "PayloadTooLargeError",
@@ -57,7 +57,7 @@ class TelemetryRecord:
     of one JSON object, in this order, and decode_record reads them back.
     ecg is a list or tuple of ints, a 1-D integer numpy array (such as a
     slice of ADC codes) or an array('H'), every value in
-    0.._MAX_TABLE_CODE, stored as a new array('H'): an edit in place can
+    0.._MAX_CODE, stored as a new array('H'): an edit in place can
     only store what encode_record writes.  Any other container or sample
     is refused.
     """
@@ -104,25 +104,12 @@ def _wire_fields(obj, *string_fields: str) -> None:
 
 
 def _ecg_codes(ecg) -> array.array:
-    """ecg as a new array('H') of codes, each in 0.._MAX_TABLE_CODE; an
-    integer ndarray is range-checked, then copied as bytes."""
+    """ecg as a new array('H') of codes, each in 0.._MAX_CODE, under
+    acquisition's rule for ADC codes; a native uint16 array is copied as
+    it is, with no range pass."""
     if isinstance(ecg, array.array) and ecg.typecode == "H":
         return array.array("H", ecg)  # its type holds exactly the table's codes
-    if isinstance(ecg, np.ndarray) and ecg.ndim == 1 and ecg.dtype.kind in "iu":
-        low, high = (ecg.min(), ecg.max()) if ecg.size else (0, 0)
-    elif isinstance(ecg, (list, tuple)):
-        if not {int}.issuperset(map(type, ecg)):
-            odd = next(v for v in ecg if type(v) is not int)
-            raise ValueError(f"ecg samples must be ADC codes (int), got {type(odd).__name__}")
-        low, high = (min(ecg), max(ecg)) if ecg else (0, 0)
-    else:
-        raise ValueError(f"ecg must be a list, tuple or 1-D integer array of ADC codes, "
-                         f"got {type(ecg).__name__}")
-    if low < 0 or high > _MAX_TABLE_CODE:
-        raise ValueError(f"ecg codes must be in 0..{_MAX_TABLE_CODE}, got {low if low < 0 else high}")
-    if isinstance(ecg, np.ndarray):
-        return array.array("H", ecg.astype(np.ushort).tobytes())
-    return array.array("H", ecg)
+    return array.array("H", _adc_codes(ecg, "ecg").tobytes())
 
 
 @dataclass(frozen=True)
@@ -185,8 +172,7 @@ def _code_text_table(max_code: int) -> np.ndarray:
     return text.view(np.uint64).ravel()
 
 
-_MAX_TABLE_CODE = (1 << _MAX_BITS) - 1  # every code AdcConfig allows
-_CODE_TEXT = _code_text_table(_MAX_TABLE_CODE)
+_CODE_TEXT = _code_text_table(_MAX_CODE)  # a row for every code AdcConfig allows
 
 
 def _code_text(codes: np.ndarray) -> bytes:
@@ -232,7 +218,7 @@ def _canonical_record(data: bytes) -> dict:
     except (ValueError, DeprecationWarning):
         canonical = False
     if not canonical:
-        raise ValueError(f"ecg must be ADC codes in 0..{_MAX_TABLE_CODE}, "
+        raise ValueError(f"ecg must be ADC codes in 0..{_MAX_CODE}, "
                          "comma-separated as encode_record writes them")
     try:
         doc = json.loads((data[:cut] + b"}").decode("utf-8"))
@@ -482,7 +468,9 @@ def retrieve_and_plot(source, out) -> PlotResult:
 
     Records are plotted in timestamp order.  The alert lines
     publish_record writes are skipped; every other line that is no record
-    is skipped and counted as a warning.
+    is skipped and counted as a warning.  The plot is drawn from the
+    16-bit codes: only the codes its columns show become floats, scaled
+    to the whole file's range.
     """
     records: list[tuple[int, np.ndarray]] = []  # (timestamp, codes) per good line
     warnings = 0
@@ -499,5 +487,10 @@ def retrieve_and_plot(source, out) -> PlotResult:
             records.append((rec.timestamp, np.frombuffer(rec.ecg, dtype=np.ushort)))
     records.sort(key=lambda r: r[0])
     codes = np.concatenate([np.empty(0, dtype=np.ushort), *(ecg for _, ecg in records)])
-    export_svg(SampleFrame(sample_rate=_PLOT_RATE, values=codes.astype(np.float64)), out)
+    shown, v_min, v_max = codes, None, None  # no codes: an empty polyline
+    if codes.size:
+        shown = codes[_columns(codes.size, DEFAULT_WIDTH)]
+        v_min, v_max = float(codes.min()), float(codes.max())
+    export_svg(SampleFrame(sample_rate=_PLOT_RATE, values=shown), out, DEFAULT_WIDTH,
+               v_min=v_min, v_max=v_max)
     return PlotResult(records_plotted=len(records), warnings=warnings)

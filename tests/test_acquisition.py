@@ -1,6 +1,7 @@
 """ADC quantizer and ping-pong buffer tests."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -39,8 +40,21 @@ class TestQuantize:
     def test_monotone_nondecreasing(self):
         cfg = AdcConfig()
         sweep = np.linspace(-0.5, 3.8, 100_000)
-        codes = quantize(sweep, cfg)
+        codes = quantize(sweep, cfg).astype(np.int64)  # a uint16 step down would wrap
         assert np.all(np.diff(codes) >= 0)
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_codes_are_ushort(self, bits):
+        """Codes are 16-bit, like the DMA buffer's words, at every
+        resolution; one voltage gives an int."""
+        cfg = AdcConfig(resolution_bits=bits)
+        codes = quantize(np.array([-1.0, 0.0, 1.0, 3.3, np.inf]), cfg)
+        assert codes.dtype == np.ushort and codes.dtype.isnative
+        assert codes.tolist() == [0, 0, round(cfg.max_code / 3.3), cfg.max_code, cfg.max_code]
+        assert quantize(np.zeros((2, 2)), cfg).dtype == np.ushort
+        for scalar in (3.3, np.float64(3.3), np.array(3.3)):
+            code = quantize(scalar, cfg)
+            assert type(code) is int and code == cfg.max_code
 
     def test_nan_refused(self):
         """NaN has no code: the cast used to give -2**63 with a RuntimeWarning."""
@@ -77,6 +91,14 @@ class TestDequantize:
         assert dequantize(np.array([0.0, 4095.0]), cfg).tolist() == [0.0, 3.3]
         with pytest.raises(ValueError, match="out of range"):
             dequantize(np.array([0.0, np.inf]), cfg)
+
+    def test_ushort_codes_give_the_same_volts(self):
+        cfg = AdcConfig(resolution_bits=16)
+        codes = np.arange(cfg.max_code + 1)
+        volts = dequantize(codes.astype(np.ushort), cfg)
+        assert volts.dtype == np.float64
+        assert volts.tobytes() == dequantize(codes, cfg).tobytes()
+        assert dequantize(np.ushort(7), cfg) == dequantize(7, cfg)
 
     def test_round_trip_identity_all_codes(self):
         """quantize(dequantize(c)) == c exhaustively over the 4096 codes."""
@@ -172,6 +194,54 @@ class TestPingPongBuffer:
         assert buf.push_block([8, 8, 8, 8]) == 1
         assert buf.take_ready_half().half == 0
         assert half.codes.tolist() == [0, 1, 2, 3]
+
+    def test_halves_are_ushort(self):
+        buf = PingPongBuffer(4)
+        for block in ([1, 2, 3, 4], np.arange(4), np.arange(4, dtype=">u2"), range(4)):
+            buf.push_block(block)
+            half = buf.take_ready_half()
+            assert half.codes.dtype == np.ushort and half.codes.dtype.isnative
+        assert half.codes.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("block, message", [
+        ([1.5, -3], "block samples must be ADC codes (int), got float"),
+        ([5, True], "block samples must be ADC codes (int), got bool"),
+        ([np.int64(5)], "block samples must be ADC codes (int), got int64"),
+        ([5, -3], "block codes must be in 0..65535, got -3"),
+        ([5, 65536], "block codes must be in 0..65535, got 65536"),
+        ([2**64], "block codes must be in 0..65535, got 18446744073709551616"),
+        (range(65530, 65540), "block codes must be in 0..65535, got 65539"),
+        (np.array([70000, 2**40]), "block codes must be in 0..65535, got 1099511627776"),
+        (np.array([5, -1], dtype=np.int8), "block codes must be in 0..65535, got -1"),
+        (np.array([5, 2**32 - 1], dtype=np.uint32), "block codes must be in 0..65535, got 4294967295"),
+        (np.array([1.0, 2.0]), "block must be a list, tuple, range or 1-D integer array of ADC "
+                               "codes, got ndarray"),
+        (np.array([1, 0], dtype=bool), "block must be a list, tuple, range or 1-D integer array "
+                                       "of ADC codes, got ndarray"),
+        (np.zeros((1, 4), dtype=np.ushort), "block must be a list, tuple, range or 1-D integer "
+                                            "array of ADC codes, got ndarray"),
+        ({1, 2}, "block must be a list, tuple, range or 1-D integer array of ADC codes, got set"),
+        ("12", "block must be a list, tuple, range or 1-D integer array of ADC codes, got str"),
+    ], ids=["float", "bool", "numpy-scalar", "negative", "above-16-bit", "uint64-max-plus-1",
+            "range", "int64-array", "int8-array", "uint32-array", "float-array", "bool-array",
+            "2-d", "set", "str"])
+    def test_refused_block_leaves_the_buffer_as_it_was(self, block, message):
+        """A value no 16-bit ADC makes is refused before anything is
+        written: the partial half, the ready half and the flag stay."""
+        buf = PingPongBuffer(4)
+        buf.push_block([1, 2, 3, 4, 5, 6, 7])  # half 0 ready, half 1 holds 5, 6, 7
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            buf.push_block(block)
+        assert (buf.write_index, buf.overrun_flag) == (3, False)
+        assert buf.push_block([65535]) == 1  # completes half 1, dropping half 0
+        assert buf.take_ready_half().codes.tolist() == [5, 6, 7, 65535]
+
+    def test_codes_at_the_16_bit_limits_accepted(self):
+        buf = PingPongBuffer(2)
+        for block in ([0, 65535], (0, 65535), np.array([0, 65535]),
+                      np.array([0, 65535], dtype=np.uint64), range(0, 65536, 65535)):
+            assert buf.push_block(block) == 1
+            assert buf.take_ready_half().codes.tolist() == [0, 65535]
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError, match="^half_capacity must be >= 1, got 0$"):

@@ -7,7 +7,9 @@ import math
 import re
 import socket
 import threading
+import tempfile
 import time
+import tracemalloc
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +25,8 @@ from ecgmon.acquisition import AdcConfig
 from ecgmon.cloud import LoopbackListener
 from ecgmon.config import PipelineConfig
 from ecgmon.pipeline import run_pipeline
+from ecgmon.render import export_svg
+from ecgmon.signals import SampleFrame
 from ecgmon.telemetry import (
     AlertEvent,
     AlertPolicy,
@@ -477,6 +481,17 @@ class TestCodeTextEncoding:
         ecg[0] = 7
         assert rec.ecg[0] == codes[0]  # the record holds its own copy
 
+    def test_native_big_endian_int64_and_list_codes_build_equal_records(self):
+        """A native uint16 array is stored as it is, a >u2 or int64 array
+        after its check: every form of the same codes is the same record."""
+        codes = [0, 1, 2048, 4095, 65535]
+        forms = (np.array(codes, dtype=np.ushort), np.array(codes, dtype=">u2"),
+                 np.array(codes, dtype=np.int64), codes)
+        records = [make_record(ecg=ecg) for ecg in forms]
+        assert all(rec == records[0] for rec in records)
+        assert {encode_record(rec) for rec in records} == {encode_record(records[0])}
+        assert decode_record(encode_record(records[0])) == records[0]
+
     @pytest.mark.parametrize("ecg", [
         np.array([1, 0], dtype=bool), np.array([1 + 2j]), np.array([1, "x"], dtype=object),
         np.array(5), np.zeros((2, 3), dtype=np.int64), np.zeros(3, dtype=np.longdouble),
@@ -550,7 +565,7 @@ def decode_outcome(decode, data: bytes):
 
 
 # one field of a code list: codes of up to five digits (those above
-# _MAX_TABLE_CODE are refused), and text other than the table's, which is
+# _MAX_CODE are refused), and text other than the table's, which is
 # refused too (leading zeros, signs, fractions, exponents, more than five
 # digits, whitespace, other JSON values, empty fields)
 _code_fields = st.integers(min_value=0, max_value=99999).map(str)
@@ -607,7 +622,7 @@ class TestCodeTextDecoding:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(rec=record_strategy,
-           codes=st.lists(st.integers(min_value=0, max_value=telemetry._MAX_TABLE_CODE),
+           codes=st.lists(st.integers(min_value=0, max_value=telemetry._MAX_CODE),
                           min_size=1, max_size=60))
     def test_canonical_code_lines_read_back_their_codes(self, rec, codes):
         line = encode_record(dataclasses.replace(rec, ecg=codes))
@@ -828,6 +843,31 @@ class TestSinks:
         assert pauses == [0.05, 0.1]
 
 
+BAD_PLOT_LINES = [
+    b"{corrupt json",
+    b"",
+    encode_record(make_record()).replace(b"[2048,", b"[65536,"),
+    encode_alert(AlertEvent(130.0, "high", "ward", 0)),
+]
+
+
+def assert_plot_matches_reference(tmp_path: Path, lines: list[bytes]) -> None:
+    """retrieve_and_plot of lines writes the SVG of every decoded code, in
+    timestamp order (ties in file order), as one float64 frame."""
+    source, out, ref = tmp_path / "records.jsonl", tmp_path / "plot.svg", tmp_path / "ref.svg"
+    source.write_bytes(b"".join(line + b"\n" for line in lines))
+    records = []
+    for line in lines:
+        with contextlib.suppress(ValueError):
+            records.append(decode_record(line))
+    records.sort(key=lambda rec: rec.timestamp)
+    export_svg(SampleFrame(500.0, np.array([c for rec in records for c in rec.ecg], dtype=np.float64)),
+               ref)
+    plot = retrieve_and_plot(source, out)
+    assert plot.records_plotted == len(records)
+    assert out.read_bytes() == ref.read_bytes()
+
+
 class TestRetrieveAndPlot:
     def test_single_record_matches_direct_render(self, tmp_path):
         import numpy as np
@@ -934,6 +974,53 @@ class TestRetrieveAndPlot:
             fh.write(b"\n".join(not_alerts) + b"\n")
         plot = retrieve_and_plot(source, tmp_path / "plot.svg")
         assert (plot.records_plotted, plot.warnings) == (1, len(not_alerts))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lines=st.lists(st.one_of(
+        st.builds(lambda t, ecg: encode_record(make_record(timestamp=t, ecg=ecg)),
+                  st.integers(0, 3),
+                  st.one_of(st.lists(st.integers(0, 65535), max_size=300),
+                            st.lists(st.sampled_from([0, 65535]), max_size=140),
+                            st.integers(0, 65535).flatmap(
+                                lambda c: st.lists(st.just(c), max_size=140)))),
+        st.sampled_from(BAD_PLOT_LINES)), max_size=6))
+    def test_plot_equals_the_float_frame_of_every_code(self, lines):
+        """Drawn from the codes, the SVG is byte for byte the one the whole
+        file's codes give as one float64 frame."""
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_plot_matches_reference(Path(tmp), lines)
+
+    @pytest.mark.parametrize("lengths", [[], [0], [1], [127], [128], [129], [60, 67], [64, 65],
+                                         [1, 0, 128], [5000] * 3])
+    def test_plot_of_edge_lengths_equals_the_float_frame(self, tmp_path, lengths):
+        """Files of 0, 1, 127, 128 and 129 codes in all, in one record or
+        several, with unsorted and tied timestamps, bad lines between, and
+        constant or extreme codes."""
+        rng = np.random.default_rng(len(lengths))
+        for make in (lambda n: rng.integers(0, 65536, n), lambda n: np.full(n, 7),
+                     lambda n: rng.choice([0, 65535], n)):
+            lines = [encode_record(make_record(timestamp=(len(lengths) - i) // 2, ecg=make(n)))
+                     for i, n in enumerate(lengths)]
+            lines[1:1] = BAD_PLOT_LINES
+            assert_plot_matches_reference(tmp_path, lines)
+
+    def test_plot_peak_memory_is_linear_in_the_codes_with_a_small_factor(self, tmp_path):
+        """The file's codes stay 16-bit: reading 40 records of 5000 codes
+        peaks below 8 bytes per code (a float64 copy of them alone is 8)."""
+        rng = np.random.default_rng(3)
+        source = tmp_path / "records.jsonl"
+        source.write_bytes(b"".join(
+            encode_record(make_record(timestamp=i, ecg=rng.integers(0, 4096, 5000))) + b"\n"
+            for i in range(40)))
+        retrieve_and_plot(source, tmp_path / "warm.svg")
+        tracemalloc.start()
+        try:
+            plot = retrieve_and_plot(source, tmp_path / "plot.svg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (plot.records_plotted, plot.warnings) == (40, 0)
+        assert peak / (40 * 5000) < 8
 
     def test_ecg_that_is_no_array_counts_as_warning(self, tmp_path):
         source = tmp_path / "records.jsonl"
