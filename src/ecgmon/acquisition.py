@@ -32,7 +32,7 @@ __all__ = [
     "dequantize",
 ]
 
-_MAX_BITS = 16  # the widest ADC modelled; telemetry's code-text table covers its codes
+_MAX_BITS = 16  # the widest ADC modelled; a record's 16-bit words hold its codes
 _MAX_CODE = (1 << _MAX_BITS) - 1  # np.ushort holds exactly the codes 0.._MAX_CODE
 
 

@@ -1,15 +1,16 @@
 """Cloud-bound record encoding, alert policy and pluggable publish sinks.
 
 Records serialize to canonical JSON (fixed key order, no insignificant
-whitespace, shortest round-trip decimals) so golden-file tests compare
-byte for byte.  Sinks write one JSON document per line.  The endpoint an
-HttpSink posts to in the tests and the benchmark, LoopbackListener, lives
-in ecgmon.cloud.
+whitespace, shortest round-trip decimals, codes as base64) so golden files
+compare byte for byte.  Sinks write one JSON document per line.  The
+endpoint an HttpSink posts to in the tests and the benchmark,
+LoopbackListener, lives in ecgmon.cloud.
 """
 
 from __future__ import annotations
 
 import array
+import binascii
 import json
 import socket
 import sys
@@ -18,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .acquisition import _MAX_CODE, _adc_codes
+from .acquisition import _adc_codes
 from .signals import SampleFrame, _require_int, _require_real
 from .render import DEFAULT_WIDTH, _columns, export_svg
 
@@ -55,11 +56,9 @@ class TelemetryRecord:
 
     The fields are in wire order: encode_record writes them as the keys
     of one JSON object, in this order, and decode_record reads them back.
-    ecg is a list or tuple of ints, a 1-D integer numpy array (such as a
-    slice of ADC codes) or an array('H'), every value in
-    0.._MAX_CODE, stored as a new array('H'): an edit in place can
-    only store what encode_record writes.  Any other container or sample
-    is refused.
+    ecg is an array('H') or ADC codes as acquisition._adc_codes takes
+    them, stored as a new array('H'), so an edit in place can store only
+    codes.
     """
 
     device_id: str
@@ -74,7 +73,6 @@ class TelemetryRecord:
 
 
 RECORD_KEYS = tuple(f.name for f in fields(TelemetryRecord))
-_HEADER_KEYS = RECORD_KEYS[:-1]  # every key but ecg, the last
 
 
 def _require_text(obj, *names: str) -> None:
@@ -108,7 +106,7 @@ def _ecg_codes(ecg) -> array.array:
     acquisition's rule for ADC codes; a native uint16 array is copied as
     it is, with no range pass."""
     if isinstance(ecg, array.array) and ecg.typecode == "H":
-        return array.array("H", ecg)  # its type holds exactly the table's codes
+        return array.array("H", ecg)  # its type holds exactly the 16-bit codes
     return array.array("H", _adc_codes(ecg, "ecg").tobytes())
 
 
@@ -160,75 +158,44 @@ def _json_bytes(doc: dict | list) -> bytes:
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=False, allow_nan=False).encode("utf-8")
 
 
-def _code_text_table(max_code: int) -> np.ndarray:
-    """Row c holds code c's decimal digits and a comma as bytes, NUL-padded
-    to 8, viewed as one uint64 so take() gathers whole rows."""
-    text = np.zeros((max_code + 1, 8), dtype=np.uint8)
-    for width in range(1, len(str(max_code)) + 1):  # the codes of each width are one run
-        lo, hi = 10 ** (width - 1) if width > 1 else 0, min(10 ** width, max_code + 1)
-        places = 10 ** np.arange(width - 1, -1, -1, dtype=np.int32)
-        text[lo:hi, :width] = ord("0") + np.arange(lo, hi, dtype=np.int32)[:, None] // places % 10
-        text[lo:hi, width] = ord(",")
-    return text.view(np.uint64).ravel()
-
-
-_CODE_TEXT = _code_text_table(_MAX_CODE)  # a row for every code AdcConfig allows
-
-
-def _code_text(codes: np.ndarray) -> bytes:
-    """The JSON array body of 16-bit codes, such as b"2048,0,17" (b"" for
-    no codes), gathered from the code-text table."""
-    # every row ends in a comma: drop the padding, then the last comma
-    return _CODE_TEXT.take(codes).tobytes().translate(None, b"\0")[:-1]
-
-
-_ECG_KEY = b',"ecg":['  # the last key and the "[" of its array
-
-
 def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes:
-    """Canonical JSON bytes: fixed key order, compact, UTF-8; the header
-    through json, the codes from the code-text table."""
+    """Canonical JSON bytes: fixed key order, compact, UTF-8; ecg is the
+    padded base64 of the codes as little-endian 16-bit words."""
     _require_int("max_ecg", max_ecg, 0)
     if len(rec.ecg) > max_ecg:
         raise PayloadTooLargeError(f"ecg holds {len(rec.ecg)} samples, limit is {max_ecg}")
-    head = _json_bytes({key: getattr(rec, key) for key in _HEADER_KEYS})
-    text = _code_text(np.frombuffer(rec.ecg, dtype=np.ushort))
-    # splice the codes in before the head's closing brace
-    return head[:-1] + _ECG_KEY + text + b"]}"
+    words = np.frombuffer(rec.ecg, dtype=np.ushort).astype("<u2", copy=False).tobytes()
+    doc = {key: getattr(rec, key) for key in RECORD_KEYS}
+    doc["ecg"] = binascii.b2a_base64(words, newline=False).decode("ascii")
+    return _json_bytes(doc)
 
 
 def _canonical_record(data: bytes) -> dict:
-    """The fields of a line encode_record writes, ecg as a uint16 array:
-    only the four header keys go through json.  Any other line raises
-    ValueError with the reason.  numpy's parse is lenient (it reads " 1",
-    "01" and a trailing ",", and wraps "70000" to 4464), so the codes count
-    only when their text is exactly the code-text table's, which is
-    canonical and one-to-one."""
+    """The fields of a JSON line with exactly the record's keys, in order,
+    ecg as the uint16 array of its base64, which counts only as
+    encode_record writes it; any other line raises ValueError with the
+    reason."""
     if not isinstance(data, bytes):
         raise ValueError(f"record must be bytes, got {type(data).__name__}")
-    cut = data.rfind(_ECG_KEY)
-    if cut < 0 or not data.endswith(b"]}"):
-        raise ValueError('record must end with its ecg array: ,"ecg":[...]}')
-    body = data[cut + len(_ECG_KEY):-2]
     try:
-        codes = np.fromstring(body, dtype=np.ushort, sep=",")
-        canonical = _code_text(codes) == body
-    # text numpy cannot read to its end: numpy 2 raises ValueError; numpy 1
-    # warns, which an "error" warnings filter raises, else it returns a prefix
-    except (ValueError, DeprecationWarning):
-        canonical = False
-    if not canonical:
-        raise ValueError(f"ecg must be ADC codes in 0..{_MAX_CODE}, "
-                         "comma-separated as encode_record writes them")
-    try:
-        doc = json.loads((data[:cut] + b"}").decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise ValueError(f"record header is not JSON: {exc}") from None
-    # the head parsed, so it is an object (it ends in "}"); with exactly the
-    # header keys, in order, the whole line is that object plus the codes
-    if tuple(doc) != _HEADER_KEYS:
-        raise ValueError(f"bad record keys: {list(doc)} before ecg, want {list(_HEADER_KEYS)}")
-    doc["ecg"] = codes
+        raise ValueError(f"record is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"record must be a JSON object, got {type(doc).__name__}")
+    if tuple(doc) != RECORD_KEYS:
+        raise ValueError(f"bad record keys: {list(doc)}, want {list(RECORD_KEYS)}")
+    text = doc["ecg"]
+    try:
+        raw = binascii.a2b_base64(text)
+    except (TypeError, ValueError) as exc:  # no string, no ASCII, or binascii.Error
+        raise ValueError(f"ecg is not base64: {exc}") from None
+    # a2b_base64 skips letters outside the alphabet and ignores trailing bits
+    if binascii.b2a_base64(raw, newline=False) != text.encode("ascii"):
+        raise ValueError("ecg is not canonical base64 (padding, spaces, URL-safe letters, trailing bits)")
+    if len(raw) % 2:
+        raise ValueError(f"ecg must hold whole 16-bit codes, got {len(raw)} bytes")
+    doc["ecg"] = np.frombuffer(raw, dtype="<u2").astype(np.ushort, copy=False)
     return doc
 
 
@@ -469,8 +436,8 @@ def retrieve_and_plot(source, out) -> PlotResult:
     Records are plotted in timestamp order.  The alert lines
     publish_record writes are skipped; every other line that is no record
     is skipped and counted as a warning.  The plot is drawn from the
-    16-bit codes: only the codes its columns show become floats, scaled
-    to the whole file's range.
+    16-bit codes, never joined: only the codes its columns show become
+    floats, scaled to the lowest and highest code of any record.
     """
     records: list[tuple[int, np.ndarray]] = []  # (timestamp, codes) per good line
     warnings = 0
@@ -486,11 +453,14 @@ def retrieve_and_plot(source, out) -> PlotResult:
                 continue
             records.append((rec.timestamp, np.frombuffer(rec.ecg, dtype=np.ushort)))
     records.sort(key=lambda r: r[0])
-    codes = np.concatenate([np.empty(0, dtype=np.ushort), *(ecg for _, ecg in records)])
-    shown, v_min, v_max = codes, None, None  # no codes: an empty polyline
-    if codes.size:
-        shown = codes[_columns(codes.size, DEFAULT_WIDTH)]
-        v_min, v_max = float(codes.min()), float(codes.max())
+    codes = [ecg for _, ecg in records if ecg.size]
+    shown, v_min, v_max = np.empty(0, dtype=np.ushort), None, None  # no codes: an empty polyline
+    if codes:
+        starts = np.cumsum([0] + [ecg.size for ecg in codes])  # each record's first index, then the total
+        at = _columns(int(starts[-1]), DEFAULT_WIDTH)  # the indices the columns show, in the joined codes
+        which = np.searchsorted(starts, at, side="right") - 1
+        shown = np.array([codes[r][i] for r, i in zip(which, at - starts[which])], dtype=np.ushort)
+        v_min, v_max = float(min(map(np.min, codes))), float(max(map(np.max, codes)))
     export_svg(SampleFrame(sample_rate=_PLOT_RATE, values=shown), out, DEFAULT_WIDTH,
                v_min=v_min, v_max=v_max)
     return PlotResult(records_plotted=len(records), warnings=warnings)

@@ -1,6 +1,7 @@
 """Config parsing, pipeline, and CLI subcommand tests."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -11,6 +12,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +80,26 @@ class TestConfig:
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
         assert PipelineConfig.loads(block, name="README.md") == PipelineConfig()
+
+    def test_readme_recipe_decodes_a_sent_line(self, tmp_path, capsys):
+        """The README's decoding recipe, standard library only, gives the
+        codes of a line `ecgmon send --sink stdout` prints."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        recipe = textwrap.dedent(block)
+        nodes = list(ast.walk(ast.parse(recipe)))
+        imported = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+        assert imported and imported <= sys.stdlib_module_names
+        csv = tmp_path / "x.csv"
+        assert main(["simulate", "--duration", "1", "--out", str(csv)]) == 0
+        capsys.readouterr()
+        assert main(["send", "--in", str(csv), "--bpm", "72", "--sink", "stdout"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        namespace = {"line": line}
+        exec(recipe, namespace)
+        assert namespace["codes"].tolist() == decode_record(line.encode()).ecg.tolist()
+        assert len(namespace["codes"]) == 500
 
     def test_every_key_lands_in_its_field(self):
         cfg = PipelineConfig.loads(_ALL_KEYS)

@@ -6,8 +6,10 @@ Only ints and bools are hashed, so a hash changes exactly when a code, an
 edge or a pixel does; the record hash covers its bytes.  The hashes were
 captured before the per-record fast paths (cached filter design, skipped
 zero wraps, vectorised edge-run and polyline kernels, records built from the
-code array and encoded from a code-text table) went in; they pin that those
-paths give the same output.
+code array) went in; they pin that those paths give the same output.  The
+record hashes were captured again when the codes' wire form became base64
+of their 16-bit words, after checking that each new line carries the old
+line's header and codes.
 """
 
 import hashlib
@@ -46,19 +48,19 @@ GOLDEN = {
         "codes": "c8832cba7b64e459e8e2a76e1ffa24defdd53653739b33bb5a2db2c254d45bd8",
         "edges": "cea0c3a4957c49d018857a351c817660944781458ade9c26b3d03753d1479f9c",
         "framebuffer": "e5676437a6d4e490440421464331d27ca5e1a428549ebe41fc917f511b7ef7fb",
-        "record": "8e112a545637cd2a77c286f31b1d35e5c8bdbdfa417f5d7a36fa8c95e099c71d",
+        "record": "fbb72272ca1cb4f2912eb1e6b1884e34dd995d27d357e710a26ce5801c4717d3",
     },
     "sine": {
         "codes": "5415e2e074d38876a04359e8a974dcafcc7a5ed7c02efa404459994b0cfe1a41",
         "edges": "e2078a168334d37614a99de1c219a10dd213103ea1b66529de343061533c178d",
         "framebuffer": "2dddc8585ac15ef9c7dfdd1521196365f691d16cae0b4058a0b7e449bcd8081d",
-        "record": "7333a3fec7f732323cb3a8a8fe3baf1f9235e8c54951f98b89ad82b36ba951e0",
+        "record": "f92b93b50ba08512cb31c30b24d36e154b07a1e3b524b4734371a7669f4dcf74",
     },
     "edge_template": {
         "codes": "5052821190785b7012250e8d7e9d3401d56c3b799b9a6a68498b8ab2498ae401",
         "edges": "de026aea6c03b136ee80dd12aeb5365eeaee7ecbdc20af8455a22ae65614f0a4",
         "framebuffer": "f4005299fb0ed5484e1e245700689fe07786a28f2ee72083b58c2ed1a61c3d3c",
-        "record": "5e63ca0ddd7a471b1954fee960a8c1b44e847b407e87c892e40d1f518af6d04c",
+        "record": "4a4b8916528e97c5b892dbb0d8223d6e02cc76cb9acfc164898bc830811c577e",
     },
 }
 

@@ -1,11 +1,13 @@
 """Telemetry tests: canonical encoding, alerts, sinks, retrieve-and-plot."""
 
+import base64
 import contextlib
 import dataclasses
 import json
 import math
 import re
 import socket
+import sys
 import threading
 import tempfile
 import time
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ecgmon import cloud, telemetry
-from ecgmon.acquisition import AdcConfig
+from ecgmon.acquisition import _MAX_CODE, AdcConfig
 from ecgmon.cloud import LoopbackListener
 from ecgmon.config import PipelineConfig
 from ecgmon.pipeline import run_pipeline
@@ -45,6 +47,18 @@ from ecgmon.telemetry import (
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "record.json"
+GOLDEN_ECG = b'"AAgDCP8HAQg="'  # the golden record's codes, 2048, 2051, 2047 and 2049, as JSON
+# the reason a JSON value other than a string in ecg's place is refused
+NOT_TEXT = "ecg is not base64: argument should be bytes, buffer or ASCII string, not '{}'"
+
+
+def ecg_text(codes) -> str:
+    """The base64 of codes as little-endian 16-bit words, through the
+    standard library alone."""
+    words = array("H", codes)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return base64.b64encode(words.tobytes()).decode("ascii")
 
 
 def make_record(**overrides) -> TelemetryRecord:
@@ -125,7 +139,7 @@ class TestEncoding:
 
     def test_empty_ecg_is_present_not_omitted(self):
         payload = encode_record(make_record(ecg=[]))
-        assert b'"ecg":[]' in payload
+        assert payload.endswith(b'"ecg":""}')
 
     def test_no_insignificant_whitespace(self):
         payload = encode_record(make_record())
@@ -208,19 +222,19 @@ class TestEncoding:
         assert decode_record(encode_record(rec)) == rec
 
     def test_decode_rejects_bad_keys(self):
-        ends = '^record must end with its ecg array: ,"ecg":\\[\\.\\.\\.\\]}$'
-        with pytest.raises(ValueError, match=ends):
-            decode_record(b'{"device_id":"x","timestamp":1,"bpm":60,"location":"y"}')
-        with pytest.raises(ValueError, match=ends):
-            decode_record(
-                b'{"device_id":"x","timestamp":1,"bpm":60,"location":"y","ecg":[],"extra":1}')
+        want = re.escape(", want ['device_id', 'timestamp', 'bpm', 'location', 'ecg']") + "$"
         with pytest.raises(ValueError, match=re.escape(
-                "bad record keys: ['device_id', 'timestamp', 'bpm', 'extra', 'location'] before ecg, "
-                "want ['device_id', 'timestamp', 'bpm', 'location']")):
+                "bad record keys: ['device_id', 'timestamp', 'bpm', 'location']") + want):
+            decode_record(b'{"device_id":"x","timestamp":1,"bpm":60,"location":"y"}')
+        with pytest.raises(ValueError, match="^bad record keys: .*'ecg', 'extra'\\]" + want):
             decode_record(
-                b'{"device_id":"x","timestamp":1,"bpm":60,"extra":1,"location":"y","ecg":[]}')
+                b'{"device_id":"x","timestamp":1,"bpm":60,"location":"y","ecg":"","extra":1}')
+        with pytest.raises(ValueError, match=re.escape(
+                "bad record keys: ['device_id', 'timestamp', 'bpm', 'extra', 'location', 'ecg']") + want):
+            decode_record(
+                b'{"device_id":"x","timestamp":1,"bpm":60,"extra":1,"location":"y","ecg":""}')
         with pytest.raises(ValueError, match="^bad record keys: "):  # the header keys out of order
-            decode_record(b'{"timestamp":1,"device_id":"x","bpm":60,"location":"y","ecg":[]}')
+            decode_record(b'{"timestamp":1,"device_id":"x","bpm":60,"location":"y","ecg":""}')
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
@@ -244,7 +258,7 @@ class TestEncoding:
             with pytest.raises(ValueError, match=f"{name} must be UTF-8 text"):
                 make_record(**{name: "ward-\udcff"})
         with pytest.raises(ValueError, match="device_id must be a string"):
-            decode_record(b'{"device_id":5,"timestamp":0,"bpm":72,"location":null,"ecg":[1,2]}')
+            decode_record(b'{"device_id":5,"timestamp":0,"bpm":72,"location":null,"ecg":"AQACAA=="}')
         rec = make_record(bpm=np.float64(61.5), timestamp=np.int64(7), ecg=(3, 2))
         assert (rec.timestamp, rec.ecg.tolist()) == (7, [3, 2])
         assert (type(rec.bpm), type(rec.timestamp)) == (float, int)
@@ -271,11 +285,17 @@ class TestEncoding:
     @pytest.mark.parametrize("value, name", [(b'""', "str"), (b'"2048"', "str"), (b"{}", "dict"),
                                              (b'{"1":2}', "dict")])
     def test_decode_requires_an_ecg_array(self, value, name):
-        """A JSON str or object in the array's place is refused, not read as
-        an empty or a key list."""
+        """ecg reads only as base64 of an array of 16-bit words: "" is the
+        empty array; "2048" is base64 of three bytes, and an object is no
+        string, so neither is read as an array of codes or of keys."""
         assert type(json.loads(value)).__name__ == name
-        line = encode_record(make_record()).replace(b"[2048,2051,2047,2049]", value)
-        with pytest.raises(ValueError, match='^record must end with its ecg array'):
+        line = encode_record(make_record()).replace(GOLDEN_ECG, value)
+        if value == b'""':
+            assert decode_record(line) == make_record(ecg=[])
+            return
+        reason = "ecg must hold whole 16-bit codes, got 3 bytes" if name == "str" else \
+            NOT_TEXT.format("dict")
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
             decode_record(line)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -395,23 +415,27 @@ class TestWireFields:
 
 
 def encode_record_reference(rec: TelemetryRecord, max_ecg: int = telemetry.MAX_ECG_SAMPLES) -> bytes:
-    """encode_record as one json.dumps of the whole record, samples included."""
+    """encode_record as one json.dumps of the whole record, the codes
+    through the standard library's base64."""
     if len(rec.ecg) > max_ecg:
         raise PayloadTooLargeError(f"ecg holds {len(rec.ecg)} samples, limit is {max_ecg}")
     doc = {"device_id": rec.device_id, "timestamp": rec.timestamp, "bpm": rec.bpm,
-           "location": rec.location, "ecg": rec.ecg.tolist()}
+           "location": rec.location, "ecg": ecg_text(rec.ecg)}
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=False,
                       allow_nan=False).encode("utf-8")
 
 
-# code lists, the empty one included, with the codes where the digit count
-# changes and the ends of the table drawn often
+# code lists, the empty one included, with the ends of the 16-bit range
+# and the codes whose low or high byte is 0 or 255 drawn often; lengths of
+# every residue mod 3 give each base64 padding
 _code_lists = st.lists(st.one_of(st.integers(min_value=0, max_value=65535),
-                                 st.sampled_from([0, 9, 10, 99, 100, 9999, 10000, 65535])),
+                                 st.sampled_from([0, 1, 255, 256, 65280, 65534, 65535])),
                        max_size=80)
 
 
 class TestCodeTextEncoding:
+    """The codes' one wire form: base64 of their little-endian 16-bit words."""
+
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(device_id=st.text(max_size=12), location=st.text(max_size=12),
            bpm=st.one_of(st.integers(min_value=1, max_value=300),
@@ -431,7 +455,9 @@ class TestCodeTextEncoding:
             assert encode_record(rec) == encode_record_reference(rec)
 
     def test_pipeline_record_samples_never_reach_json(self, monkeypatch):
-        """A 5000-code record goes through json only for its four header keys."""
+        """A 5000-code record goes through json once, its codes as one
+        base64 string, never as numbers; the line spends at most 2.7
+        bytes per code (the decimal text spent 5.0)."""
         record = run_pipeline(dataclasses.replace(PipelineConfig(), duration=10.24)).record
         assert len(record.ecg) == 5000
         expected = encode_record_reference(record)
@@ -445,7 +471,26 @@ class TestCodeTextEncoding:
         monkeypatch.setattr(telemetry.json, "dumps", counting_dumps)
         assert encode_record(record) == expected
         assert len(dumped) == 1
-        assert list(dumped[0]) == ["device_id", "timestamp", "bpm", "location"]
+        assert tuple(dumped[0]) == telemetry.RECORD_KEYS
+        assert dumped[0]["ecg"] == ecg_text(record.ecg) and len(dumped[0]["ecg"]) == 13336
+        assert len(expected) <= 13500
+
+    def test_little_endian_layout(self):
+        """Code 258 is the bytes 02 01 on every host."""
+        assert encode_record(make_record(ecg=[1, 258])).endswith(b'"ecg":"AQACAQ=="}')
+        assert encode_record(make_record()).endswith(b'"ecg":' + GOLDEN_ECG + b"}")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(codes=hnp.arrays(np.uint16, st.integers(0, 300)))
+    def test_uint16_arrays_round_trip(self, codes):
+        """Any uint16 array, the empty one included, reads back as itself,
+        and the standard library's base64 gives the same codes."""
+        line = encode_record(make_record(ecg=codes))
+        assert decode_record(line).ecg.tolist() == codes.tolist()
+        words = array("H", base64.b64decode(json.loads(line)["ecg"], validate=True))
+        if sys.byteorder == "big":
+            words.byteswap()
+        assert words.tolist() == codes.tolist()
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
                                        np.uint8, np.uint16, np.uint32, np.uint64,
@@ -526,33 +571,38 @@ class TestCodeTextEncoding:
     ], ids=["int64-max-plus-1", "uint64-max-plus-1", "float", "mixed", "empty", "above-table"])
     def test_lists_outside_the_table_go_through_json(self, tmp_path, ecg, error):
         """A list that is no codes is refused when the record is built, and
-        the line json.dumps would write for it is refused when read.  The
-        empty list is the table's text for no codes."""
+        the line json.dumps would write for any list, the empty one
+        included, is refused when read: codes travel only as base64."""
         doc = dict(device_id="ecg-001", timestamp=1, bpm=72.0, location="w", ecg=ecg)
         line = json.dumps(doc, separators=(",", ":")).encode()
         if error is None:
             rec = TelemetryRecord(**doc)
-            assert encode_record(rec) == line == encode_record_reference(rec)
-            assert decode_record(line) == rec
-            return
-        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-            TelemetryRecord(**doc)
-        assert_line_refused(line, tmp_path, "ecg must be ADC codes in 0..65535")
+            assert encode_record(rec) == line.replace(b"[]", b'""') == encode_record_reference(rec)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                TelemetryRecord(**doc)
+        assert_line_refused(line, tmp_path, NOT_TEXT.format("list"))
 
 
 def decode_record_reference(data: bytes) -> TelemetryRecord:
-    """decode_record as one json.loads of the whole line, samples included."""
+    """decode_record as one json.loads of the whole line, the codes through
+    the standard library's validating base64 and a re-encode."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except RecursionError:
         raise ValueError("record nests too deeply") from None
-    if not isinstance(doc, dict):
-        raise ValueError("record must be a JSON object")
-    missing = [k for k in telemetry.RECORD_KEYS if k not in doc]
-    extra = [k for k in doc if k not in telemetry.RECORD_KEYS]
-    if missing or extra:
-        raise ValueError(f"bad record keys: missing {missing}, unexpected {extra}")
-    return TelemetryRecord(**{k: doc[k] for k in telemetry.RECORD_KEYS})
+    if not isinstance(doc, dict) or tuple(doc) != telemetry.RECORD_KEYS:
+        raise ValueError("record must be a JSON object with the record's keys in order")
+    text = doc["ecg"]
+    if not isinstance(text, str) or not text.isascii():
+        raise ValueError("ecg must be ASCII text")
+    raw = base64.b64decode(text, validate=True)
+    if base64.b64encode(raw).decode("ascii") != text or len(raw) % 2:
+        raise ValueError("ecg must be canonical base64 of 16-bit words")
+    words = array("H", raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return TelemetryRecord(**{**doc, "ecg": words})
 
 
 def decode_outcome(decode, data: bytes):
@@ -564,65 +614,74 @@ def decode_outcome(decode, data: bytes):
     return rec, type(rec.timestamp), type(rec.bpm), [type(v) for v in rec.ecg]
 
 
-# one field of a code list: codes of up to five digits (those above
-# _MAX_CODE are refused), and text other than the table's, which is
-# refused too (leading zeros, signs, fractions, exponents, more than five
-# digits, whitespace, other JSON values, empty fields)
-_code_fields = st.integers(min_value=0, max_value=99999).map(str)
-_odd_fields = st.sampled_from([
-    "", "00", "01", "007", "-1", "-0", "1.5", "2.0", "1e3", "123456", "012345",
-    "9" * 20, "9" * 400, " 7", "7 ", "\t7", "true", "null", "NaN", "[1]", "[]", '"1"', "{}",
-])
-# what may follow the code list: only "]}" ends a canonical line
-_line_ends = st.sampled_from(["]}", "]} ", "]}\n", "]}x", "]}}", "]", "]]}", "],\"x\":1}"])
+# what the ecg text may become one step off encode_record's: a character
+# inserted (whitespace, a JSON escape of a line break, padding, URL-safe or
+# other letters, non-ASCII), one dropped or replaced, or another JSON value
+_text_inserts = st.sampled_from([" ", "\\n", "\\r\\n", "\\t", "=", "==", "-", "_", "A", "/", "+",
+                                 "Q", "é", "\\u0041", "\\u00e9", "."])
+_other_values = st.sampled_from(["0", "5", "null", "true", "{}", '{"a":"AQA="}', "[]", "[1,2]",
+                                 "[2048,2051]", '["AQA="]', '"AQA="+"AQA="'])
+# what may follow the object: JSON's whitespace reads, anything else not
+_line_ends = st.sampled_from(["", " ", "\n", "\t \r\n", "x", "}", "]", ",", '{"x":1}'])
 
 
 @st.composite
 def _record_lines(draw) -> bytes:
     """encode_record's lines for records of codes, and lines one step off them."""
-    head = encode_record(draw(record_strategy.map(lambda rec: dataclasses.replace(rec, ecg=[]))))
-    head = head[:-len(b',"ecg":[]}')]
-    fields = draw(st.lists(_code_fields, min_size=1, max_size=40))
-    end = "]}"
-    variant = draw(st.sampled_from(["canonical", "field", "separator", "end", "head", "bytes"]))
-    if variant == "field":
-        fields.insert(draw(st.integers(0, len(fields))), draw(_odd_fields))
-    body = ",".join(fields)
-    if variant == "separator":
-        at = draw(st.integers(0, len(body)))
-        body = body[:at] + draw(st.sampled_from([",", " ", ", ", "\n"])) + body[at:]
-    elif variant == "end":
-        end = draw(_line_ends)
+    rec = draw(record_strategy)
+    line = encode_record(rec).decode("utf-8")
+    head, _, text = line.rpartition(',"ecg":"')
+    text = text[:-len('"}')]
+    variant = draw(st.sampled_from(["canonical", "insert", "drop", "replace", "value", "end",
+                                    "head", "bytes"]))
+    value = f'"{text}"'
+    if variant == "insert":
+        at = draw(st.integers(0, len(text)))
+        value = f'"{text[:at]}{draw(_text_inserts)}{text[at:]}"'
+    elif variant == "drop" and text:
+        at = draw(st.integers(0, len(text) - 1))
+        value = f'"{text[:at]}{text[at + 1:]}"'
+    elif variant == "replace" and text:
+        at = draw(st.integers(0, len(text) - 1))
+        letter = draw(st.sampled_from("AQgwBCDPf/+=-_"))
+        value = f'"{text[:at]}{letter}{text[at + 1:]}"'
+    elif variant == "value":
+        value = draw(_other_values)
     elif variant == "head":
-        head = head.replace(b'"bpm"', draw(st.sampled_from([
-            b'"ecg":[1],"bpm"', b'"ecg":"x","bpm"', b'"extra":1,"bpm"', b' "bpm" ', b'"bpm":1,"bpm"',
-            b'"ecg":[1,2],"bpm":3,"ecg":[4],"bpm"'])), 1)
-    line = head + b',"ecg":[' + body.encode() + end.encode()
+        head = head.replace('"bpm"', draw(st.sampled_from([
+            '"ecg":"","bpm"', '"ecg":[1],"bpm"', '"extra":1,"bpm"', ' "bpm" ', '"bpm":1,"bpm"',
+            '"ecg":"AQA=","bpm":3,"ecg":"","bpm"'])), 1)
+    out = (head + ',"ecg":' + value + "}" + (draw(_line_ends) if variant == "end" else "")).encode()
     if variant == "bytes":  # no UTF-8, or a NUL (json.loads given bytes guesses UTF-16 from one)
-        at = draw(st.integers(0, len(line)))
-        line = line[:at] + draw(st.sampled_from([b"\xff", b"\x00", b"\xc3"])) + line[at:]
-    return line
+        at = draw(st.integers(0, len(out)))
+        out = out[:at] + draw(st.sampled_from([b"\xff", b"\x00", b"\xc3"])) + out[at:]
+    return out
 
 
 class TestCodeTextDecoding:
+    """The reader takes a line exactly when json reads it as the record's
+    keys in order and its ecg is base64 as encode_record writes it."""
+
     @settings(max_examples=800, deadline=None, derandomize=True)
     @given(line=_record_lines())
     def test_same_outcome_as_one_json_loads(self, line):
-        """decode_record reads a line exactly when _canonical_record does, with
-        the values and exact types one json.loads gives; it refuses any other
-        line with _canonical_record's reason."""
+        """decode_record reads a line exactly when _canonical_record does, and
+        exactly when one json.loads and the standard library's base64 read
+        it, with their values and exact types; it refuses any other line
+        with _canonical_record's reason."""
+        reference = decode_outcome(decode_record_reference, line)
         try:
             telemetry._canonical_record(line)
         except ValueError as exc:
             assert decode_outcome(decode_record, line) == (ValueError, str(exc))
+            assert not isinstance(reference[0], TelemetryRecord)
             return
         outcome = decode_outcome(decode_record, line)
-        assert isinstance(outcome[0], TelemetryRecord)
-        assert outcome == decode_outcome(decode_record_reference, line)
+        assert outcome == reference
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(rec=record_strategy,
-           codes=st.lists(st.integers(min_value=0, max_value=telemetry._MAX_CODE),
+           codes=st.lists(st.integers(min_value=0, max_value=_MAX_CODE),
                           min_size=1, max_size=60))
     def test_canonical_code_lines_read_back_their_codes(self, rec, codes):
         line = encode_record(dataclasses.replace(rec, ecg=codes))
@@ -632,42 +691,79 @@ class TestCodeTextDecoding:
     @pytest.mark.parametrize("ecg", [
         b"[2048, 2051]", b"[2048,2051.0]", b"[-1,2]", b"[123456]", b"[]", b"[01]", b"[1,,2]",
         b"[1,2,]", b"[,1]", b"[1e3]", b"[true]", b"[65536]", b"[99999]", b"[+1]", b"[1,-]",
-        b"[\n1]", b"[ 1]", b"[-0]", b"[70000]",
+        b"[\n1]", b"[ 1]", b"[-0]", b"[70000]", b"[2048,2051,2047,2049]",
     ])
     def test_other_code_lists_go_through_json(self, tmp_path, ecg):
-        """Each code text other than the table's is refused, whether numpy's
-        parse reads it or not.  "[]" is the table's text for no codes, and
-        reads."""
-        line = encode_record(make_record()).replace(b"[2048,2051,2047,2049]", ecg)
-        if ecg == b"[]":
-            assert decode_record(line) == make_record(ecg=[])
-            return
-        assert_line_refused(line, tmp_path, "ecg must be ADC codes in 0..65535")
+        """Every decimal code list is refused, the golden record's own as
+        files written before the base64 form hold it: json reads it as a
+        list, which is no base64 string, or does not read it at all."""
+        line = encode_record(make_record()).replace(GOLDEN_ECG, ecg)
+        try:
+            json.loads(line)
+        except ValueError:
+            reason = "record is not JSON"
+        else:
+            reason = NOT_TEXT.format("list")
+        assert_line_refused(line, tmp_path, reason)
+
+    @pytest.mark.parametrize("value, reason", [
+        (b'"AQA"', "ecg is not base64: Incorrect padding"),
+        (b'"AQA=="', "ecg is not canonical base64"),
+        (b'"AQA=A"', "ecg is not canonical base64"),
+        (b'"AQ\\nA="', "ecg is not canonical base64"),
+        (b'"AQA=\\n"', "ecg is not canonical base64"),
+        (b'"AQ A="', "ecg is not canonical base64"),
+        (b'" AQA="', "ecg is not canonical base64"),
+        (b'"//8-_w=="', "ecg is not canonical base64"),
+        (b'"-_8="', "ecg is not base64"),
+        (b'"AQB="', "ecg is not canonical base64"),
+        (b'"AQID"', "ecg must hold whole 16-bit codes, got 3 bytes"),
+        (b'"AQ=="', "ecg must hold whole 16-bit codes, got 1 bytes"),
+        (b'"AQ\\u00e9A="', "ecg is not base64: string argument should contain only ASCII"),
+        (b"2048", NOT_TEXT.format("int")),
+        (b"null", NOT_TEXT.format("NoneType")),
+        (b'{"ecg":"AQA="}', NOT_TEXT.format("dict")),
+        (b'["AQA="]', NOT_TEXT.format("list")),
+    ], ids=["missing-pad", "extra-pad", "after-pad", "escaped-newline", "trailing-newline",
+            "space", "leading-space", "url-safe", "url-safe-only", "trailing-bits", "odd-bytes",
+            "one-byte", "non-ascii", "number", "null", "object", "list"])
+    def test_non_canonical_base64_refused(self, tmp_path, value, reason):
+        """Each ecg text encode_record does not write is refused with its
+        reason, and retrieve_and_plot counts the line as a warning; "AQA="
+        is the canonical text of code 1."""
+        assert decode_record(encode_record(make_record(ecg=[1]))) == make_record(ecg=[1])
+        line = encode_record(make_record(ecg=[1])).replace(b'"AQA="', value)
+        assert_line_refused(line, tmp_path, reason)
 
     def test_widest_adc_code_reads_back(self):
         code = AdcConfig(resolution_bits=16).max_code
         line = encode_record(make_record(ecg=[0, code]))
-        assert line.endswith(b'"ecg":[0,%d]}' % code)
+        assert line.endswith(b'"ecg":"AAD//w=="}')
         assert telemetry._canonical_record(line)["ecg"].tolist() == [0, code]
         assert decode_outcome(decode_record, line) == decode_outcome(decode_record_reference, line)
 
     @pytest.mark.parametrize("line, reason", [
-        (encode_record(make_record()).replace(b'"bpm"', b'"ecg":[1],"bpm"'), "bad record keys"),
+        (encode_record(make_record()).replace(b'"bpm"', b'"ecg":"","bpm"'), "bad record keys"),
         (encode_record(make_record(location="w\xe9")).replace("é".encode(), b"\xe9"),
-         "record header is not JSON: 'utf-8' codec can't decode byte 0xe9"),
-        (encode_record(make_record()) + b" ", "record must end with its ecg array"),
-        (encode_record(make_record()) + b"\n", "record must end with its ecg array"),
-        (encode_record(make_record()) + b"}", "record must end with its ecg array"),
+         "record is not JSON: 'utf-8' codec can't decode byte 0xe9"),
+        (encode_record(make_record()) + b" ", None),
+        (encode_record(make_record()) + b"\n", None),
+        (encode_record(make_record()) + b"}", "record is not JSON: Extra data"),
         (encode_record(make_record()).replace(b'"ward-3/bed-12"', b"[" * 100_000 + b"]" * 100_000),
-         "record header is not JSON: maximum recursion depth"),
+         "record is not JSON: maximum recursion depth"),
     ], ids=["ecg-in-head", "not-utf8", "trailing-space", "trailing-newline", "trailing-brace",
             "deep-head"])
     def test_other_lines_go_through_json(self, tmp_path, line, reason):
-        """Each line encode_record does not write is refused with its reason."""
-        assert_line_refused(line, tmp_path, reason, read_after_strip=line.strip() != line)
+        """Each line json does not read as a record is refused with its
+        reason; whitespace around the object is JSON's, and reads."""
+        if reason is None:
+            assert decode_record(line) == make_record()
+            return
+        assert_line_refused(line, tmp_path, reason)
 
     def test_pipeline_record_samples_never_reach_json(self, monkeypatch):
-        """A 5000-code record's line goes through json only for its four header keys."""
+        """A 5000-code record's line goes through json once, whole; its
+        codes come back from one base64 string, never from numbers."""
         record = run_pipeline(dataclasses.replace(PipelineConfig(), duration=10.24)).record
         assert len(record.ecg) == 5000
         line = encode_record(record)
@@ -682,8 +778,7 @@ class TestCodeTextDecoding:
 
         monkeypatch.setattr(telemetry.json, "loads", counting_loads)
         assert decode_outcome(decode_record, line) == expected
-        assert len(loaded) == 1
-        assert list(loads(loaded[0])) == ["device_id", "timestamp", "bpm", "location"]
+        assert loaded == [line.decode("utf-8")]
 
 
 class TestSinks:
@@ -846,7 +941,7 @@ class TestSinks:
 BAD_PLOT_LINES = [
     b"{corrupt json",
     b"",
-    encode_record(make_record()).replace(b"[2048,", b"[65536,"),
+    encode_record(make_record()).replace(GOLDEN_ECG, b"[65536,2051,2047,2049]"),
     encode_alert(AlertEvent(130.0, "high", "ward", 0)),
 ]
 
@@ -910,13 +1005,13 @@ class TestRetrieveAndPlot:
             b"{corrupt json",
             b"\xff\xfe",
             b"[1]",
-            good.replace(b"[2048,2051,2047,2049]", b"5"),
-            good.replace(b"[2048,2051,2047,2049]", b"null"),
-            good.replace(b"[2048,2051,2047,2049]", b'"2048"'),
-            good.replace(b"[2048,2051,2047,2049]", b"[1," + b"9" * 400 + b"]"),
-            good.replace(b"[2048,2051,2047,2049]", b"[1,NaN]"),
-            good.replace(b"[2048,2051,2047,2049]", b"[Infinity]"),
-            good.replace(b"[2048,2051,2047,2049]", b"[" * 100_000 + b"]" * 100_000),
+            good.replace(GOLDEN_ECG, b"5"),
+            good.replace(GOLDEN_ECG, b"null"),
+            good.replace(GOLDEN_ECG, b'"2048"'),
+            good.replace(GOLDEN_ECG, b"[1," + b"9" * 400 + b"]"),
+            good.replace(GOLDEN_ECG, b"[1,NaN]"),
+            good.replace(GOLDEN_ECG, b"[Infinity]"),
+            good.replace(GOLDEN_ECG, b"[" * 100_000 + b"]" * 100_000),
             good.replace(b'"bpm":72.0', b'"bpm":"72"'),
             good.replace(b'"bpm":72.0', b'"bpm":NaN'),
             good.replace(b'"bpm":72.0', b'"bpm":true'),
@@ -939,11 +1034,13 @@ class TestRetrieveAndPlot:
 
     def test_only_canonical_lines_are_plotted(self, tmp_path):
         """Lines a json reader would take, but encode_record never writes,
-        are warnings: float samples, a space in the code list, a code past
-        the table."""
-        good = [encode_record(make_record(timestamp=t, ecg=[t, 2 * t])) for t in (1, 2, 3)]
-        bad = [good[0].replace(b"[1,2]", b"[1.0,2.0]"), good[0].replace(b'"ecg":[1,2]', b'"ecg": [1, 2]'),
-               good[0].replace(b"[1,2]", b"[65536]")]
+        are warnings: the decimal code list, a space in the base64, URL-safe
+        letters."""
+        good = [encode_record(make_record(timestamp=t, ecg=[t, 2 * t + 0xFF00])) for t in (1, 2, 3)]
+        text = json.loads(good[0])["ecg"].encode()
+        assert text == b"AQAC/w=="
+        bad = [good[0].replace(b'"%s"' % text, b"[1,65282]"), good[0].replace(text, b"AQAC /w=="),
+               good[0].replace(text, b"AQAC_w==")]
         source = tmp_path / "records.jsonl"
         source.write_bytes(b"\n".join([good[2], bad[0], good[0], bad[1], bad[2], good[1]]) + b"\n")
         out = tmp_path / "plot.svg"
@@ -952,7 +1049,7 @@ class TestRetrieveAndPlot:
         from ecgmon.render import export_svg
         from ecgmon.signals import SampleFrame
         joined = tmp_path / "joined.svg"
-        export_svg(SampleFrame(500.0, np.array([1.0, 2.0, 2.0, 4.0, 3.0, 6.0])), joined)
+        export_svg(SampleFrame(500.0, np.array([1.0, 65282.0, 2.0, 65284.0, 3.0, 65286.0])), joined)
         assert out.read_bytes() == joined.read_bytes()
 
     def test_alert_lines_are_no_warnings(self, tmp_path):
@@ -1005,8 +1102,9 @@ class TestRetrieveAndPlot:
             assert_plot_matches_reference(tmp_path, lines)
 
     def test_plot_peak_memory_is_linear_in_the_codes_with_a_small_factor(self, tmp_path):
-        """The file's codes stay 16-bit: reading 40 records of 5000 codes
-        peaks below 8 bytes per code (a float64 copy of them alone is 8)."""
+        """The file's codes stay 16-bit and are never joined: reading 40
+        records of 5000 codes peaks below 3 bytes per code (their 16-bit
+        words are 2, a joined copy 2 more, a float64 copy 8)."""
         rng = np.random.default_rng(3)
         source = tmp_path / "records.jsonl"
         source.write_bytes(b"".join(
@@ -1020,13 +1118,13 @@ class TestRetrieveAndPlot:
         finally:
             tracemalloc.stop()
         assert (plot.records_plotted, plot.warnings) == (40, 0)
-        assert peak / (40 * 5000) < 8
+        assert peak / (40 * 5000) < 3
 
     def test_ecg_that_is_no_array_counts_as_warning(self, tmp_path):
         source = tmp_path / "records.jsonl"
         good = encode_record(make_record(timestamp=1))
-        not_arrays = [good.replace(b"[2048,2051,2047,2049]", value)
-                      for value in (b'""', b"{}", b'{"2048":1}')]
+        not_arrays = [good.replace(GOLDEN_ECG, value)
+                      for value in (b'"AQID"', b"{}", b'{"2048":1}')]
         source.write_bytes(b"\n".join([good, *not_arrays]) + b"\n")
         result = retrieve_and_plot(source, tmp_path / "plot.svg")
         assert (result.records_plotted, result.warnings) == (1, len(not_arrays))
