@@ -16,7 +16,6 @@ hands each completed half to the caller as soon as it fills.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -75,16 +74,13 @@ def quantize(v, cfg: AdcConfig):
 def dequantize(c, cfg: AdcConfig):
     """ADC code(s) back to voltage(s).
 
-    Codes are whole numbers within range; NaN, fractional and out-of-range
-    codes are refused.  Integer arrays need no check for the first two.
+    Codes are integers within range: an int, a numpy integer or an integer
+    array.  Any other dtype, float and bool included, is refused, as is an
+    out-of-range code.
     """
     arr = np.asarray(c)
-    if arr.dtype.kind == "f":
-        whole = arr == np.floor(arr)  # False on NaN too
-        if not whole.all():
-            bad = float(arr[~whole][0])
-            raise ValueError("cannot dequantize NaN" if math.isnan(bad)
-                             else f"code must be a whole number, got {bad!r}")
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"codes must be integers, got dtype {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() > cfg.max_code):
         raise ValueError(f"code out of range 0..{cfg.max_code}")
     volts = arr.astype(np.float64) / cfg.max_code * cfg.vref

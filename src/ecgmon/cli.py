@@ -104,7 +104,9 @@ def _cmd_detect(args) -> int:
     cfg = _config(args)
     frame = SampleFrame.from_csv(args.infile)
     edges = dsp.detect_rising_edges(frame, cfg.refractory)
-    doc: dict = {"edges": [{"index": e.sample_index, "t": round(e.time, 6)} for e in edges]}
+    start, rate = frame.start_time, frame.sample_rate
+    doc: dict = {"edges": [{"index": e.sample_index, "t": round(start + e.sample_index / rate, 6)}
+                           for e in edges]}
     try:
         reading = dsp.heart_rate_from_edges(edges, frame.sample_rate)
         doc["bpm"] = round(reading.bpm, 3)

@@ -86,7 +86,6 @@ class EdgeEvent:
     """A detected trigger point."""
 
     sample_index: int
-    time: float
     kind: str  # "rising"; heart_rate_from_edges skips any other kind
 
 
@@ -120,12 +119,7 @@ def detect_rising_edges(frame: SampleFrame, refractory: float) -> list[EdgeEvent
     for i in candidates:
         if i < next_allowed:
             continue
-        mid = int(i) + 1
-        events.append(EdgeEvent(
-            sample_index=mid,
-            time=frame.start_time + mid / frame.sample_rate,
-            kind="rising",
-        ))
+        events.append(EdgeEvent(sample_index=int(i) + 1, kind="rising"))
         next_allowed = int(i) + max(refractory_samples, 1)
     return events
 

@@ -28,11 +28,11 @@ class PipelineResult:
     reading: dsp.HeartRateReading
     digital: SampleFrame
     filtered: SampleFrame
-    edges: list
+    edges: list[dsp.EdgeEvent]
     saturated: bool
-    record: telemetry.TelemetryRecord | None
+    record: telemetry.TelemetryRecord
     alert: telemetry.AlertEvent | None
-    receipts: list
+    receipts: list[telemetry.DeliveryReceipt]
 
 
 def _stage(module: str, fn, *args, **kwargs):
@@ -54,9 +54,10 @@ def source_signal(cfg: PipelineConfig) -> SourceSignal:
 
 def report(
     cfg: PipelineConfig, bpm: float, codes, publish_records: bool,
-) -> tuple[telemetry.TelemetryRecord, telemetry.AlertEvent | None, list]:
+) -> tuple[telemetry.TelemetryRecord, telemetry.AlertEvent | None, list[telemetry.DeliveryReceipt]]:
     """The telemetry record of bpm and the first max_ecg codes, its alert
-    (or None) and, with publish_records, the configured sink's receipts."""
+    (or None) and, with publish_records, the configured sink's receipts:
+    one for the record, then one for the alert if there is one."""
     record = telemetry.TelemetryRecord(
         device_id=cfg.device_id,
         timestamp=cfg.timestamp,
@@ -68,7 +69,9 @@ def report(
     receipts = []
     if publish_records:
         with telemetry.make_sink(cfg.sink) as sink:
-            receipts = telemetry.publish_record(sink, record, alert, cfg.max_ecg)
+            receipts = [telemetry.publish(sink, telemetry.encode_record(record, cfg.max_ecg))]
+            if alert is not None:
+                receipts.append(telemetry.publish(sink, telemetry.encode_alert(alert)))
     return record, alert, receipts
 
 

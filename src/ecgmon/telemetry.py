@@ -38,7 +38,6 @@ __all__ = [
     "decode_record",
     "encode_alert",
     "publish",
-    "publish_record",
     "retrieve_and_plot",
     "PlotResult",
 ]
@@ -171,20 +170,26 @@ def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes
 
 
 def _canonical_record(data: bytes) -> dict:
-    """The fields of a JSON line with exactly the record's keys, in order,
-    ecg as the uint16 array of its base64, which counts only as
-    encode_record writes it; any other line raises ValueError with the
+    """The fields of a JSON line with exactly the record's keys, each once
+    and in order, ecg as the uint16 array of its base64, which counts only
+    as encode_record writes it; any other line raises ValueError with the
     reason."""
     if not isinstance(data, bytes):
         raise ValueError(f"record must be bytes, got {type(data).__name__}")
+    written = []  # each JSON object's keys as written, repeats included; the outermost last
+
+    def keep_keys(pairs: list) -> dict:
+        written.append([key for key, _ in pairs])
+        return dict(pairs)
+
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=keep_keys)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"record is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"record must be a JSON object, got {type(doc).__name__}")
-    if tuple(doc) != RECORD_KEYS:
-        raise ValueError(f"bad record keys: {list(doc)}, want {list(RECORD_KEYS)}")
+    if tuple(written[-1]) != RECORD_KEYS:
+        raise ValueError(f"bad record keys: {written[-1]}, want {list(RECORD_KEYS)}")
     text = doc["ecg"]
     try:
         raw = binascii.a2b_base64(text)
@@ -374,41 +379,25 @@ def make_sink(spec: str):
     raise ValueError(f"unknown sink {spec!r} (use stdout, file:<path> or http:<port>)")
 
 
-_RETRY_PAUSE_S = 0.05  # before the first retry; doubles before each later one
-_RETRY_PAUSE_MAX_S = 1.0
+_RETRY_PAUSES_S = (0.05, 0.1)  # before the first and the second retry
 
 
-def publish(sink, payload: bytes, retries: int = 2, sleep=time.sleep) -> DeliveryReceipt:
-    """Deliver one payload; on failure retry up to `retries` more times.
+def publish(sink, payload: bytes, sleep=time.sleep) -> DeliveryReceipt:
+    """Deliver one payload; on failure retry twice.
 
-    Each retry waits first, 0.05 s before the first and twice as long
-    before each next one, at most 1 s; a send that succeeds at once
-    waits for nothing.  sleep(seconds) does the waiting.
+    The retries wait 0.05 s and then 0.1 s first; a send that succeeds at
+    once waits for nothing.  sleep(seconds) does the waiting.
     """
-    _require_int("retries", retries, 0)
-    attempts = 0
-    pause = _RETRY_PAUSE_S
     last_error: str | None = None
-    while attempts <= retries:
-        if attempts:
+    for attempts, pause in enumerate((0.0, *_RETRY_PAUSES_S), start=1):
+        if pause:  # the first attempt goes at once
             sleep(pause)
-            pause = min(2 * pause, _RETRY_PAUSE_MAX_S)
-        attempts += 1
         try:
             sink.send(payload)
             return DeliveryReceipt(ok=True, attempts=attempts)
         except Exception as exc:  # noqa: BLE001 - any sink failure is a delivery failure
             last_error = str(exc)
     return DeliveryReceipt(ok=False, attempts=attempts, error=last_error)
-
-
-def publish_record(sink, record: TelemetryRecord, alert: AlertEvent | None,
-                   max_ecg: int = MAX_ECG_SAMPLES) -> list[DeliveryReceipt]:
-    """Publish the record, then the alert if there is one; one receipt each."""
-    receipts = [publish(sink, encode_record(record, max_ecg))]
-    if alert is not None:
-        receipts.append(publish(sink, encode_alert(alert)))
-    return receipts
 
 
 def _is_alert(line: bytes) -> bool:
@@ -431,13 +420,13 @@ _PLOT_RATE = 500.0
 
 
 def retrieve_and_plot(source, out) -> PlotResult:
-    """Decode a JSON-lines record file and render the joined ECG as SVG.
+    """Decode a JSON-lines record file and render its ECG as SVG.
 
-    Records are plotted in timestamp order.  The alert lines
-    publish_record writes are skipped; every other line that is no record
-    is skipped and counted as a warning.  The plot is drawn from the
-    16-bit codes, never joined: only the codes its columns show become
-    floats, scaled to the lowest and highest code of any record.
+    The records' codes are drawn end to end in timestamp order.  Alert
+    lines, as encode_alert writes them, are skipped; every other line that
+    is no record is skipped and counted as a warning.  The plot is drawn
+    from each record's 16-bit codes: only the codes its columns show
+    become floats, scaled to the lowest and highest code of any record.
     """
     records: list[tuple[int, np.ndarray]] = []  # (timestamp, codes) per good line
     warnings = 0
@@ -457,7 +446,7 @@ def retrieve_and_plot(source, out) -> PlotResult:
     shown, v_min, v_max = np.empty(0, dtype=np.ushort), None, None  # no codes: an empty polyline
     if codes:
         starts = np.cumsum([0] + [ecg.size for ecg in codes])  # each record's first index, then the total
-        at = _columns(int(starts[-1]), DEFAULT_WIDTH)  # the indices the columns show, in the joined codes
+        at = _columns(int(starts[-1]), DEFAULT_WIDTH)  # the indices the columns show, counted end to end
         which = np.searchsorted(starts, at, side="right") - 1
         shown = np.array([codes[r][i] for r, i in zip(which, at - starts[which])], dtype=np.ushort)
         v_min, v_max = float(min(map(np.min, codes))), float(max(map(np.max, codes)))

@@ -27,6 +27,9 @@ def test_traced_spans_cover_the_gated_workloads(tmp_path, monkeypatch):
     tracer.install(ecgmon)
     try:
         result = ecgmon.run_pipeline(cfg, duration=4.0, publish_records=True)
+        # 130 bpm is above the default policy's band: report publishes the
+        # record, then its alert
+        alert, alert_receipts = ecgmon.report(cfg, 130.0, result.record.ecg, publish_records=True)[1:]
         fb = ecgmon.Framebuffer(cfg.fb_width, cfg.fb_height)
         ecgmon.draw_trace(fb, None, ecgmon.map_to_trace(result.filtered, fb.width, fb.height))
         plot = ecgmon.retrieve_and_plot(sink, tmp_path / "records.svg")
@@ -35,7 +38,9 @@ def test_traced_spans_cover_the_gated_workloads(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     assert [r.ok for r in result.receipts] == [True]
-    assert plot.records_plotted == 1 and receipt.ok
+    assert alert is not None and [r.ok for r in alert_receipts] == [True, True]
+    assert plot.records_plotted == 2 and receipt.ok
     calls = tracer.calls()
+    assert calls["telemetry.publish.file"] == len(result.receipts) + len(alert_receipts)
     expected = workloads.Records10s.expected_spans + workloads.Uplink.expected_spans
     assert [name for name in expected if calls[name] == 0] == []

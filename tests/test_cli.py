@@ -480,6 +480,14 @@ class TestCliSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert (len(doc["edges"]), doc["bpm"]) == (1, None)
 
+    def test_detect_times_edges_from_the_frame_start(self, tmp_path, capsys):
+        """An edge's t is the frame's first time plus its index over the rate."""
+        fixture = tmp_path / "late.csv"
+        fixture.write_text("5,1\n5.002,2\n5.004,3\n5.006,1\n", encoding="utf-8")
+        assert main(["detect", "--in", str(fixture)]) == 0
+        assert capsys.readouterr().out == (
+            '{"edges":[{"index":1,"t":5.002}],"bpm":null,"period_s":null}\n')
+
     @pytest.mark.parametrize("module, name, argv, prefix", [
         (cli, "PingPongBuffer", ["stream", "--in", "sine.csv"], "ecgmon: "),
         (cli, "source_signal", ["simulate", "--out", "x.csv"], "ecgmon: "),

@@ -26,12 +26,13 @@ from ecgmon import cloud, telemetry
 from ecgmon.acquisition import _MAX_CODE, AdcConfig
 from ecgmon.cloud import LoopbackListener
 from ecgmon.config import PipelineConfig
-from ecgmon.pipeline import run_pipeline
+from ecgmon.pipeline import report, run_pipeline
 from ecgmon.render import export_svg
 from ecgmon.signals import SampleFrame
 from ecgmon.telemetry import (
     AlertEvent,
     AlertPolicy,
+    DeliveryReceipt,
     FileSink,
     HttpSink,
     PayloadTooLargeError,
@@ -42,7 +43,6 @@ from ecgmon.telemetry import (
     evaluate_alert,
     publish,
     make_sink,
-    publish_record,
     retrieve_and_plot,
 )
 
@@ -235,6 +235,19 @@ class TestEncoding:
                 b'{"device_id":"x","timestamp":1,"bpm":60,"extra":1,"location":"y","ecg":""}')
         with pytest.raises(ValueError, match="^bad record keys: "):  # the header keys out of order
             decode_record(b'{"timestamp":1,"device_id":"x","bpm":60,"location":"y","ecg":""}')
+
+    @pytest.mark.parametrize("line, keys", [
+        (b'{"device_id":"x","timestamp":1,"bpm":72.0,"location":"y","ecg":"AQA=","ecg":"AgA="}',
+         ["device_id", "timestamp", "bpm", "location", "ecg", "ecg"]),
+        (b'{"device_id":"x","timestamp":1,"bpm":1,"bpm":72.0,"location":"y","ecg":"AQA="}',
+         ["device_id", "timestamp", "bpm", "bpm", "location", "ecg"]),
+    ], ids=["ecg-twice", "bpm-twice"])
+    def test_repeated_key_refused(self, tmp_path, line, keys):
+        """A key written twice is refused with the keys as written, not read
+        with its last value, and retrieve_and_plot counts the line as a
+        warning."""
+        reason = f"bad record keys: {keys}, want ['device_id', 'timestamp', 'bpm', 'location', 'ecg']"
+        assert_line_refused(line, tmp_path, reason)
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
@@ -585,14 +598,17 @@ class TestCodeTextEncoding:
 
 
 def decode_record_reference(data: bytes) -> TelemetryRecord:
-    """decode_record as one json.loads of the whole line, the codes through
-    the standard library's validating base64 and a re-encode."""
+    """decode_record as one json.loads of the whole line, each object read
+    as its dict and its keys as written, the codes through the standard
+    library's validating base64 and a re-encode."""
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"),
+                         object_pairs_hook=lambda pairs: (dict(pairs), tuple(k for k, _ in pairs)))
     except RecursionError:
         raise ValueError("record nests too deeply") from None
-    if not isinstance(doc, dict) or tuple(doc) != telemetry.RECORD_KEYS:
-        raise ValueError("record must be a JSON object with the record's keys in order")
+    if not isinstance(doc, tuple) or doc[1] != telemetry.RECORD_KEYS:  # a key twice included
+        raise ValueError("record must be a JSON object with the record's keys once each, in order")
+    doc = doc[0]
     text = doc["ecg"]
     if not isinstance(text, str) or not text.isascii():
         raise ValueError("ecg must be ASCII text")
@@ -826,11 +842,11 @@ class TestSinks:
         payloads = [encode_record(make_record(timestamp=i + 1)) for i in range(50)]
         with LoopbackListener() as listener, HttpSink(listener.port) as sink:
             for p in payloads:
-                assert publish(sink, p, retries=0).ok
+                assert publish(sink, p).ok
             assert listener.received == payloads
             assert len(accepted) == 1  # one kept-alive connection carried all 50
             sink.close()
-            assert publish(sink, payloads[0], retries=0).ok  # reconnects after close()
+            assert publish(sink, payloads[0]).ok  # reconnects after close()
             assert len(accepted) == 2
 
     def test_listener_that_closes_each_connection(self, monkeypatch):
@@ -839,7 +855,7 @@ class TestSinks:
         monkeypatch.setattr(cloud._LoopbackHandler, "protocol_version", "HTTP/1.0")
         payloads = [encode_record(make_record(timestamp=i + 1)) for i in range(3)]
         with LoopbackListener() as listener, HttpSink(listener.port) as sink:
-            assert all(publish(sink, p, retries=0).ok for p in payloads)
+            assert all(publish(sink, p).ok for p in payloads)
             assert listener.received == payloads
         assert len(accepted) == 3
 
@@ -853,21 +869,19 @@ class TestSinks:
             closer.join(timeout=0.5)
             assert not closer.is_alive()
 
-    def test_publish_record_then_alert(self, tmp_path):
-        sink = FileSink(tmp_path / "out.jsonl")
-        rec = make_record(bpm=130.0)
-        alert = evaluate_alert(130.0, AlertPolicy(), rec.location, rec.timestamp)
-        receipts = publish_record(sink, rec, alert)
+    def test_report_publishes_record_then_alert(self, tmp_path):
+        cfg = dataclasses.replace(PipelineConfig(), sink=f"file:{tmp_path / 'out.jsonl'}")
+        rec, alert, receipts = report(cfg, 130.0, [2048, 2051], publish_records=True)
         assert [r.ok for r in receipts] == [True, True]
         assert (tmp_path / "out.jsonl").read_bytes() == (
             encode_record(rec) + b"\n" + encode_alert(alert) + b"\n")
-        assert len(publish_record(sink, make_record(), None)) == 1  # no alert, one receipt
+        assert len(report(cfg, 72.0, [2048], publish_records=True)[2]) == 1  # no alert, one receipt
 
     def test_unwritable_path_fails_with_attempts(self, tmp_path):
         # missing parent directory: open() fails before any byte is written
         target = tmp_path / "no-such-dir" / "out.jsonl"
         pauses = []
-        receipt = publish(FileSink(target), b"{}", retries=2, sleep=pauses.append)
+        receipt = publish(FileSink(target), b"{}", sleep=pauses.append)
         assert not receipt.ok
         assert receipt.attempts == 3
         assert receipt.error
@@ -879,10 +893,10 @@ class TestSinks:
             port = listener.port
         pauses = []
         with HttpSink(port) as sink:
-            receipt = publish(sink, b"{}", retries=1, sleep=pauses.append)
+            receipt = publish(sink, b"{}", sleep=pauses.append)
         assert not receipt.ok
-        assert receipt.attempts == 2
-        assert pauses == [0.05]
+        assert receipt.attempts == 3
+        assert pauses == [0.05, 0.1]
 
     class _FailingSink(FileSink):
         """A file sink whose first `failures` sends fail."""
@@ -897,31 +911,23 @@ class TestSinks:
                 raise OSError("link down")
             super().send(payload)
 
-    @pytest.mark.parametrize("failures, retries, pauses, ok", [
-        (0, 2, [], True),  # a send that works waits for nothing
-        (2, 2, [0.05, 0.1], True),
-        (9, 0, [], False),
-        (9, 8, [0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0, 1.0], False),  # doubling, capped at 1 s
+    @pytest.mark.parametrize("failures, pauses, ok", [
+        (0, [], True),  # a send that works waits for nothing
+        (2, [0.05, 0.1], True),
+        (9, [0.05, 0.1], False),  # two retries, then the receipt
     ])
-    def test_retries_back_off(self, tmp_path, failures, retries, pauses, ok):
+    def test_retries_back_off(self, tmp_path, failures, pauses, ok):
         target = tmp_path / "out.jsonl"
         waited = []
-        receipt = publish(self._FailingSink(target, failures), b"{}", retries=retries,
-                          sleep=waited.append)
+        receipt = publish(self._FailingSink(target, failures), b"{}", sleep=waited.append)
         assert waited == pauses
         assert (receipt.ok, receipt.attempts) == (ok, len(pauses) + 1)
         assert receipt.error == (None if ok else "link down")
         assert target.exists() is ok
 
-    def test_negative_retries_refused_before_any_send(self, tmp_path):
-        target = tmp_path / "out.jsonl"
-        with pytest.raises(ValueError, match=r"^retries must be >= 0, got -1$"):
-            publish(FileSink(target), b"{}", retries=-1)
-        assert not target.exists()
-
     def test_default_backoff_really_waits(self, tmp_path):
         t0 = time.perf_counter()
-        receipt = publish(FileSink(tmp_path / "no-such-dir" / "x"), b"{}", retries=1)
+        receipt = publish(FileSink(tmp_path / "no-such-dir" / "x"), b"{}")
         assert not receipt.ok and time.perf_counter() - t0 >= 0.05
 
     def test_sink_fails_once_its_listener_closed(self):
@@ -930,7 +936,7 @@ class TestSinks:
             listener.close()  # with the sink's connection open
             t0 = time.perf_counter()
             pauses = []
-            receipt = publish(sink, b"{}", retries=2, sleep=pauses.append)
+            receipt = publish(sink, b"{}", sleep=pauses.append)
             assert time.perf_counter() - t0 < 1.0  # refused at once, no timeout waited
         assert not receipt.ok
         assert receipt.attempts == 3
@@ -1053,7 +1059,7 @@ class TestRetrieveAndPlot:
         assert out.read_bytes() == joined.read_bytes()
 
     def test_alert_lines_are_no_warnings(self, tmp_path):
-        """The alert line publish_record appends after its record is skipped
+        """The alert line run_pipeline publishes after its record is skipped
         without a warning; a line that is not exactly encode_alert's still
         counts as one."""
         source = tmp_path / "records.jsonl"
@@ -1204,7 +1210,16 @@ class TestHttpSinkReplies:
 
     @staticmethod
     def send_all(sink, count):
-        return [publish(sink, b'{"n":%d}' % i, retries=0) for i in range(count)]
+        """Send count payloads, each once, with no retry: a receipt each, as
+        publish gives for its first attempt."""
+        receipts = []
+        for i in range(count):
+            try:
+                sink.send(b'{"n":%d}' % i)
+                receipts.append(DeliveryReceipt(ok=True, attempts=1))
+            except OSError as exc:
+                receipts.append(DeliveryReceipt(ok=False, attempts=1, error=str(exc)))
+        return receipts
 
     def test_content_length_body(self):
         reply = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 5\r\n\r\nhello"
@@ -1285,10 +1300,10 @@ class TestHttpSinkReplies:
         """The status line decides delivery: a 2xx whose body is broken is
         not retried, so the peer stores the record once."""
         with ScriptedListener((reply, False), OK_EMPTY) as peer, HttpSink(peer.port) as sink:
-            receipt = publish(sink, b"{}", retries=2, sleep=lambda _: None)
+            receipt = publish(sink, b"{}", sleep=lambda _: None)
             assert (receipt.ok, receipt.attempts) == (True, 1)
             assert len(peer.requests) == 1
-            assert publish(sink, b"{}", retries=0).ok
+            assert publish(sink, b"{}").ok
         assert peer.accepted == 2  # the body was left unread: the next POST reconnected
 
     @pytest.mark.parametrize("reply", [
@@ -1329,7 +1344,7 @@ class TestHttpSinkReplies:
         opened = self.counting_connections(monkeypatch)
         payloads = [encode_record(make_record(timestamp=i + 1)) for i in range(3)]
         with LoopbackListener() as listener, HttpSink(listener.port) as sink:
-            assert all(publish(sink, p, retries=0).ok for p in payloads)
+            assert all(publish(sink, p).ok for p in payloads)
             assert listener.received == payloads
         assert len(opened) == 1
         writes = opened[0].sendalls
@@ -1344,7 +1359,7 @@ class TestHttpSinkReplies:
         with ScriptedListener(OK_EMPTY) as peer, HttpSink(peer.port) as sink:
             assert sink.describe() == f"http:{peer.port}"
             assert opened == [] and peer.accepted == 0
-            assert publish(sink, b"{}", retries=0).ok
+            assert publish(sink, b"{}").ok
             assert len(opened) == 1 and peer.accepted == 1
 
     @pytest.mark.parametrize("length", [b"abc", b"-5", b"+5", b"5_0", b"\xd9\xa5", b""])
@@ -1385,7 +1400,7 @@ class TestHttpSinkReplies:
     def test_listener_records_a_body_at_its_bound(self, monkeypatch):
         monkeypatch.setattr(cloud, "MAX_BODY_BYTES", 2)
         with LoopbackListener() as listener, HttpSink(listener.port) as sink:
-            assert publish(sink, b"{}", retries=0).ok
-            receipt = publish(sink, b"[{}]", retries=0)
+            assert publish(sink, b"{}").ok
+            receipt = publish(sink, b"[{}]", sleep=lambda _: None)
             assert (receipt.ok, receipt.error) == (False, "listener answered 413")
             assert listener.received == [b"{}"]
