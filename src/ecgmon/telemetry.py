@@ -159,14 +159,18 @@ def _json_bytes(doc: dict | list) -> bytes:
 
 def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes:
     """Canonical JSON bytes: fixed key order, compact, UTF-8; ecg is the
-    padded base64 of the codes as little-endian 16-bit words."""
+    padded base64 of the codes as little-endian 16-bit words.
+
+    json writes the header fields; the base64 is spliced in as it is, since
+    its alphabet holds no character JSON escapes, so the line is the bytes
+    one json.dumps of all five fields would give.
+    """
     _require_int("max_ecg", max_ecg, 0)
     if len(rec.ecg) > max_ecg:
         raise PayloadTooLargeError(f"ecg holds {len(rec.ecg)} samples, limit is {max_ecg}")
-    words = np.frombuffer(rec.ecg, dtype=np.ushort).astype("<u2", copy=False).tobytes()
-    doc = {key: getattr(rec, key) for key in RECORD_KEYS}
-    doc["ecg"] = binascii.b2a_base64(words, newline=False).decode("ascii")
-    return _json_bytes(doc)
+    words = np.frombuffer(rec.ecg, dtype=np.ushort).astype("<u2", copy=False)
+    header = _json_bytes({key: getattr(rec, key) for key in RECORD_KEYS[:-1]})
+    return b'%s,"ecg":"%s"}' % (header[:-1], binascii.b2a_base64(words, newline=False))
 
 
 def _canonical_record(data: bytes) -> dict:
@@ -265,6 +269,12 @@ _LOOPBACK_HOST = "127.0.0.1"  # where HttpSink posts and cloud.LoopbackListener 
 _MAX_LINE = 65536  # bytes per status or header line, its line end included
 _MAX_HEADERS = 100  # header fields per reply
 _OWS = b" \t"  # whitespace around a header value (RFC 9112)
+_RETRIABLE_4XX = (408, 429)  # Request Timeout, Too Many Requests
+
+
+class _Refusal(OSError):
+    """A final status that a retry of the same payload cannot change: a
+    4xx other than _RETRIABLE_4XX."""
 
 
 class HttpSink(_Sink):
@@ -277,7 +287,8 @@ class HttpSink(_Sink):
     kept only after a reply with no body (204, 304, or Content-Length: 0
     without Transfer-Encoding) that does not announce a close; after any
     other reply, a malformed one or any other failure it is dropped, and
-    the next send reconnects.  A status outside 2xx raises.  close()
+    the next send reconnects.  A status outside 2xx raises, a 4xx other
+    than 408 and 429 as a refusal publish does not retry.  close()
     releases the connection.
     """
 
@@ -304,7 +315,8 @@ class HttpSink(_Sink):
         if not keep_alive:
             self.close()
         if not 200 <= status < 300:
-            raise OSError(f"listener answered {status}")
+            final = 400 <= status < 500 and status not in _RETRIABLE_4XX
+            raise (_Refusal if final else OSError)(f"listener answered {status}")
 
     def close(self) -> None:
         if self._sock is not None:
@@ -386,7 +398,9 @@ def publish(sink, payload: bytes, sleep=time.sleep) -> DeliveryReceipt:
     """Deliver one payload; on failure retry twice.
 
     The retries wait 0.05 s and then 0.1 s first; a send that succeeds at
-    once waits for nothing.  sleep(seconds) does the waiting.
+    once waits for nothing.  sleep(seconds) does the waiting.  A listener's
+    refusal that a retry cannot change (a 4xx other than 408 and 429)
+    fails the delivery at once.
     """
     last_error: str | None = None
     for attempts, pause in enumerate((0.0, *_RETRY_PAUSES_S), start=1):
@@ -397,6 +411,8 @@ def publish(sink, payload: bytes, sleep=time.sleep) -> DeliveryReceipt:
             return DeliveryReceipt(ok=True, attempts=attempts)
         except Exception as exc:  # noqa: BLE001 - any sink failure is a delivery failure
             last_error = str(exc)
+            if isinstance(exc, _Refusal):
+                break
     return DeliveryReceipt(ok=False, attempts=attempts, error=last_error)
 
 

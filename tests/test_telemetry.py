@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -454,6 +454,16 @@ class TestCodeTextEncoding:
            bpm=st.one_of(st.integers(min_value=1, max_value=300),
                          st.floats(min_value=1.0, max_value=300.0)),
            timestamp=st.integers(min_value=0, max_value=2**70), ecg=_code_lists)
+    # headers that json must escape or that look like the spliced ecg
+    # field, numpy header numbers, the extreme bpm, and 0, 1, 2, 5000 codes
+    @example(device_id='","ecg":"', location='"}', bpm=72.0, timestamp=0, ecg=[])
+    @example(device_id="\\", location="\x00", bpm=5e-324, timestamp=1, ecg=[65535])
+    @example(device_id="\u2028", location="\U0001F493", bpm=1.7976931348623157e308,
+             timestamp=2**63, ecg=[0, 65535])
+    @example(device_id='x\\"}\x00\u2028\U0001F493', location='","ecg":"AQA="}',
+             bpm=np.float64(72.5), timestamp=np.int64(1700000000), ecg=list(range(5000)))
+    @example(device_id="", location="", bpm=np.int64(60), timestamp=np.int64(2**62),
+             ecg=[65535, 0, 256, 255, 1] * 1000)
     def test_same_bytes_as_one_json_dumps(self, device_id, location, bpm, timestamp, ecg):
         rec = TelemetryRecord(device_id, timestamp, bpm, location, ecg)
         assert encode_record(rec) == encode_record_reference(rec)
@@ -468,9 +478,10 @@ class TestCodeTextEncoding:
             assert encode_record(rec) == encode_record_reference(rec)
 
     def test_pipeline_record_samples_never_reach_json(self, monkeypatch):
-        """A 5000-code record goes through json once, its codes as one
-        base64 string, never as numbers; the line spends at most 2.7
-        bytes per code (the decimal text spent 5.0)."""
+        """A 5000-code record's header goes through json once and its
+        codes never do: their base64 is spliced in, and the line is the
+        bytes of one json.dumps of all five fields, at most 2.7 bytes per
+        code (the decimal text spent 5.0)."""
         record = run_pipeline(dataclasses.replace(PipelineConfig(), duration=10.24)).record
         assert len(record.ecg) == 5000
         expected = encode_record_reference(record)
@@ -484,8 +495,7 @@ class TestCodeTextEncoding:
         monkeypatch.setattr(telemetry.json, "dumps", counting_dumps)
         assert encode_record(record) == expected
         assert len(dumped) == 1
-        assert tuple(dumped[0]) == telemetry.RECORD_KEYS
-        assert dumped[0]["ecg"] == ecg_text(record.ecg) and len(dumped[0]["ecg"]) == 13336
+        assert tuple(dumped[0]) == telemetry.RECORD_KEYS[:-1]
         assert len(expected) <= 13500
 
     def test_little_endian_layout(self):
@@ -1399,8 +1409,24 @@ class TestHttpSinkReplies:
 
     def test_listener_records_a_body_at_its_bound(self, monkeypatch):
         monkeypatch.setattr(cloud, "MAX_BODY_BYTES", 2)
+        pauses = []
         with LoopbackListener() as listener, HttpSink(listener.port) as sink:
             assert publish(sink, b"{}").ok
-            receipt = publish(sink, b"[{}]", sleep=lambda _: None)
-            assert (receipt.ok, receipt.error) == (False, "listener answered 413")
+            receipt = publish(sink, b"[{}]", sleep=pauses.append)
             assert listener.received == [b"{}"]
+        # the same payload would be refused again: one attempt, no pause
+        assert receipt == DeliveryReceipt(ok=False, attempts=1, error="listener answered 413")
+        assert pauses == []
+
+    @pytest.mark.parametrize("status, attempts", [
+        (400, 1), (404, 1), (413, 1), (499, 1),  # a retry of the payload is refused again
+        (408, 3), (429, 3), (500, 3), (503, 3),  # a retry may be answered otherwise
+    ])
+    def test_only_a_final_4xx_ends_the_retries(self, status, attempts):
+        reply = (b"HTTP/1.1 %d X\r\nContent-Length: 0\r\n\r\n" % status, False)
+        pauses = []
+        with ScriptedListener(*[reply] * attempts) as peer, HttpSink(peer.port) as sink:
+            receipt = publish(sink, b"{}", sleep=pauses.append)
+        assert receipt == DeliveryReceipt(ok=False, attempts=attempts, error=f"listener answered {status}")
+        assert pauses == [0.05, 0.1][:attempts - 1]
+        assert len(peer.requests) == attempts
