@@ -17,7 +17,7 @@ from .telemetry import _LOOPBACK_HOST
 __all__ = ["LoopbackListener"]
 
 # largest request body the listener reads: a 1 h record at 500 Hz holds
-# 1.8 M codes, about 11 MB of payload
+# 1.8 M codes, about 4.8 MB of payload
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 

@@ -16,7 +16,7 @@ from .frontend import FrontEndSpec, _chain_coefficients
 from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH, _require_target
 from .signals import (EcgTemplateParams, NoiseConfig, _field_types, _require_declared_types,
                       _require_int, _require_real, _require_source_rate, _sample_count)
-from .telemetry import MAX_ECG_SAMPLES, AlertPolicy, _require_text, make_sink
+from .telemetry import AlertPolicy, _require_text, make_sink
 
 __all__ = ["ConfigError", "PipelineConfig"]
 
@@ -56,7 +56,7 @@ class PipelineConfig:
     device_id: str = "ecgmon-0"
     location: str = "location-unset"
     sink: str = "stdout"
-    max_ecg: int = MAX_ECG_SAMPLES
+    max_ecg: int = 5000  # a record's length: report keeps the first max_ecg codes
     timestamp: int = 0
 
     def __post_init__(self):

@@ -69,7 +69,7 @@ def report(
     receipts = []
     if publish_records:
         with telemetry.make_sink(cfg.sink) as sink:
-            receipts = [telemetry.publish(sink, telemetry.encode_record(record, cfg.max_ecg))]
+            receipts = [telemetry.publish(sink, telemetry.encode_record(record))]
             if alert is not None:
                 receipts.append(telemetry.publish(sink, telemetry.encode_alert(alert)))
     return record, alert, receipts

@@ -24,7 +24,6 @@ from .signals import SampleFrame, _require_int, _require_real
 from .render import DEFAULT_WIDTH, _columns, export_svg
 
 __all__ = [
-    "PayloadTooLargeError",
     "TelemetryRecord",
     "AlertPolicy",
     "AlertEvent",
@@ -41,13 +40,6 @@ __all__ = [
     "retrieve_and_plot",
     "PlotResult",
 ]
-
-MAX_ECG_SAMPLES = 5000
-
-
-class PayloadTooLargeError(ValueError):
-    """Record carries more ECG samples than the configured maximum."""
-
 
 @dataclass(frozen=True)
 class TelemetryRecord:
@@ -157,17 +149,15 @@ def _json_bytes(doc: dict | list) -> bytes:
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=False, allow_nan=False).encode("utf-8")
 
 
-def encode_record(rec: TelemetryRecord, max_ecg: int = MAX_ECG_SAMPLES) -> bytes:
-    """Canonical JSON bytes: fixed key order, compact, UTF-8; ecg is the
-    padded base64 of the codes as little-endian 16-bit words.
+def encode_record(rec: TelemetryRecord) -> bytes:
+    """Canonical JSON bytes of rec, whatever its length: fixed key order,
+    compact, UTF-8; ecg is the padded base64 of the codes as little-endian
+    16-bit words.
 
     json writes the header fields; the base64 is spliced in as it is, since
     its alphabet holds no character JSON escapes, so the line is the bytes
     one json.dumps of all five fields would give.
     """
-    _require_int("max_ecg", max_ecg, 0)
-    if len(rec.ecg) > max_ecg:
-        raise PayloadTooLargeError(f"ecg holds {len(rec.ecg)} samples, limit is {max_ecg}")
     words = np.frombuffer(rec.ecg, dtype=np.ushort).astype("<u2", copy=False)
     header = _json_bytes({key: getattr(rec, key) for key in RECORD_KEYS[:-1]})
     return b'%s,"ecg":"%s"}' % (header[:-1], binascii.b2a_base64(words, newline=False))

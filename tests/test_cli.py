@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgmon import cli, pipeline, telemetry
-from ecgmon.acquisition import AdcConfig
+from ecgmon.acquisition import AdcConfig, dequantize
 from ecgmon.cli import build_parser, main
 from ecgmon.config import _KEYS, _SCHEMA, ConfigError, PipelineConfig
 from ecgmon.frontend import FrontEndSpec
@@ -280,10 +280,15 @@ class TestRunPipeline:
         assert result.reading.bpm == pytest.approx(72.0, abs=1.0)
 
     def test_record_carries_bounded_ecg(self):
-        cfg = dataclasses.replace(PipelineConfig(), source="sine", duration=4.0, max_ecg=100)
-        result = run_pipeline(cfg, bpm=120.0)
-        assert len(result.record.ecg) == 100
-        assert result.alert is None  # 120 is the inclusive boundary
+        """The record holds exactly the first max_ecg consumed codes: a 10 s
+        run consumes 4608, so 6000 keeps them all."""
+        for max_ecg in (100, 4608, 6000):
+            cfg = dataclasses.replace(PipelineConfig(), source="sine", duration=10.0, max_ecg=max_ecg)
+            result = run_pipeline(cfg, bpm=120.0)
+            assert len(result.digital.values) == 4608
+            assert np.array_equal(dequantize(result.record.ecg, cfg.adc),
+                                  result.digital.values[:max_ecg])
+            assert result.alert is None  # 120 is the inclusive boundary
 
     def test_alert_on_tachycardia(self):
         cfg = dataclasses.replace(PipelineConfig(), source="sine", duration=3.0)

@@ -105,7 +105,7 @@ def test_accepted_header_fields_encode(device_id, location, timestamp):
     except ValueError:
         return
     record, alert, _ = report(cfg, 200.0, np.arange(4), publish_records=False)
-    encode_record(record, cfg.max_ecg)
+    encode_record(record)
     encode_alert(alert)
 
 
