@@ -66,7 +66,7 @@ def quantize(v, cfg: AdcConfig):
     # scaling; negative values clamp to 0, so rounding half up equals half
     # away from zero
     codes = np.floor(np.clip(arr, 0.0, cfg.vref) / cfg.vref * cfg.max_code + 0.5).astype(np.ushort)
-    if np.isscalar(v) or arr.ndim == 0:
+    if arr.ndim == 0:
         return int(codes)
     return codes
 
@@ -84,7 +84,7 @@ def dequantize(c, cfg: AdcConfig):
     if arr.size and (arr.min() < 0 or arr.max() > cfg.max_code):
         raise ValueError(f"code out of range 0..{cfg.max_code}")
     volts = arr.astype(np.float64) / cfg.max_code * cfg.vref
-    if np.isscalar(c) or arr.ndim == 0:
+    if arr.ndim == 0:
         return float(volts)
     return volts
 

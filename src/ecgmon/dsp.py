@@ -66,8 +66,6 @@ def smooth_emg(frame: SampleFrame, window: int) -> SampleFrame:
     _require_odd_window(window)
     if window > len(frame):
         raise ValueError(f"smoothing window {window} is longer than the {len(frame)}-sample frame")
-    if window == 1:
-        return frame
     n, kernel = len(frame), np.ones(window)
     sums = np.convolve(frame.values, kernel, mode="same")
     counts = _per_shape(("smooth", n, window), n,
@@ -83,10 +81,10 @@ def _require_odd_window(window: int) -> None:
 
 @dataclass(frozen=True)
 class EdgeEvent:
-    """A detected trigger point."""
+    """A detected trigger point.  Every edge is rising: kind is a constant."""
 
     sample_index: int
-    kind: str  # "rising"; heart_rate_from_edges skips any other kind
+    kind = "rising"
 
 
 def detect_rising_edges(frame: SampleFrame, refractory: float) -> list[EdgeEvent]:
@@ -119,7 +117,7 @@ def detect_rising_edges(frame: SampleFrame, refractory: float) -> list[EdgeEvent
     for i in candidates:
         if i < next_allowed:
             continue
-        events.append(EdgeEvent(sample_index=int(i) + 1, kind="rising"))
+        events.append(EdgeEvent(sample_index=int(i) + 1))
         next_allowed = int(i) + max(refractory_samples, 1)
     return events
 
@@ -147,11 +145,12 @@ class HeartRateReading:
 def heart_rate_from_edges(edges, sample_rate: float) -> HeartRateReading:
     """Convert rising-edge times to beats per minute.
 
-    The beat period is the sample distance between the last two rising
+    Every edge is rising, and every edge given (from any iterable) is
+    read.  The beat period is the sample distance between the last two
     edges; bpm = 60 / period.
     """
     _require_real(0, sample_rate=sample_rate)
-    rising = [e for e in edges if e.kind == "rising"]
+    rising = list(edges)
     if len(rising) < 2:
         raise InsufficientDataError(
             f"need at least 2 rising edges for a heart rate, got {len(rising)}"

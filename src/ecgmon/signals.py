@@ -355,13 +355,12 @@ def generate_ecg(
 
 
 def generate_sine(freq: float, amplitude: float, sample_rate: float, duration: float) -> SampleFrame:
-    """Pure sine frame: values[n] = amplitude * sin(2*pi*freq*n/sample_rate)."""
+    """Pure sine frame: amplitude * sin(2*pi*freq*t) on the frame's sample times, through _unit_tone."""
     _require_real(0, sample_rate=sample_rate, duration=duration)
     _require_real(freq=freq, amplitude=amplitude)
     _require_source_rate("sine", freq, sample_rate)
     n = _sample_count(duration, sample_rate)
-    values = amplitude * np.sin(2 * np.pi * freq * np.arange(n) / sample_rate)
-    return SampleFrame(sample_rate=sample_rate, values=values)
+    return SampleFrame(sample_rate=sample_rate, values=amplitude * _unit_tone(n, sample_rate, 0.0, freq))
 
 
 def add_noise(src: SampleFrame, cfg: NoiseConfig) -> SourceSignal:

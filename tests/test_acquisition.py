@@ -95,6 +95,8 @@ class TestDequantize:
         assert volts.dtype == np.float64
         assert volts.tobytes() == dequantize(codes, cfg).tobytes()
         assert dequantize(np.ushort(7), cfg) == dequantize(7, cfg)
+        assert type(dequantize(np.array(7), cfg)) is float
+        assert dequantize(np.array(7), cfg) == dequantize(7, cfg)
 
     def test_round_trip_identity_all_codes(self):
         """quantize(dequantize(c)) == c exhaustively over the 4096 codes."""

@@ -1,13 +1,16 @@
-"""The benchmark's gated workloads still run on this checkout.
+"""The benchmark's workloads still run on this checkout.
 
 Runs perfbench/run.py briefly, untraced and traced, for each workload
-BENCHMARK.json gates, and checks that it exits 0 and reports its
-correctness checks passed.  A package change that breaks a workload (a
-name it imports, the listener uplink starts) then fails here, not only
-in a benchmark run; so does one that loses a span the traced workload
-expects (render.map, telemetry.decode, ...), which the traced run
-counts as a failed check.  It reads perfbench/ and changes nothing
-there.
+BENCHMARK.json gates, and untraced for the ungated frontend_sweep, and
+checks that it exits 0 and reports its correctness checks passed.  A
+package change that breaks a workload (a name it imports, the listener
+uplink starts) then fails here, not only in a benchmark run; so does one
+that loses a span the traced workload expects (render.map,
+telemetry.decode, ...), which the traced run counts as a failed check.
+frontend_sweep is the one workload that drives measure_metrics and its
+sine probes; its set-up check holds the bench figures (gain within 2 %
+of 1650, CMRR within 0.1 dB of 93.16 dB, 50 Hz at or below -12.6 dB).
+It reads perfbench/ and changes nothing there.
 """
 
 import json
@@ -38,3 +41,7 @@ def test_gated_workload_runs_correctly(workload):
 @pytest.mark.parametrize("workload", GATED)
 def test_gated_workload_runs_correctly_traced(workload):
     run_briefly(workload, trace=1)
+
+
+def test_frontend_sweep_runs_correctly():
+    run_briefly("frontend_sweep", trace=0)

@@ -242,8 +242,8 @@ class TestDetectEdgesReference:
 class TestHeartRate:
     def test_two_edges_half_second_apart(self):
         edges = [
-            EdgeEvent(sample_index=500, kind="rising"),
-            EdgeEvent(sample_index=750, kind="rising"),
+            EdgeEvent(sample_index=500),
+            EdgeEvent(sample_index=750),
         ]
         reading = heart_rate_from_edges(edges, 500.0)
         assert reading.period == pytest.approx(0.5)
@@ -251,34 +251,25 @@ class TestHeartRate:
         assert reading.median_period is None
 
     def test_one_edge_insufficient(self):
-        edges = [EdgeEvent(sample_index=10, kind="rising")]
+        edges = [EdgeEvent(sample_index=10)]
         with pytest.raises(InsufficientDataError):
             heart_rate_from_edges(edges, 500.0)
 
-    def test_falling_edges_ignored(self):
-        edges = [
-            EdgeEvent(sample_index=0, kind="rising"),
-            EdgeEvent(sample_index=100, kind="falling"),
-            EdgeEvent(sample_index=250, kind="rising"),
-        ]
-        reading = heart_rate_from_edges(edges, 500.0)
-        assert reading.period == pytest.approx(0.5)
-
     def test_median_period_with_many_edges(self):
         idx = [0, 250, 500, 752, 1000]
-        edges = [EdgeEvent(sample_index=i, kind="rising") for i in idx]
+        edges = [EdgeEvent(sample_index=i) for i in idx]
         reading = heart_rate_from_edges(edges, 500.0)
         assert reading.period == pytest.approx(248 / 500.0)
         assert reading.median_period == pytest.approx(250 / 500.0)
 
     def test_bpm_is_60_over_period(self):
-        edges = [EdgeEvent(sample_index=i, kind="rising") for i in (0, 421)]
+        edges = [EdgeEvent(sample_index=i) for i in (0, 421)]
         reading = heart_rate_from_edges(edges, 500.0)
         assert reading.bpm == pytest.approx(60.0 / reading.period, rel=1e-12)
 
     @pytest.mark.parametrize("rate", [float("nan"), math.inf, 0.0, -500.0])
     def test_unusable_sample_rate_refused(self, rate):
-        edges = [EdgeEvent(sample_index=i, kind="rising") for i in (0, 250)]
+        edges = [EdgeEvent(sample_index=i) for i in (0, 250)]
         with pytest.raises(ValueError, match=f"^sample_rate must be finite and > 0, got {rate}$"):
             heart_rate_from_edges(edges, rate)
 
@@ -289,7 +280,7 @@ class TestHeartRate:
 
     def test_period_overflowing_to_inf_refused(self):
         """A rate so small that the period overflows gives no 0 bpm reading."""
-        edges = [EdgeEvent(sample_index=i, kind="rising") for i in (0, 10)]
+        edges = [EdgeEvent(sample_index=i) for i in (0, 10)]
         with pytest.raises(ValueError, match="^period must be finite and > 0, got inf$"):
             heart_rate_from_edges(edges, 1e-320)
 
@@ -301,7 +292,7 @@ class TestHeartRate:
     def test_median_period_has_the_bits_of_np_median(self, indices, rate):
         """statistics.median picks (or averages) the same middle periods as
         np.median, on odd and even period counts alike."""
-        edges = [EdgeEvent(sample_index=i, kind="rising") for i in indices]
+        edges = [EdgeEvent(sample_index=i) for i in indices]
         periods = [(b - a) / rate for a, b in zip(indices, indices[1:])]
         got = heart_rate_from_edges(edges, rate).median_period
         assert type(got) is float

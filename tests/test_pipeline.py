@@ -13,12 +13,13 @@ line's header and codes.
 """
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from ecgmon.config import PipelineConfig
+from ecgmon.dsp import EdgeEvent
 from ecgmon.pipeline import run_pipeline
 from ecgmon.render import Framebuffer, draw_trace, map_to_trace
 from ecgmon.telemetry import encode_record
@@ -80,6 +81,9 @@ def _hashes(cfg: PipelineConfig, bpm: float) -> dict[str, str]:
     second = map_to_trace(result.filtered, fb.width, fb.height)
     draw_trace(fb, None, first)
     draw_trace(fb, first, second)
+    # perfbench/scoring.py reads each edge's kind: a class constant, not a field
+    assert all(e.kind == "rising" for e in result.edges)
+    assert [f.name for f in fields(EdgeEvent)] == ["sample_index"]
     return {
         "codes": _sha(codes, np.int64),
         "edges": _sha([e.sample_index for e in result.edges], np.int64),

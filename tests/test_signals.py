@@ -311,6 +311,18 @@ class TestGenerateSine:
         with pytest.raises(ValueError, match="finite"):
             generate_sine(freq, amplitude, 500.0, 1.0)
 
+    def test_same_bits_as_the_mains_tone(self):
+        """The sine source and add_noise's mains are one tone on one grid."""
+        sine = generate_sine(50.0, 0.3, 500.0, 10.0)
+        noisy = add_noise(SampleFrame(500.0, np.zeros(5000)), NoiseConfig(mains_amplitude=0.3))
+        assert sine.values.tobytes() == noisy.differential.values.tobytes()
+
+    def test_frames_never_alias_the_cached_tone(self):
+        a = generate_sine(5.0, 1.0, 500.0, 1.0)
+        b = generate_sine(5.0, 1.0, 500.0, 1.0)
+        assert not np.shares_memory(a.values, b.values)
+        assert not np.shares_memory(a.values, signals._unit_tone(500, 500.0, 0.0, 5.0))
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(freq=st.integers(min_value=1, max_value=50))
     def test_rms_property_integer_cycles(self, freq):
