@@ -95,15 +95,14 @@ def _write_response_csv(spec, rate: float, path) -> None:
 
 def _cmd_notch(args) -> int:
     frame = SampleFrame.from_csv(args.infile)
-    out = dsp.fft_notch(frame, center=args.center, half_band=args.half_band)
+    out = dsp.fft_notch(frame, center=args.center)
     out.to_csv(args.out)
     return 0
 
 
 def _cmd_detect(args) -> int:
-    cfg = _config(args)
     frame = SampleFrame.from_csv(args.infile)
-    edges = dsp.detect_rising_edges(frame, cfg.refractory)
+    edges = dsp.detect_rising_edges(frame)
     start, rate = frame.start_time, frame.sample_rate
     doc: dict = {"edges": [{"index": e.sample_index, "t": round(start + e.sample_index / rate, 6)}
                            for e in edges]}
@@ -213,12 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--center", type=float, default=PipelineConfig.notch_center)
-    p.add_argument("--half-band", type=float, default=PipelineConfig.notch_half_band)
     p.set_defaults(fn=_cmd_notch)
 
     p = sub.add_parser("detect", help="edge-trigger detection on a CSV frame")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--refractory")
     p.set_defaults(fn=_cmd_detect)
 
     p = sub.add_parser("stream", help="quantize a CSV frame through the ping-pong buffer")

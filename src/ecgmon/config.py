@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .acquisition import AdcConfig
-from .dsp import _require_notch, _require_odd_window
+from .dsp import _require_notch
 from .frontend import FrontEndSpec, _chain_coefficients
 from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH, _require_target
 from .signals import (EcgTemplateParams, NoiseConfig, _field_types, _require_declared_types,
@@ -47,9 +47,6 @@ class PipelineConfig:
     adc: AdcConfig = field(default_factory=AdcConfig)
     half_capacity: int = 512
     notch_center: float = 50.0
-    notch_half_band: float = 2.0
-    smooth_window: int = 5
-    refractory: float = 0.25
     alerts: AlertPolicy = field(default_factory=AlertPolicy)
     fb_width: int = DEFAULT_WIDTH
     fb_height: int = DEFAULT_HEIGHT
@@ -72,9 +69,7 @@ class PipelineConfig:
         _require_source_rate(self.source, self.bpm / 60.0, self.sample_rate)
         _sample_count(self.duration, self.sample_rate)
         _chain_coefficients(self.frontend, self.sample_rate)
-        _require_notch(self.notch_center, self.notch_half_band, self.sample_rate)
-        _require_odd_window(self.smooth_window)
-        _require_real(0, False, refractory=self.refractory)
+        _require_notch(self.notch_center, self.sample_rate)
         _require_target(self.fb_width, self.fb_height)
         _require_int("max_ecg", self.max_ecg, 0)
         _require_int("timestamp", self.timestamp)
@@ -130,8 +125,7 @@ _SCHEMA: dict[str, dict[str, tuple[str | None, str]]] = {
     "frontend": _keys("frontend", "instrument_gain voltage_gain f_ch f_cl f_0 notch_q "
                       "cmrr_db lift_bias supply_min supply_max"),
     "adc": {**_keys("adc", "resolution_bits vref"), **_keys(None, "half_capacity")},
-    "dsp": _keys(None, "notch_center notch_half_band smooth_window"),
-    "trigger": _keys(None, "refractory"),
+    "dsp": _keys(None, "notch_center"),
     "alerts": _keys("alerts", "low_bpm high_bpm"),
     "render": _keys(None, width="fb_width", height="fb_height"),
     "telemetry": _keys(None, "device_id location sink max_ecg timestamp"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SampleFrame, _per_shape, _require_int, _require_real
+from .signals import SampleFrame, _per_shape, _require_real
 
 __all__ = [
     "InsufficientDataError",
@@ -31,52 +31,51 @@ class InsufficientDataError(ValueError):
     """Not enough detected structure to compute the requested quantity."""
 
 
-def fft_notch(frame: SampleFrame, center: float, half_band: float) -> SampleFrame:
-    """Zero the spectral bins within center +/- half_band and transform back.
+# fixed by design, as on the device: the notch's band either side of its
+# center (Hz), the smoothing window (samples, odd so the average is
+# centered) and the trigger's hold-off after an edge (seconds)
+_NOTCH_HALF_BAND = 2.0
+_SMOOTH_WINDOW = 5
+_REFRACTORY = 0.25
+
+
+def fft_notch(frame: SampleFrame, center: float) -> SampleFrame:
+    """Zero the spectral bins within center +/- 2 Hz and transform back.
 
     Works on the real FFT so conjugate symmetry (and therefore a real
     output) is preserved; output length equals input length.
     """
     if len(frame) < 2:
         raise ValueError("frame must hold at least 2 samples")
-    _require_notch(center, half_band, frame.sample_rate)
+    _require_notch(center, frame.sample_rate)
     n, rate = len(frame), frame.sample_rate
-    notched = _per_shape(("notch", n, rate, center, half_band), n,
-                         lambda: np.abs(np.fft.rfftfreq(n, d=1.0 / rate) - center) <= half_band)
+    notched = _per_shape(("notch", n, rate, center), n, lambda: np.abs(
+        np.fft.rfftfreq(n, d=1.0 / rate) - center) <= _NOTCH_HALF_BAND)
     spectrum = np.fft.rfft(frame.values)
     spectrum[notched] = 0.0
     cleaned = np.fft.irfft(spectrum, n=n)
     return frame.with_values(cleaned)
 
 
-def _require_notch(center: float, half_band: float, sample_rate: float) -> None:
-    # a NaN center or band would match no bin and pass the frame through
+def _require_notch(center: float, sample_rate: float) -> None:
+    # a NaN center would match no bin and pass the frame through
     _require_real(center=center)
     if center >= sample_rate / 2:
         raise ValueError(f"notch center {center} Hz is at or above Nyquist ({sample_rate / 2} Hz)")
-    _require_real(0, False, half_band=half_band)
 
 
-def smooth_emg(frame: SampleFrame, window: int) -> SampleFrame:
-    """Centered moving average with an odd window; edges truncate the window.
+def smooth_emg(frame: SampleFrame) -> SampleFrame:
+    """Centered 5-sample moving average; edges truncate the window.
 
-    The window may not be longer than the frame: convolve would then
+    The frame may not be shorter than the window: convolve would then
     return window samples, not len(frame).
     """
-    _require_odd_window(window)
-    if window > len(frame):
-        raise ValueError(f"smoothing window {window} is longer than the {len(frame)}-sample frame")
-    n, kernel = len(frame), np.ones(window)
+    n, kernel = len(frame), np.ones(_SMOOTH_WINDOW)
+    if _SMOOTH_WINDOW > n:
+        raise ValueError(f"smoothing window {_SMOOTH_WINDOW} is longer than the {n}-sample frame")
     sums = np.convolve(frame.values, kernel, mode="same")
-    counts = _per_shape(("smooth", n, window), n,
-                        lambda: np.convolve(np.ones(n), kernel, mode="same"))
+    counts = _per_shape(("smooth", n), n, lambda: np.convolve(np.ones(n), kernel, mode="same"))
     return frame.with_values(sums / counts)
-
-
-def _require_odd_window(window: int) -> None:
-    _require_int("window", window)
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be a positive odd sample count, got {window}")
 
 
 @dataclass(frozen=True)
@@ -87,15 +86,14 @@ class EdgeEvent:
     kind = "rising"
 
 
-def detect_rising_edges(frame: SampleFrame, refractory: float) -> list[EdgeEvent]:
+def detect_rising_edges(frame: SampleFrame) -> list[EdgeEvent]:
     """Scan left to right for rising trigger points.
 
     A match is three non-decreasing samples whose span touches or straddles
     the band reaching 2% of the frame peak-to-peak either side of its
     midrange; the middle sample is reported and re-triggering is suppressed
-    for refractory seconds after it.
+    for 0.25 s after it.
     """
-    _require_real(0, False, refractory=refractory)
     values = frame.values
     if len(values) < 3:
         raise ValueError(f"frame of {len(values)} samples is shorter than a 3-sample run")
@@ -111,7 +109,7 @@ def detect_rising_edges(frame: SampleFrame, refractory: float) -> list[EdgeEvent
         steps_ok & (first <= level + epsilon) & (last >= level - epsilon) & (last > first)
     )[0]
     # clamped to the frame: a refractory past it keeps only the first edge
-    refractory_samples = int(round(min(refractory * frame.sample_rate, len(values))))
+    refractory_samples = int(round(min(_REFRACTORY * frame.sample_rate, len(values))))
     events: list[EdgeEvent] = []
     next_allowed = 0
     for i in candidates:

@@ -105,9 +105,9 @@ def run_pipeline(
     digital_codes = np.concatenate(consumed)
     digital = SampleFrame(sample_rate=cfg.sample_rate, values=dequantize(digital_codes, cfg.adc))
 
-    filtered = _stage("dsp", dsp.fft_notch, digital, cfg.notch_center, cfg.notch_half_band)
-    filtered = _stage("dsp", dsp.smooth_emg, filtered, cfg.smooth_window)
-    edges = _stage("dsp", dsp.detect_rising_edges, filtered, cfg.refractory)
+    filtered = _stage("dsp", dsp.fft_notch, digital, cfg.notch_center)
+    filtered = _stage("dsp", dsp.smooth_emg, filtered)
+    edges = _stage("dsp", dsp.detect_rising_edges, filtered)
     reading = _stage("dsp", dsp.heart_rate_from_edges, edges, cfg.sample_rate)
 
     record, alert, receipts = _stage("telemetry", report,

@@ -44,7 +44,6 @@ class TestConfig:
         (lambda: PipelineConfig(half_capacity=512.5), "half_capacity must be an integer, got 512.5"),
         (lambda: PipelineConfig(half_capacity=True), "half_capacity must be an integer, got True"),
         (lambda: PipelineConfig(half_capacity=0), "half_capacity must be >= 1, got 0"),
-        (lambda: PipelineConfig(smooth_window=5.0), "window must be an integer, got 5.0"),
         (lambda: PipelineConfig(max_ecg=50.5), "max_ecg must be an integer, got 50.5"),
         (lambda: PipelineConfig(fb_width=128.5), "width must be an integer, got 128.5"),
         (lambda: NoiseConfig(rng_seed=1.5), "rng_seed must be an integer, got 1.5"),
@@ -66,20 +65,30 @@ class TestConfig:
             "mains_amplitude = 0.3\n"
             "seed = 7\n"
             "\n"
-            "[trigger]\n"
-            "refractory = 0.2\n"
+            "[dsp]\n"
+            "notch_center = 49\n"
         )
         cfg = PipelineConfig.load(path)
         assert cfg.source == "sine"
         assert cfg.bpm == 120.0
         assert cfg.noise.mains_amplitude == 0.3
         assert cfg.noise.rng_seed == 7
-        assert cfg.refractory == 0.2
+        assert cfg.notch_center == 49.0
 
     def test_readme_block_is_the_defaults(self):
+        """The block loads to the defaults and sets every key exactly once,
+        under its own section: a key missing from it would still load."""
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
         assert PipelineConfig.loads(block, name="README.md") == PipelineConfig()
+        placed, section = [], None
+        for line in block.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = line[1:-1]
+            elif line:
+                placed.append((section, line.split("=", 1)[0].strip()))
+        assert sorted(placed) == sorted((sec, key) for sec, keys in _SCHEMA.items() for key in keys)
 
     def test_readme_recipe_decodes_a_sent_line(self, tmp_path, capsys):
         """The README's decoding recipe, standard library only, gives the
@@ -112,7 +121,7 @@ class TestConfig:
                                   f_0=49.5, notch_q=25.0, cmrr_db=90.0, lift_bias=1.6,
                                   supply_min=0.1, supply_max=3.2),
             adc=AdcConfig(resolution_bits=11, vref=3.0), half_capacity=256,
-            notch_center=49.0, notch_half_band=3.0, smooth_window=7, refractory=0.3,
+            notch_center=49.0,
             alerts=AlertPolicy(low_bpm=55.0, high_bpm=100.0),
             fb_width=96, fb_height=48,
             device_id="dev-9", location="ward-3", sink="file:records.jsonl", max_ecg=1000,
@@ -175,9 +184,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["trigger_level", "band_epsilon", "run_length"])
     def test_fixed_trigger_keys_are_unknown(self, key):
-        """Level, band and run length belong to the detector, not the file."""
-        with pytest.raises(ConfigError, match=f"line 3: unknown key '{key}' in \\[trigger\\]"):
-            PipelineConfig.loads(f"[trigger]\nrefractory = 0.2\n{key} = 3\n")
+        """Level, band, run length and refractory belong to the detector, not
+        the file: no section takes them."""
+        with pytest.raises(ConfigError, match="line 1: unknown section \\[trigger\\]"):
+            PipelineConfig.loads(f"[trigger]\n{key} = 3\n")
+        for section in _SCHEMA:
+            with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}' in \\[{section}\\]"):
+                PipelineConfig.loads(f"[{section}]\n{key} = 3\n")
 
     def test_key_outside_section_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -242,11 +255,6 @@ half_capacity = 256
 
 [dsp]
 notch_center = 49
-notch_half_band = 3
-smooth_window = 7
-
-[trigger]
-refractory = 0.3
 
 [alerts]
 low_bpm = 55
@@ -380,25 +388,24 @@ class TestCliSubcommands:
 
     def test_invalid_config_exits_usage_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("[signal]\nsource = sine\nmystery = 1\n")
-        code = main(["run", "--config", str(bad), "--bpm", "120"])
-        assert code == 1
-        assert "line 3" in capsys.readouterr().err
+        # an unknown key or section: a made-up one, or a setting that dsp now fixes
+        for text, lineno in (("[signal]\nsource = sine\nmystery = 1\n", 3),
+                             ("[trigger]\nrefractory = 0.25\n", 1),
+                             ("[dsp]\nsmooth_window = 5\n", 2),
+                             ("[dsp]\nnotch_half_band = 2\n", 2)):
+            bad.write_text(text)
+            assert main(["run", "--config", str(bad), "--bpm", "120"]) == 1, text
+            captured = capsys.readouterr()
+            assert f"{bad}: line {lineno}: unknown " in captured.err, text
+            assert captured.out == ""
         # values each parse but break a stage config: usage errors naming the file
         for text in ("[alerts]\nlow_bpm = 200\n",
                      "[noise]\nemg_sigma = -1\n",
                      "[signal]\nsample_rate = 0\n",
                      "[adc]\nhalf_capacity = 0\n",
-                     "[dsp]\nsmooth_window = 4\n",
                      "[dsp]\nnotch_center = 300\n",
-                     "[dsp]\nnotch_half_band = -1\n",
                      "[telemetry]\nmax_ecg = -1\n",
                      "[render]\nwidth = 0\n",
-                     "[trigger]\nrefractory = nan\n",
-                     "[trigger]\nrefractory = inf\n",
-                     "[trigger]\ntrigger_level = nan\n",
-                     "[trigger]\nband_epsilon = inf\n",
-                     "[trigger]\nrun_length = 4\n",
                      "[telemetry]\nsink = bogus\n",
                      "[telemetry]\nsink = http:abc\n",
                      "[telemetry]\nsink = http:70000\n",
@@ -413,7 +420,6 @@ class TestCliSubcommands:
                      "[signal]\nsine_amplitude = nan\n",
                      "[noise]\nseed = -1\n",
                      "[dsp]\nnotch_center = nan\n",
-                     "[dsp]\nnotch_half_band = inf\n",
                      "[alerts]\nhigh_bpm = inf\n"):
             bad.write_text(text)
             assert main(["run", "--config", str(bad), "--publish"]) == 1, text
@@ -422,18 +428,22 @@ class TestCliSubcommands:
             assert captured.out == ""
 
     def test_smoothing_window_longer_than_record_exits_runtime(self, tmp_path, capsys):
-        """A 4 s record consumes 1536 samples: a 4001-sample window is refused,
-        not smoothed into 4001 samples and a made-up reading."""
+        """A 4-sample run is shorter than the 5-sample window: refused, not
+        smoothed into 5 samples and a made-up reading."""
         cfg = tmp_path / "window.cfg"
-        cfg.write_text("[signal]\nduration = 4\n[dsp]\nsmooth_window = 4001\n")
+        cfg.write_text("[signal]\nduration = 0.008\n[adc]\nhalf_capacity = 2\n")
         assert main(["run", "--config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("ecgmon: dsp: smoothing window 4001 is longer than "
-                                       "the 1536-sample frame")
+        assert capsys.readouterr() == (
+            "", "ecgmon: dsp: smoothing window 5 is longer than the 4-sample frame\n")
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["simulate", "--source", "nope", "--out", "x.csv"]) == 1
+        # the flags of settings that dsp now fixes are unknown
+        for argv in (["detect", "--in", "x.csv", "--refractory", "0.2"],
+                     ["notch", "--in", "x.csv", "--out", "y.csv", "--half-band", "2"]):
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_metrics_emits_bench_json(self, capsys):
         assert main(["metrics"]) == 0
@@ -450,7 +460,7 @@ class TestCliSubcommands:
         fixture = tmp_path / "sine2hz.csv"
         assert main(["simulate", "--source", "sine", "--bpm", "120", "--amplitude", "1",
                      "--rate", "500", "--duration", "3", "--out", str(fixture)]) == 0
-        assert main(["detect", "--in", str(fixture), "--refractory", "0.2"]) == 0
+        assert main(["detect", "--in", str(fixture)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["bpm"] == pytest.approx(120.0, abs=0.5)
         assert doc["edges"][0].keys() == {"index", "t"}
@@ -462,28 +472,6 @@ class TestCliSubcommands:
         assert main(["detect", "--in", str(flat)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["bpm"] is None and doc["edges"] == []
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--refractory", "inf"),
-        ("--refractory", "nan"),
-    ])
-    def test_detect_nonfinite_trigger_exits_config_error(self, tmp_path, capsys, flag, value):
-        """A config value, refused like the same [trigger] key in a file."""
-        fixture = tmp_path / "sine.csv"
-        assert main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)]) == 0
-        assert main(["detect", "--in", str(fixture), flag, value]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("ecgmon: config error: command line: ")
-        assert flag[2:].replace("-", "_") in captured.err
-
-    def test_detect_huge_refractory_keeps_first_edge(self, tmp_path, capsys):
-        """A refractory too long for an int sample count is longer than the frame."""
-        fixture = tmp_path / "sine.csv"
-        assert main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)]) == 0
-        assert main(["detect", "--in", str(fixture), "--refractory", "1e308"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert (len(doc["edges"]), doc["bpm"]) == (1, None)
 
     def test_detect_times_edges_from_the_frame_start(self, tmp_path, capsys):
         """An edge's t is the frame's first time plus its index over the rate."""
@@ -832,7 +820,7 @@ _CONFIG_TEXTS = {
     "emg.cfg": "[noise]\nemg_sigma = -1\n",
     "rate.cfg": "[signal]\nsample_rate = 0\n",
     "capacity.cfg": "[adc]\nhalf_capacity = 0\n",
-    "window.cfg": "[dsp]\nsmooth_window = 4\n",
+    "old.cfg": "[trigger]\nrefractory = 0.25\n",
     "max_ecg.cfg": "[telemetry]\nmax_ecg = -1\n",
     "junk.cfg": "not a config\n",
 }
@@ -873,9 +861,8 @@ def _fuzz_options(root):
                      "--common-mode-amplitude": floats, "--seed": ints},
         "metrics": {"--config": configs, "--rate": rates, "--noise-sigma": floats,
                     "--seed": ints, "--response-csv": outputs},
-        "notch": {"--in": inputs, "--out": outputs, "--center": floats,
-                  "--half-band": floats},
-        "detect": {"--in": inputs, "--refractory": floats},
+        "notch": {"--in": inputs, "--out": outputs, "--center": floats},
+        "detect": {"--in": inputs},
         "stream": {"--in": inputs, "--half-capacity": ints, "--bits": ints, "--vref": floats},
         "plot": {"--in": inputs, "--out": outputs, "--width": ints, "--height": ints,
                  "--v-min": floats, "--v-max": floats, "--ascii": None},
@@ -922,10 +909,10 @@ def test_cli_fuzz_exit_codes(fuzz_dir, command, data):
 def test_cli_start_leaves_scipy_and_http_unimported(tmp_path):
     """The scipy.signal package takes over a second to import, and the only
     part of scipy the package runs is that package's compiled linear filter.
-    detect, stream, send and plot check their flags through PipelineConfig,
-    whose checks design the front-end filter without running it: they load
-    no scipy module.  run and metrics filter, and load only the filter's
-    extension module, never scipy or scipy.signal.
+    stream, send and plot check their flags through PipelineConfig, whose
+    checks design the front-end filter without running it, and detect takes
+    no config: none of them loads a scipy module.  run and metrics filter,
+    and load only the filter's extension module, never scipy or scipy.signal.
 
     No command loads the HTTP stack (http, email, ssl): only the cloud
     model's listener needs http.server, and reading ecgmon.LoopbackListener

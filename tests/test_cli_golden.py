@@ -55,7 +55,6 @@ REFUSED = {
     "metrics --rate 100": "[signal]\nsample_rate = 100\n",
     "metrics --noise-sigma nan": "[noise]\nemg_sigma = nan\n",
     "metrics --seed -1": "[noise]\nseed = -1\n",
-    "detect --in sine.csv --refractory -1": "[trigger]\nrefractory = -1\n",
     "stream --in sine.csv --half-capacity 0": "[adc]\nhalf_capacity = 0\n",
     "stream --in sine.csv --bits 17": "[adc]\nresolution_bits = 17\n",
     "stream --in sine.csv --vref nan": "[adc]\nvref = nan\n",
@@ -87,7 +86,6 @@ CASES = {
     "simulate-sine": "simulate --source sine --bpm 120 --amplitude 1 --duration 2 --out sine2.csv",
     "notch": "notch --in noisy.csv --out clean.csv",
     "detect": "detect --in sine.csv",
-    "detect-refractory": "detect --in sine.csv --refractory 0.2",
     "stream": "stream --in sine.csv --half-capacity 128",
     "plot-svg": "plot --in sine.csv --out sine.svg",
     "plot-ascii": "plot --in sine.csv --ascii",

@@ -6,7 +6,7 @@ edges, an edge matching a true R time within +/-150 ms.  The table holds
 the counts the edge trigger gets today; a detector change may raise a
 cell's Se or +P but not lower either.  The noisy cells carry mains 0.3 mV
 and wander 0.2 mV plus the EMG sigma given; the 250 and 300 bpm cells,
-above 60 / refractory = 240 bpm, carry none.
+above 60 / 0.25 s refractory = 240 bpm, carry none.
 
 The trigger's contract also holds without ground truth, as relations
 between runs of detect_rising_edges on a cell's filtered frame
@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgmon import NoiseConfig, PipelineConfig, detect_rising_edges, run_pipeline
+from ecgmon.dsp import _REFRACTORY
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -67,7 +68,7 @@ def cell(emg, bpm):
 
 
 def edge_indices(frame) -> list[int]:
-    return [e.sample_index for e in detect_rising_edges(frame, CFG.refractory)]
+    return [e.sample_index for e in detect_rising_edges(frame)]
 
 
 @pytest.mark.parametrize("emg, bpm, beats, edges, matched", GRID)
@@ -108,5 +109,5 @@ def test_dropping_the_first_samples_shifts_the_edges_back(emg, bpm):
     # until the refractory of the last dropped edge ends, the cut frame may
     # trigger on a run that edge suppressed (at 120 bpm it does, at sample 1)
     dropped = [e for e in edges if e < cut]
-    settled = dropped[-1] - 1 + round(CFG.refractory * frame.sample_rate) - cut if dropped else 0
+    settled = dropped[-1] - 1 + round(_REFRACTORY * frame.sample_rate) - cut if dropped else 0
     assert [e for e in shifted if e >= settled] == [e - cut for e in edges if e >= cut]

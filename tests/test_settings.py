@@ -54,7 +54,7 @@ def _field_cases():
 @pytest.mark.parametrize("cls, name, value", _field_cases())
 def test_every_field_refuses_a_bad_value(cls, name, value):
     """The refusal names the field: its message starts with the field's name,
-    or with the name a stage's check gives it (window for smooth_window)."""
+    or with the name a stage's check gives it (width for fb_width)."""
     with pytest.raises(ValueError) as info:
         dataclasses.replace(_default(cls), **{name: value})
     assert name.endswith(str(info.value).split()[0]), str(info.value)
