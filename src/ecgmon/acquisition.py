@@ -89,9 +89,9 @@ def dequantize(c, cfg: AdcConfig):
     return volts
 
 
-def _adc_codes(codes, name: str, sequences: tuple[type, ...] = (list, tuple)) -> np.ndarray:
+def _adc_codes(codes, name: str) -> np.ndarray:
     """codes as a 1-D np.ushort array, refusing any value no 16-bit ADC
-    makes: codes is a 1-D integer ndarray or one of sequences holding only
+    makes: codes is a 1-D integer ndarray or a list or tuple holding only
     ints, each in 0.._MAX_CODE.  A native uint16 array is returned as it
     is, since its type holds exactly those codes; any other is checked,
     then converted.  The check is explicit because numpy's casts are none:
@@ -101,14 +101,13 @@ def _adc_codes(codes, name: str, sequences: tuple[type, ...] = (list, tuple)) ->
         if codes.dtype == np.ushort:
             return codes
         low, high = (codes.min(), codes.max()) if codes.size else (0, 0)
-    elif isinstance(codes, sequences):
+    elif isinstance(codes, (list, tuple)):
         if not {int}.issuperset(map(type, codes)):
             odd = next(v for v in codes if type(v) is not int)
             raise ValueError(f"{name} samples must be ADC codes (int), got {type(odd).__name__}")
         low, high = (min(codes), max(codes)) if codes else (0, 0)
     else:
-        kinds = ", ".join(kind.__name__ for kind in sequences)
-        raise ValueError(f"{name} must be a {kinds} or 1-D integer array of ADC codes, "
+        raise ValueError(f"{name} must be a list, tuple or 1-D integer array of ADC codes, "
                          f"got {type(codes).__name__}")
     if low < 0 or high > _MAX_CODE:
         raise ValueError(f"{name} codes must be in 0..{_MAX_CODE}, got {low if low < 0 else high}")
@@ -154,11 +153,11 @@ class PingPongBuffer:
     def push_block(self, codes) -> int:
         """Write codes in order; return the number of halves they completed.
 
-        codes is a list, tuple, range or 1-D integer array of 16-bit ADC
-        codes; any other, or a value outside 0.._MAX_CODE, raises
-        ValueError before anything is written.
+        codes is what a record's ecg takes: a list or tuple of ints or a
+        1-D integer array, of 16-bit ADC codes; any other, or a value
+        outside 0.._MAX_CODE, raises ValueError before anything is written.
         """
-        codes = _adc_codes(codes, "block", (list, tuple, range))
+        codes = _adc_codes(codes, "block")
         completed = 0
         start = 0
         while start < len(codes):

@@ -15,7 +15,7 @@ import numpy as np
 from . import dsp
 from .acquisition import PingPongBuffer, quantize
 from .config import _KEYS, SOURCES, ConfigError, PipelineConfig, _parse
-from .frontend import chain_magnitude, measure_metrics
+from .frontend import CHAIN_GAIN, LIFT_BIAS, chain_magnitude, measure_metrics
 from .pipeline import PipelineError, report, run_pipeline, source_signal
 from .render import export_ascii, export_svg, Framebuffer, _require_target, draw_trace, map_to_trace
 from .signals import NoiseConfig, SampleFrame
@@ -86,7 +86,7 @@ def _cmd_metrics(args) -> int:
 
 def _write_response_csv(spec, rate: float, path) -> None:
     freqs = np.logspace(np.log10(0.01), np.log10(0.49 * rate), 200)
-    mags = chain_magnitude(spec, rate, freqs) * spec.chain_gain
+    mags = chain_magnitude(spec, rate, freqs) * CHAIN_GAIN
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("freq_hz,mag_db\n")
         for f, m in zip(freqs, mags):
@@ -150,8 +150,8 @@ def _cmd_send(args) -> int:
     cfg = _config(args)
     frame = SampleFrame.from_csv(args.infile)
     if args.unit == "mV":
-        # lift a bipolar source frame to mid-rail before encoding
-        volts = frame.values * 1e-3 + cfg.adc.vref / 2
+        # lift a bipolar source frame as the front end does before encoding
+        volts = frame.values * 1e-3 + LIFT_BIAS
     else:
         volts = frame.values
     codes = quantize(volts, cfg.adc)

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .acquisition import AdcConfig
-from .dsp import _require_notch
 from .frontend import FrontEndSpec, _chain_coefficients
 from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH, _require_target
 from .signals import (EcgTemplateParams, NoiseConfig, _field_types, _require_declared_types,
-                      _require_int, _require_real, _require_source_rate, _sample_count)
+                      _require_frequency, _require_int, _require_real, _require_source_rate,
+                      _require_tones, _sample_count)
 from .telemetry import AlertPolicy, _require_text, make_sink
 
 __all__ = ["ConfigError", "PipelineConfig"]
@@ -68,8 +68,9 @@ class PipelineConfig:
         # so the run reuses it
         _require_source_rate(self.source, self.bpm / 60.0, self.sample_rate)
         _sample_count(self.duration, self.sample_rate)
+        _require_tones(self.noise, self.sample_rate)
         _chain_coefficients(self.frontend, self.sample_rate)
-        _require_notch(self.notch_center, self.sample_rate)
+        _require_frequency("notch_center", self.notch_center, self.sample_rate)
         _require_target(self.fb_width, self.fb_height)
         _require_int("max_ecg", self.max_ecg, 0)
         _require_int("timestamp", self.timestamp)
@@ -122,8 +123,7 @@ _SCHEMA: dict[str, dict[str, tuple[str | None, str]]] = {
     "signal": _keys(None, "source sample_rate duration bpm sine_amplitude"),
     "noise": _keys("noise", "mains_amplitude mains_freq wander_amplitude wander_freq "
                    "emg_sigma dc_offset common_mode_amplitude common_mode_freq", seed="rng_seed"),
-    "frontend": _keys("frontend", "instrument_gain voltage_gain f_ch f_cl f_0 notch_q "
-                      "cmrr_db lift_bias supply_min supply_max"),
+    "frontend": _keys("frontend", "f_ch f_cl f_0 notch_q"),
     "adc": {**_keys("adc", "resolution_bits vref"), **_keys(None, "half_capacity")},
     "dsp": _keys(None, "notch_center"),
     "alerts": _keys("alerts", "low_bpm high_bpm"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import SampleFrame, _per_shape, _require_real
+from .signals import SampleFrame, _per_shape, _require_frequency, _require_real
 
 __all__ = [
     "InsufficientDataError",
@@ -47,7 +47,7 @@ def fft_notch(frame: SampleFrame, center: float) -> SampleFrame:
     """
     if len(frame) < 2:
         raise ValueError("frame must hold at least 2 samples")
-    _require_notch(center, frame.sample_rate)
+    _require_frequency("notch_center", center, frame.sample_rate)
     n, rate = len(frame), frame.sample_rate
     notched = _per_shape(("notch", n, rate, center), n, lambda: np.abs(
         np.fft.rfftfreq(n, d=1.0 / rate) - center) <= _NOTCH_HALF_BAND)
@@ -55,13 +55,6 @@ def fft_notch(frame: SampleFrame, center: float) -> SampleFrame:
     spectrum[notched] = 0.0
     cleaned = np.fft.irfft(spectrum, n=n)
     return frame.with_values(cleaned)
-
-
-def _require_notch(center: float, sample_rate: float) -> None:
-    # a NaN center would match no bin and pass the frame through
-    _require_real(center=center)
-    if center >= sample_rate / 2:
-        raise ValueError(f"notch center {center} Hz is at or above Nyquist ({sample_rate / 2} Hz)")
 
 
 def smooth_emg(frame: SampleFrame) -> SampleFrame:
@@ -108,8 +101,7 @@ def detect_rising_edges(frame: SampleFrame) -> list[EdgeEvent]:
     candidates = np.nonzero(
         steps_ok & (first <= level + epsilon) & (last >= level - epsilon) & (last > first)
     )[0]
-    # clamped to the frame: a refractory past it keeps only the first edge
-    refractory_samples = int(round(min(_REFRACTORY * frame.sample_rate, len(values))))
+    refractory_samples = int(round(_REFRACTORY * frame.sample_rate))
     events: list[EdgeEvent] = []
     next_allowed = 0
     for i in candidates:

@@ -1,11 +1,13 @@
-"""Parameterized model of the analog signal-conditioning chain.
+"""Model of the bench board's analog signal-conditioning chain.
 
 Seven board elements reduce to four behaviors here: a gain chain
 (instrumentation amplifier times voltage amplifier), first-order high- and
 low-pass filters, a second-order mains notch, and a DC lift into the ADC
 range.  The right-leg drive is modeled as a scalar common-mode attenuation
-(the CMRR figure).  Component-value formulas give the design parameters;
-bilinear discretization with prewarping runs the stages on sampled data.
+(the CMRR figure).  The gain, CMRR, supply rails and lift are the board's
+fixed design; the filter corners, notch center and Q are settings.
+Component-value formulas give the design parameters; bilinear
+discretization with prewarping runs the stages on sampled data.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .signals import NoiseConfig, SampleFrame, SourceSignal, _require_real, add_noise, generate_sine
+from .signals import (NoiseConfig, SampleFrame, SourceSignal, _require_frequency, _require_real,
+                      add_noise, generate_sine)
 
 __all__ = [
     "FrontEndSpec",
@@ -38,6 +41,11 @@ __all__ = [
 ]
 
 INPUT_IMPEDANCE = 13.2e6  # ohms, declared constant, never simulated
+# the bench board's fixed design, taken directly from it
+CHAIN_GAIN = 22.0 * 75.0  # instrumentation amplifier times voltage amplifier
+COMMON_MODE_LEAK = 10 ** (-93.16 / 20)  # the 93.16 dB CMRR as an amplitude ratio
+SUPPLY_MIN, SUPPLY_MAX = 0.0, 3.3  # volts, the output clip range
+LIFT_BIAS = 1.65  # volts, recenters the bipolar signal at mid-rail
 STAGE_ORDER = ("notch", "lowpass", "highpass")
 
 
@@ -75,43 +83,22 @@ def notch_center(r31: float, c5: float, r27: float, c7: float) -> float:
 
 @dataclass(frozen=True)
 class FrontEndSpec:
-    """Behavioral parameters of the conditioning chain.
+    """Filter parameters of the conditioning chain.
 
-    supply_min..supply_max is the output clip range in volts; lift_bias
-    recenters the bipolar signal inside it.  The defaults are the bench
-    board: chain gain 1650 and CMRR 93.16 dB are taken directly; the corner
-    frequencies and notch Q are tuned so the measured -3 dB band comes out
-    near 0.18..70.2 Hz with 50 Hz attenuation below -12.6 dB.
+    The defaults are the bench board: the corner frequencies and notch Q
+    are tuned so the measured -3 dB band comes out near 0.18..70.2 Hz with
+    50 Hz attenuation below -12.6 dB.
     """
 
-    instrument_gain: float = 22.0
-    voltage_gain: float = 75.0
     f_ch: float = 0.18
     f_cl: float = 69.5
     f_0: float = 49.79
     notch_q: float = 30.0
-    cmrr_db: float = 93.16
-    lift_bias: float = 1.65
-    supply_min: float = 0.0
-    supply_max: float = 3.3
 
     def __post_init__(self):
-        _require_real(0, instrument_gain=self.instrument_gain, voltage_gain=self.voltage_gain,
-                      f_ch=self.f_ch, f_cl=self.f_cl, f_0=self.f_0, notch_q=self.notch_q)
-        _require_real(cmrr_db=self.cmrr_db, lift_bias=self.lift_bias,
-                      supply_min=self.supply_min, supply_max=self.supply_max)
+        _require_real(0, f_ch=self.f_ch, f_cl=self.f_cl, f_0=self.f_0, notch_q=self.notch_q)
         if not self.f_ch < self.f_0 < self.f_cl:
             raise ValueError(f"need f_ch < f_0 < f_cl, got {self.f_ch}, {self.f_0}, {self.f_cl}")
-        low, high = self.supply_min, self.supply_max
-        if not low < high:
-            raise ValueError(f"supply range must be finite and increasing, got {(low, high)}")
-        if not low <= self.lift_bias <= high:
-            raise ValueError(f"lift_bias must be within the supply [{low}, {high}] V, "
-                             f"got {self.lift_bias}")
-
-    @property
-    def chain_gain(self) -> float:
-        return self.instrument_gain * self.voltage_gain
 
 
 def bench_spec() -> FrontEndSpec:
@@ -145,8 +132,7 @@ def discretize(stage_kind: str, spec: FrontEndSpec, sample_rate: float) -> tuple
         f = spec.f_0
     else:
         raise ValueError(f"unknown stage kind {stage_kind!r}")
-    if f >= sample_rate / 2:
-        raise ValueError(f"{stage_kind} corner {f} Hz is at or above Nyquist ({sample_rate / 2} Hz)")
+    _require_frequency(f"{stage_kind} corner", f, sample_rate)
 
     if stage_kind == "notch":
         w = 2 * math.pi * f / sample_rate
@@ -219,14 +205,12 @@ def apply_frontend(sig: SourceSignal, spec: FrontEndSpec) -> FrontEndResult:
     """
     linear_filter = _linear_filter()
     rate = sig.differential.sample_rate
-    leak = 10 ** (-spec.cmrr_db / 20)
-    x = (sig.differential.values + leak * sig.common_mode.values) * 1e-3  # mV -> V
+    x = (sig.differential.values + COMMON_MODE_LEAK * sig.common_mode.values) * 1e-3  # mV -> V
     for b, a in _chain_coefficients(spec, rate):
         x = linear_filter(b, a, x, -1)  # each run starts from rest
-    y = spec.chain_gain * x + spec.lift_bias
-    lo, hi = spec.supply_min, spec.supply_max
-    saturated = bool(len(y)) and bool(np.any((y < lo) | (y > hi)))
-    y = np.clip(y, lo, hi)
+    y = CHAIN_GAIN * x + LIFT_BIAS
+    saturated = bool(len(y)) and bool(np.any((y < SUPPLY_MIN) | (y > SUPPLY_MAX)))
+    y = np.clip(y, SUPPLY_MIN, SUPPLY_MAX)
     frame = SampleFrame(sample_rate=rate, values=y, start_time=sig.differential.start_time)
     return FrontEndResult(frame=frame, saturated=saturated)
 
@@ -354,7 +338,7 @@ def measure_metrics(
     flat = SampleFrame(sample_rate=sample_rate, values=np.zeros(int(4 * sample_rate)))
     out = apply_frontend(add_noise(flat, noise), spec).frame.values
     tail = out[len(out) // 2:]
-    u_omax = float(np.max(np.abs(tail - spec.lift_bias)))
+    u_omax = float(np.max(np.abs(tail - LIFT_BIAS)))
 
     return MetricsReport(
         differential_gain=a_d,

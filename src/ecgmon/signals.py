@@ -77,13 +77,20 @@ def _sample_count(duration: float, sample_rate: float) -> int:
     return int(round(samples))
 
 
+def _require_frequency(name: str, freq: float, sample_rate: float) -> None:
+    """The one rule of a frequency sampled at sample_rate: a real number
+    > 0 and below Nyquist."""
+    _require_real(0, **{name: freq})
+    if freq >= sample_rate / 2:
+        raise ValueError(f"{name} {freq} Hz is at or above Nyquist ({sample_rate / 2} Hz)")
+
+
 def _require_source_rate(source: str, freq: float, sample_rate: float) -> None:
     """The sample rate a source needs for its fundamental of freq Hz
     (bpm / 60 for a beat train): an ECG beat at least four samples per
     period, a sine below Nyquist."""
     if source == "sine":
-        if freq >= sample_rate / 2:
-            raise ValueError(f"freq {freq} Hz aliases at sample_rate {sample_rate} Hz")
+        _require_frequency("sine freq", freq, sample_rate)
     elif sample_rate < 4 * freq:
         raise ValueError(
             f"sample_rate {sample_rate} Hz too low for {60 * freq:g} bpm (need >= {4 * freq} Hz)"
@@ -153,8 +160,9 @@ class NoiseConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        _require_real(mains_freq=self.mains_freq, wander_freq=self.wander_freq,
-                      dc_offset=self.dc_offset, common_mode_freq=self.common_mode_freq)
+        _require_real(0, mains_freq=self.mains_freq, wander_freq=self.wander_freq,
+                      common_mode_freq=self.common_mode_freq)
+        _require_real(dc_offset=self.dc_offset)
         _require_real(0, False, mains_amplitude=self.mains_amplitude,
                       wander_amplitude=self.wander_amplitude, emg_sigma=self.emg_sigma,
                       common_mode_amplitude=self.common_mode_amplitude)
@@ -288,8 +296,7 @@ def _time_base(n: int, sample_rate: float, start_time: float = 0.0) -> np.ndarra
 
 def _unit_tone(n: int, sample_rate: float, start_time: float, freq: float) -> np.ndarray:
     """sin(2*pi*freq*t) on the frame's sample times."""
-    # -0.0 == 0.0 as a key, but sin(-0.0 * t) is -0.0
-    return _per_shape(("tone", n, sample_rate, start_time, freq, math.copysign(1.0, freq)), n,
+    return _per_shape(("tone", n, sample_rate, start_time, freq), n,
                       lambda: np.sin(2 * np.pi * freq * _time_base(n, sample_rate, start_time)))
 
 
@@ -357,10 +364,17 @@ def generate_ecg(
 def generate_sine(freq: float, amplitude: float, sample_rate: float, duration: float) -> SampleFrame:
     """Pure sine frame: amplitude * sin(2*pi*freq*t) on the frame's sample times, through _unit_tone."""
     _require_real(0, sample_rate=sample_rate, duration=duration)
-    _require_real(freq=freq, amplitude=amplitude)
+    _require_real(amplitude=amplitude)
     _require_source_rate("sine", freq, sample_rate)
     n = _sample_count(duration, sample_rate)
     return SampleFrame(sample_rate=sample_rate, values=amplitude * _unit_tone(n, sample_rate, 0.0, freq))
+
+
+def _require_tones(cfg: NoiseConfig, sample_rate: float) -> None:
+    """Each tone of cfg that sounds (amplitude > 0) below Nyquist."""
+    for tone in ("mains", "wander", "common_mode"):
+        if getattr(cfg, f"{tone}_amplitude") > 0:
+            _require_frequency(f"{tone}_freq", getattr(cfg, f"{tone}_freq"), sample_rate)
 
 
 def add_noise(src: SampleFrame, cfg: NoiseConfig) -> SourceSignal:
@@ -370,6 +384,7 @@ def add_noise(src: SampleFrame, cfg: NoiseConfig) -> SourceSignal:
     + dc offset; common_mode is a separate sine per the config.
     """
     n, rate, start = len(src), src.sample_rate, src.start_time
+    _require_tones(cfg, rate)
     diff = src.values.copy()
     if cfg.mains_amplitude > 0:
         diff += cfg.mains_amplitude * _unit_tone(n, rate, start, cfg.mains_freq)

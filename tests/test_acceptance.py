@@ -154,10 +154,10 @@ def test_criterion_07_ping_pong_no_loss():
 
     # scripted stall: two fills unconsumed -> overrun, exactly one seq gap
     buf = PingPongBuffer(8)
-    buf.push_block(range(16))
+    buf.push_block(list(range(16)))
     assert buf.overrun_flag
     seqs = [buf.take_ready_half().seq]
-    buf.push_block(range(8))
+    buf.push_block(list(range(8)))
     seqs.append(buf.take_ready_half().seq)
     gaps = [b - a - 1 for a, b in zip([-1] + seqs, seqs + [seqs[-1] + 1]) if b - a > 1]
     assert seqs == [1, 2]

@@ -135,7 +135,7 @@ class TestPingPongBuffer:
         assert buf.push_block([7]) == 1
         half = buf.take_ready_half()
         assert half.half == 1 and half.seq == 1
-        assert buf.push_block(range(9)) == 2
+        assert buf.push_block(list(range(9))) == 2
 
     def test_take_returns_codes_in_push_order(self):
         buf = PingPongBuffer(4)
@@ -150,7 +150,7 @@ class TestPingPongBuffer:
 
     def test_stall_sets_overrun_and_keeps_newest(self):
         buf = PingPongBuffer(4)
-        buf.push_block(range(8))  # two fills, nothing consumed
+        buf.push_block(list(range(8)))  # two fills, nothing consumed
         assert buf.overrun_flag
         half = buf.take_ready_half()
         assert half.seq == 1  # newest; seq 0 was dropped
@@ -173,16 +173,16 @@ class TestPingPongBuffer:
     def test_sequence_gap_iff_overrun(self):
         buf = PingPongBuffer(4)
         seqs = []
-        buf.push_block(range(8))
+        buf.push_block(list(range(8)))
         seqs.append(buf.take_ready_half().seq)
-        buf.push_block(range(4))
+        buf.push_block(list(range(4)))
         seqs.append(buf.take_ready_half().seq)
         assert seqs == [1, 2]  # 0 was dropped: exactly one gap
         assert buf.overrun_flag
 
     def test_writer_never_mutates_checked_out_half(self):
         buf = PingPongBuffer(4)
-        buf.push_block(range(4))
+        buf.push_block(list(range(4)))
         half = buf.take_ready_half()
         # push another full half; the writer switches into half 1, not half 0
         assert buf.push_block([9, 9, 9, 9]) == 1
@@ -195,7 +195,7 @@ class TestPingPongBuffer:
 
     def test_halves_are_ushort(self):
         buf = PingPongBuffer(4)
-        for block in ([1, 2, 3, 4], np.arange(4), np.arange(4, dtype=">u2"), range(4)):
+        for block in ([1, 2, 3, 4], (1, 2, 3, 4), np.arange(4, dtype=">u2"), np.arange(4)):
             buf.push_block(block)
             half = buf.take_ready_half()
             assert half.codes.dtype == np.ushort and half.codes.dtype.isnative
@@ -208,21 +208,22 @@ class TestPingPongBuffer:
         ([5, -3], "block codes must be in 0..65535, got -3"),
         ([5, 65536], "block codes must be in 0..65535, got 65536"),
         ([2**64], "block codes must be in 0..65535, got 18446744073709551616"),
-        (range(65530, 65540), "block codes must be in 0..65535, got 65539"),
+        ((65530, 65539), "block codes must be in 0..65535, got 65539"),
         (np.array([70000, 2**40]), "block codes must be in 0..65535, got 1099511627776"),
         (np.array([5, -1], dtype=np.int8), "block codes must be in 0..65535, got -1"),
         (np.array([5, 2**32 - 1], dtype=np.uint32), "block codes must be in 0..65535, got 4294967295"),
-        (np.array([1.0, 2.0]), "block must be a list, tuple, range or 1-D integer array of ADC "
+        (np.array([1.0, 2.0]), "block must be a list, tuple or 1-D integer array of ADC "
                                "codes, got ndarray"),
-        (np.array([1, 0], dtype=bool), "block must be a list, tuple, range or 1-D integer array "
+        (np.array([1, 0], dtype=bool), "block must be a list, tuple or 1-D integer array "
                                        "of ADC codes, got ndarray"),
-        (np.zeros((1, 4), dtype=np.ushort), "block must be a list, tuple, range or 1-D integer "
+        (np.zeros((1, 4), dtype=np.ushort), "block must be a list, tuple or 1-D integer "
                                             "array of ADC codes, got ndarray"),
-        ({1, 2}, "block must be a list, tuple, range or 1-D integer array of ADC codes, got set"),
-        ("12", "block must be a list, tuple, range or 1-D integer array of ADC codes, got str"),
+        ({1, 2}, "block must be a list, tuple or 1-D integer array of ADC codes, got set"),
+        ("12", "block must be a list, tuple or 1-D integer array of ADC codes, got str"),
+        (range(4), "block must be a list, tuple or 1-D integer array of ADC codes, got range"),
     ], ids=["float", "bool", "numpy-scalar", "negative", "above-16-bit", "uint64-max-plus-1",
-            "range", "int64-array", "int8-array", "uint32-array", "float-array", "bool-array",
-            "2-d", "set", "str"])
+            "tuple", "int64-array", "int8-array", "uint32-array", "float-array", "bool-array",
+            "2-d", "set", "str", "range"])
     def test_refused_block_leaves_the_buffer_as_it_was(self, block, message):
         """A value no 16-bit ADC makes is refused before anything is
         written: the partial half, the ready half and the flag stay."""
@@ -237,7 +238,7 @@ class TestPingPongBuffer:
     def test_codes_at_the_16_bit_limits_accepted(self):
         buf = PingPongBuffer(2)
         for block in ([0, 65535], (0, 65535), np.array([0, 65535]),
-                      np.array([0, 65535], dtype=np.uint64), range(0, 65536, 65535)):
+                      np.array([0, 65535], dtype=np.uint64)):
             assert buf.push_block(block) == 1
             assert buf.take_ready_half().codes.tolist() == [0, 65535]
 

@@ -21,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgmon import cli, pipeline, telemetry
-from ecgmon.acquisition import AdcConfig, dequantize
+from ecgmon.acquisition import AdcConfig, dequantize, quantize
 from ecgmon.cli import build_parser, main
 from ecgmon.config import _KEYS, _SCHEMA, ConfigError, PipelineConfig
-from ecgmon.frontend import FrontEndSpec
+from ecgmon.frontend import LIFT_BIAS, FrontEndSpec
 from ecgmon.pipeline import PipelineError, run_pipeline, source_signal
 from ecgmon.signals import NoiseConfig
 from ecgmon.cloud import LoopbackListener
@@ -38,7 +38,7 @@ class TestConfig:
         cfg = PipelineConfig()
         assert cfg.sample_rate == 500.0
         assert cfg.half_capacity == 512
-        assert cfg.frontend.chain_gain == pytest.approx(1650.0)
+        assert cfg.frontend == FrontEndSpec()
 
     @pytest.mark.parametrize("build, message", [
         (lambda: PipelineConfig(half_capacity=512.5), "half_capacity must be an integer, got 512.5"),
@@ -117,9 +117,7 @@ class TestConfig:
             noise=NoiseConfig(mains_amplitude=0.2, mains_freq=60.0, wander_amplitude=0.05,
                               wander_freq=0.3, emg_sigma=0.01, dc_offset=0.02,
                               common_mode_amplitude=0.1, common_mode_freq=55.0, rng_seed=7),
-            frontend=FrontEndSpec(instrument_gain=20.0, voltage_gain=70.0, f_ch=0.2, f_cl=68.0,
-                                  f_0=49.5, notch_q=25.0, cmrr_db=90.0, lift_bias=1.6,
-                                  supply_min=0.1, supply_max=3.2),
+            frontend=FrontEndSpec(f_ch=0.2, f_cl=68.0, f_0=49.5, notch_q=25.0),
             adc=AdcConfig(resolution_bits=11, vref=3.0), half_capacity=256,
             notch_center=49.0,
             alerts=AlertPolicy(low_bpm=55.0, high_bpm=100.0),
@@ -171,8 +169,21 @@ class TestConfig:
         ("[signal]\nsample_rate = 120\n", "lowpass corner 69.5 Hz is at or above Nyquist"),
         ("[frontend]\nf_cl = 300\n", "lowpass corner 300.0 Hz is at or above Nyquist"),
         ("[signal]\nbpm = 9000\n", "sample_rate 500.0 Hz too low for 9000 bpm"),
-        ("[signal]\nsource = sine\nbpm = 20000\n", "freq 333.3333333333333 Hz aliases"),
-    ], ids=["notch_q", "sample_rate", "f_cl", "bpm", "sine_bpm"])
+        ("[signal]\nsource = sine\nbpm = 20000\n",
+         "sine freq 333.3333333333333 Hz is at or above Nyquist (250.0 Hz)"),
+        # every frequency is > 0 and below Nyquist, under one rule
+        ("[noise]\nmains_amplitude = 0.3\nmains_freq = 450\n",
+         "mains_freq 450.0 Hz is at or above Nyquist (250.0 Hz)"),
+        ("[noise]\nmains_freq = 0\n", "mains_freq must be finite and > 0, got 0.0"),
+        ("[noise]\nmains_freq = -50\n", "mains_freq must be finite and > 0, got -50.0"),
+        ("[noise]\nwander_amplitude = 0.2\nwander_freq = 250\n",
+         "wander_freq 250.0 Hz is at or above Nyquist (250.0 Hz)"),
+        ("[noise]\ncommon_mode_amplitude = 0.1\ncommon_mode_freq = 300\n",
+         "common_mode_freq 300.0 Hz is at or above Nyquist (250.0 Hz)"),
+        ("[dsp]\nnotch_center = -10\n", "notch_center must be finite and > 0, got -10.0"),
+    ], ids=["notch_q", "sample_rate", "f_cl", "bpm", "sine_bpm", "mains_freq-above-nyquist",
+            "mains_freq-zero", "mains_freq-negative", "wander_freq-at-nyquist",
+            "common_mode_freq-above-nyquist", "notch_center-negative"])
     def test_values_the_source_or_front_end_refuse_fail_at_load(self, tmp_path, capsys, text,
                                                                 message):
         path = tmp_path / "bad.cfg"
@@ -191,6 +202,17 @@ class TestConfig:
         for section in _SCHEMA:
             with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}' in \\[{section}\\]"):
                 PipelineConfig.loads(f"[{section}]\n{key} = 3\n")
+
+    @pytest.mark.parametrize("key", ["instrument_gain", "voltage_gain", "cmrr_db", "lift_bias",
+                                     "supply_min", "supply_max"])
+    def test_fixed_board_keys_are_unknown(self, tmp_path, capsys, key):
+        """The board's gain chain, CMRR, rails and lift are frontend
+        constants: a file that sets one is refused on its line."""
+        path = tmp_path / "board.cfg"
+        path.write_text(f"[frontend]\nf_ch = 0.2\n{key} = 1\n")
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"ecgmon: config error: {path}: line 3: unknown key '{key}' in [frontend]\n")
 
     def test_key_outside_section_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -237,16 +259,10 @@ common_mode_freq = 55
 seed = 7
 
 [frontend]
-instrument_gain = 20
-voltage_gain = 70
 f_ch = 0.2
 f_cl = 68
 f_0 = 49.5
 notch_q = 25
-cmrr_db = 90
-lift_bias = 1.6
-supply_min = 0.1
-supply_max = 3.2
 
 [adc]
 resolution_bits = 11
@@ -412,8 +428,8 @@ class TestCliSubcommands:
                      "[telemetry]\nsink = file:\n",
                      "[noise]\nemg_sigma = nan\n",
                      "[noise]\nmains_freq = inf\n",
-                     "[frontend]\ncmrr_db = nan\n",
-                     "[frontend]\nsupply_max = inf\n",
+                     "[frontend]\nnotch_q = nan\n",
+                     "[frontend]\nf_cl = inf\n",
                      "[signal]\nbpm = 0\n",
                      "[signal]\nbpm = nan\n",
                      "[signal]\nduration = nan\n",
@@ -622,6 +638,14 @@ class TestCliSubcommands:
         alert = json.loads(received[1])
         assert "above high threshold" in alert["message"]
 
+    def test_send_mv_lifts_to_the_front_end_bias(self, tmp_path, capsys):
+        """A 0 mV sample is sent as the code of the front end's 1.65 V lift."""
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("time,value\n0,0\n0.002,0\n0.004,0\n")
+        assert main(["send", "--in", str(zeros), "--bpm", "72", "--unit", "mV"]) == 0
+        record = decode_record(capsys.readouterr().out.splitlines()[0].encode())
+        assert record.ecg.tolist() == [quantize(LIFT_BIAS, AdcConfig())] * 3 == [2048] * 3
+
     def test_send_bpm_is_the_reading_not_a_config_value(self, tmp_path, capsys):
         """A reading the source could not sample at 500 Hz is still sent, and alerts."""
         fixture = tmp_path / "sine.csv"
@@ -776,11 +800,12 @@ class TestCliSubcommands:
         assert json.loads(out["config"][0])["equiv_input_noise"] > 0
 
     @pytest.mark.parametrize("key, probe", [
-        ("cmrr_db = 400", "common"),
-        ("instrument_gain = 1e-300", "differential"),
+        ("notch_q = 1e-14", "common"),
     ])
     def test_metrics_zero_probe_gain_exits_runtime(self, tmp_path, capsys, key, probe):
-        """Named and refused, not a ZeroDivisionError traceback."""
+        """Named and refused, not a ZeroDivisionError traceback: so wide a
+        notch leaves the common-mode probe's output below 1.65 V's last
+        bit, though its poles are stable."""
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(f"[frontend]\n{key}\n")
         assert main(["metrics", "--config", str(cfg)]) == 2

@@ -96,6 +96,8 @@ CASES = {
     "metrics-noise": "metrics --noise-sigma 0.05 --seed 3",
     "usage-error": "simulate --source nope --out x.csv",
     "config-error": "run --config bad.cfg",
+    "config-error-board-key": "run --config board.cfg",
+    "config-error-mains-nyquist": "run --config mains450.cfg",
     "unparsable-simulate-seed-abc": "simulate --out x.csv --seed abc",
     "unparsable-run-bpm-fast": "run --bpm fast",
     "help": "--help",

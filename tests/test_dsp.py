@@ -72,9 +72,9 @@ class TestFftNotch:
         with pytest.raises(ValueError):
             fft_notch(SampleFrame(500.0, np.zeros(1)), 50.0)
 
-    @pytest.mark.parametrize("center", [float("nan"), float("-inf")])
+    @pytest.mark.parametrize("center", [float("nan"), float("-inf"), -10.0])
     def test_nonfinite_notch_rejected(self, center):
-        """A NaN center matches no bin: refused, not passed through."""
+        """A NaN or -10 Hz center matches no bin: refused, not passed through."""
         frame = generate_sine(10.0, 1.0, 500.0, 1.0)
         with pytest.raises(ValueError, match="center must be finite"):
             fft_notch(frame, center)

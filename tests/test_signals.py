@@ -302,8 +302,11 @@ class TestGenerateSine:
         assert frame.values[2] == pytest.approx(expected2, abs=1e-12)
 
     def test_aliasing_rejected(self):
-        with pytest.raises(ValueError, match="alias"):
+        with pytest.raises(ValueError, match=r"^sine freq 250.0 Hz is at or above Nyquist \(250.0 Hz\)$"):
             generate_sine(250.0, 1.0, 500.0, 1.0)
+        for freq in (0.0, -0.0, -5.0):
+            with pytest.raises(ValueError, match=f"^sine freq must be finite and > 0, got {freq}$"):
+                generate_sine(freq, 1.0, 500.0, 1.0)
 
     @pytest.mark.parametrize("freq, amplitude", [(float("nan"), 1.0), (-math.inf, 1.0),
                                                  (2.0, math.inf), (2.0, float("nan"))])
@@ -375,14 +378,6 @@ class TestShapeCache:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
-    def test_signed_zero_frequency_keeps_its_tone(self):
-        """-0.0 == 0.0, but the tone of -0.0 Hz is -0.0 and adding it keeps a -0.0 sample."""
-        src = SampleFrame(500.0, np.full(8, -0.0))
-        for freq in (0.0, -0.0, 0.0):
-            got = add_noise(src, NoiseConfig(mains_amplitude=1.0, mains_freq=freq))
-            want, _ = add_noise_reference(src, NoiseConfig(mains_amplitude=1.0, mains_freq=freq))
-            assert got.differential.values.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("n, cached", [(2**14, True), (2**14 + 1, False)])
     def test_frames_above_the_cap_are_not_cached(self, n, cached):
         signals._shape_cache.clear()
@@ -428,6 +423,22 @@ class TestAddNoise:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             NoiseConfig(mains_amplitude=-1.0)
+
+    @pytest.mark.parametrize("name", ["mains_freq", "wander_freq", "common_mode_freq"])
+    @pytest.mark.parametrize("freq", [0.0, -0.0, -50.0])
+    def test_non_positive_frequency_rejected(self, name, freq):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {freq}$"):
+            NoiseConfig(**{name: freq})
+
+    @pytest.mark.parametrize("tone", ["mains", "wander", "common_mode"])
+    def test_sounding_tone_at_or_above_nyquist_rejected(self, tone):
+        """A tone at 450 Hz sampled at 500 Hz would give the samples of a
+        -50 Hz tone; a tone of amplitude 0 adds nothing and is not checked."""
+        src = SampleFrame(500.0, np.zeros(8))
+        add_noise(src, NoiseConfig(**{f"{tone}_freq": 450.0}))
+        message = f"^{tone}_freq 450.0 Hz is at or above Nyquist \\(250.0 Hz\\)$"
+        with pytest.raises(ValueError, match=message):
+            add_noise(src, NoiseConfig(**{f"{tone}_amplitude": 0.1, f"{tone}_freq": 450.0}))
 
     @pytest.mark.parametrize("name", [
         "mains_amplitude", "mains_freq", "wander_amplitude", "wander_freq", "emg_sigma",
