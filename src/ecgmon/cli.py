@@ -15,7 +15,7 @@ import numpy as np
 from . import dsp
 from .acquisition import PingPongBuffer, quantize
 from .config import _KEYS, SOURCES, ConfigError, PipelineConfig, _parse
-from .frontend import CHAIN_GAIN, LIFT_BIAS, chain_magnitude, measure_metrics
+from .frontend import CHAIN_GAIN, LIFT_BIAS, _require_probe_rate, chain_magnitude, measure_metrics
 from .pipeline import PipelineError, report, run_pipeline, source_signal
 from .render import export_ascii, export_svg, Framebuffer, _require_target, draw_trace, map_to_trace
 from .signals import NoiseConfig, SampleFrame
@@ -69,12 +69,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    source_signal(_config(args)).differential.to_csv(args.out)
+    source_signal(_config(args)).to_csv(args.out)
     return 0
 
 
 def _cmd_metrics(args) -> int:
     cfg = _config(args)
+    try:
+        _require_probe_rate(cfg.sample_rate)
+    except ValueError as exc:  # the default rate fits, so --rate or the file set this one
+        source = "command line" if args.sample_rate is not None else args.config
+        raise ConfigError(f"{source}: {exc}") from exc
     noise = NoiseConfig(emg_sigma=cfg.noise.emg_sigma, rng_seed=cfg.noise.rng_seed)
     measured = measure_metrics(cfg.frontend, sample_rate=cfg.sample_rate, noise=noise)
     doc = {k: (round(v, 6) if isinstance(v, float) else v) for k, v in measured.as_dict().items()}
@@ -194,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mains-amplitude")
     p.add_argument("--wander-amplitude")
     p.add_argument("--emg-sigma")
-    p.add_argument("--common-mode-amplitude")
     p.add_argument("--seed")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_simulate)

@@ -121,8 +121,8 @@ def _keys(owner: str | None, names: str = "", **renamed: str) -> dict[str, tuple
 # dataclass, or None for PipelineConfig itself; the field the key sets)}
 _SCHEMA: dict[str, dict[str, tuple[str | None, str]]] = {
     "signal": _keys(None, "source sample_rate duration bpm sine_amplitude"),
-    "noise": _keys("noise", "mains_amplitude mains_freq wander_amplitude wander_freq "
-                   "emg_sigma dc_offset common_mode_amplitude common_mode_freq", seed="rng_seed"),
+    "noise": _keys("noise", "mains_amplitude mains_freq wander_amplitude emg_sigma",
+                   seed="rng_seed"),
     "frontend": _keys("frontend", "f_ch f_cl f_0 notch_q"),
     "adc": {**_keys("adc", "resolution_bits vref"), **_keys(None, "half_capacity")},
     "dsp": _keys(None, "notch_center"),

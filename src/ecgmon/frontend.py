@@ -3,9 +3,11 @@
 Seven board elements reduce to four behaviors here: a gain chain
 (instrumentation amplifier times voltage amplifier), first-order high- and
 low-pass filters, a second-order mains notch, and a DC lift into the ADC
-range.  The right-leg drive is modeled as a scalar common-mode attenuation
-(the CMRR figure).  The gain, CMRR, supply rails and lift are the board's
-fixed design; the filter corners, notch center and Q are settings.
+range.  The chain reads one differential trace; the right-leg drive's
+common-mode rejection is the scalar leak COMMON_MODE_LEAK (the CMRR
+figure), which the metrics probe drives through the same chain.  The
+gain, CMRR, supply rails and lift are the board's fixed design; the
+filter corners, notch center and Q are settings.
 Component-value formulas give the design parameters; bilinear
 discretization with prewarping runs the stages on sampled data.
 """
@@ -21,8 +23,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .signals import (NoiseConfig, SampleFrame, SourceSignal, _require_frequency, _require_real,
-                      add_noise, generate_sine)
+from .signals import (NoiseConfig, SampleFrame, _require_frequency, _require_real, add_noise,
+                      generate_sine)
 
 __all__ = [
     "FrontEndSpec",
@@ -196,23 +198,20 @@ class FrontEndResult:
     saturated: bool
 
 
-def apply_frontend(sig: SourceSignal, spec: FrontEndSpec) -> FrontEndResult:
-    """Run a source signal through the conditioning chain.
+def apply_frontend(frame: SampleFrame, spec: FrontEndSpec) -> FrontEndResult:
+    """Run a differential source frame, in mV, through the conditioning chain.
 
-    The common-mode channel leaks in attenuated by the CMRR figure, the
-    filter cascade and gain are applied, the output is lifted to the DC
-    bias and saturated to the supply range.  Output frame is in volts.
+    The filter cascade and gain are applied, the output is lifted to the
+    DC bias and saturated to the supply range.  Output frame is in volts.
     """
     linear_filter = _linear_filter()
-    rate = sig.differential.sample_rate
-    x = (sig.differential.values + COMMON_MODE_LEAK * sig.common_mode.values) * 1e-3  # mV -> V
-    for b, a in _chain_coefficients(spec, rate):
+    x = frame.values * 1e-3  # mV -> V
+    for b, a in _chain_coefficients(spec, frame.sample_rate):
         x = linear_filter(b, a, x, -1)  # each run starts from rest
     y = CHAIN_GAIN * x + LIFT_BIAS
     saturated = bool(len(y)) and bool(np.any((y < SUPPLY_MIN) | (y > SUPPLY_MAX)))
     y = np.clip(y, SUPPLY_MIN, SUPPLY_MAX)
-    frame = SampleFrame(sample_rate=rate, values=y, start_time=sig.differential.start_time)
-    return FrontEndResult(frame=frame, saturated=saturated)
+    return FrontEndResult(frame=frame.with_values(y), saturated=saturated)
 
 
 @dataclass(frozen=True)
@@ -234,22 +233,26 @@ class MetricsReport:
 
 
 _PROBE_AMPLITUDE_MV = 0.5  # half the rail swing at gain 1650, no clipping
+_MAINS_PROBE_FREQ = 50.0  # Hz, the highest probe: the attenuation row's mains tone
+
+
+def _require_probe_rate(sample_rate: float) -> None:
+    """The sample rate measure_metrics needs: its 50 Hz probe below Nyquist."""
+    _require_frequency("mains attenuation probe", _MAINS_PROBE_FREQ, sample_rate)
 
 
 def _probe_gain(spec: FrontEndSpec, sample_rate: float, freq: float, channel: str) -> float:
     """Measured amplitude gain at one frequency via a sine run.
 
+    A common-mode sine reaches the chain as its COMMON_MODE_LEAK share.
     The first half of the run is discarded as settle time and the steady
     amplitude is estimated over an integer number of cycles.
     """
     duration = max(4.0, 12.0 / freq)
     sine = generate_sine(freq, _PROBE_AMPLITUDE_MV, sample_rate, duration)
-    zeros = sine.with_values(np.zeros(len(sine)))
-    if channel == "differential":
-        sig = SourceSignal(differential=sine, common_mode=zeros)
-    else:
-        sig = SourceSignal(differential=zeros, common_mode=sine)
-    out = apply_frontend(sig, spec).frame.values
+    if channel != "differential":
+        sine = sine.with_values(COMMON_MODE_LEAK * sine.values)
+    out = apply_frontend(sine, spec).frame.values
     tail = out[len(out) // 2:]
     n_cycles = math.floor(len(tail) / sample_rate * freq)
     n_keep = int(round(n_cycles * sample_rate / freq))
@@ -319,18 +322,21 @@ def measure_metrics(
 ) -> MetricsReport:
     """Measure the chain the way the bench table defines its rows.
 
-    Differential and common-mode gains are probed with 10 Hz sines; CMRR
-    and the 50-vs-20 Hz attenuation come straight from their defining
-    log ratios of measured gains; band edges are the outermost -3 dB
+    Differential and common-mode gains are probed with 10 Hz sines, the
+    common-mode one through the chain's leak; CMRR and the 50-vs-20 Hz
+    attenuation come straight from their defining log ratios of measured
+    gains (a rate that puts the 50 Hz probe at or above Nyquist is refused
+    before any probe runs); band edges are the outermost -3 dB
     crossings of the realized discrete response; input impedance is a
     declared constant; equivalent input noise is the peak output of a
     zero-differential-input run (with the given noise config) referred to
     the input by the measured differential gain.
     """
+    _require_probe_rate(sample_rate)
     a_d = _probe_gain(spec, sample_rate, 10.0, "differential")
     a_c = _probe_gain(spec, sample_rate, 10.0, "common")
     cmrr_db = 20 * math.log10(a_d / a_c)
-    a_50 = _probe_gain(spec, sample_rate, 50.0, "differential")
+    a_50 = _probe_gain(spec, sample_rate, _MAINS_PROBE_FREQ, "differential")
     a_20 = _probe_gain(spec, sample_rate, 20.0, "differential")
     alpha_db = 20 * math.log10(a_50 / a_20)
     f_low, f_high = _band_edges(spec, sample_rate)

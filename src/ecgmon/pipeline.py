@@ -11,7 +11,7 @@ from . import dsp, telemetry
 from .acquisition import PingPongBuffer, dequantize, quantize
 from .config import PipelineConfig
 from .frontend import apply_frontend
-from .signals import SampleFrame, SourceSignal, add_noise, generate_ecg, generate_sine
+from .signals import SampleFrame, add_noise, generate_ecg, generate_sine
 
 __all__ = ["PipelineError", "PipelineResult", "source_signal", "report", "run_pipeline"]
 
@@ -42,9 +42,9 @@ def _stage(module: str, fn, *args, **kwargs):
         raise PipelineError(module, exc) from exc
 
 
-def source_signal(cfg: PipelineConfig) -> SourceSignal:
-    """The config's source with its noise added: the ECG beat train, or a
-    sine at bpm / 60 Hz."""
+def source_signal(cfg: PipelineConfig) -> SampleFrame:
+    """The config's differential source in mV with its noise added: the ECG
+    beat train, or a sine at bpm / 60 Hz."""
     if cfg.source == "sine":
         src = generate_sine(cfg.bpm / 60.0, cfg.sine_amplitude, cfg.sample_rate, cfg.duration)
     else:

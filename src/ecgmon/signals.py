@@ -2,8 +2,9 @@
 
 Stands in for the electrodes and the body: a Gaussian-bump beat template,
 calibration sinusoids, and additive interference (mains hum, baseline
-wander, EMG noise, common-mode pickup).  All randomness comes from an
-explicitly seeded generator so generated streams reproduce bit for bit.
+wander, EMG noise), all on the one differential trace the front end reads.
+All randomness comes from an explicitly seeded generator so generated
+streams reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "EcgTemplateParams",
     "NoiseConfig",
     "SampleFrame",
-    "SourceSignal",
     "generate_ecg",
     "generate_sine",
     "add_noise",
@@ -119,7 +119,7 @@ class EcgTemplateParams:
     """P/Q/R/S/T bump parameters for one beat.
 
     The defaults give a beat of ~1 mV peak to peak on the differential
-    channel.  The R bump is kept narrow and the T bump broad so the pulse
+    trace.  The R bump is kept narrow and the T bump broad so the pulse
     train's spectral energy concentrates at the beat fundamental.
     """
 
@@ -141,31 +141,27 @@ class EcgTemplateParams:
         return (self.p, self.q, self.r, self.s, self.t)
 
 
+WANDER_FREQ = 0.2  # Hz, the baseline wander's breathing rate
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Additive interference terms, all amplitudes in millivolts.
 
-    A zero config is the identity on the differential channel.  The same
-    rng_seed always yields the same EMG noise stream.
+    A zero config is the identity.  The same rng_seed always yields the
+    same EMG noise stream.
     """
 
     mains_amplitude: float = 0.0
     mains_freq: float = 50.0
     wander_amplitude: float = 0.0
-    wander_freq: float = 0.2
     emg_sigma: float = 0.0
-    dc_offset: float = 0.0
-    common_mode_amplitude: float = 0.0
-    common_mode_freq: float = 50.0
     rng_seed: int = 0
 
     def __post_init__(self):
-        _require_real(0, mains_freq=self.mains_freq, wander_freq=self.wander_freq,
-                      common_mode_freq=self.common_mode_freq)
-        _require_real(dc_offset=self.dc_offset)
+        _require_real(0, mains_freq=self.mains_freq)
         _require_real(0, False, mains_amplitude=self.mains_amplitude,
-                      wander_amplitude=self.wander_amplitude, emg_sigma=self.emg_sigma,
-                      common_mode_amplitude=self.common_mode_amplitude)
+                      wander_amplitude=self.wander_amplitude, emg_sigma=self.emg_sigma)
         _require_int("rng_seed", self.rng_seed, 0)
 
 
@@ -247,20 +243,6 @@ class SampleFrame:
             rate = 500.0
             start = times[0] if times else 0.0
         return cls(sample_rate=rate, values=np.asarray(values), start_time=start)
-
-
-@dataclass(frozen=True)
-class SourceSignal:
-    """Differential ECG channel plus its common-mode companion, both in mV."""
-
-    differential: SampleFrame
-    common_mode: SampleFrame
-
-    def __post_init__(self):
-        if self.differential.sample_rate != self.common_mode.sample_rate:
-            raise ValueError("differential and common_mode must share a sample rate")
-        if len(self.differential) != len(self.common_mode):
-            raise ValueError("differential and common_mode must have equal length")
 
 
 _SHAPE_CACHE_SAMPLES = 1 << 14  # a 1 h record's arrays would pin tens of megabytes
@@ -372,34 +354,23 @@ def generate_sine(freq: float, amplitude: float, sample_rate: float, duration: f
 
 def _require_tones(cfg: NoiseConfig, sample_rate: float) -> None:
     """Each tone of cfg that sounds (amplitude > 0) below Nyquist."""
-    for tone in ("mains", "wander", "common_mode"):
-        if getattr(cfg, f"{tone}_amplitude") > 0:
-            _require_frequency(f"{tone}_freq", getattr(cfg, f"{tone}_freq"), sample_rate)
+    for name, amplitude, freq in (("mains_freq", cfg.mains_amplitude, cfg.mains_freq),
+                                  ("wander_freq", cfg.wander_amplitude, WANDER_FREQ)):
+        if amplitude > 0:
+            _require_frequency(name, freq, sample_rate)
 
 
-def add_noise(src: SampleFrame, cfg: NoiseConfig) -> SourceSignal:
-    """Overlay configured interference on a clean differential frame.
-
-    differential = src + mains sine + wander sine + seeded Gaussian EMG
-    + dc offset; common_mode is a separate sine per the config.
-    """
+def add_noise(src: SampleFrame, cfg: NoiseConfig) -> SampleFrame:
+    """src, a clean differential frame in mV, plus the configured
+    interference: mains sine + wander sine + seeded Gaussian EMG."""
     n, rate, start = len(src), src.sample_rate, src.start_time
     _require_tones(cfg, rate)
     diff = src.values.copy()
     if cfg.mains_amplitude > 0:
         diff += cfg.mains_amplitude * _unit_tone(n, rate, start, cfg.mains_freq)
     if cfg.wander_amplitude > 0:
-        diff += cfg.wander_amplitude * _unit_tone(n, rate, start, cfg.wander_freq)
+        diff += cfg.wander_amplitude * _unit_tone(n, rate, start, WANDER_FREQ)
     if cfg.emg_sigma > 0:
         rng = np.random.default_rng(cfg.rng_seed)
         diff += rng.normal(0.0, cfg.emg_sigma, n)
-    if cfg.dc_offset != 0:
-        diff += cfg.dc_offset
-    if cfg.common_mode_amplitude > 0:
-        cm = cfg.common_mode_amplitude * _unit_tone(n, rate, start, cfg.common_mode_freq)
-    else:
-        cm = np.zeros(n)
-    return SourceSignal(
-        differential=src.with_values(diff),
-        common_mode=src.with_values(cm),
-    )
+    return src.with_values(diff)

@@ -108,7 +108,7 @@ def test_criterion_05_end_to_end_ecg_trials():
     for seed in range(100):
         noise = NoiseConfig(
             mains_amplitude=0.3, mains_freq=50.0,
-            wander_amplitude=0.1, wander_freq=0.2,
+            wander_amplitude=0.1,
             emg_sigma=0.05, rng_seed=seed,
         )
         cfg = dataclasses.replace(PipelineConfig(), source="ecg", noise=noise, duration=10.0)

@@ -24,7 +24,7 @@ from ecgmon import cli, pipeline, telemetry
 from ecgmon.acquisition import AdcConfig, dequantize, quantize
 from ecgmon.cli import build_parser, main
 from ecgmon.config import _KEYS, _SCHEMA, ConfigError, PipelineConfig
-from ecgmon.frontend import LIFT_BIAS, FrontEndSpec
+from ecgmon.frontend import LIFT_BIAS, FrontEndSpec, measure_metrics
 from ecgmon.pipeline import PipelineError, run_pipeline, source_signal
 from ecgmon.signals import NoiseConfig
 from ecgmon.cloud import LoopbackListener
@@ -115,8 +115,7 @@ class TestConfig:
         expected = PipelineConfig(
             source="sine", sample_rate=400.0, duration=6.0, bpm=90.0, sine_amplitude=0.4,
             noise=NoiseConfig(mains_amplitude=0.2, mains_freq=60.0, wander_amplitude=0.05,
-                              wander_freq=0.3, emg_sigma=0.01, dc_offset=0.02,
-                              common_mode_amplitude=0.1, common_mode_freq=55.0, rng_seed=7),
+                              emg_sigma=0.01, rng_seed=7),
             frontend=FrontEndSpec(f_ch=0.2, f_cl=68.0, f_0=49.5, notch_q=25.0),
             adc=AdcConfig(resolution_bits=11, vref=3.0), half_capacity=256,
             notch_center=49.0,
@@ -176,14 +175,13 @@ class TestConfig:
          "mains_freq 450.0 Hz is at or above Nyquist (250.0 Hz)"),
         ("[noise]\nmains_freq = 0\n", "mains_freq must be finite and > 0, got 0.0"),
         ("[noise]\nmains_freq = -50\n", "mains_freq must be finite and > 0, got -50.0"),
-        ("[noise]\nwander_amplitude = 0.2\nwander_freq = 250\n",
-         "wander_freq 250.0 Hz is at or above Nyquist (250.0 Hz)"),
-        ("[noise]\ncommon_mode_amplitude = 0.1\ncommon_mode_freq = 300\n",
-         "common_mode_freq 300.0 Hz is at or above Nyquist (250.0 Hz)"),
+        # the wander's fixed 0.2 Hz still needs a rate above 0.4 Hz
+        ("[signal]\nsource = sine\nbpm = 6\nsample_rate = 0.4\n[noise]\nwander_amplitude = 0.2\n",
+         "wander_freq 0.2 Hz is at or above Nyquist (0.2 Hz)"),
         ("[dsp]\nnotch_center = -10\n", "notch_center must be finite and > 0, got -10.0"),
     ], ids=["notch_q", "sample_rate", "f_cl", "bpm", "sine_bpm", "mains_freq-above-nyquist",
             "mains_freq-zero", "mains_freq-negative", "wander_freq-at-nyquist",
-            "common_mode_freq-above-nyquist", "notch_center-negative"])
+            "notch_center-negative"])
     def test_values_the_source_or_front_end_refuse_fail_at_load(self, tmp_path, capsys, text,
                                                                 message):
         path = tmp_path / "bad.cfg"
@@ -213,6 +211,18 @@ class TestConfig:
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr() == (
             "", f"ecgmon: config error: {path}: line 3: unknown key '{key}' in [frontend]\n")
+
+    @pytest.mark.parametrize("key", ["wander_freq", "dc_offset", "common_mode_amplitude",
+                                     "common_mode_freq"])
+    def test_removed_noise_keys_are_unknown(self, tmp_path, capsys, key):
+        """The source is one differential trace with a fixed 0.2 Hz wander:
+        a file that sets an offset, a common-mode tone or the wander's rate
+        is refused on its line."""
+        path = tmp_path / "noise.cfg"
+        path.write_text(f"[noise]\nemg_sigma = 0.01\n{key} = 1\n")
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"ecgmon: config error: {path}: line 3: unknown key '{key}' in [noise]\n")
 
     def test_key_outside_section_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -251,11 +261,7 @@ sine_amplitude = 0.4
 mains_amplitude = 0.2
 mains_freq = 60
 wander_amplitude = 0.05
-wander_freq = 0.3
 emg_sigma = 0.01
-dc_offset = 0.02
-common_mode_amplitude = 0.1
-common_mode_freq = 55
 seed = 7
 
 [frontend]
@@ -454,9 +460,11 @@ class TestCliSubcommands:
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["simulate", "--source", "nope", "--out", "x.csv"]) == 1
-        # the flags of settings that dsp now fixes are unknown
+        # the flags of settings that dsp now fixes, and of the common-mode
+        # input the source no longer has, are unknown
         for argv in (["detect", "--in", "x.csv", "--refractory", "0.2"],
-                     ["notch", "--in", "x.csv", "--out", "y.csv", "--half-band", "2"]):
+                     ["notch", "--in", "x.csv", "--out", "y.csv", "--half-band", "2"],
+                     ["simulate", "--out", "x.csv", "--common-mode-amplitude", "0.1"]):
             capsys.readouterr()
             assert main(argv) == 1, argv
             assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
@@ -751,7 +759,7 @@ class TestCliSubcommands:
                        "[noise]\nmains_amplitude = 0.1\nemg_sigma = 0.02\nseed = 5\n")
         simulated, expected, ran = (tmp_path / f"{n}.csv" for n in ("sim", "expected", "run"))
         assert main(["simulate", "--config", str(cfg), "--out", str(simulated)]) == 0
-        source_signal(PipelineConfig.load(cfg)).differential.to_csv(expected)
+        source_signal(PipelineConfig.load(cfg)).to_csv(expected)
         assert simulated.read_bytes() == expected.read_bytes()
 
         seen = []
@@ -759,7 +767,7 @@ class TestCliSubcommands:
                             lambda c: seen.append(source_signal(c)) or seen[-1])
         assert main(["run", "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["bpm"] == pytest.approx(90.0, abs=1.0)
-        seen[0].differential.to_csv(ran)
+        seen[0].to_csv(ran)
         assert ran.read_bytes() == simulated.read_bytes()
 
     def test_metrics_response_csv(self, tmp_path, capsys):
@@ -798,6 +806,25 @@ class TestCliSubcommands:
         assert out["mixed"] == out["plain"]
         assert out["config"][0] != out["plain"][0] and out["config"][1] != out["plain"][1]
         assert json.loads(out["config"][0])["equiv_input_noise"] > 0
+
+    def test_metrics_rate_below_the_50hz_probe_exits_config_error(self, tmp_path, capsys):
+        """Filters and notch that fit 90 Hz load, but the attenuation row's
+        50 Hz probe does not: refused before any probe runs, naming the
+        source of the rate; run takes the same file."""
+        text = ("[signal]\nsample_rate = {}\n[frontend]\nf_cl = 40\nf_0 = 30\n"
+                "[dsp]\nnotch_center = 30\n")
+        cfg = tmp_path / "rate90.cfg"
+        cfg.write_text(text.format(90))
+        probe = "mains attenuation probe 50.0 Hz is at or above Nyquist (45.0 Hz)"
+        assert main(["metrics", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"ecgmon: config error: {cfg}: {probe}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(probe)}$"):
+            measure_metrics(PipelineConfig.load(cfg).frontend, 90.0)
+        assert main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        cfg.write_text(text.format(500))
+        assert main(["metrics", "--config", str(cfg), "--rate", "90"]) == 1
+        assert capsys.readouterr() == ("", f"ecgmon: config error: command line: {probe}\n")
 
     @pytest.mark.parametrize("key, probe", [
         ("notch_q = 1e-14", "common"),
@@ -883,7 +910,7 @@ def _fuzz_options(root):
                      "--amplitude": floats, "--rate": rates,
                      "--duration": durations, "--mains-amplitude": floats,
                      "--wander-amplitude": floats, "--emg-sigma": floats,
-                     "--common-mode-amplitude": floats, "--seed": ints},
+                     "--seed": ints},
         "metrics": {"--config": configs, "--rate": rates, "--noise-sigma": floats,
                     "--seed": ints, "--response-csv": outputs},
         "notch": {"--in": inputs, "--out": outputs, "--center": floats},

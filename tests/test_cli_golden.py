@@ -50,7 +50,6 @@ REFUSED = {
     "simulate --out x.csv --mains-amplitude nan": "[noise]\nmains_amplitude = nan\n",
     "simulate --out x.csv --wander-amplitude inf": "[noise]\nwander_amplitude = inf\n",
     "simulate --out x.csv --emg-sigma -1": "[noise]\nemg_sigma = -1\n",
-    "simulate --out x.csv --common-mode-amplitude nan": "[noise]\ncommon_mode_amplitude = nan\n",
     "simulate --out x.csv --seed -1": "[noise]\nseed = -1\n",
     "metrics --rate 100": "[signal]\nsample_rate = 100\n",
     "metrics --noise-sigma nan": "[noise]\nemg_sigma = nan\n",
@@ -82,7 +81,7 @@ CASES = {
     "run-config": "run --config run.cfg",
     "run-config-publish": "run --config run.cfg --publish --sink file:records.jsonl",
     "simulate-ecg-noise": "simulate --duration 2 --mains-amplitude 0.3 --wander-amplitude 0.2 "
-                          "--emg-sigma 0.05 --common-mode-amplitude 0.1 --seed 3 --out ecg.csv",
+                          "--emg-sigma 0.05 --seed 3 --out ecg.csv",
     "simulate-sine": "simulate --source sine --bpm 120 --amplitude 1 --duration 2 --out sine2.csv",
     "notch": "notch --in noisy.csv --out clean.csv",
     "detect": "detect --in sine.csv",
@@ -98,6 +97,8 @@ CASES = {
     "config-error": "run --config bad.cfg",
     "config-error-board-key": "run --config board.cfg",
     "config-error-mains-nyquist": "run --config mains450.cfg",
+    "config-error-noise-key": "run --config noise-key.cfg",
+    "config-error-metrics-probe": "metrics --config rate90.cfg",
     "unparsable-simulate-seed-abc": "simulate --out x.csv --seed abc",
     "unparsable-run-bpm-fast": "run --bpm fast",
     "help": "--help",

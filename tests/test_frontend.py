@@ -35,7 +35,7 @@ from ecgmon.frontend import (
     voltage_gain,
 )
 from ecgmon.pipeline import run_pipeline
-from ecgmon.signals import NoiseConfig, SampleFrame, SourceSignal, generate_sine
+from ecgmon.signals import NoiseConfig, SampleFrame, generate_sine
 
 
 def resistors(**overrides) -> dict:
@@ -43,19 +43,6 @@ def resistors(**overrides) -> dict:
     base = dict(r1=5e3, r2=5e3, r3=50e3, r4=50e3, r5=10e3, r7=20e3)
     base.update(overrides)
     return base
-
-
-def zero_source(rate: float, n: int) -> SourceSignal:
-    zeros = SampleFrame(sample_rate=rate, values=np.zeros(n))
-    return SourceSignal(differential=zeros, common_mode=zeros)
-
-
-def sine_source(freq, amp_mv, rate, duration, channel="differential") -> SourceSignal:
-    sine = generate_sine(freq, amp_mv, rate, duration)
-    zeros = sine.with_values(np.zeros(len(sine)))
-    if channel == "differential":
-        return SourceSignal(differential=sine, common_mode=zeros)
-    return SourceSignal(differential=zeros, common_mode=sine)
 
 
 def steady_amplitude(values: np.ndarray, rate: float, freq: float) -> float:
@@ -204,7 +191,7 @@ class TestDiscretize:
         equal pair, and filtering with one never changes what apply_frontend,
         which designs the chain once per spec, produces."""
         spec = bench_spec()
-        sig = sine_source(10.0, 0.5, 500.0, 2.0)
+        sig = generate_sine(10.0, 0.5, 500.0, 2.0)
         before = apply_frontend(sig, spec).frame.values
         x = np.sin(2 * np.pi * 10 * np.arange(1000) / 500)
         used, fresh = discretize("lowpass", spec, 500.0), discretize("lowpass", spec, 500.0)
@@ -269,11 +256,11 @@ class TestLoadedFilter:
         assert proc.stdout.split() == [hashlib.sha256(expected).hexdigest()]
 
 
-def _chain_reference(sig: SourceSignal, spec: FrontEndSpec) -> np.ndarray:
+def _chain_reference(frame: SampleFrame, spec: FrontEndSpec) -> np.ndarray:
     """apply_frontend's filter cascade run through freshly designed stages."""
-    x = (sig.differential.values + COMMON_MODE_LEAK * sig.common_mode.values) * 1e-3
+    x = frame.values * 1e-3
     for kind in ("notch", "lowpass", "highpass"):
-        x = lfilter(*discretize(kind, spec, sig.differential.sample_rate), x)
+        x = lfilter(*discretize(kind, spec, frame.sample_rate), x)
     return np.clip(CHAIN_GAIN * x + LIFT_BIAS, SUPPLY_MIN, SUPPLY_MAX)
 
 
@@ -292,7 +279,7 @@ class TestDesignCache:
 
     def test_each_stage_designed_once(self, discretize_calls):
         spec = FrontEndSpec(notch_q=23.0)
-        sig = sine_source(10.0, 0.5, 500.0, 1.0)
+        sig = generate_sine(10.0, 0.5, 500.0, 1.0)
         outputs = [apply_frontend(sig, spec).frame.values.tobytes() for _ in range(3)]
         assert len(set(outputs)) == 1
         assert [kind for kind, _, _ in discretize_calls] == ["notch", "lowpass", "highpass"]
@@ -305,7 +292,7 @@ class TestDesignCache:
 
     def test_replaced_spec_gets_its_own_design(self, discretize_calls):
         spec = FrontEndSpec(notch_q=23.0)
-        sig = sine_source(50.0, 0.5, 500.0, 2.0)
+        sig = generate_sine(50.0, 0.5, 500.0, 2.0)
         first = apply_frontend(sig, spec).frame.values
         narrow = dataclasses.replace(spec, notch_q=5.0)
         second = apply_frontend(sig, narrow).frame.values
@@ -319,10 +306,9 @@ class TestDesignCache:
         spec = bench_spec()
         rng = np.random.default_rng(5)
         noisy = SampleFrame(500.0, rng.normal(0.0, 0.3, 3000))
-        sig = SourceSignal(differential=noisy, common_mode=noisy.with_values(noisy.values[::-1]))
         for _ in range(2):
-            got = apply_frontend(sig, spec).frame.values
-            assert got.tobytes() == _chain_reference(sig, spec).tobytes()
+            got = apply_frontend(noisy, spec).frame.values
+            assert got.tobytes() == _chain_reference(noisy, spec).tobytes()
         freqs = np.logspace(-2, np.log10(240.0), 50)
         h = np.ones(len(freqs), dtype=np.complex128)
         h_freqz = np.ones(len(freqs), dtype=np.complex128)
@@ -338,14 +324,14 @@ class TestDesignCache:
 class TestApplyFrontend:
     def test_zero_input_is_lift_bias(self):
         spec = bench_spec()
-        out = apply_frontend(zero_source(500.0, 3000), spec)
+        out = apply_frontend(SampleFrame(sample_rate=500.0, values=np.zeros(3000)), spec)
         assert not out.saturated
         assert np.allclose(out.frame.values, LIFT_BIAS, atol=1e-9)
 
     def test_midband_gain_1650(self):
         # 1 mV_pp differential at 10 Hz with chain gain 1650 -> ~1.65 V_pp
         spec = bench_spec()
-        sig = sine_source(10.0, 0.5, 500.0, 4.0)
+        sig = generate_sine(10.0, 0.5, 500.0, 4.0)
         out = apply_frontend(sig, spec)
         amp = steady_amplitude(out.frame.values, 500.0, 10.0)
         assert 2 * amp == pytest.approx(1.65, rel=0.02)
@@ -353,9 +339,10 @@ class TestApplyFrontend:
         assert mean == pytest.approx(LIFT_BIAS, abs=0.02)
 
     def test_common_mode_rejection_bound(self):
+        """A 1 mV common-mode sine reaches the chain as its leak share."""
         spec = bench_spec()
-        sig = sine_source(50.0, 1.0, 500.0, 6.0, channel="common")
-        out = apply_frontend(sig, spec)
+        sine = generate_sine(50.0, 1.0, 500.0, 6.0)
+        out = apply_frontend(sine.with_values(COMMON_MODE_LEAK * sine.values), spec)
         ripple = steady_amplitude(out.frame.values, 500.0, 50.0)
         bound = 1.0e-3 * CHAIN_GAIN * COMMON_MODE_LEAK
         assert ripple <= bound  # notch attenuates further below the CMRR bound
@@ -363,14 +350,14 @@ class TestApplyFrontend:
     def test_linearity_up_to_clipping(self):
         spec = bench_spec()
         a1 = steady_amplitude(
-            apply_frontend(sine_source(10.0, 0.05, 500.0, 4.0), spec).frame.values, 500.0, 10.0)
+            apply_frontend(generate_sine(10.0, 0.05, 500.0, 4.0), spec).frame.values, 500.0, 10.0)
         a2 = steady_amplitude(
-            apply_frontend(sine_source(10.0, 0.10, 500.0, 4.0), spec).frame.values, 500.0, 10.0)
+            apply_frontend(generate_sine(10.0, 0.10, 500.0, 4.0), spec).frame.values, 500.0, 10.0)
         assert a2 == pytest.approx(2 * a1, rel=0.01)
 
     def test_clipping_saturates_and_flags(self):
         spec = bench_spec()
-        out = apply_frontend(sine_source(10.0, 5.0, 500.0, 2.0), spec)
+        out = apply_frontend(generate_sine(10.0, 5.0, 500.0, 2.0), spec)
         assert out.saturated
         assert np.min(out.frame.values) >= SUPPLY_MIN
         assert np.max(out.frame.values) <= SUPPLY_MAX
@@ -379,8 +366,7 @@ class TestApplyFrontend:
         spec = bench_spec()
         rng = np.random.default_rng(11)
         wild = SampleFrame(500.0, rng.normal(0, 10.0, 4000))
-        sig = SourceSignal(differential=wild, common_mode=wild.with_values(np.zeros(4000)))
-        out = apply_frontend(sig, spec)
+        out = apply_frontend(wild, spec)
         assert np.all(out.frame.values >= SUPPLY_MIN)
         assert np.all(out.frame.values <= SUPPLY_MAX)
 
@@ -395,6 +381,13 @@ class TestMeasureMetrics:
         assert report.mains_attenuation_db <= -12.6
         assert report.bw == pytest.approx(report.bandwidth_high - report.bandwidth_low, abs=1e-9)
         assert report.input_impedance == pytest.approx(13.2e6)
+
+    def test_common_mode_gain_is_the_leak(self):
+        """The common-mode probe reads the differential gain times the
+        chain's scalar leak."""
+        report = measure_metrics(FrontEndSpec(), 500.0)
+        assert report.common_mode_gain == pytest.approx(
+            report.differential_gain * COMMON_MODE_LEAK, rel=1e-9)
 
     def test_cmrr_is_defining_ratio(self):
         report = measure_metrics(bench_spec(), 500.0)

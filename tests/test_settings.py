@@ -2,6 +2,7 @@
 real-number rule, one integer rule, and an isinstance check for text and
 sub-config fields."""
 
+import argparse
 import dataclasses
 import math
 import re
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgmon.acquisition import AdcConfig
-from ecgmon.config import PipelineConfig
+from ecgmon.cli import build_parser
+from ecgmon.config import _KEYS, PipelineConfig
 from ecgmon.frontend import FrontEndSpec
 from ecgmon.pipeline import report
 from ecgmon.signals import EcgTemplateParams, NoiseConfig, Wave, _require_real
@@ -146,3 +148,23 @@ def test_settings_and_wire_share_one_number_rule(name, value, stored):
         return
     assert outcomes == [stored] * len(builds)
     assert all(type(v) is type(stored) for v in outcomes[1:])
+
+
+# config keys that no subcommand flag sets, and what varies each instead
+UNFLAGGED = {
+    "f_ch": "frontend_sweep varies the corners and Q",
+    "f_cl": "frontend_sweep varies the corners and Q",
+    "f_0": "frontend_sweep varies the corners and Q",
+    "notch_q": "frontend_sweep varies the corners and Q",
+    "notch_center": "notch --center sets it for a CSV frame, and a 60 Hz board needs it",
+    "mains_freq": "the 60 Hz rows of ROADMAP item 17's trust sweep",
+}
+
+
+def test_every_key_has_a_setter():
+    """A config key is the dest of some subcommand's flag, or is listed in
+    UNFLAGGED with what varies it: a key nothing sets is a constant."""
+    (subparsers,) = (a.choices for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for parser in subparsers.values() for action in parser._actions}
+    assert set(_KEYS) - dests == set(UNFLAGGED)

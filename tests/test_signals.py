@@ -1,5 +1,6 @@
 """Signal source tests: template beats, sinusoids, noise overlay, CSV I/O."""
 
+import dataclasses
 import math
 import re
 
@@ -318,7 +319,7 @@ class TestGenerateSine:
         """The sine source and add_noise's mains are one tone on one grid."""
         sine = generate_sine(50.0, 0.3, 500.0, 10.0)
         noisy = add_noise(SampleFrame(500.0, np.zeros(5000)), NoiseConfig(mains_amplitude=0.3))
-        assert sine.values.tobytes() == noisy.differential.values.tobytes()
+        assert sine.values.tobytes() == noisy.values.tobytes()
 
     def test_frames_never_alias_the_cached_tone(self):
         a = generate_sine(5.0, 1.0, 500.0, 1.0)
@@ -336,37 +337,35 @@ class TestGenerateSine:
         assert rms == pytest.approx(amplitude / math.sqrt(2), rel=0.01)
 
 
-def add_noise_reference(src: SampleFrame, cfg: NoiseConfig) -> tuple[np.ndarray, np.ndarray]:
-    """add_noise's differential and common-mode values, every sine computed afresh."""
+def add_noise_reference(src: SampleFrame, cfg: NoiseConfig) -> np.ndarray:
+    """add_noise's values, every sine computed afresh."""
     t = src.start_time + np.arange(len(src)) / src.sample_rate
     diff = src.values.copy()
     if cfg.mains_amplitude > 0:
         diff += cfg.mains_amplitude * np.sin(2 * np.pi * cfg.mains_freq * t)
     if cfg.wander_amplitude > 0:
-        diff += cfg.wander_amplitude * np.sin(2 * np.pi * cfg.wander_freq * t)
+        diff += cfg.wander_amplitude * np.sin(2 * np.pi * 0.2 * t)
     if cfg.emg_sigma > 0:
         diff += np.random.default_rng(cfg.rng_seed).normal(0.0, cfg.emg_sigma, len(diff))
-    return diff, cfg.common_mode_amplitude * np.sin(2 * np.pi * cfg.common_mode_freq * t)
+    return diff
 
 
 class TestShapeCache:
     """Time bases and unit tones are computed once per frame shape."""
 
     NOISE = NoiseConfig(mains_amplitude=0.3, mains_freq=50.0, wander_amplitude=0.2,
-                        wander_freq=0.2, emg_sigma=0.05, common_mode_amplitude=0.7,
-                        common_mode_freq=60.0, rng_seed=9)
+                        emg_sigma=0.05, rng_seed=9)
 
     @pytest.mark.parametrize("n", [5000, 777])
     @pytest.mark.parametrize("start_time", [0.0, 1.25])
     def test_add_noise_same_bytes_as_fresh_sines(self, n, start_time):
         signals._shape_cache.clear()
         src = SampleFrame(500.0, np.linspace(-1.0, 1.0, n), start_time)
-        want_diff, want_cm = add_noise_reference(src, self.NOISE)
+        want = add_noise_reference(src, self.NOISE)
         for _ in range(2):  # the second call reads the cached tones
             out = add_noise(src, self.NOISE)
-            assert out.differential.values.tobytes() == want_diff.tobytes()
-            assert out.common_mode.values.tobytes() == want_cm.tobytes()
-        assert len(signals._shape_cache) == 4  # one time base and three tones
+            assert out.values.tobytes() == want.tobytes()
+        assert len(signals._shape_cache) == 3  # one time base and two tones
 
     def test_cached_arrays_are_read_only(self):
         signals._shape_cache.clear()
@@ -383,9 +382,9 @@ class TestShapeCache:
         signals._shape_cache.clear()
         src = generate_ecg(EcgTemplateParams(), 72, 500, n / 500)
         assert len(src) == n
-        sig = add_noise(src, self.NOISE)
-        smooth_emg(fft_notch(sig.differential, 50.0))
-        assert len(sig.differential.times) == n
+        noisy = add_noise(src, self.NOISE)
+        smooth_emg(fft_notch(noisy, 50.0))
+        assert len(noisy.times) == n
         assert bool(signals._shape_cache) is cached
 
 
@@ -393,56 +392,48 @@ class TestAddNoise:
     def test_zero_config_is_identity(self):
         src = generate_ecg(EcgTemplateParams(), 72, 500, 2.0)
         out = add_noise(src, NoiseConfig())
-        assert np.array_equal(out.differential.values, src.values)
-        assert np.all(out.common_mode.values == 0.0)
+        assert np.array_equal(out.values, src.values)
 
     def test_same_seed_bit_identical(self):
         src = generate_sine(5.0, 1.0, 500.0, 2.0)
         cfg = NoiseConfig(mains_amplitude=0.3, emg_sigma=0.1, rng_seed=42)
         a = add_noise(src, cfg)
         b = add_noise(src, cfg)
-        assert np.array_equal(a.differential.values, b.differential.values)
-        assert np.array_equal(a.common_mode.values, b.common_mode.values)
+        assert np.array_equal(a.values, b.values)
 
     def test_emg_sigma_statistics(self):
         """Deterministic-term residual has std emg_sigma within 5%."""
         src = SampleFrame(sample_rate=500.0, values=np.zeros(100_000))
         cfg = NoiseConfig(emg_sigma=0.1, rng_seed=3)
         out = add_noise(src, cfg)
-        residual = out.differential.values - src.values
+        residual = out.values - src.values
         assert np.std(residual) == pytest.approx(0.1, rel=0.05)
-
-    def test_mismatched_lengths_rejected(self):
-        from ecgmon.signals import SourceSignal
-
-        a = SampleFrame(500.0, np.zeros(4))
-        b = SampleFrame(500.0, np.zeros(5))
-        with pytest.raises(ValueError):
-            SourceSignal(differential=a, common_mode=b)
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             NoiseConfig(mains_amplitude=-1.0)
 
-    @pytest.mark.parametrize("name", ["mains_freq", "wander_freq", "common_mode_freq"])
+    @pytest.mark.parametrize("name", ["mains_freq"])
     @pytest.mark.parametrize("freq", [0.0, -0.0, -50.0])
     def test_non_positive_frequency_rejected(self, name, freq):
         with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {freq}$"):
             NoiseConfig(**{name: freq})
 
-    @pytest.mark.parametrize("tone", ["mains", "wander", "common_mode"])
+    @pytest.mark.parametrize("tone", ["mains", "wander"])
     def test_sounding_tone_at_or_above_nyquist_rejected(self, tone):
-        """A tone at 450 Hz sampled at 500 Hz would give the samples of a
-        -50 Hz tone; a tone of amplitude 0 adds nothing and is not checked."""
-        src = SampleFrame(500.0, np.zeros(8))
-        add_noise(src, NoiseConfig(**{f"{tone}_freq": 450.0}))
-        message = f"^{tone}_freq 450.0 Hz is at or above Nyquist \\(250.0 Hz\\)$"
+        """A mains tone at 450 Hz sampled at 500 Hz would give the samples of
+        a -50 Hz tone, and the 0.2 Hz wander needs more than 0.4 Hz; a tone of
+        amplitude 0 adds nothing and is not checked."""
+        rate, freq = (500.0, 450.0) if tone == "mains" else (0.4, signals.WANDER_FREQ)
+        src = SampleFrame(rate, np.zeros(8))
+        cfg = NoiseConfig(mains_freq=450.0)
+        add_noise(src, cfg)
+        message = f"^{tone}_freq {freq} Hz is at or above Nyquist \\({rate / 2} Hz\\)$"
         with pytest.raises(ValueError, match=message):
-            add_noise(src, NoiseConfig(**{f"{tone}_amplitude": 0.1, f"{tone}_freq": 450.0}))
+            add_noise(src, dataclasses.replace(cfg, **{f"{tone}_amplitude": 0.1}))
 
     @pytest.mark.parametrize("name", [
-        "mains_amplitude", "mains_freq", "wander_amplitude", "wander_freq", "emg_sigma",
-        "dc_offset", "common_mode_amplitude", "common_mode_freq",
+        "mains_amplitude", "mains_freq", "wander_amplitude", "emg_sigma",
     ])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_nonfinite_noise_rejected(self, name, bad):
