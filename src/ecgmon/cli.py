@@ -15,7 +15,8 @@ import numpy as np
 from . import dsp
 from .acquisition import PingPongBuffer, quantize
 from .config import _KEYS, SOURCES, ConfigError, PipelineConfig, _parse
-from .frontend import CHAIN_GAIN, LIFT_BIAS, _require_probe_rate, chain_magnitude, measure_metrics
+from .frontend import (CHAIN_GAIN, _require_probe_rate, apply_frontend, chain_magnitude,
+                       measure_metrics)
 from .pipeline import PipelineError, report, run_pipeline, source_signal
 from .render import export_ascii, export_svg, Framebuffer, _require_target, draw_trace, map_to_trace
 from .signals import NoiseConfig, SampleFrame
@@ -122,11 +123,16 @@ def _cmd_detect(args) -> int:
     return 0
 
 
+def _adc_codes(cfg: PipelineConfig, path):
+    """The ADC codes of a source CSV, in mV at the electrodes as simulate
+    writes it: conditioned by the board and quantized, as run_pipeline does."""
+    frame = SampleFrame.from_csv(path)
+    return quantize(apply_frontend(frame, cfg.frontend).frame.values, cfg.adc)
+
+
 def _cmd_stream(args) -> int:
     cfg = _config(args)
-    frame = SampleFrame.from_csv(args.infile)
-    codes = quantize(frame.values, cfg.adc)
-    for half in PingPongBuffer(cfg.half_capacity).acquire(codes):
+    for half in PingPongBuffer(cfg.half_capacity).acquire(_adc_codes(cfg, args.infile)):
         print(_json_line({
             "seq": half.seq,
             "half": half.half,
@@ -153,14 +159,8 @@ def _cmd_plot(args) -> int:
 
 def _cmd_send(args) -> int:
     cfg = _config(args)
-    frame = SampleFrame.from_csv(args.infile)
-    if args.unit == "mV":
-        # lift a bipolar source frame as the front end does before encoding
-        volts = frame.values * 1e-3 + LIFT_BIAS
-    else:
-        volts = frame.values
-    codes = quantize(volts, cfg.adc)
-    _, alert, receipts = report(cfg, args.reading, codes, publish_records=True)
+    _, alert, receipts = report(cfg, args.reading, _adc_codes(cfg, args.infile),
+                                publish_records=True)
     summary = {
         "published": sum(1 for r in receipts if r.ok),
         "failed": sum(1 for r in receipts if not r.ok),
@@ -241,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("send", help="encode a CSV frame as telemetry and publish it")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--unit", choices=("mV", "V"), default="mV",
-                   help="unit of the CSV values (mV frames are lifted to mid-rail)")
     # the reading to send, not [signal] bpm
     p.add_argument("--bpm", type=float, required=True, dest="reading", metavar="BPM")
     p.add_argument("--device-id")

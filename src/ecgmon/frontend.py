@@ -208,7 +208,8 @@ def apply_frontend(frame: SampleFrame, spec: FrontEndSpec) -> FrontEndResult:
     x = frame.values * 1e-3  # mV -> V
     for b, a in _chain_coefficients(spec, frame.sample_rate):
         x = linear_filter(b, a, x, -1)  # each run starts from rest
-    y = CHAIN_GAIN * x + LIFT_BIAS
+    with np.errstate(over="ignore"):  # a huge input's inf saturates at the clip like any other
+        y = CHAIN_GAIN * x + LIFT_BIAS
     saturated = bool(len(y)) and bool(np.any((y < SUPPLY_MIN) | (y > SUPPLY_MAX)))
     y = np.clip(y, SUPPLY_MIN, SUPPLY_MAX)
     return FrontEndResult(frame=frame.with_values(y), saturated=saturated)

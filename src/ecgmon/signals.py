@@ -212,7 +212,7 @@ class SampleFrame:
         """
         times: list[float] = []
         values: list[float] = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # skips a leading byte-order mark
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or (lineno == 1 and line.lower().startswith("time")):

@@ -373,6 +373,14 @@ class TestRunPipeline:
             make_sink("carrier-pigeon:9")
 
 
+# simulate's source settings: a noisy ECG and the test generator's sine
+_SOURCE_CONFIGS = {
+    "ecg-noisy": "[signal]\nduration = 10\n[noise]\nmains_amplitude = 0.3\n"
+                 "wander_amplitude = 0.2\nemg_sigma = 0.05\nseed = 3\n",
+    "sine": "[signal]\nsource = sine\nbpm = 120\nsine_amplitude = 1\nduration = 3\n",
+}
+
+
 class TestCliSubcommands:
     def test_run_sine_reports_120(self, capsys):
         assert main(["run", "--source", "sine", "--bpm", "120", "--duration", "4"]) == 0
@@ -460,11 +468,13 @@ class TestCliSubcommands:
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["simulate", "--source", "nope", "--out", "x.csv"]) == 1
-        # the flags of settings that dsp now fixes, and of the common-mode
-        # input the source no longer has, are unknown
+        # the flags of settings that dsp now fixes, of the common-mode input
+        # the source no longer has, and of a CSV unit other than simulate's
+        # mV are unknown
         for argv in (["detect", "--in", "x.csv", "--refractory", "0.2"],
                      ["notch", "--in", "x.csv", "--out", "y.csv", "--half-band", "2"],
-                     ["simulate", "--out", "x.csv", "--common-mode-amplitude", "0.1"]):
+                     ["simulate", "--out", "x.csv", "--common-mode-amplitude", "0.1"],
+                     ["send", "--in", "x.csv", "--bpm", "72", "--unit", "V"]):
             capsys.readouterr()
             assert main(argv) == 1, argv
             assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
@@ -595,15 +605,16 @@ class TestCliSubcommands:
         assert captured.err.startswith("ecgmon: config error: command line: ")
         assert "vref" in captured.err
 
-    # sha256 of stdout for a 10 s noisy ECG at each half capacity; 5000 % 7
-    # and 5000 % 128 leave a trailing partial half, which is not printed
+    # sha256 of stdout for a 10 s noisy ECG, conditioned by the board, at each
+    # half capacity (the test id); 5000 % 7 and 5000 % 128 leave a trailing
+    # partial half, which is not printed
     @pytest.mark.parametrize("capacity, digest", [
-        (1, "bef9469dc19c3d569a169ce34e2925d893e71ec03e86409e8c1bec6ac622be15"),
-        (7, "01c11095b9cca2b1110fc508cec8b4bc9435b383b818fd1594e5d33b5910996d"),
-        (128, "683633521003491a7c7ec95559ef52060ef7566673906b3044bf7a0cbdb88e7a"),
-        (512, "ce67f0d7b7fabd0d69636c7e9b58436a27e0c2617aa7fc4e6e7fae6e6d7c7ba0"),
-        (5000, "a32c9305d2594b98b047a37e8b7bb7c338c3b794fbda9d68b577e88b5080a495"),
-    ])
+        (1, "512b0bb6a7f0d0e4a712c516425400386fc02e95017215113f095fb1acb8d88d"),
+        (7, "5b534ae80b26160759cfc2e755830d97cc2fd7fbc9018d158e187e112009a7f4"),
+        (128, "335115c95bea42414bd1803bc3dc29d7bb1cbd487235a5b100c7a8bdcde1df6b"),
+        (512, "593d88f5dc55cba046e9d2e75b334ecb29ba3086085a887b08d97d6eea41e0a0"),
+        (5000, "0b051d275a4b0706e6bbf4173dc8133a14eda0afca0c4f883bf6ba5adcab6e18"),
+    ], ids=["1", "7", "128", "512", "5000"])
     def test_stream_bytes(self, tmp_path, capsys, capacity, digest):
         fixture = tmp_path / "noisy.csv"
         assert main(["simulate", "--duration", "10", "--mains-amplitude", "0.3",
@@ -612,6 +623,84 @@ class TestCliSubcommands:
         assert main(["stream", "--in", str(fixture), "--half-capacity", str(capacity)]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("capacity", [7, 512])
+    @pytest.mark.parametrize("source", sorted(_SOURCE_CONFIGS))
+    def test_stream_prints_the_halves_run_consumes(self, tmp_path, capsys, source, capacity):
+        """simulate then stream is run's acquisition: the CSV is the source in
+        mV, conditioned by the board and quantized, and each half printed is
+        one run_pipeline consumed (the record holds them all here)."""
+        config = tmp_path / "source.cfg"
+        config.write_text(_SOURCE_CONFIGS[source])
+        fixture = tmp_path / "source.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(fixture)]) == 0
+        assert main(["stream", "--in", str(fixture), "--half-capacity", str(capacity)]) == 0
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        cfg = dataclasses.replace(PipelineConfig.load(config), half_capacity=capacity)
+        consumed = run_pipeline(cfg).record.ecg.tolist()
+        assert len(consumed) % capacity == 0 and len(consumed) < cfg.max_ecg
+        assert printed == [{"seq": i, "half": i % 2, "codes": consumed[j:j + capacity]}
+                           for i, j in enumerate(range(0, len(consumed), capacity))]
+
+    @pytest.mark.parametrize("source", sorted(_SOURCE_CONFIGS))
+    def test_send_writes_the_record_run_publishes(self, tmp_path, capsys, source):
+        """simulate then send writes the codes run --publish sends for the
+        same config: 10.24 s fill ten halves, so run's record holds the
+        first max_ecg codes of the whole source, as send's does."""
+        config = tmp_path / "source.cfg"
+        config.write_text(_SOURCE_CONFIGS[source])
+        fixture, sent = tmp_path / "source.csv", tmp_path / "sent.jsonl"
+        assert main(["simulate", "--config", str(config), "--duration", "10.24",
+                     "--out", str(fixture)]) == 0
+        assert main(["send", "--in", str(fixture), "--bpm", "72",
+                     "--sink", f"file:{sent}"]) == 0
+        record = decode_record(sent.read_bytes().splitlines()[0])
+        cfg = dataclasses.replace(PipelineConfig.load(config), duration=10.24)
+        assert record.ecg == run_pipeline(cfg).record.ecg
+        assert len(record.ecg) == cfg.max_ecg
+
+    @pytest.mark.parametrize("argv", [["stream"], ["send", "--bpm", "72"]], ids=["stream", "send"])
+    def test_csv_rate_below_the_lowpass_corner_exits_runtime(self, tmp_path, monkeypatch, capsys,
+                                                            argv):
+        """A 100 Hz CSV cannot run through the board's 69.5 Hz low-pass:
+        refused before any half is printed or any record sent."""
+        monkeypatch.chdir(tmp_path)
+        fixture = tmp_path / "r100.csv"
+        fixture.write_text("time,value\n" + "".join(f"{i / 100},0\n" for i in range(50)))
+        assert main([argv[0], "--in", str(fixture), *argv[1:]]) == 2
+        assert capsys.readouterr() == (
+            "", "ecgmon: lowpass corner 69.5 Hz is at or above Nyquist (50.0 Hz)\n")
+
+    def test_header_only_csv_streams_nothing_and_sends_an_empty_record(self, tmp_path, capsys):
+        fixture = tmp_path / "empty.csv"
+        fixture.write_text("time,value\n")
+        assert main(["stream", "--in", str(fixture)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert main(["send", "--in", str(fixture), "--bpm", "72"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ('{"device_id":"ecgmon-0","timestamp":0,"bpm":72.0,'
+                                '"location":"location-unset","ecg":""}\n')
+        assert json.loads(captured.err)["published"] == 1
+
+    def test_stream_huge_csv_values_saturate_without_overflow_warning(self, tmp_path, capsys):
+        """Values whose gain product overflows reach the rails' codes; the
+        suite turns the overflow warning into an error."""
+        fixture = tmp_path / "huge.csv"
+        fixture.write_text("time,value\n0,1.7e308\n0.002,-1.7e308\n0.004,1.7e308\n0.006,0\n")
+        assert main(["stream", "--in", str(fixture), "--half-capacity", "4"]) == 0
+        (doc,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert set(doc["codes"]) <= {0, AdcConfig().max_code}
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        """A CSV saved with a UTF-8 byte-order mark reads as the same frame."""
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        assert main(["simulate", "--source", "sine", "--duration", "1", "--out", str(plain)]) == 0
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for fixture in (plain, bom):
+            assert main(["plot", "--in", str(fixture), "--ascii"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0] and outputs[0].err == ""
 
     def test_plot_empty_input_valid_svg(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -650,7 +739,7 @@ class TestCliSubcommands:
         """A 0 mV sample is sent as the code of the front end's 1.65 V lift."""
         zeros = tmp_path / "zeros.csv"
         zeros.write_text("time,value\n0,0\n0.002,0\n0.004,0\n")
-        assert main(["send", "--in", str(zeros), "--bpm", "72", "--unit", "mV"]) == 0
+        assert main(["send", "--in", str(zeros), "--bpm", "72"]) == 0
         record = decode_record(capsys.readouterr().out.splitlines()[0].encode())
         assert record.ecg.tolist() == [quantize(LIFT_BIAS, AdcConfig())] * 3 == [2048] * 3
 
@@ -918,7 +1007,7 @@ def _fuzz_options(root):
         "stream": {"--in": inputs, "--half-capacity": ints, "--bits": ints, "--vref": floats},
         "plot": {"--in": inputs, "--out": outputs, "--width": ints, "--height": ints,
                  "--v-min": floats, "--v-max": floats, "--ascii": None},
-        "send": {"--in": inputs, "--bpm": bpms, "--unit": st.sampled_from(["mV", "V"]),
+        "send": {"--in": inputs, "--bpm": bpms,
                  "--device-id": st.sampled_from(["", "ecg\u00e9"]),
                  "--location": st.sampled_from(["", "ward \"7\""]),
                  "--timestamp": ints, "--sink": sinks, "--low-bpm": bpms, "--high-bpm": bpms,
@@ -961,10 +1050,11 @@ def test_cli_fuzz_exit_codes(fuzz_dir, command, data):
 def test_cli_start_leaves_scipy_and_http_unimported(tmp_path):
     """The scipy.signal package takes over a second to import, and the only
     part of scipy the package runs is that package's compiled linear filter.
-    stream, send and plot check their flags through PipelineConfig, whose
-    checks design the front-end filter without running it, and detect takes
-    no config: none of them loads a scipy module.  run and metrics filter,
-    and load only the filter's extension module, never scipy or scipy.signal.
+    plot checks its flags through PipelineConfig, whose checks design the
+    front-end filter without running it, and detect takes no config: neither
+    loads a scipy module.  stream and send run their CSV through the board,
+    as run and metrics do, and all four load only the filter's extension
+    module, never scipy or scipy.signal.
 
     No command loads the HTTP stack (http, email, ssl): only the cloud
     model's listener needs http.server, and reading ecgmon.LoopbackListener
@@ -976,12 +1066,16 @@ def test_cli_start_leaves_scipy_and_http_unimported(tmp_path):
             "    return sorted(m for m in sys.modules if m.partition('.')[0] in tops)\n"
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
             "    assert ecgmon.cli.main(['--help']) == 0\n"
-            "    for argv in (['detect'], ['stream'], ['send', '--bpm', '72'], ['plot', '--ascii']):\n"
+            "    for argv in (['detect'], ['plot', '--ascii']):\n"
             "        assert ecgmon.cli.main([*argv, '--in', 'sine.csv']) == 0, argv\n"
-            "    before = modules('scipy')\n"
+            "    unfiltered = modules('scipy')\n"
+            "    for argv in (['stream'], ['send', '--bpm', '72']):\n"
+            "        assert ecgmon.cli.main([*argv, '--in', 'sine.csv']) == 0, argv\n"
+            "    from_csv = modules('scipy')\n"
             "    assert ecgmon.cli.main(['run', '--duration', '4']) == 0\n"
             "    assert ecgmon.cli.main(['metrics']) == 0\n"
-            "print(before)\n"
+            "print(unfiltered)\n"
+            "print(from_csv)\n"
             "print(modules('scipy'))\n"
             "print(modules('http', 'email', 'ssl'))\n"
             "ecgmon.LoopbackListener\n"
@@ -991,7 +1085,8 @@ def test_cli_start_leaves_scipy_and_http_unimported(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-4:] == ["[]", "['scipy.signal._sigtools']", "[]", "True"]
+    assert proc.stdout.splitlines()[-5:] == ["[]", *["['scipy.signal._sigtools']"] * 2, "[]",
+                                             "True"]
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):

@@ -370,6 +370,14 @@ class TestApplyFrontend:
         assert np.all(out.frame.values >= SUPPLY_MIN)
         assert np.all(out.frame.values <= SUPPLY_MAX)
 
+    def test_huge_finite_input_saturates_without_overflow_warning(self):
+        """A gain product beyond the float range saturates at the rails like
+        any other; the suite turns the overflow warning into an error."""
+        out = apply_frontend(generate_sine(1.2, 1.7e308, 500.0, 2.0), bench_spec())
+        values = out.frame.values
+        assert out.saturated
+        assert values.min() == SUPPLY_MIN and values.max() == SUPPLY_MAX
+
 
 class TestMeasureMetrics:
     def test_bench_tuned_spec(self):
