@@ -1,13 +1,15 @@
 """Timer-paced ADC model and the DMA-style ping-pong double buffer.
 
-ADC codes are 16-bit, like the DMA buffer's words: np.ushort arrays, or a
-plain int for one code (0 .. 2^bits - 1).  The buffer holds two half
-buffers: the writer fills one, a block at a time as a DMA channel does,
-while the consumer owns the other; each filled half becomes ready under
-a monotonically increasing sequence number.  If a new half completes
-while the previous ready half is still unconsumed, the stale half is
-dropped and overwritten (overrun policy: overwrite-oldest and flag),
-which shows up as a gap in consumed sequence numbers.
+The converter is the device's fixed 12-bit ADC over the board's rails,
+0 to frontend.SUPPLY_MAX (3.3 V).  Its codes are 16-bit, like the DMA
+buffer's words: np.ushort arrays, or a plain int for one code
+(0 .. ADC_MAX_CODE).  The buffer holds two half buffers: the writer
+fills one, a block at a time as a DMA channel does, while the consumer
+owns the other; each filled half becomes ready under a monotonically
+increasing sequence number.  If a new half completes while the previous
+ready half is still unconsumed, the stale half is dropped and
+overwritten (overrun policy: overwrite-oldest and flag), which shows up
+as a gap in consumed sequence numbers.
 
 PingPongBuffer.acquire() is the half driver that run_pipeline and
 `ecgmon stream` both use: it writes one half-sized block at a time and
@@ -21,40 +23,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import _require_int, _require_real
+from .frontend import SUPPLY_MAX
+from .signals import _require_int
 
 __all__ = [
-    "AdcConfig",
     "ReadyHalf",
     "PingPongBuffer",
     "quantize",
     "dequantize",
 ]
 
-_MAX_BITS = 16  # the widest ADC modelled; a record's 16-bit words hold its codes
-_MAX_CODE = (1 << _MAX_BITS) - 1  # np.ushort holds exactly the codes 0.._MAX_CODE
+ADC_BITS = 12  # the STM32F429's converter, over 0..SUPPLY_MAX
+ADC_MAX_CODE = (1 << ADC_BITS) - 1
+_MAX_CODE = 0xFFFF  # a record's 16-bit words, like np.ushort, hold exactly the codes 0.._MAX_CODE
 
 
-@dataclass(frozen=True)
-class AdcConfig:
-    """Successive-approximation ADC parameters."""
-
-    resolution_bits: int = 12
-    vref: float = 3.3
-
-    def __post_init__(self):
-        _require_int("resolution_bits", self.resolution_bits)
-        if not 1 <= self.resolution_bits <= _MAX_BITS:
-            raise ValueError(f"resolution_bits must be within 1..{_MAX_BITS}, got {self.resolution_bits}")
-        _require_real(0, vref=self.vref)
-
-    @property
-    def max_code(self) -> int:
-        return (1 << self.resolution_bits) - 1
-
-
-def quantize(v, cfg: AdcConfig):
-    """Voltage(s) to ADC code(s): round half away from zero, clamp to range.
+def quantize(v):
+    """Voltage(s) to ADC code(s) 0..ADC_MAX_CODE over 0..SUPPLY_MAX: round
+    half away from zero, clamp to range.
 
     Codes come back as an np.ushort array, or an int for a scalar.  +-inf
     clamp like any out-of-range voltage; NaN has no code and is refused.
@@ -65,14 +51,14 @@ def quantize(v, cfg: AdcConfig):
     # clamping the voltage first keeps a huge one from overflowing the
     # scaling; negative values clamp to 0, so rounding half up equals half
     # away from zero
-    codes = np.floor(np.clip(arr, 0.0, cfg.vref) / cfg.vref * cfg.max_code + 0.5).astype(np.ushort)
+    codes = np.floor(np.clip(arr, 0.0, SUPPLY_MAX) / SUPPLY_MAX * ADC_MAX_CODE + 0.5).astype(np.ushort)
     if arr.ndim == 0:
         return int(codes)
     return codes
 
 
-def dequantize(c, cfg: AdcConfig):
-    """ADC code(s) back to voltage(s).
+def dequantize(c):
+    """ADC code(s) back to voltage(s) over 0..SUPPLY_MAX.
 
     Codes are integers within range: an int, a numpy integer or an integer
     array.  Any other dtype, float and bool included, is refused, as is an
@@ -81,17 +67,17 @@ def dequantize(c, cfg: AdcConfig):
     arr = np.asarray(c)
     if arr.dtype.kind not in "iu":
         raise ValueError(f"codes must be integers, got dtype {arr.dtype}")
-    if arr.size and (arr.min() < 0 or arr.max() > cfg.max_code):
-        raise ValueError(f"code out of range 0..{cfg.max_code}")
-    volts = arr.astype(np.float64) / cfg.max_code * cfg.vref
+    if arr.size and (arr.min() < 0 or arr.max() > ADC_MAX_CODE):
+        raise ValueError(f"code out of range 0..{ADC_MAX_CODE}")
+    volts = arr.astype(np.float64) / ADC_MAX_CODE * SUPPLY_MAX
     if arr.ndim == 0:
         return float(volts)
     return volts
 
 
 def _adc_codes(codes, name: str) -> np.ndarray:
-    """codes as a 1-D np.ushort array, refusing any value no 16-bit ADC
-    makes: codes is a 1-D integer ndarray or a list or tuple holding only
+    """codes as a 1-D np.ushort array, refusing any value no 16-bit word
+    holds: codes is a 1-D integer ndarray or a list or tuple holding only
     ints, each in 0.._MAX_CODE.  A native uint16 array is returned as it
     is, since its type holds exactly those codes; any other is checked,
     then converted.  The check is explicit because numpy's casts are none:

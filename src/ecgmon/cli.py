@@ -38,7 +38,7 @@ def _config(args) -> PipelineConfig:
     whose dest names a config key parsed like that key's file value and
     applied through the config's checks; the file has loaded on its own, so
     a refusal here is the flags'."""
-    cfg = PipelineConfig.load(args.config) if getattr(args, "config", None) else PipelineConfig()
+    cfg = PipelineConfig.load(args.config) if args.config else PipelineConfig()
     changes: dict = {}
     for key, text in vars(args).items():
         if key in _KEYS and text is not None:
@@ -127,7 +127,7 @@ def _adc_codes(cfg: PipelineConfig, path):
     """The ADC codes of a source CSV, in mV at the electrodes as simulate
     writes it: conditioned by the board and quantized, as run_pipeline does."""
     frame = SampleFrame.from_csv(path)
-    return quantize(apply_frontend(frame, cfg.frontend).frame.values, cfg.adc)
+    return quantize(apply_frontend(frame, cfg.frontend).frame.values)
 
 
 def _cmd_stream(args) -> int:
@@ -223,13 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_detect)
 
     p = sub.add_parser("stream", help="quantize a CSV frame through the ping-pong buffer")
+    add_config(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--half-capacity")
-    p.add_argument("--bits", dest="resolution_bits", metavar="BITS")
-    p.add_argument("--vref")
     p.set_defaults(fn=_cmd_stream)
 
     p = sub.add_parser("plot", help="render a CSV frame to SVG or ASCII")
+    add_config(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default="ecg.svg")
     p.add_argument("--width")
@@ -240,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_plot)
 
     p = sub.add_parser("send", help="encode a CSV frame as telemetry and publish it")
+    add_config(p)
     p.add_argument("--in", dest="infile", required=True)
     # the reading to send, not [signal] bpm
     p.add_argument("--bpm", type=float, required=True, dest="reading", metavar="BPM")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .acquisition import AdcConfig
 from .frontend import FrontEndSpec, _chain_coefficients
 from .render import DEFAULT_HEIGHT, DEFAULT_WIDTH, _require_target
 from .signals import (EcgTemplateParams, NoiseConfig, _field_types, _require_declared_types,
@@ -33,7 +32,7 @@ class PipelineConfig:
     """Resolved settings for the end-to-end pipeline.
 
     Settings that mirror a stage dataclass take that dataclass's default;
-    the sub-configs (noise, frontend, adc, alerts) carry their own.
+    the sub-configs (noise, frontend, alerts) carry their own.
     """
 
     source: str = "ecg"
@@ -44,7 +43,6 @@ class PipelineConfig:
     template: EcgTemplateParams = field(default_factory=EcgTemplateParams)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     frontend: FrontEndSpec = field(default_factory=FrontEndSpec)
-    adc: AdcConfig = field(default_factory=AdcConfig)
     half_capacity: int = 512
     notch_center: float = 50.0
     alerts: AlertPolicy = field(default_factory=AlertPolicy)
@@ -99,8 +97,7 @@ class PipelineConfig:
         _SCHEMA) applied through every check; a refusal raises ConfigError
         naming the changes' source."""
         # each owner changes in one replace: PipelineConfig's checks relate
-        # keys of different sections (notch_center and sample_rate), and
-        # [adc] feeds both adc and PipelineConfig
+        # keys of different sections (notch_center and sample_rate)
         fields = dict(changes.get(None, {}))
         try:
             for owner, sub in changes.items():
@@ -124,7 +121,7 @@ _SCHEMA: dict[str, dict[str, tuple[str | None, str]]] = {
     "noise": _keys("noise", "mains_amplitude mains_freq wander_amplitude emg_sigma",
                    seed="rng_seed"),
     "frontend": _keys("frontend", "f_ch f_cl f_0 notch_q"),
-    "adc": {**_keys("adc", "resolution_bits vref"), **_keys(None, "half_capacity")},
+    "adc": _keys(None, "half_capacity"),
     "dsp": _keys(None, "notch_center"),
     "alerts": _keys("alerts", "low_bpm high_bpm"),
     "render": _keys(None, width="fb_width", height="fb_height"),

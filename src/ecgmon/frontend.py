@@ -47,7 +47,7 @@ INPUT_IMPEDANCE = 13.2e6  # ohms, declared constant, never simulated
 CHAIN_GAIN = 22.0 * 75.0  # instrumentation amplifier times voltage amplifier
 COMMON_MODE_LEAK = 10 ** (-93.16 / 20)  # the 93.16 dB CMRR as an amplitude ratio
 SUPPLY_MIN, SUPPLY_MAX = 0.0, 3.3  # volts, the output clip range
-LIFT_BIAS = 1.65  # volts, recenters the bipolar signal at mid-rail
+LIFT_BIAS = SUPPLY_MAX / 2  # volts, recenters the bipolar signal at mid-rail
 STAGE_ORDER = ("notch", "lowpass", "highpass")
 
 

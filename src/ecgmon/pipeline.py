@@ -95,7 +95,7 @@ def run_pipeline(
 
     conditioned = _stage("analog_frontend", apply_frontend, sig, cfg.frontend)
 
-    codes = _stage("acquisition", quantize, conditioned.frame.values, cfg.adc)
+    codes = _stage("acquisition", quantize, conditioned.frame.values)
     consumed = _stage("acquisition",
                       lambda: [h.codes for h in PingPongBuffer(cfg.half_capacity).acquire(codes)])
     if not consumed:
@@ -103,7 +103,7 @@ def run_pipeline(
             f"{len(codes)} samples never filled a {cfg.half_capacity}-sample half; "
             "increase duration or shrink half_capacity"))
     digital_codes = np.concatenate(consumed)
-    digital = SampleFrame(sample_rate=cfg.sample_rate, values=dequantize(digital_codes, cfg.adc))
+    digital = SampleFrame(sample_rate=cfg.sample_rate, values=dequantize(digital_codes))
 
     filtered = _stage("dsp", dsp.fft_notch, digital, cfg.notch_center)
     filtered = _stage("dsp", dsp.smooth_emg, filtered)

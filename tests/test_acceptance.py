@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecgmon.acquisition import AdcConfig, PingPongBuffer, dequantize, quantize
+from ecgmon.acquisition import ADC_BITS, ADC_MAX_CODE, PingPongBuffer, dequantize, quantize
 from ecgmon.config import PipelineConfig
 from ecgmon.dsp import fft_notch
 from ecgmon.frontend import (
@@ -24,6 +24,7 @@ from ecgmon.frontend import (
     measure_metrics,
     notch_center,
     bench_spec,
+    SUPPLY_MAX,
 )
 from ecgmon.pipeline import run_pipeline
 from ecgmon.render import Framebuffer, PlotTrace, draw_trace
@@ -167,13 +168,13 @@ def test_criterion_07_ping_pong_no_loss():
 
 def test_criterion_08_quantizer_contracts():
     """4096-code round trip, monotone 1e5 sweep, endpoint mapping."""
-    cfg = AdcConfig()
-    codes = np.arange(cfg.max_code + 1)
-    assert np.array_equal(quantize(dequantize(codes, cfg), cfg), codes)
+    assert (ADC_BITS, ADC_MAX_CODE, SUPPLY_MAX) == (12, 4095, 3.3)
+    codes = np.arange(ADC_MAX_CODE + 1)
+    assert np.array_equal(quantize(dequantize(codes)), codes)
     sweep = np.linspace(-1.0, 4.3, 100_000)
-    assert np.all(np.diff(quantize(sweep, cfg).astype(np.int64)) >= 0)  # uint16 steps wrap
-    assert quantize(0.0, cfg) == 0
-    assert quantize(3.3, cfg) == 4095
+    assert np.all(np.diff(quantize(sweep).astype(np.int64)) >= 0)  # uint16 steps wrap
+    assert quantize(0.0) == 0
+    assert quantize(SUPPLY_MAX) == ADC_MAX_CODE
     report(8, "dequantize/quantize identity, monotonicity and endpoints hold")
 
 

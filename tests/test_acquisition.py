@@ -8,73 +8,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgmon.acquisition import AdcConfig, PingPongBuffer, dequantize, quantize
+from ecgmon.acquisition import ADC_MAX_CODE, PingPongBuffer, dequantize, quantize
 
 
 class TestQuantize:
     def test_endpoints(self):
-        cfg = AdcConfig()
-        assert quantize(0.0, cfg) == 0
-        assert quantize(3.3, cfg) == 4095
+        assert quantize(0.0) == 0
+        assert quantize(3.3) == ADC_MAX_CODE == 4095
 
     def test_clamping(self):
-        cfg = AdcConfig()
-        assert quantize(-0.5, cfg) == 0
-        assert quantize(4.0, cfg) == 4095
-        assert quantize(np.array([-np.inf, np.inf]), cfg).tolist() == [0, 4095]
+        assert quantize(-0.5) == 0
+        assert quantize(4.0) == 4095
+        assert quantize(np.array([-np.inf, np.inf])).tolist() == [0, 4095]
 
     def test_huge_finite_voltages_clamp(self):
         """Scaling 1e308 before the clamp overflowed with a RuntimeWarning."""
-        cfg = AdcConfig(vref=0.5)
-        assert quantize(np.array([1e308, -1e308]), cfg).tolist() == [4095, 0]
+        assert quantize(np.array([1e308, -1e308])).tolist() == [4095, 0]
 
     def test_midpoint_rounds_away_from_zero(self):
         # 1.65/3.3 * 4095 = 2047.5 exactly; half away from zero -> 2048
-        assert quantize(1.65, AdcConfig()) == 2048
+        assert quantize(1.65) == 2048
 
     def test_vectorized(self):
-        cfg = AdcConfig()
-        codes = quantize(np.array([0.0, 1.65, 3.3]), cfg)
+        codes = quantize(np.array([0.0, 1.65, 3.3]))
         assert codes.tolist() == [0, 2048, 4095]
 
     def test_monotone_nondecreasing(self):
-        cfg = AdcConfig()
         sweep = np.linspace(-0.5, 3.8, 100_000)
-        codes = quantize(sweep, cfg).astype(np.int64)  # a uint16 step down would wrap
+        codes = quantize(sweep).astype(np.int64)  # a uint16 step down would wrap
         assert np.all(np.diff(codes) >= 0)
 
-    @pytest.mark.parametrize("bits", range(1, 17))
-    def test_codes_are_ushort(self, bits):
-        """Codes are 16-bit, like the DMA buffer's words, at every
-        resolution; one voltage gives an int."""
-        cfg = AdcConfig(resolution_bits=bits)
-        codes = quantize(np.array([-1.0, 0.0, 1.0, 3.3, np.inf]), cfg)
+    def test_codes_are_ushort(self):
+        """Codes are 16-bit, like the DMA buffer's words; one voltage gives an int."""
+        codes = quantize(np.array([-1.0, 0.0, 1.0, 3.3, np.inf]))
         assert codes.dtype == np.ushort and codes.dtype.isnative
-        assert codes.tolist() == [0, 0, round(cfg.max_code / 3.3), cfg.max_code, cfg.max_code]
-        assert quantize(np.zeros((2, 2)), cfg).dtype == np.ushort
+        assert codes.tolist() == [0, 0, round(4095 / 3.3), 4095, 4095]
+        assert quantize(np.zeros((2, 2))).dtype == np.ushort
         for scalar in (3.3, np.float64(3.3), np.array(3.3)):
-            code = quantize(scalar, cfg)
-            assert type(code) is int and code == cfg.max_code
+            code = quantize(scalar)
+            assert type(code) is int and code == 4095
 
     def test_nan_refused(self):
         """NaN has no code: the cast used to give -2**63 with a RuntimeWarning."""
         for v in (np.array([0.0, np.nan]), float("nan")):
             with pytest.raises(ValueError, match="NaN"):
-                quantize(v, AdcConfig())
+                quantize(v)
 
 
 class TestDequantize:
     def test_endpoints(self):
-        cfg = AdcConfig()
-        assert dequantize(0, cfg) == 0.0
-        assert dequantize(4095, cfg) == pytest.approx(3.3, abs=1e-12)
+        assert dequantize(0) == 0.0
+        assert dequantize(4095) == pytest.approx(3.3, abs=1e-12)
 
     def test_out_of_range_rejected(self):
-        cfg = AdcConfig()
         with pytest.raises(ValueError):
-            dequantize(-1, cfg)
-        with pytest.raises(ValueError):
-            dequantize(4096, cfg)
+            dequantize(-1)
+        with pytest.raises(ValueError, match=r"^code out of range 0\.\.4095$"):
+            dequantize(4096)
 
     @pytest.mark.parametrize("code, dtype", [
         (float("nan"), "float64"), (np.array([1.0, np.nan]), "float64"),
@@ -86,42 +76,22 @@ class TestDequantize:
         """A code is an integer: NaN used to give nan and 2047.5 gave 1.65 V.
         The dtype is refused before the range is checked."""
         with pytest.raises(ValueError, match=rf"^codes must be integers, got dtype {dtype}$"):
-            dequantize(code, AdcConfig())
+            dequantize(code)
 
     def test_ushort_codes_give_the_same_volts(self):
-        cfg = AdcConfig(resolution_bits=16)
-        codes = np.arange(cfg.max_code + 1)
-        volts = dequantize(codes.astype(np.ushort), cfg)
+        codes = np.arange(ADC_MAX_CODE + 1)
+        volts = dequantize(codes.astype(np.ushort))
         assert volts.dtype == np.float64
-        assert volts.tobytes() == dequantize(codes, cfg).tobytes()
-        assert dequantize(np.ushort(7), cfg) == dequantize(7, cfg)
-        assert type(dequantize(np.array(7), cfg)) is float
-        assert dequantize(np.array(7), cfg) == dequantize(7, cfg)
+        assert volts.tobytes() == dequantize(codes).tobytes()
+        assert dequantize(np.ushort(7)) == dequantize(7)
+        assert type(dequantize(np.array(7))) is float
+        assert dequantize(np.array(7)) == dequantize(7)
 
     def test_round_trip_identity_all_codes(self):
         """quantize(dequantize(c)) == c exhaustively over the 4096 codes."""
-        cfg = AdcConfig()
-        codes = np.arange(cfg.max_code + 1)
-        back = quantize(dequantize(codes, cfg), cfg)
+        codes = np.arange(ADC_MAX_CODE + 1)
+        back = quantize(dequantize(codes))
         assert np.array_equal(back, codes)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AdcConfig(resolution_bits=0)
-        with pytest.raises(ValueError):
-            AdcConfig(resolution_bits=17)
-        with pytest.raises(ValueError):
-            AdcConfig(vref=0.0)
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="vref"):
-                AdcConfig(vref=bad)
-
-    @pytest.mark.parametrize("bits", [12.5, 12.0, True, "12"])
-    def test_resolution_bits_must_be_an_integer(self, bits):
-        """Refused where it is set, not by the first quantize's shift."""
-        with pytest.raises(ValueError, match=f"^resolution_bits must be an integer, got {bits!r}$"):
-            AdcConfig(resolution_bits=bits)
-        assert AdcConfig(resolution_bits=np.int64(12)).max_code == 4095
 
 
 class TestPingPongBuffer:

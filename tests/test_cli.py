@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgmon import cli, pipeline, telemetry
-from ecgmon.acquisition import AdcConfig, dequantize, quantize
+from ecgmon.acquisition import ADC_MAX_CODE, dequantize, quantize
 from ecgmon.cli import build_parser, main
 from ecgmon.config import _KEYS, _SCHEMA, ConfigError, PipelineConfig
 from ecgmon.frontend import LIFT_BIAS, FrontEndSpec, measure_metrics
@@ -117,8 +117,7 @@ class TestConfig:
             noise=NoiseConfig(mains_amplitude=0.2, mains_freq=60.0, wander_amplitude=0.05,
                               emg_sigma=0.01, rng_seed=7),
             frontend=FrontEndSpec(f_ch=0.2, f_cl=68.0, f_0=49.5, notch_q=25.0),
-            adc=AdcConfig(resolution_bits=11, vref=3.0), half_capacity=256,
-            notch_center=49.0,
+            half_capacity=256, notch_center=49.0,
             alerts=AlertPolicy(low_bpm=55.0, high_bpm=100.0),
             fb_width=96, fb_height=48,
             device_id="dev-9", location="ward-3", sink="file:records.jsonl", max_ecg=1000,
@@ -127,7 +126,7 @@ class TestConfig:
         assert cfg == expected
         # every value differs from its default, so no key can land unnoticed
         default = PipelineConfig()
-        for name in ("noise", "frontend", "adc", "alerts"):
+        for name in ("noise", "frontend", "alerts"):
             sub, base = getattr(cfg, name), getattr(default, name)
             for f in dataclasses.fields(sub):
                 assert getattr(sub, f.name) != getattr(base, f.name), f"{name}.{f.name}"
@@ -138,11 +137,6 @@ class TestConfig:
         assert len(lines) == len(set(lines)) == sum(len(keys) for keys in _SCHEMA.values())
         # so no key is in two sections, and the flat index holds every one
         assert set(lines) == set(_KEYS)
-
-    def test_adc_is_a_field(self):
-        cfg = dataclasses.replace(PipelineConfig(), adc=AdcConfig(resolution_bits=10))
-        assert cfg.adc.max_code == 1023
-        assert PipelineConfig.loads("[adc]\nresolution_bits = 10\n") == cfg
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -271,8 +265,6 @@ f_0 = 49.5
 notch_q = 25
 
 [adc]
-resolution_bits = 11
-vref = 3.0
 half_capacity = 256
 
 [dsp]
@@ -316,9 +308,19 @@ class TestRunPipeline:
             cfg = dataclasses.replace(PipelineConfig(), source="sine", duration=10.0, max_ecg=max_ecg)
             result = run_pipeline(cfg, bpm=120.0)
             assert len(result.digital.values) == 4608
-            assert np.array_equal(dequantize(result.record.ecg, cfg.adc),
+            assert np.array_equal(dequantize(result.record.ecg),
                                   result.digital.values[:max_ecg])
             assert result.alert is None  # 120 is the inclusive boundary
+
+    def test_board_past_both_rails_reads_the_end_codes(self):
+        """A source the board drives past both rails is recorded as exactly
+        codes 0 and ADC_MAX_CODE at its extremes, and no code lies above."""
+        cfg = dataclasses.replace(PipelineConfig(), source="sine", sine_amplitude=5.0, duration=4.0)
+        result = run_pipeline(cfg, bpm=120.0)
+        codes = np.asarray(result.record.ecg)
+        assert result.saturated
+        assert (codes.min(), codes.max()) == (0, ADC_MAX_CODE)
+        assert (result.digital.values.min(), result.digital.values.max()) == (0.0, 3.3)
 
     def test_alert_on_tachycardia(self):
         cfg = dataclasses.replace(PipelineConfig(), source="sine", duration=3.0)
@@ -378,6 +380,10 @@ _SOURCE_CONFIGS = {
     "ecg-noisy": "[signal]\nduration = 10\n[noise]\nmains_amplitude = 0.3\n"
                  "wander_amplitude = 0.2\nemg_sigma = 0.05\nseed = 3\n",
     "sine": "[signal]\nsource = sine\nbpm = 120\nsine_amplitude = 1\nduration = 3\n",
+    # a 120 Hz board, whose low-pass corner the default 69.5 Hz would put
+    # above Nyquist; max_ecg keeps a 10.24 s record within its two halves
+    "board-120": "[signal]\nsample_rate = 120\nduration = 8\n[frontend]\nf_cl = 40\nf_0 = 30\n"
+                 "[dsp]\nnotch_center = 30\n[telemetry]\nmax_ecg = 1000\n",
 }
 
 
@@ -469,12 +475,14 @@ class TestCliSubcommands:
     def test_usage_error_exits_1(self, capsys):
         assert main(["simulate", "--source", "nope", "--out", "x.csv"]) == 1
         # the flags of settings that dsp now fixes, of the common-mode input
-        # the source no longer has, and of a CSV unit other than simulate's
-        # mV are unknown
+        # the source no longer has, of a CSV unit other than simulate's mV
+        # and of the fixed converter's resolution and reference are unknown
         for argv in (["detect", "--in", "x.csv", "--refractory", "0.2"],
                      ["notch", "--in", "x.csv", "--out", "y.csv", "--half-band", "2"],
                      ["simulate", "--out", "x.csv", "--common-mode-amplitude", "0.1"],
-                     ["send", "--in", "x.csv", "--bpm", "72", "--unit", "V"]):
+                     ["send", "--in", "x.csv", "--bpm", "72", "--unit", "V"],
+                     ["stream", "--in", "x.csv", "--bits", "12"],
+                     ["stream", "--in", "x.csv", "--vref", "3.3"]):
             capsys.readouterr()
             assert main(argv) == 1, argv
             assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
@@ -595,16 +603,6 @@ class TestCliSubcommands:
         assert all(d["half"] == d["seq"] % 2 for d in docs)
         assert all(len(d["codes"]) == 128 for d in docs)
 
-    @pytest.mark.parametrize("vref", ["nan", "inf"])
-    def test_stream_nonfinite_vref_exits_config_error(self, tmp_path, capsys, vref):
-        fixture = tmp_path / "sine.csv"
-        assert main(["simulate", "--source", "sine", "--duration", "1", "--out", str(fixture)]) == 0
-        assert main(["stream", "--in", str(fixture), "--vref", vref]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("ecgmon: config error: command line: ")
-        assert "vref" in captured.err
-
     # sha256 of stdout for a 10 s noisy ECG, conditioned by the board, at each
     # half capacity (the test id); 5000 % 7 and 5000 % 128 leave a trailing
     # partial half, which is not printed
@@ -634,7 +632,8 @@ class TestCliSubcommands:
         config.write_text(_SOURCE_CONFIGS[source])
         fixture = tmp_path / "source.csv"
         assert main(["simulate", "--config", str(config), "--out", str(fixture)]) == 0
-        assert main(["stream", "--in", str(fixture), "--half-capacity", str(capacity)]) == 0
+        assert main(["stream", "--config", str(config), "--in", str(fixture),
+                     "--half-capacity", str(capacity)]) == 0
         printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         cfg = dataclasses.replace(PipelineConfig.load(config), half_capacity=capacity)
         consumed = run_pipeline(cfg).record.ecg.tolist()
@@ -652,7 +651,7 @@ class TestCliSubcommands:
         fixture, sent = tmp_path / "source.csv", tmp_path / "sent.jsonl"
         assert main(["simulate", "--config", str(config), "--duration", "10.24",
                      "--out", str(fixture)]) == 0
-        assert main(["send", "--in", str(fixture), "--bpm", "72",
+        assert main(["send", "--config", str(config), "--in", str(fixture), "--bpm", "72",
                      "--sink", f"file:{sent}"]) == 0
         record = decode_record(sent.read_bytes().splitlines()[0])
         cfg = dataclasses.replace(PipelineConfig.load(config), duration=10.24)
@@ -689,7 +688,7 @@ class TestCliSubcommands:
         fixture.write_text("time,value\n0,1.7e308\n0.002,-1.7e308\n0.004,1.7e308\n0.006,0\n")
         assert main(["stream", "--in", str(fixture), "--half-capacity", "4"]) == 0
         (doc,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert set(doc["codes"]) <= {0, AdcConfig().max_code}
+        assert set(doc["codes"]) <= {0, ADC_MAX_CODE}
 
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
         """A CSV saved with a UTF-8 byte-order mark reads as the same frame."""
@@ -741,7 +740,7 @@ class TestCliSubcommands:
         zeros.write_text("time,value\n0,0\n0.002,0\n0.004,0\n")
         assert main(["send", "--in", str(zeros), "--bpm", "72"]) == 0
         record = decode_record(capsys.readouterr().out.splitlines()[0].encode())
-        assert record.ecg.tolist() == [quantize(LIFT_BIAS, AdcConfig())] * 3 == [2048] * 3
+        assert record.ecg.tolist() == [quantize(LIFT_BIAS)] * 3 == [2048] * 3
 
     def test_send_bpm_is_the_reading_not_a_config_value(self, tmp_path, capsys):
         """A reading the source could not sample at 500 Hz is still sent, and alerts."""
@@ -1004,10 +1003,10 @@ def _fuzz_options(root):
                     "--seed": ints, "--response-csv": outputs},
         "notch": {"--in": inputs, "--out": outputs, "--center": floats},
         "detect": {"--in": inputs},
-        "stream": {"--in": inputs, "--half-capacity": ints, "--bits": ints, "--vref": floats},
-        "plot": {"--in": inputs, "--out": outputs, "--width": ints, "--height": ints,
-                 "--v-min": floats, "--v-max": floats, "--ascii": None},
-        "send": {"--in": inputs, "--bpm": bpms,
+        "stream": {"--config": configs, "--in": inputs, "--half-capacity": ints},
+        "plot": {"--config": configs, "--in": inputs, "--out": outputs, "--width": ints,
+                 "--height": ints, "--v-min": floats, "--v-max": floats, "--ascii": None},
+        "send": {"--config": configs, "--in": inputs, "--bpm": bpms,
                  "--device-id": st.sampled_from(["", "ecg\u00e9"]),
                  "--location": st.sampled_from(["", "ward \"7\""]),
                  "--timestamp": ints, "--sink": sinks, "--low-bpm": bpms, "--high-bpm": bpms,

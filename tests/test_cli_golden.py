@@ -55,8 +55,6 @@ REFUSED = {
     "metrics --noise-sigma nan": "[noise]\nemg_sigma = nan\n",
     "metrics --seed -1": "[noise]\nseed = -1\n",
     "stream --in sine.csv --half-capacity 0": "[adc]\nhalf_capacity = 0\n",
-    "stream --in sine.csv --bits 17": "[adc]\nresolution_bits = 17\n",
-    "stream --in sine.csv --vref nan": "[adc]\nvref = nan\n",
     "plot --in sine.csv --width 0": "[render]\nwidth = 0\n",
     "plot --in sine.csv --ascii --height 0": "[render]\nheight = 0\n",
     "send --in sine.csv --bpm 72 --sink bogus": "[telemetry]\nsink = bogus\n",
@@ -98,6 +96,7 @@ CASES = {
     "config-error-board-key": "run --config board.cfg",
     "config-error-mains-nyquist": "run --config mains450.cfg",
     "config-error-noise-key": "run --config noise-key.cfg",
+    "config-error-adc-key": "run --config adc.cfg",
     "config-error-metrics-probe": "metrics --config rate90.cfg",
     "unparsable-simulate-seed-abc": "simulate --out x.csv --seed abc",
     "unparsable-run-bpm-fast": "run --bpm fast",

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgmon.acquisition import AdcConfig
 from ecgmon.cli import build_parser
 from ecgmon.config import _KEYS, PipelineConfig
 from ecgmon.frontend import FrontEndSpec
@@ -24,8 +23,7 @@ from ecgmon.signals import EcgTemplateParams, NoiseConfig, Wave, _require_real
 from ecgmon.telemetry import (AlertEvent, AlertPolicy, TelemetryRecord, encode_alert,
                               encode_record, evaluate_alert)
 
-SETTINGS = (Wave, EcgTemplateParams, NoiseConfig, FrontEndSpec, AdcConfig, AlertPolicy,
-            PipelineConfig)
+SETTINGS = (Wave, EcgTemplateParams, NoiseConfig, FrontEndSpec, AlertPolicy, PipelineConfig)
 
 HUGE_INT = 10 ** 400  # an int beyond the float range
 

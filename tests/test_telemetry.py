@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ecgmon import cloud, telemetry
-from ecgmon.acquisition import _MAX_CODE, AdcConfig
+from ecgmon.acquisition import _MAX_CODE
 from ecgmon.cloud import LoopbackListener
 from ecgmon.config import PipelineConfig
 from ecgmon.pipeline import report, run_pipeline
@@ -760,7 +760,7 @@ class TestCodeTextDecoding:
         assert_line_refused(line, tmp_path, reason)
 
     def test_widest_adc_code_reads_back(self):
-        code = AdcConfig(resolution_bits=16).max_code
+        code = _MAX_CODE
         line = encode_record(make_record(ecg=[0, code]))
         assert line.endswith(b'"ecg":"AAD//w=="}')
         assert telemetry._canonical_record(line)["ecg"].tolist() == [0, code]
