@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import array
 import binascii
+import functools
 import json
 import socket
 import sys
@@ -163,6 +164,76 @@ def encode_record(rec: TelemetryRecord) -> bytes:
     return b'%s,"ecg":"%s"}' % (header[:-1], binascii.b2a_base64(words, newline=False))
 
 
+_BASE64_LETTERS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_NO_PAIR = 0xFFFF  # _pair_bits' entry for a pair with a letter outside the alphabet
+
+
+@functools.cache
+def _pair_bits() -> np.ndarray:
+    """The 12 bits each pair of base64 letters stands for, indexed by the
+    pair read as a little-endian 16-bit word (its first letter the low
+    byte); _NO_PAIR where either letter is outside the alphabet.  128 KB,
+    built on the first read."""
+    six = np.full(256, 64, dtype="<u4")
+    six[np.frombuffer(_BASE64_LETTERS, dtype=np.uint8)] = np.arange(64)
+    word = np.arange(1 << 16)
+    first, second = six[word & 0xFF], six[word >> 8]
+    table = np.where((first | second) < 64, first << 6 | second, _NO_PAIR).astype("<u2")
+    table.flags.writeable = False  # every reader shares it
+    return table
+
+
+def _base64_words(data: bytes) -> np.ndarray | None:
+    """The little-endian 16-bit words of the ASCII base64 data if it is
+    exactly what binascii.b2a_base64 writes of whole words, else None.
+
+    The last group of 1 to 8 letters holds any padding and trailing bits:
+    it goes through binascii and a re-encode.  Every letter before it is
+    read in numpy: one take of _pair_bits over their pairs, whose maximum
+    refuses a letter outside the alphabet, then shifts give the 3 bytes of
+    each 4 letters.  Those letters are whole groups of 4 and hold 6 bytes
+    per 8, so data is canonical base64 of whole words exactly when they
+    are all in the alphabet and its last group is.
+    """
+    bulk = max(len(data) - 1, 0) // 8 * 8
+    tail = data[bulk:]
+    try:
+        tail_bytes = binascii.a2b_base64(tail)
+    except binascii.Error:
+        return None
+    if binascii.b2a_base64(tail_bytes, newline=False) != tail or len(tail_bytes) % 2:
+        return None
+    pairs = _pair_bits().take(np.frombuffer(data, dtype="<u2", count=bulk // 2))
+    if bulk and pairs.max() > 0xFFF:
+        return None
+    quads = pairs.view("<u4")  # 4 letters each: the first pair's 12 bits low, the second's from bit 16
+    head = bulk // 8 * 3  # the words those letters hold
+    words = np.empty(head + len(tail_bytes) // 2, dtype="<u2")
+    trios = words[:head].view(np.uint8).reshape(-1, 3)  # the 3 bytes of each 4 letters
+    first_two = quads << 4
+    first_two |= quads >> 24
+    trios[:, :2].view(">u2")[:, 0] = first_two  # the low 16 bits: 12 of the first pair, 4 of the second
+    trios[:, 2] = quads >> 16  # the low 8 bits of the second pair
+    words[head:] = np.frombuffer(tail_bytes, dtype="<u2")
+    return words
+
+
+def _refuse_base64(ecg):
+    """Raise ValueError with the reason ecg, a record's ecg value that
+    _base64_words refused (as bytes if it was ASCII text), is no canonical
+    base64 of whole 16-bit words."""
+    try:
+        raw = binascii.a2b_base64(ecg)
+    except (TypeError, ValueError) as exc:  # no string, no ASCII, or binascii.Error
+        raise ValueError(f"ecg is not base64: {exc}") from None
+    # a2b_base64 skips letters outside the alphabet and ignores trailing bits
+    if binascii.b2a_base64(raw, newline=False) != ecg:
+        raise ValueError("ecg is not canonical base64 (padding, spaces, URL-safe letters, trailing bits)")
+    if len(raw) % 2:
+        raise ValueError(f"ecg must hold whole 16-bit codes, got {len(raw)} bytes")
+    raise AssertionError(f"the base64 reader refused canonical base64 {ecg[:80]!r}")
+
+
 def _canonical_record(data: bytes) -> dict:
     """The fields of a JSON line with exactly the record's keys, each once
     and in order, ecg as the uint16 array of its base64, which counts only
@@ -184,17 +255,13 @@ def _canonical_record(data: bytes) -> dict:
         raise ValueError(f"record must be a JSON object, got {type(doc).__name__}")
     if tuple(written[-1]) != RECORD_KEYS:
         raise ValueError(f"bad record keys: {written[-1]}, want {list(RECORD_KEYS)}")
-    text = doc["ecg"]
-    try:
-        raw = binascii.a2b_base64(text)
-    except (TypeError, ValueError) as exc:  # no string, no ASCII, or binascii.Error
-        raise ValueError(f"ecg is not base64: {exc}") from None
-    # a2b_base64 skips letters outside the alphabet and ignores trailing bits
-    if binascii.b2a_base64(raw, newline=False) != text.encode("ascii"):
-        raise ValueError("ecg is not canonical base64 (padding, spaces, URL-safe letters, trailing bits)")
-    if len(raw) % 2:
-        raise ValueError(f"ecg must hold whole 16-bit codes, got {len(raw)} bytes")
-    doc["ecg"] = np.frombuffer(raw, dtype="<u2").astype(np.ushort, copy=False)
+    ecg = doc["ecg"]
+    if isinstance(ecg, str) and ecg.isascii():
+        ecg = doc["ecg"] = ecg.encode("ascii")  # json's copy of the letters goes
+    words = _base64_words(ecg) if isinstance(ecg, bytes) else None
+    if words is None:
+        _refuse_base64(ecg)
+    doc["ecg"] = words.astype(np.ushort, copy=False)
     return doc
 
 
@@ -423,6 +490,7 @@ class PlotResult:
 # a SampleFrame needs a rate; map_to_trace picks samples by index, so the
 # SVG does not depend on it
 _PLOT_RATE = 500.0
+_READ_BUFFER = 1 << 15  # bytes: holds a whole 5000-code line (13.4 kB), which the default 8 KB splits
 
 
 def retrieve_and_plot(source, out) -> PlotResult:
@@ -436,7 +504,7 @@ def retrieve_and_plot(source, out) -> PlotResult:
     """
     records: list[tuple[int, np.ndarray]] = []  # (timestamp, codes) per good line
     warnings = 0
-    with open(source, "rb") as fh:
+    with open(source, "rb", buffering=_READ_BUFFER) as fh:
         for line in fh:
             line = line.strip()
             if not line:
@@ -455,7 +523,7 @@ def retrieve_and_plot(source, out) -> PlotResult:
         at = _columns(int(starts[-1]), DEFAULT_WIDTH)  # the indices the columns show, counted end to end
         which = np.searchsorted(starts, at, side="right") - 1
         shown = np.array([codes[r][i] for r, i in zip(which, at - starts[which])], dtype=np.ushort)
-        v_min, v_max = float(min(map(np.min, codes))), float(max(map(np.max, codes)))
+        v_min, v_max = float(min(ecg.min() for ecg in codes)), float(max(ecg.max() for ecg in codes))
     export_svg(SampleFrame(sample_rate=_PLOT_RATE, values=shown), out, DEFAULT_WIDTH,
                v_min=v_min, v_max=v_max)
     return PlotResult(records_plotted=len(records), warnings=warnings)

@@ -1,12 +1,14 @@
 """Identical inputs give identical bytes on any x86 host, whatever SIMD
 extensions its CPU has.
 
-numpy picks a kernel for some routines (np.exp among them) by the CPU
-features it finds at start-up, and kernels for different features may
-round differently.  This test turns off every feature numpy would dispatch
-to on this host (NPY_DISABLE_CPU_FEATURES) and re-runs the pipeline's
-golden hashes and a few CLI corpus entries in that process, so a byte that
-follows the host's SIMD shows here rather than only on another machine.
+numpy picks a kernel for some routines (np.exp, take and the integer
+shifts among them) by the CPU features it finds at start-up, and kernels
+for different features may give different results.  This test turns off
+every feature numpy would dispatch to on this host
+(NPY_DISABLE_CPU_FEATURES) and re-runs the pipeline's golden hashes, a few
+CLI corpus entries and the record reader's property and refusal tests in
+that process, so a byte that follows the host's SIMD shows here rather
+than only on another machine.
 """
 
 import os
@@ -26,6 +28,10 @@ GOLDEN_TESTS = [
     "tests/test_cli_golden.py::test_cli_bytes[run]",
     "tests/test_cli_golden.py::test_cli_bytes[metrics]",
     "tests/test_cli_golden.py::test_cli_bytes[notch]",
+    # the record reader's take and shifts, and its refusals
+    "tests/test_telemetry.py::TestCodeTextDecoding::test_reader_takes_exactly_canonical_base64_of_whole_words",
+    "tests/test_telemetry.py::TestCodeTextDecoding::test_reader_on_5000_codes_with_one_letter_changed",
+    "tests/test_telemetry.py::TestCodeTextDecoding::test_non_canonical_base64_refused",
 ]
 
 # fails unless numpy took the disabled features off, then runs the tests

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import socket
+import string
 import sys
 import threading
 import tempfile
@@ -682,6 +683,37 @@ def _record_lines(draw) -> bytes:
     return out
 
 
+# letters the reader's property tests draw: base64's own, padding, whitespace,
+# the URL-safe ones and one that is no ASCII
+_READER_LETTERS = string.ascii_letters + string.digits + "+/= \n-_é"
+_LONG_TEXT = ecg_text(np.random.default_rng(41).integers(0, 65536, 5000).tolist())
+_LONG_BULK = (len(_LONG_TEXT) - 1) // 8 * 8  # the letters before its last group of 8
+
+
+def read_codes(decode, text: str) -> list | None:
+    """The codes decode reads from a record whose ecg is text, or None if
+    it refuses the line."""
+    line = encode_record(make_record(ecg=[])).replace(b'"ecg":""', b'"ecg":' + json.dumps(text).encode())
+    try:
+        return decode(line).ecg.tolist()
+    except ValueError:
+        return None
+
+
+@st.composite
+def _texts_of_length(draw, length: int) -> str:
+    """length letters: base64 of bytes, with up to two letters replaced, or
+    any letters of _READER_LETTERS."""
+    if length % 4 or draw(st.booleans()):
+        return draw(st.text(alphabet=_READER_LETTERS, min_size=length, max_size=length))
+    size = draw(st.integers(max(0, length * 3 // 4 - 2), length * 3 // 4))  # its base64 is length letters
+    text = base64.b64encode(draw(st.binary(min_size=size, max_size=size))).decode("ascii")
+    for _ in range(draw(st.integers(0, 2)) if length else 0):
+        at = draw(st.integers(0, length - 1))
+        text = text[:at] + draw(st.sampled_from(_READER_LETTERS)) + text[at + 1:]
+    return text
+
+
 class TestCodeTextDecoding:
     """The reader takes a line exactly when json reads it as the record's
     keys in order and its ecg is base64 as encode_record writes it."""
@@ -758,6 +790,27 @@ class TestCodeTextDecoding:
         assert decode_record(encode_record(make_record(ecg=[1]))) == make_record(ecg=[1])
         line = encode_record(make_record(ecg=[1])).replace(b'"AQA="', value)
         assert_line_refused(line, tmp_path, reason)
+
+    @pytest.mark.parametrize("length", range(25))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_reader_takes_exactly_canonical_base64_of_whole_words(self, length, data):
+        """Up to 24 letters, the reader takes an ecg text exactly when the
+        standard library's validating base64 reads it, re-encodes it to the
+        same text and finds an even number of bytes, with the same codes."""
+        text = data.draw(_texts_of_length(length))
+        assert read_codes(decode_record, text) == read_codes(decode_record_reference, text)
+
+    @pytest.mark.parametrize("start, stop", [(0, _LONG_BULK), (_LONG_BULK, len(_LONG_TEXT))],
+                             ids=["bulk", "last-group"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), letter=st.sampled_from(_READER_LETTERS))
+    def test_reader_on_5000_codes_with_one_letter_changed(self, start, stop, data, letter):
+        """A 5000-code text with one letter changed, before its last group
+        of 8 letters or in it, reads exactly as the standard library reads it."""
+        at = data.draw(st.integers(start, stop - 1))
+        text = _LONG_TEXT[:at] + letter + _LONG_TEXT[at + 1:]
+        assert read_codes(decode_record, text) == read_codes(decode_record_reference, text)
 
     def test_widest_adc_code_reads_back(self):
         code = _MAX_CODE
