@@ -11,17 +11,9 @@ from .acquisition import *
 from .dsp import *
 from .render import *
 from .telemetry import *
+from .cloud import *
 from .config import *
 from .pipeline import *
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    # the cloud model loads http.server, which no command needs: import it
-    # the first time its listener is asked for (PEP 562)
-    if name == "LoopbackListener":
-        from .cloud import LoopbackListener
-
-        return LoopbackListener
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,18 +1,20 @@
 """In-process model of the cloud endpoint that the monitor posts records to.
 
-No CLI command or pipeline path uses it.  It is the only module that
-imports http.server (which loads http.client, email and ssl), so the
-package loads it on first use of LoopbackListener, not at import.
+No CLI command or pipeline path uses it.  Its listener reads each request's
+head with telemetry's reader, the one HttpSink reads replies with, frames a
+body by Content-Length only and answers with a bodiless status line.  It
+builds on socketserver, not http.server, so it loads with the package and
+loads none of http, email or ssl.
 """
 
 from __future__ import annotations
 
 import contextlib
 import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .telemetry import _LOOPBACK_HOST
+from .telemetry import _LOOPBACK_HOST, _keep_alive, _read_headers, _read_line
 
 __all__ = ["LoopbackListener"]
 
@@ -20,44 +22,75 @@ __all__ = ["LoopbackListener"]
 # 1.8 M codes, about 4.8 MB of payload
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+_REASONS = {200: b"OK", 400: b"Bad Request", 411: b"Length Required", 413: b"Content Too Large",
+            501: b"Not Implemented"}
 
-class _LoopbackHandler(BaseHTTPRequestHandler):
+
+class _LoopbackHandler(socketserver.StreamRequestHandler):
+    """Serves one connection's requests in turn, each answered in one write
+    of a status line, Content-Length: 0 and, before a close, Connection:
+    close; no Date or Server header, and no 100 Continue.
+
+    A head the shared reader refuses, or a request line that is not three
+    words ending in HTTP/1.0 or HTTP/1.1, gets 400; a method other than
+    POST 501; a Transfer-Encoding 411; a Content-Length that is not ASCII
+    digits (a repeated one is joined with a comma) 400, and one over
+    MAX_BODY_BYTES 413, before any body is read.  Each refusal closes the
+    connection and records nothing.  After a 200 it closes on Connection:
+    close, on HTTP/1.0 without keep-alive, or if protocol_version is 1.0.
+    """
+
     protocol_version = "HTTP/1.1"  # keep-alive: one connection serves many POSTs
 
-    def do_POST(self):  # noqa: N802 - http.server API
-        if "Transfer-Encoding" in self.headers:  # a body it does not frame: refused unread
-            self.send_error(411, "Transfer-Encoding not supported")  # also closes the connection
-            return
-        text = self.headers.get("Content-Length", "0").strip(" \t")
-        if not (text.isascii() and text.isdigit()):
-            self.send_error(400, "malformed Content-Length")  # also closes the connection
-            return
-        length = int(text)
-        if length > MAX_BODY_BYTES:  # refused unread: reading it could exhaust memory
-            self.send_error(413, f"body over {MAX_BODY_BYTES} bytes")  # also closes the connection
-            return
-        body = self.rfile.read(length)
-        if len(body) != length:  # connection shut down mid-body: record nothing
-            self.close_connection = True
-            return
+    def handle(self):
+        with contextlib.suppress(OSError):  # the client went away mid-exchange
+            while self._serve_one():
+                pass
+
+    def _serve_one(self) -> bool:
+        """Read and answer one request; whether the connection stays open."""
+        try:
+            line = _read_line(self.rfile)
+            if not line:  # the client closed the connection between requests
+                return False
+            method, _, version = line.rstrip(b"\r\n").split(b" ")
+            headers = _read_headers(self.rfile)
+        except (OSError, ValueError):  # a refused head, or a request line not of three words
+            return self._answer(400)
+        if version not in (b"HTTP/1.0", b"HTTP/1.1"):
+            return self._answer(400)
+        if method != b"POST":
+            return self._answer(501)
+        if b"transfer-encoding" in headers:  # a body it does not frame: refused unread
+            return self._answer(411)
+        length = headers.get(b"content-length", b"0")
+        if not length.isdigit():
+            return self._answer(400)
+        digits = length.lstrip(b"0")  # int() refuses over 4300 digits, leading zeros too
+        size = int(digits or 0) if len(digits) <= len(str(MAX_BODY_BYTES)) else MAX_BODY_BYTES + 1
+        if size > MAX_BODY_BYTES:  # refused unread: reading it could exhaust memory
+            return self._answer(413)
+        body = self.rfile.read(size)
+        if len(body) != size:  # connection shut down mid-body: record nothing
+            return False
         with self.server.lock:  # type: ignore[attr-defined]
             self.server.received.append(body)  # type: ignore[attr-defined]
-        self.send_response(200)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
+        return self._answer(200, _keep_alive(version, headers) and self.protocol_version == "HTTP/1.1")
 
-    def log_message(self, *args):  # keep tests quiet
-        pass
+    def _answer(self, status: int, keep_alive: bool = False) -> bool:
+        """Write a bodiless reply; keep_alive, whether the connection stays open."""
+        self.wfile.write(b"%s %d %s\r\nContent-Length: 0\r\n%s\r\n" % (
+            self.protocol_version.encode("ascii"), status, _REASONS[status],
+            b"" if keep_alive else b"Connection: close\r\n"))
+        return keep_alive
 
 
 _POLL_INTERVAL_S = 0.05  # serve_forever's shutdown poll: close() waits up to this long
 
 
-class _LoopbackServer(ThreadingHTTPServer):
+class _LoopbackServer(socketserver.ThreadingTCPServer):
     """Tracks its open connections so close() can end the handler threads
-    that wait on an idle keep-alive connection."""
-
-    daemon_threads = False  # server_close() joins every handler thread
+    that wait on an idle keep-alive connection; server_close() joins them."""
 
     def __init__(self):
         super().__init__((_LOOPBACK_HOST, 0), _LoopbackHandler)  # port 0: a free one
@@ -83,14 +116,9 @@ class _LoopbackServer(ThreadingHTTPServer):
 
 
 class LoopbackListener:
-    """An HTTP listener that records every POSTed payload.
-
-    The tests and the benchmark publish to it through an HttpSink.  Binds
-    a free port on 127.0.0.1, exposed as .port.  A POST whose
-    Content-Length is not decimal gets 400, one over MAX_BODY_BYTES gets
-    413, one with a Transfer-Encoding gets 411; each closes its connection
-    and records nothing.  Usable as a context manager.
-    """
+    """An HTTP listener on a free port of 127.0.0.1, exposed as .port, that
+    records every POSTed payload in order; the tests and the benchmark
+    publish to it through an HttpSink.  Usable as a context manager."""
 
     def __init__(self):
         self._server = _LoopbackServer()

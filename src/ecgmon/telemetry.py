@@ -323,8 +323,8 @@ class StdoutSink(_Sink):
 
 _HTTP_TIMEOUT_S = 2.0  # per connect and per socket read
 _LOOPBACK_HOST = "127.0.0.1"  # where HttpSink posts and cloud.LoopbackListener binds
-_MAX_LINE = 65536  # bytes per status or header line, its line end included
-_MAX_HEADERS = 100  # header fields per reply
+_MAX_LINE = 65536  # bytes per request, status or header line, its line end included
+_MAX_HEADERS = 100  # header fields per head
 _OWS = b" \t"  # whitespace around a header value (RFC 9112)
 _RETRIABLE_4XX = (408, 429)  # Request Timeout, Too Many Requests
 
@@ -387,21 +387,13 @@ class HttpSink(_Sink):
         status = 100
         while 100 <= status < 200:  # interim replies carry no body
             version, status = self._read_status()
-            headers = self._read_headers()
-        tokens = {t.strip(_OWS).lower() for t in headers.get(b"connection", b"").split(b",")}
+            headers = _read_headers(self._reader)
         bodiless = status in (204, 304) or (b"transfer-encoding" not in headers
                                             and headers.get(b"content-length") == b"0")
-        keep_alive = b"close" not in tokens and (version != b"HTTP/1.0" or b"keep-alive" in tokens)
-        return status, bodiless and keep_alive
-
-    def _read_line(self) -> bytes:
-        line = self._reader.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            raise OSError(f"reply line longer than {_MAX_LINE} bytes")
-        return line
+        return status, bodiless and _keep_alive(version, headers)
 
     def _read_status(self) -> tuple[bytes, int]:
-        line = self._read_line()
+        line = _read_line(self._reader)
         if not line:
             raise ConnectionError("listener closed the connection before replying")
         version, _, rest = line.rstrip(b"\r\n").partition(b" ")
@@ -411,22 +403,39 @@ class HttpSink(_Sink):
             raise OSError(f"bad status line from listener: {line[:80]!r}")
         return version, int(code)
 
-    def _read_headers(self) -> dict[bytes, bytes]:
-        """Header fields up to the blank line, names lower-cased; repeated
-        fields are joined with commas."""
-        headers: dict[bytes, bytes] = {}
-        for _ in range(_MAX_HEADERS + 1):
-            line = self._read_line()
-            if line in (b"\r\n", b"\n"):
-                return headers
-            if not line:
-                raise ConnectionError("listener closed the connection mid-headers")
-            name, colon, value = line.rstrip(b"\r\n").partition(b":")
-            if not colon or not name or name != name.strip(_OWS):
-                raise OSError(f"bad header line from listener: {line[:80]!r}")
-            name, value = name.lower(), value.strip(_OWS)
-            headers[name] = headers[name] + b"," + value if name in headers else value
-        raise OSError(f"reply has more than {_MAX_HEADERS} headers")
+
+def _read_line(reader) -> bytes:
+    """One line from the binary file reader, its line end kept; b"" at EOF."""
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise OSError(f"reply line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _read_headers(reader) -> dict[bytes, bytes]:
+    """Header fields from the binary file reader up to the blank line, names
+    lower-cased, repeats joined with commas.  Both ends of the uplink read
+    a head with it, HttpSink a reply's and cloud's listener a request's;
+    its messages are the sink's, as the listener answers each with 400."""
+    headers: dict[bytes, bytes] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line:
+            raise ConnectionError("listener closed the connection mid-headers")
+        name, colon, value = line.rstrip(b"\r\n").partition(b":")
+        if not colon or not name or name != name.strip(_OWS):
+            raise OSError(f"bad header line from listener: {line[:80]!r}")
+        name, value = name.lower(), value.strip(_OWS)
+        headers[name] = headers[name] + b"," + value if name in headers else value
+    raise OSError(f"reply has more than {_MAX_HEADERS} headers")
+
+
+def _keep_alive(version: bytes, headers: dict[bytes, bytes]) -> bool:
+    """Whether a message's connection stays open: no close, and HTTP/1.1 or keep-alive."""
+    tokens = {t.strip(_OWS).lower() for t in headers.get(b"connection", b"").split(b",")}
+    return b"close" not in tokens and (version != b"HTTP/1.0" or b"keep-alive" in tokens)
 
 
 def make_sink(spec: str):

@@ -1055,9 +1055,9 @@ def test_cli_start_leaves_scipy_and_http_unimported(tmp_path):
     as run and metrics do, and all four load only the filter's extension
     module, never scipy or scipy.signal.
 
-    No command loads the HTTP stack (http, email, ssl): only the cloud
-    model's listener needs http.server, and reading ecgmon.LoopbackListener
-    is what loads it."""
+    No command loads the HTTP stack (http, email, ssl), and neither does
+    the cloud model's listener: it serves HTTP through socketserver and
+    telemetry's own head reader, so making one loads none of them."""
     shutil.copy(Path(__file__).parent / "golden" / "cli" / "inputs" / "sine.csv", tmp_path)
     code = ("import contextlib, io, sys\n"
             "import ecgmon.cli\n"
@@ -1077,15 +1077,16 @@ def test_cli_start_leaves_scipy_and_http_unimported(tmp_path):
             "print(from_csv)\n"
             "print(modules('scipy'))\n"
             "print(modules('http', 'email', 'ssl'))\n"
-            "ecgmon.LoopbackListener\n"
+            "ecgmon.LoopbackListener().close()\n"
+            "print(modules('http', 'email', 'ssl'))\n"
             "print('http.server' in sys.modules)\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-5:] == ["[]", *["['scipy.signal._sigtools']"] * 2, "[]",
-                                             "True"]
+    assert proc.stdout.splitlines()[-6:] == ["[]", *["['scipy.signal._sigtools']"] * 2, "[]", "[]",
+                                             "False"]
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):

@@ -48,4 +48,4 @@ def test_only_the_cloud_model_imports_threads():
                        if m == t or m.startswith(t + ".")})
         if hits:
             found[path.stem] = hits
-    assert found == {"cloud": ["http.server", "threading"]}
+    assert found == {"cloud": ["socketserver", "threading"]}

@@ -1446,7 +1446,7 @@ class TestHttpSinkReplies:
             assert listener.received == []
         assert "Traceback" not in capfd.readouterr().err
 
-    @pytest.mark.parametrize("length", [b"100000000000000", b"%d" % (cloud.MAX_BODY_BYTES + 1)])
+    @pytest.mark.parametrize("length", [b"100000000000000", b"%d" % (cloud.MAX_BODY_BYTES + 1), b"9" * 5000])
     def test_listener_answers_413_to_a_body_over_its_bound(self, capfd, length):
         # refused before any of the body is read, so no memory is asked for it
         with LoopbackListener() as listener:
@@ -1481,3 +1481,105 @@ class TestHttpSinkReplies:
         assert receipt == DeliveryReceipt(ok=False, attempts=attempts, error=f"listener answered {status}")
         assert pauses == [0.05, 0.1][:attempts - 1]
         assert len(peer.requests) == attempts
+
+
+def listener_exchange(listener, request: bytes) -> bytes:
+    """Send request on a new connection to the listener and read until it
+    closes that connection; a listener that keeps it open fails on the
+    2 s timeout."""
+    reply = b""
+    with socket.create_connection((telemetry._LOOPBACK_HOST, listener.port), timeout=2) as conn:
+        conn.sendall(request)
+        with contextlib.suppress(ConnectionResetError):  # a close with request bytes unread resets
+            while chunk := conn.recv(65536):
+                reply += chunk
+    return reply
+
+
+LISTENER_OK = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"
+LISTENER_OK_CLOSE = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+
+
+class TestListenerHeads:
+    """The listener reads a request's head with the rules HttpSink reads a
+    reply's by, and answers each request with one bodiless write."""
+
+    @pytest.mark.parametrize("request_bytes, reply", [
+        (b"POST /" + b"a" * 65536 + b" HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", b"400 Bad Request"),
+        (b"POST / HTTP/1.1\r\n" + header_line(65537) + b"Content-Length: 2\r\n\r\n{}", b"400 Bad Request"),
+        (b"POST / HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 100 + b"Content-Length: 2\r\n\r\n{}", b"400 Bad Request"),
+        (b"POST / HTTP/1.1\r\nContent-Length : 2\r\n\r\n{}", b"400 Bad Request"),
+        (b"POST / HTTP/1.1\r\nX-Folded: a\r\n b\r\nContent-Length: 2\r\n\r\n{}", b"400 Bad Request"),
+        (b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello", b"400 Bad Request"),
+        (b"POST / HTTP/1.1\r\nno colon\r\nContent-Length: 2\r\n\r\n{}", b"400 Bad Request"),
+        (b"POST /\r\nContent-Length: 2\r\n\r\n{}", b"400 Bad Request"),
+        (b"POST / HTTP/2.0\r\nContent-Length: 2\r\n\r\n{}", b"400 Bad Request"),
+        (b"GET / HTTP/1.1\r\nHost: x\r\n\r\n", b"501 Not Implemented"),
+    ], ids=["long-request-line", "long-header-line", "101-headers", "space-before-colon",
+            "folded-line", "repeated-content-length", "no-colon", "two-words", "http-2", "get"])
+    def test_a_refused_request_is_answered_and_closed(self, capfd, request_bytes, reply):
+        with LoopbackListener() as listener:
+            assert listener_exchange(listener, request_bytes) == (
+                b"HTTP/1.1 %s\r\nContent-Length: 0\r\nConnection: close\r\n\r\n" % reply)
+            assert listener.received == []
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"POST /" + b"a" * (65536 - len(b"POST / HTTP/1.1\r\n")) + b" HTTP/1.1\r\n"
+        b"Connection: close\r\nContent-Length: 2\r\n\r\n{}",
+        b"POST / HTTP/1.1\r\n" + header_line(65536) + b"Connection: close\r\nContent-Length: 2\r\n\r\n{}",
+        b"POST / HTTP/1.1\r\n" + b"X-Many: 1\r\n" * 98 + b"Connection: close\r\nContent-Length: 2\r\n\r\n{}",
+    ], ids=["65536-byte-request-line", "65536-byte-header-line", "100-headers"])
+    def test_heads_at_the_limits_are_read(self, request_bytes):
+        with LoopbackListener() as listener:
+            assert listener_exchange(listener, request_bytes) == LISTENER_OK_CLOSE
+            assert listener.received == [b"{}"]
+
+    @pytest.mark.parametrize("head", [
+        b"POST / HTTP/1.1\r\nConnection: close\r\n",
+        b"POST / HTTP/1.1\r\nConnection: Keep-Alive, CLOSE\r\n",
+        b"POST / HTTP/1.0\r\n",
+    ], ids=["http11-close", "http11-close-token", "http10"])
+    def test_the_listener_closes_after_a_200_when_asked(self, capfd, head):
+        with LoopbackListener() as listener:
+            assert listener_exchange(listener, head + b"Content-Length: 2\r\n\r\n{}") == LISTENER_OK_CLOSE
+            assert listener.received == [b"{}"]
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("head", [b"POST / HTTP/1.1\r\n", b"POST / HTTP/1.0\r\nConnection: keep-alive\r\n"],
+                             ids=["http11", "http10-keep-alive"])
+    def test_two_posts_in_one_write_are_both_recorded_in_order(self, head):
+        with LoopbackListener() as listener:
+            with socket.create_connection((telemetry._LOOPBACK_HOST, listener.port), timeout=2) as conn:
+                conn.sendall(head + b"Content-Length: 3\r\n\r\n[1]" + head + b"Content-Length: 3\r\n\r\n[2]")
+                with conn.makefile("rb") as rfile:
+                    assert rfile.read(2 * len(LISTENER_OK)) == LISTENER_OK * 2
+                conn.sendall(b"POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\n[3]")  # the connection stayed open
+                with conn.makefile("rb") as rfile:
+                    assert rfile.read(len(LISTENER_OK)) == LISTENER_OK
+            assert listener.received == [b"[1]", b"[2]", b"[3]"]
+
+    def test_a_200_is_one_write_with_no_date_or_server(self, monkeypatch):
+        writes = []
+        setup = cloud._LoopbackHandler.setup
+
+        class RecordingWriter:
+            def __init__(self, wfile):
+                self.wfile = wfile
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return self.wfile.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.wfile, name)
+
+        def recording_setup(handler):
+            setup(handler)
+            handler.wfile = RecordingWriter(handler.wfile)
+
+        monkeypatch.setattr(cloud._LoopbackHandler, "setup", recording_setup)
+        with LoopbackListener() as listener, HttpSink(listener.port) as sink:
+            assert publish(sink, b"{}").ok and publish(sink, b"[]").ok
+            assert listener.received == [b"{}", b"[]"]
+        assert writes == [LISTENER_OK] * 2
